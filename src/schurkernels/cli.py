@@ -5,7 +5,8 @@ strings promoted to high-precision reals -- never binary floats.  Output is
 deterministic JSON (rationals as "p/q" strings, q-objects as Laurent data,
 reals as decimal strings with an explicit precision field); `--format csv`
 emits flat key,value rows.  The default precision comes from the
-SCHURKERNELS_PRECISION environment variable (50 digits if unset).
+SCHURKERNELS_PRECISION environment variable (50 digits if unset).  Bad
+input exits with code 2 (usage) or 1 (no result) and a one-line message.
 """
 
 from __future__ import annotations
@@ -23,25 +24,17 @@ from .heat_kernel import auto_terms, heat_kernel_closed, heat_kernel_sum
 from .kernels import (KernelQuery, expansion_table, k2_chebyshev, khat_cd,
                       khat_double, khat_schur)
 from .painleve import b_coeffs, f2n_zero
-from .scalars import DEFAULT_DPS, QRat, frac_str, hpreal_json
+from .scalars import DEFAULT_DPS, QRat, frac_str, hpreal_json, parse_number
 from .toeplitz_fh import duduchava_roch_check, toeplitz_inverse_exact
 from .verify import SUITES, run_all, run_suite
 
 
-def parse_number(s: str, dps: int):
-    """Exact int, exact p/q, or decimal-string HPReal; no binary floats."""
-    s = s.strip()
+def parse_numbers(values, dps: int) -> tuple:
+    """parse_number over each string, a parse failure as a usage error."""
     try:
-        return int(s)
-    except ValueError:
-        pass
-    if "/" in s:
-        return Fraction(s)
-    with mpmath.workdps(dps):
-        try:
-            return mpmath.mpf(s)
-        except ValueError:
-            raise click.UsageError(f"cannot parse number {s!r}")
+        return tuple(parse_number(v, dps) for v in values)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def parse_partition(s: str):
@@ -84,20 +77,14 @@ def _flatten(obj, prefix=""):
 
 def build_spec(ensemble, alpha, beta, alpha_tilde, q, m, dps) -> EnsembleSpec:
     kind = ensemble.replace("-", "_").lower()
-    kwargs = {}
-    if alpha is not None:
-        kwargs["alpha"] = parse_number(alpha, dps)
-    if beta is not None:
-        kwargs["beta"] = parse_number(beta, dps)
-    if alpha_tilde is not None:
-        kwargs["alpha_tilde"] = parse_number(alpha_tilde, dps)
-    if q is not None:
-        kwargs["q"] = parse_number(q, dps)
-    if kind == "jue_tilde":
-        kwargs["m"] = m
     try:
+        kwargs = {key: parse_number(v, dps) for key, v in
+                  (("alpha", alpha), ("beta", beta), ("alpha_tilde", alpha_tilde),
+                   ("q", q)) if v is not None}
+        if kind == "jue_tilde":
+            kwargs["m"] = m
         return EnsembleSpec(kind, **kwargs)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
@@ -118,7 +105,7 @@ def ensemble_options(f):
 
 
 @click.group()
-@click.option("--precision", type=int, default=DEFAULT_DPS,
+@click.option("--precision", type=click.IntRange(min=1), default=DEFAULT_DPS,
               envvar="SCHURKERNELS_PRECISION", show_default=True,
               help="working decimal digits for HPReal computations")
 @click.pass_context
@@ -130,7 +117,8 @@ def main(ctx, precision):
 
 @main.command("schur-avg")
 @ensemble_options
-@click.option("--m", type=int, required=True, help="number of variables M")
+@click.option("--m", type=click.IntRange(min=0), required=True,
+              help="number of variables M")
 @click.option("--partition", default="", help="comma-separated parts, e.g. 2,1")
 @click.option("--method", type=click.Choice(["closed", "oracle"]), default="closed")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -157,7 +145,8 @@ def kernel():
 @kernel.command("expand")
 @ensemble_options
 @click.option("--n-rank", "--N", "n_rank", type=int, required=True)
-@click.option("--n-pairs", "--n", "n_pairs", type=int, required=True)
+@click.option("--n-pairs", "--n", "n_pairs", type=click.IntRange(min=1),
+              required=True)
 @click.option("--method", type=click.Choice(["closed", "oracle"]), default="closed")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.pass_context
@@ -184,7 +173,8 @@ def kernel_expand(ctx, ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs,
 @kernel.command("eval")
 @ensemble_options
 @click.option("--n-rank", "--N", "n_rank", type=int, required=True)
-@click.option("--n-pairs", "--n", "n_pairs", type=int, required=True)
+@click.option("--n-pairs", "--n", "n_pairs", type=click.IntRange(min=1),
+              required=True)
 @click.option("--x", required=True, help="comma-separated points x_1..x_n")
 @click.option("--y", required=True, help="comma-separated points y_1..y_n")
 @click.option("--method",
@@ -197,8 +187,7 @@ def kernel_eval(ctx, ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs,
     """Evaluate Khat_N^(n)(x; y) by the chosen representation."""
     dps = ctx.obj["dps"]
     spec = build_spec(ensemble, alpha, beta, alpha_tilde, q, n_rank - n_pairs, dps)
-    xs = tuple(parse_number(v, dps) for v in x.split(","))
-    ys = tuple(parse_number(v, dps) for v in y.split(","))
+    xs, ys = parse_numbers(x.split(","), dps), parse_numbers(y.split(","), dps)
     try:
         query = KernelQuery(spec, n_rank, n_pairs, xs, ys)
         fn = {"schur": khat_schur, "double": khat_double, "cd": khat_cd,
@@ -237,8 +226,8 @@ def toeplitz():
 
 
 @toeplitz.command("inverse")
-@click.option("--gamma", type=int, required=True)
-@click.option("--delta", type=int, required=True)
+@click.option("--gamma", type=click.IntRange(min=0), required=True)
+@click.option("--delta", type=click.IntRange(min=0), required=True)
 @click.option("--size", type=int, required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def toeplitz_inverse_cmd(gamma, delta, size, fmt):
@@ -251,8 +240,8 @@ def toeplitz_inverse_cmd(gamma, delta, size, fmt):
 
 
 @toeplitz.command("verify-dr")
-@click.option("--gamma", type=int, required=True)
-@click.option("--delta", type=int, required=True)
+@click.option("--gamma", type=click.IntRange(min=0), required=True)
+@click.option("--delta", type=click.IntRange(min=0), required=True)
 @click.option("--size", type=int, required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def toeplitz_verify_dr(gamma, delta, size, fmt):
@@ -275,8 +264,7 @@ def toeplitz_verify_dr(gamma, delta, size, fmt):
 def heat_kernel_cmd(ctx, q, xi, eta, terms, fmt):
     """Chebyshev heat kernel: partial sum, closed form, difference."""
     dps = ctx.obj["dps"]
-    qv = parse_number(q, dps)
-    xiv, etav = parse_number(xi, dps), parse_number(eta, dps)
+    qv, xiv, etav = parse_numbers((q, xi, eta), dps)
     try:
         with mpmath.workdps(dps):
             used = terms if terms is not None else auto_terms(qv)

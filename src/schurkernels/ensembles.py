@@ -21,8 +21,9 @@ from itertools import combinations_with_replacement
 import mpmath
 
 from . import partitions as pt
-from .scalars import (DEFAULT_DPS, QRat, det_exact, double_factorial,
-                      factorial, gamma_real, poch, qgamma_real, qnum_floor,
+from .scalars import (DEFAULT_DPS, Poly, QRat, binom, det_exact,
+                      double_factorial, factorial, gamma_real, parse_number,
+                      poch, qgamma_real, qnum_floor, to_mpf,
                       with_working_precision)
 from .symfun import qdim, schur_principal
 
@@ -49,19 +50,15 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        missing = [k for k in _REQUIRED.get(self.kind, ()) if getattr(self, k) is None]
+        if missing:
+            raise ValueError(f"{self.kind} needs {' and '.join(missing)}")
         if self.kind == "lue" and not (self.alpha > -1):
             raise ValueError("lue needs alpha > -1")
         if self.kind == "jue" and (not (self.alpha > -1) or not (self.beta > -1)):
             raise ValueError("jue needs alpha, beta > -1")
-        if self.kind == "jue_tilde" and self.m is None:
-            raise ValueError("jue_tilde needs the variable count m")
         if self.q is not None and not (0 < self.q < 1):
             raise ValueError("q must be in (0, 1)")
-
-    def is_exact(self) -> bool:
-        vals = [v for v in (self.alpha, self.beta, self.alpha_tilde)
-                if v is not None]
-        return all(isinstance(v, int) for v in vals)
 
     def to_json(self) -> dict:
         """JSON form with parameters as "p/q" or decimal strings."""
@@ -75,6 +72,12 @@ class EnsembleSpec:
         return out
 
 
+#: parameters each kind cannot do without
+_REQUIRED = {"lue": ("alpha",), "jue": ("alpha", "beta"),
+             "jue_tilde": ("alpha", "beta", "m"), "lue_tilde": ("alpha_tilde",),
+             "qlue": ("alpha",)}
+
+
 def _param_str(v) -> str:
     if isinstance(v, int):
         return str(v)
@@ -86,18 +89,8 @@ def _param_str(v) -> str:
 def spec_from_json(data: dict, dps: int = DEFAULT_DPS) -> EnsembleSpec:
     """Parse {"kind": ..., "alpha": "p/q" | "decimal", ...}; integers stay
     exact, "p/q" becomes Fraction, decimal strings become HPReal."""
-    kwargs = {}
-    for key in ("alpha", "beta", "alpha_tilde", "q"):
-        if key in data:
-            s = str(data[key])
-            try:
-                kwargs[key] = int(s)
-            except ValueError:
-                if "/" in s:
-                    kwargs[key] = Fraction(s)
-                else:
-                    with mpmath.workdps(dps):
-                        kwargs[key] = mpmath.mpf(s)
+    kwargs = {key: parse_number(str(data[key]), dps)
+              for key in ("alpha", "beta", "alpha_tilde", "q") if key in data}
     if "m" in data:
         kwargs["m"] = int(data["m"])
     return EnsembleSpec(data["kind"], **kwargs)
@@ -115,7 +108,8 @@ def moment(spec: EnsembleSpec, p: int, dps: int = DEFAULT_DPS):
     return _moment_cached(spec, p, dps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
+@with_working_precision
 def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
     kind = spec.kind
     if kind == "gue":
@@ -124,16 +118,15 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
         a = spec.alpha
         if isinstance(a, int):
             return Fraction(factorial(a + p))
-        return gamma_real(_num(a, dps) + 1 + p, dps)
+        return gamma_real(to_mpf(a) + 1 + p, dps)
     if kind == "jue":
         a, b = spec.alpha, spec.beta
         if isinstance(a, int) and isinstance(b, int):
             return Fraction(factorial(p + a) * factorial(b),
                             factorial(p + a + b + 1))
-        with mpmath.workdps(dps):
-            return (gamma_real(_num(a, dps) + p + 1, dps)
-                    * gamma_real(_num(b, dps) + 1, dps)
-                    / gamma_real(_num(a, dps) + _num(b, dps) + p + 2, dps))
+        return (gamma_real(to_mpf(a) + p + 1, dps)
+                * gamma_real(to_mpf(b) + 1, dps)
+                / gamma_real(to_mpf(a) + to_mpf(b) + p + 2, dps))
     if kind == "jue_tilde":
         a, b, m = spec.alpha, spec.beta, spec.m
         if isinstance(a, int) and isinstance(b, int):
@@ -142,17 +135,16 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
                 raise ValueError(f"jue_tilde moment diverges at p = {p}")
             return Fraction(factorial(p + a) * factorial(top - 1),
                             factorial(m + b - 1))
-        with mpmath.workdps(dps):
-            return (gamma_real(p + _num(a, dps) + 1, dps)
-                    * gamma_real(m - p - _num(a, dps) + _num(b, dps) - 1, dps)
-                    / gamma_real(m + _num(b, dps), dps))
+        return (gamma_real(p + to_mpf(a) + 1, dps)
+                * gamma_real(m - p - to_mpf(a) + to_mpf(b) - 1, dps)
+                / gamma_real(m + to_mpf(b), dps))
     if kind == "lue_tilde":
         at = spec.alpha_tilde
         if isinstance(at, int):
             if at - p - 1 <= 0:
                 raise ValueError(f"lue_tilde moment diverges at p = {p}")
             return Fraction(factorial(at - p - 2))
-        return gamma_real(_num(at, dps) - p - 1, dps)
+        return gamma_real(to_mpf(at) - p - 1, dps)
     if kind == "sw":
         return QRat.u_power(-((p + 1) ** 2))
     if kind == "qlue":
@@ -164,18 +156,10 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
             return r
         if spec.q is None:
             raise ValueError("real-alpha qlue moments need a numeric q")
-        with mpmath.workdps(dps):
-            av = _num(a, dps)
-            return (gamma_real(-p - av, dps) * gamma_real(p + av + 1, dps)
-                    / qgamma_real(-p - av, _num(spec.q, dps), dps))
+        av = to_mpf(a)
+        return (gamma_real(-p - av, dps) * gamma_real(p + av + 1, dps)
+                / qgamma_real(-p - av, to_mpf(spec.q), dps))
     raise ValueError(f"moments not defined for kind {kind!r}")
-
-
-def _num(x, dps):
-    with mpmath.workdps(dps):
-        if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
-        return mpmath.mpf(x) if not isinstance(x, mpmath.mpf) else x
 
 
 class MomentTable:
@@ -203,13 +187,12 @@ def hankel_det(spec: EnsembleSpec, m: int, dps: int = DEFAULT_DPS):
     """det[m_{j+k}], 0 <= j,k <= m-1; equals the partition function."""
     if m == 0:
         return 1
-    mom = MomentTable(spec, dps)
-    return det_exact([[mom.get(j + k) for k in range(m)] for j in range(m)])
+    return _moment_det(MomentTable(spec, dps), range(m), range(m))
 
 
-def partition_function(spec: EnsembleSpec, m: int, dps: int = DEFAULT_DPS):
-    """(1/M!) int Delta^2 prod w = hankel_det, by Andreief's identity."""
-    return hankel_det(spec, m, dps)
+def _moment_det(mom: MomentTable, rows, cols):
+    """det[m_{a+b}] for a in rows (row order) and b in cols (column order)."""
+    return det_exact([[mom.get(a + b) for b in cols] for a in rows])
 
 
 @dataclass
@@ -224,8 +207,6 @@ class OrthoSystem:
 @with_working_precision
 def ortho_system(spec: EnsembleSpec, kmax: int, dps: int = DEFAULT_DPS) -> OrthoSystem:
     """Gram-Schmidt on the moment bilinear form <z^a, z^b> = m_{a+b}."""
-    from .scalars import Poly
-
     mom = MomentTable(spec, dps)
 
     def inner(pa: Poly, pb: Poly):
@@ -239,7 +220,7 @@ def ortho_system(spec: EnsembleSpec, kmax: int, dps: int = DEFAULT_DPS) -> Ortho
 
     polys, norms = [], []
     for k in range(kmax + 1):
-        p = Poly([0] * k + [1], var="z")
+        p = Poly([0] * k + [1])
         for j in range(k):
             c = inner(p, polys[j]) / norms[j]
             p = p - polys[j] * c
@@ -268,10 +249,8 @@ def schur_avg_oracle(spec: EnsembleSpec, mu, m: int, dps: int = DEFAULT_DPS):
     if m == 0:
         return Fraction(1)
     mom = MomentTable(spec, dps)
-    num = det_exact([[mom.get(pt.part(mu, j) + m - j + k)
-                      for k in range(m)] for j in range(1, m + 1)])
-    den = det_exact([[mom.get(m - j + k)
-                      for k in range(m)] for j in range(1, m + 1)])
+    num = _moment_det(mom, [pt.part(mu, j) + m - j for j in range(1, m + 1)], range(m))
+    den = _moment_det(mom, [m - j for j in range(1, m + 1)], range(m))
     return num / den
 
 
@@ -292,10 +271,8 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int,
     mom = MomentTable(spec, dps)
     a = [pt.part(lam, j) + m - j for j in range(1, m + 1)]
     b = [pt.part(mu, k) + m - k for k in range(1, m + 1)]
-    num = det_exact([[mom.get(aj + bk) for bk in b] for aj in a])
     a0 = [m - j for j in range(1, m + 1)]
-    den = det_exact([[mom.get(aj + bk) for bk in a0] for aj in a0])
-    return num / den
+    return _moment_det(mom, a, b) / _moment_det(mom, a0, a0)
 
 
 @with_working_precision
@@ -307,18 +284,12 @@ def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x,
     def modified(e):
         r = 0
         for l in range(n2 + 1):
-            term = Fraction((-1) ** l * _binom(n2, l)) * x ** (n2 - l) * mom.get(e + l)
+            term = Fraction((-1) ** l * binom(n2, l)) * x ** (n2 - l) * mom.get(e + l)
             r = r + term
         return r
 
     num = det_exact([[modified(j + k) for k in range(m)] for j in range(m)])
-    den = det_exact([[mom.get(j + k) for k in range(m)] for j in range(m)])
-    return num / den
-
-
-def _binom(n, k):
-    import math
-    return math.comb(n, k) if 0 <= k <= n else 0
+    return num / _moment_det(mom, range(m), range(m))
 
 
 # ----------------------------------------------------------------------------
@@ -443,16 +414,15 @@ def schur_avg_jue_gamma_form(mu, m: int, alpha, beta, dps: int = DEFAULT_DPS):
     mu = pt.canonical(mu)
     if len(mu) > m:
         return 0
-    with mpmath.workdps(dps):
-        a, b = _num(alpha, dps), _num(beta, dps)
-        r = _num(schur_principal(mu, m), dps)
-        for j in range(1, m + 1):
-            mj = pt.part(mu, j)
-            r *= (gamma_real(mj - j + a + m + 1, dps)
-                  * gamma_real(a + b + 2 * m + 1 - j, dps)
-                  / gamma_real(mj - j + a + b + 2 * m + 1, dps)
-                  / gamma_real(a + m + 1 - j, dps))
-        return r
+    a, b = to_mpf(alpha), to_mpf(beta)
+    r = to_mpf(schur_principal(mu, m))
+    for j in range(1, m + 1):
+        mj = pt.part(mu, j)
+        r *= (gamma_real(mj - j + a + m + 1, dps)
+              * gamma_real(a + b + 2 * m + 1 - j, dps)
+              / gamma_real(mj - j + a + b + 2 * m + 1, dps)
+              / gamma_real(a + m + 1 - j, dps))
+    return r
 
 
 def schur_avg_jue_tilde(mu, m: int, alpha: int, beta: int):
@@ -534,19 +504,17 @@ def schur_avg_qlue(mu, m: int, alpha, q=None, dps: int = DEFAULT_DPS):
         return r
     if q is None:
         raise ValueError("real-alpha qlue average needs a numeric q")
-    with mpmath.workdps(dps):
-        a = _num(alpha, dps)
-        qv = _num(q, dps)
-        u = mpmath.sqrt(qv)
-        r = qv ** (-(m - 1) * mpmath.mpf(sum(mu)) / 2) * qdim(mu, m).eval_u(u)
-        for j in range(1, m + 1):
-            mj = pt.part(mu, j)
-            r *= (gamma_real(a + 1 + mj + m - j, dps)
-                  * gamma_real(-a - mj - m + j, dps)
-                  / gamma_real(a + j, dps) / gamma_real(-a - j + 1, dps))
-            r *= (qgamma_real(-a - j + 1, qv, dps)
-                  / qgamma_real(-a - mj - m + j, qv, dps))
-        return r
+    a, qv = to_mpf(alpha), to_mpf(q)
+    u = mpmath.sqrt(qv)
+    r = qv ** (-(m - 1) * mpmath.mpf(sum(mu)) / 2) * qdim(mu, m).eval_u(u)
+    for j in range(1, m + 1):
+        mj = pt.part(mu, j)
+        r *= (gamma_real(a + 1 + mj + m - j, dps)
+              * gamma_real(-a - mj - m + j, dps)
+              / gamma_real(a + j, dps) / gamma_real(-a - j + 1, dps))
+        r *= (qgamma_real(-a - j + 1, qv, dps)
+              / qgamma_real(-a - mj - m + j, qv, dps))
+    return r
 
 
 def _qlue_moment_ratio(alpha: int, a: int, b: int) -> QRat:
@@ -619,14 +587,12 @@ def askey_limit_check(mu, m: int, alpha, q, dps: int = DEFAULT_DPS):
     with it the ratio of the pair tends to 1.
     """
     mu = pt.canonical(mu)
-    with mpmath.workdps(dps):
-        qv = _num(q, dps)
-        a = _num(alpha, dps)
-        lhs = schur_avg_qlue(mu, m, a, qv, dps)
-        sw = schur_avg_sw(mu, m).eval_u(mpmath.sqrt(qv))
-        k = sum(mu)
-        rhs = (1 - qv) ** (-k) * qv ** ((mpmath.mpf(1) / 2 - a) * k) * sw
-        return lhs, rhs
+    qv, a = to_mpf(q), to_mpf(alpha)
+    lhs = schur_avg_qlue(mu, m, a, qv, dps)
+    sw = schur_avg_sw(mu, m).eval_u(mpmath.sqrt(qv))
+    k = sum(mu)
+    rhs = (1 - qv) ** (-k) * qv ** ((mpmath.mpf(1) / 2 - a) * k) * sw
+    return lhs, rhs
 
 
 def schur_average(spec: EnsembleSpec, mu, m: int, method: str = "closed",

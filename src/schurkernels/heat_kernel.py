@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .scalars import DEFAULT_DPS
+from .scalars import DEFAULT_DPS, to_mpf
 from .symfun import complete_h_all, schur_eval
 
 DEFAULT_TAIL_TOL = Fraction(1, 10**30)
@@ -19,6 +19,8 @@ DEFAULT_TAIL_TOL = Fraction(1, 10**30)
 def auto_terms(q, tol=DEFAULT_TAIL_TOL) -> int:
     """Term count with tail below tol: |U_j| <= j+1 on [-1,1] bounds the
     tail of sum q^j (j+1)^2 by C q^J/(1-q)^3, so J ~ log(tol (1-q)^3)/log q."""
+    if not (0 < q < 1):
+        raise ValueError("heat kernel needs 0 < q < 1")
     qf = float(q)
     target = float(tol) * (1 - qf) ** 3
     j = max(1, math.ceil(math.log(target) / math.log(qf)))
@@ -29,9 +31,7 @@ def heat_kernel_sum(q, xi, eta, terms: int = None, dps: int = DEFAULT_DPS):
     """Partial sum sum_{j<terms} q^j U_j(xi/2) U_j(eta/2) via the
     three-term recurrence."""
     with mpmath.workdps(dps):
-        q = mpmath.mpf(str(q))
-        xi = mpmath.mpf(str(xi))
-        eta = mpmath.mpf(str(eta))
+        q, xi, eta = to_mpf(q), to_mpf(xi), to_mpf(eta)
         if not (0 < q < 1):
             raise ValueError("heat kernel needs 0 < q < 1")
         if abs(xi) > 2 or abs(eta) > 2:
@@ -55,9 +55,7 @@ def heat_kernel_sum(q, xi, eta, terms: int = None, dps: int = DEFAULT_DPS):
 def heat_kernel_closed(q, xi, eta, dps: int = DEFAULT_DPS):
     """(1-q^2) / (1 - q xi eta + q^2 (xi^2 + eta^2 - 2) - q^3 xi eta + q^4)."""
     with mpmath.workdps(dps):
-        q = mpmath.mpf(str(q))
-        xi = mpmath.mpf(str(xi))
-        eta = mpmath.mpf(str(eta))
+        q, xi, eta = to_mpf(q), to_mpf(xi), to_mpf(eta)
         den = (1 - q * xi * eta + q ** 2 * (xi ** 2 + eta ** 2 - 2)
                - q ** 3 * xi * eta + q ** 4)
         if den == 0:

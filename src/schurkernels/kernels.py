@@ -20,11 +20,11 @@ from fractions import Fraction
 import mpmath
 
 from . import partitions as pt
-from .ensembles import (EnsembleSpec, MomentTable, ortho_system,
+from .ensembles import (EnsembleSpec, MomentTable, OrthoSystem, ortho_system,
                         pair_average, schur_average, schur_avg_jue,
                         schur_pair_avg_ginibre)
-from .scalars import (DEFAULT_DPS, binom, factorial, gamma_real,
-                      mat_inverse_exact, rational_sqrt, recip,
+from .scalars import (DEFAULT_DPS, binom, det_exact, factorial, gamma_real,
+                      mat_inverse_exact, rational_sqrt, recip, to_mpf,
                       with_working_precision)
 from .symfun import chebyshev_u, schur_eval
 
@@ -136,8 +136,7 @@ def k2_chebyshev(query: KernelQuery, dps: int = DEFAULT_DPS):
         if s is None:
             raise ValueError("xy has no exact square root; evaluate in HPReal")
     else:
-        with mpmath.workdps(dps):
-            s = mpmath.sqrt(xy)
+        s = mpmath.sqrt(xy)
     w = -(x + y) / (2 * s)
     m = query.m_size
     total = 0
@@ -158,10 +157,14 @@ def k2_chebyshev(query: KernelQuery, dps: int = DEFAULT_DPS):
 @with_working_precision
 def kernel_cd(spec: EnsembleSpec, n_rank: int, x, y, dps: int = DEFAULT_DPS):
     """K_N(x, y) = sum_{j<N} P_j(x) P_j(y) / h_j from the moment data."""
-    osys = ortho_system(spec, n_rank - 1, dps)
+    return _cd_sum(ortho_system(spec, n_rank - 1, dps), x, y)
+
+
+def _cd_sum(osys: OrthoSystem, x, y):
+    """sum_j P_j(x) P_j(y) / h_j over every polynomial of osys, in degree order."""
     total = 0
-    for j in range(n_rank):
-        total = total + osys.polys[j](x) * osys.polys[j](y) * recip(osys.norms[j])
+    for p, h in zip(osys.polys, osys.norms):
+        total = total + p(x) * p(y) * recip(h)
     return total
 
 
@@ -191,15 +194,7 @@ def khat_cd(query: KernelQuery, dps: int = DEFAULT_DPS):
         raise ValueError("multi-point CD kernel needs distinct coordinates")
     spec, nr = query.spec, query.n_rank
     osys = ortho_system(spec, nr - 1, dps)
-
-    def k2(x, y):
-        total = 0
-        for j in range(nr):
-            total = total + osys.polys[j](x) * osys.polys[j](y) * recip(osys.norms[j])
-        return total
-
-    from .scalars import det_exact
-    det = det_exact([[k2(xi, yj) for yj in query.y] for xi in query.x])
+    det = det_exact([[_cd_sum(osys, xi, yj) for yj in query.y] for xi in query.x])
     vand = 1
     for i in range(n):
         for j in range(i + 1, n):
@@ -343,9 +338,7 @@ def selberg_je_partition(m: int, alpha, beta, gamma, dps: int = DEFAULT_DPS):
                                / [G(a+b+2+(M+j-1)g) G(1+g)] .
     """
     with mpmath.workdps(dps):
-        a = mpmath.mpf(str(alpha))
-        b = mpmath.mpf(str(beta))
-        g = mpmath.mpf(str(gamma))
+        a, b, g = to_mpf(alpha), to_mpf(beta), to_mpf(gamma)
         zje = mpmath.mpf(1) / factorial(m)
         for j in range(m):
             zje *= (gamma_real(a + 1 + g * j, dps) * gamma_real(b + 1 + g * j, dps)
@@ -361,9 +354,7 @@ def df_partition(m: int, alpha, beta, gamma, dps: int = DEFAULT_DPS):
     denominators (including the 0/0 cases at integer parameters) raise."""
     zje = selberg_je_partition(m, alpha, beta, gamma, dps)
     with mpmath.workdps(dps):
-        a = mpmath.mpf(str(alpha))
-        b = mpmath.mpf(str(beta))
-        g = mpmath.mpf(str(gamma))
+        a, b, g = to_mpf(alpha), to_mpf(beta), to_mpf(gamma)
         sden = mpmath.sinpi(g)
         zdf = zje ** 2
         for j in range(1, m + 1):
@@ -373,40 +364,6 @@ def df_partition(m: int, alpha, beta, gamma, dps: int = DEFAULT_DPS):
             zdf *= (mpmath.sinpi(a + 1 + g * (m - j)) * mpmath.sinpi(b + 1 + g * (m - j))
                     / den1) * (mpmath.sinpi(g * j) / sden)
         return zdf
-
-
-def selberg_and_df_partition(m: int, alpha, beta, gamma,
-                             dps: int = DEFAULT_DPS):
-    """(Z_JE, Z_DF) evaluated in high precision; see the two factors."""
-    return (selberg_je_partition(m, alpha, beta, gamma, dps),
-            df_partition(m, alpha, beta, gamma, dps))
-
-
-# ----------------------------------------------------------------------------
-# symmetry of the expansion
-# ----------------------------------------------------------------------------
-
-def khat_schur_from_t(spec: EnsembleSpec, n_rank: int, n_pairs: int, t,
-                      method: str = "closed", dps: int = DEFAULT_DPS):
-    """Khat evaluated directly from an arbitrary ordering of the t-vector."""
-    table = expansion_table(spec, n_rank, n_pairs, method, dps)
-    return table.evaluate(tuple(t))
-
-
-def symmetry_check(query: KernelQuery, shuffles: int = 10, seed: int = 1,
-                   dps: int = DEFAULT_DPS) -> bool:
-    """True iff khat_schur is invariant under random permutations of t
-    (the S_2n symmetry enhancement of the expansion)."""
-    base = khat_schur(query, dps=dps)
-    rng = random.Random(seed)
-    t = list(query.t)
-    for _ in range(shuffles):
-        perm = t[:]
-        rng.shuffle(perm)
-        if khat_schur_from_t(query.spec, query.n_rank, query.n_pairs, perm,
-                             dps=dps) != base:
-            return False
-    return True
 
 
 def random_rationals(rng: random.Random, count: int, nonzero=True,

@@ -8,8 +8,6 @@ length explicitly.
 
 from __future__ import annotations
 
-from math import comb
-
 Partition = tuple
 
 
@@ -27,10 +25,6 @@ def canonical(parts) -> Partition:
 
 def size(p: Partition) -> int:
     return sum(p)
-
-
-def length(p: Partition) -> int:
-    return len(p)
 
 
 def part(p: Partition, j: int) -> int:
@@ -65,10 +59,6 @@ def enumerate_bounded(rows: int, cols: int) -> list[Partition]:
     extend((), cols, rows)
     out.sort(key=lambda p: (sum(p), p))
     return out
-
-
-def count_bounded(rows: int, cols: int) -> int:
-    return comb(rows + cols, rows)
 
 
 def in_rectangle(p: Partition, rows: int, cols: int) -> bool:

@@ -1,29 +1,29 @@
 """Exact and high-precision scalars: rationals, Laurent rational functions in
-u = q^(1/2), arbitrary-precision reals, generic polynomials and determinants.
+u = q^(1/2), arbitrary-precision reals, polynomials and determinants.
 
 Every other module is generic over these three scalar fields:
 
-* exact rationals          -- ``fractions.Fraction`` (aliased ``BigRat``),
+* exact rationals          -- ``fractions.Fraction``,
 * exact q-objects          -- ``QRat``, Laurent rational functions in u,
 * high-precision reals     -- mpmath ``mpf`` at a configurable precision.
 
 Working in u = q^(1/2) (instead of q) keeps Stieltjes-Wigert moments
-q^(-(p+1)^2/2) and symmetric q-numbers exact Laurent objects.
+q^(-(p+1)^2/2) and symmetric q-numbers exact Laurent objects.  One dense
+coefficient-list engine (the ``_p*`` helpers) does the polynomial arithmetic
+of both ``QRat`` and ``Poly``; ``parse_number`` is the one parser of numeric
+strings and ``to_mpf`` the one scalar-to-real conversion.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-import os
 from fractions import Fraction
 from functools import wraps
 
 import mpmath
 
-BigRat = Fraction
-
-DEFAULT_DPS = int(os.environ.get("SCHURKERNELS_PRECISION", "50"))
+DEFAULT_DPS = 50
 #: default comparison tolerance for high-precision reals
 DEFAULT_TOL = Fraction(1, 10**40)
 
@@ -34,8 +34,37 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def parse_number(s: str, dps: int):
+    """An exact int, an exact "p/q" Fraction, or a finite decimal mpf at dps
+    digits -- never a binary float.  Anything else raises ValueError."""
+    s = s.strip()
+    try:
+        return int(s)
+    except ValueError:
+        pass
+    if "/" in s:
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
+    with mpmath.workdps(dps):
+        try:
+            v = mpmath.mpf(s)
+        except ValueError:
+            raise ValueError(f"cannot parse number {s!r}") from None
+    if not mpmath.isfinite(v):
+        raise ValueError(f"number {s!r} is not finite")
+    return v
+
+
+def to_mpf(x):
+    """x as an mpf at the working precision; a Fraction is its numerator
+    divided by its denominator, an mpf is returned as it is."""
+    if isinstance(x, mpmath.mpf):
+        return x
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
 
 
 def factorial(n: int) -> int:
@@ -117,7 +146,8 @@ def rational_sqrt(x) -> Fraction | None:
 
 
 # ----------------------------------------------------------------------------
-# dense univariate polynomials over Fraction (internal engine of QRat)
+# dense coefficient lists, lowest degree first: the one polynomial engine,
+# shared by QRat (Fraction coefficients) and Poly (any exact field or mpf)
 # ----------------------------------------------------------------------------
 
 def _ptrim(c: list) -> list:
@@ -142,7 +172,7 @@ def _pneg(a: list) -> list:
 def _pmul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -155,7 +185,7 @@ def _pdivmod(a: list, b: list) -> tuple[list, list]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    q = [0] * max(0, len(a) - len(b) + 1)
     lb = b[-1]
     while len(r) >= len(b):
         c = r[-1] / lb
@@ -177,6 +207,31 @@ def _pgcd(a: list, b: list) -> list:
         lc = a[-1]
         a = [x / lc for x in a]
     return a
+
+
+def _phorner(c: list, x):
+    r = x * 0
+    for v in reversed(c):
+        r = r * x + v
+    return r
+
+
+def _pstr(c: list, var: str) -> str:
+    terms = [f"{v}*{var}^{i}" for i, v in enumerate(c) if v]
+    return " + ".join(terms) if terms else "0"
+
+
+def _binpow(b, k: int, one):
+    """b**k for an integer k >= 0 by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative power of a polynomial")
+    r = one
+    while k:
+        if k & 1:
+            r = r * b
+        b = b * b
+        k >>= 1
+    return r
 
 
 # ----------------------------------------------------------------------------
@@ -231,9 +286,6 @@ class QRat:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def is_one(self) -> bool:
-        return self.offset == 0 and self.num == [Fraction(1)] and self.den == [Fraction(1)]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -306,14 +358,7 @@ class QRat:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        r = QRat.const(1)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return _binpow(self, k, QRat.const(1))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -338,14 +383,6 @@ class QRat:
             raise ZeroDivisionError("QRat has a pole at u = 1")
         return _phorner(self.num, Fraction(1)) / den
 
-    def as_fraction(self) -> Fraction:
-        """Constant QRat as a Fraction; error if u-dependent."""
-        if not self.num:
-            return Fraction(0)
-        if self.offset == 0 and len(self.num) == 1 and len(self.den) == 1:
-            return self.num[0] / self.den[0]
-        raise ValueError("QRat is not constant")
-
     def to_json(self) -> dict:
         return {
             "var": "u",
@@ -357,23 +394,11 @@ class QRat:
     def __repr__(self):
         if not self.num:
             return "QRat(0)"
-        return (f"QRat(u^{self.offset} * ({_pstr(self.num)}) / ({_pstr(self.den)}))")
+        return (f"QRat(u^{self.offset} * ({_pstr(self.num, 'u')}) / ({_pstr(self.den, 'u')}))")
 
 
 def _ushift(c: list, k: int) -> list:
     return [Fraction(0)] * k + c if k else c
-
-
-def _phorner(c: list, x):
-    r = x * 0
-    for v in reversed(c):
-        r = r * x + v
-    return r
-
-
-def _pstr(c: list) -> str:
-    terms = [f"{v}*u^{i}" for i, v in enumerate(c) if v]
-    return " + ".join(terms) if terms else "0"
 
 
 def _qr_canonical(offset, num, den):
@@ -435,28 +460,24 @@ def qfactorial_floor(n: int) -> QRat:
 # ----------------------------------------------------------------------------
 
 class Poly:
-    """Univariate polynomial with coefficients in an exact scalar field.
+    """Univariate polynomial with coefficients in one scalar field.
 
-    Coefficients may be ints, Fractions or QRats; generic code relies on
-    the coefficient operators for coercion.  Trailing zeros are trimmed.
+    Coefficients may be ints, Fractions, QRats or mpfs; the arithmetic is
+    the shared ``_p*`` coefficient-list engine.  Trailing zeros are trimmed.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=(), var="x"):
-        c = list(coeffs)
-        while c and not c[-1]:
-            c.pop()
-        self.coeffs = c
-        self.var = var
+    def __init__(self, coeffs=()):
+        self.coeffs = _ptrim(list(coeffs))
 
     @classmethod
-    def const(cls, c, var="x"):
-        return cls([c], var)
+    def const(cls, c):
+        return cls([c])
 
     @classmethod
-    def x(cls, var="x"):
-        return cls([0, 1], var)
+    def x(cls):
+        return cls([0, 1])
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -465,29 +486,24 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def _coerce(self, x):
+    @staticmethod
+    def _coerce(x):
         if isinstance(x, Poly):
             return x
         if isinstance(x, (int, Fraction, QRat, mpmath.mpf)):
-            return Poly([x], self.var)
+            return Poly([x])
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = a[:]
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return Poly(out, self.var)
+        return Poly(_padd(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.var)
+        return Poly(_pneg(self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -505,82 +521,37 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return Poly([], self.var)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = out[i + j] + x * y
-        return Poly(out, self.var)
+        return Poly(_pmul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """Exact division by a polynomial (remainder must vanish) or scalar."""
-        if isinstance(other, Poly):
-            q, r = self.divmod(other)
-            if r:
-                raise ValueError("inexact polynomial division")
-            return q
-        return Poly([c / other for c in self.coeffs], self.var)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        r = self.coeffs[:]
-        b = other.coeffs
-        q = [0] * max(0, len(r) - len(b) + 1)
-        lb = b[-1]
-        while len(r) >= len(b):
-            c = r[-1] / lb
-            d = len(r) - len(b)
-            q[d] = c
-            for i, y in enumerate(b):
-                r[i + d] = r[i + d] - c * y
-            while r and not r[-1]:
-                r.pop()
-            if not r:
-                break
-        return Poly(q, self.var), Poly(r, self.var)
+        """Exact division by a polynomial or a scalar; a remainder is an error."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        q, r = _pdivmod(self.coeffs, o.coeffs)
+        if r:
+            raise ValueError("inexact polynomial division")
+        return Poly(q)
 
     def __pow__(self, k: int):
-        r = Poly([1], self.var)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return _binpow(self, k, Poly([1]))
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
+        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
-        r = 0
-        for c in reversed(self.coeffs):
-            r = r * x + c
-        return r
-
-    def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return _phorner(self.coeffs, x)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(self.coeffs) != len(o.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, o.coeffs))
+        return self.coeffs == o.coeffs
 
     def __repr__(self):
-        if not self.coeffs:
-            return "Poly(0)"
-        terms = [f"({c})*{self.var}^{i}" for i, c in enumerate(self.coeffs) if c]
-        return "Poly(" + " + ".join(terms) + ")"
+        return f"Poly({_pstr(self.coeffs, 'x')})"
 
 
 # ----------------------------------------------------------------------------
@@ -703,7 +674,7 @@ def gamma_real(z, dps: int = DEFAULT_DPS):
     functional-equation sweep in the test suite.
     """
     with mpmath.workdps(dps):
-        z = mpmath.mpf(str(z)) if not isinstance(z, mpmath.mpf) else z
+        z = to_mpf(z)
         if z <= 0 and abs(z - mpmath.nint(z)) < mpmath.mpf(10) ** (-(dps - 5)):
             raise ValueError(f"gamma_real pole at z = {z}")
         return mpmath.gamma(z)
@@ -717,8 +688,7 @@ def qgamma_real(z, q, dps: int = DEFAULT_DPS):
     truncation error below the working precision.
     """
     with mpmath.workdps(dps + 10):
-        z = mpmath.mpf(str(z)) if not isinstance(z, mpmath.mpf) else z
-        q = mpmath.mpf(str(q)) if not isinstance(q, mpmath.mpf) else q
+        z, q = to_mpf(z), to_mpf(q)
         if not (0 < q < 1):
             raise ValueError("qgamma_real needs 0 < q < 1")
         if z <= 0 and abs(z - mpmath.nint(z)) < mpmath.mpf(10) ** (-(dps - 5)):
@@ -745,20 +715,11 @@ def qgamma_real(z, q, dps: int = DEFAULT_DPS):
 def hp_close(a, b, tol=DEFAULT_TOL, dps: int = DEFAULT_DPS) -> bool:
     """Relative comparison of high-precision values inside a dps context."""
     with mpmath.workdps(dps):
-        a = hpreal(a, dps) if isinstance(a, (Fraction, int, str)) else a
-        b = hpreal(b, dps) if isinstance(b, (Fraction, int, str)) else b
+        a, b = to_mpf(a), to_mpf(b)
         scale = max(abs(a), abs(b))
         if scale == 0:
             return True
         return abs(a - b) / scale < mpmath.mpf(tol.numerator) / tol.denominator
-
-
-def hpreal(x, dps: int = DEFAULT_DPS):
-    """Parse a decimal string / exact rational into an mpf at dps digits."""
-    with mpmath.workdps(dps):
-        if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
-        return mpmath.mpf(str(x))
 
 
 def hpreal_json(x, dps: int = DEFAULT_DPS) -> dict:

@@ -27,10 +27,10 @@ from .ensembles import (EnsembleSpec, askey_limit_check, hankel_det,
 from .heat_kernel import (heat_kernel_closed, heat_kernel_sum,
                           schur_doubling_check)
 from .kernels import (KernelQuery, df_chiral_closed_n1, df_chiral_kernel,
-                      df_khat_double, df_kernel_factorized, ginibre_kernel,
-                      ginibre_khat_schur, hankel_inverse_gen, k2_chebyshev,
-                      kernel_cd, khat_cd, khat_double, khat_schur,
-                      khat_schur_from_t, random_rationals, real_ginibre_kernel,
+                      df_khat_double, df_kernel_factorized, expansion_table,
+                      ginibre_kernel, ginibre_khat_schur, hankel_inverse_gen,
+                      k2_chebyshev, kernel_cd, khat_cd, khat_double,
+                      khat_schur, random_rationals, real_ginibre_kernel,
                       selberg_je_partition)
 from .painleve import (b2_closed, b_coeffs, f2n_confluence_pair, f2n_schur,
                        f2n_wronskian, f2n_zero, sw_fermion_constant,
@@ -152,15 +152,17 @@ def suite_hankel_inverse(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
 
 
 def suite_symmetry(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
-    """khat_schur invariant under all 24 permutations of t; n=2, N=4, LUE(0)."""
+    """The Schur expansion is invariant under all 24 permutations of t;
+    n=2, N=4, LUE(0)."""
     r = SuiteResult("symmetry")
     rng = random.Random(seed)
     spec = EnsembleSpec("lue", alpha=0)
     pts = random_rationals(rng, 4)
     q = KernelQuery(spec, 4, 2, tuple(pts[:2]), tuple(pts[2:]))
-    base = khat_schur(q)
+    table = expansion_table(spec, 4, 2)
+    base = table.evaluate(q.t)
     for perm in permutations(q.t):
-        r.check(f"perm {perm}", khat_schur_from_t(spec, 4, 2, perm) == base)
+        r.check(f"perm {perm}", table.evaluate(perm) == base)
     return r
 
 

@@ -1,10 +1,15 @@
 """CLI surface tests: grammar, JSON determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import schurkernels
 from schurkernels.cli import main
 
 
@@ -148,3 +153,39 @@ class TestVerifyCommand:
         r = invoke(runner, ["--precision", "30", "heat-kernel", "--q", "0.5",
                             "--xi", "1", "--eta", "1"])
         assert json.loads(r.output)["closed"]["precision"] == 30
+
+
+LUE_AVG = ["schur-avg", "--ensemble", "lue", "--alpha", "0", "--m", "2",
+           "--partition", "1"]
+EVAL = ["kernel", "eval", "--ensemble", "gue", "--N", "3", "--n", "1"]
+
+
+@pytest.mark.parametrize("args, env", [
+    (["--precision", "-5"] + LUE_AVG, None),
+    (["--precision", "0"] + LUE_AVG, None),
+    (LUE_AVG, {"SCHURKERNELS_PRECISION": "abc"}),
+    (["schur-avg", "--ensemble", "lue-tilde", "--m", "2", "--partition", "1"], None),
+    (["schur-avg", "--ensemble", "jue", "--alpha", "1", "--m", "2"], None),
+    (["toeplitz", "verify-dr", "--gamma", "-2", "--delta", "1", "--size", "3"], None),
+    (["toeplitz", "inverse", "--gamma", "-1", "--delta", "1", "--size", "3"], None),
+    (["schur-avg", "--ensemble", "lue", "--alpha", "0", "--m", "-1"], None),
+    (["kernel", "expand", "--ensemble", "gue", "--N", "3", "--n", "0"], None),
+    (["schur-avg", "--ensemble", "lue", "--alpha", "1/x", "--m", "2"], None),
+    (EVAL + ["--x", "1/0", "--y", "2"], None),
+    (["heat-kernel", "--q", "1", "--xi", "0", "--eta", "0"], None),
+])
+def test_bad_input_fails_cleanly(runner, args, env):
+    if env is None:
+        r = runner.invoke(main, args)
+        assert isinstance(r.exception, SystemExit)
+        code, out = r.exit_code, r.output
+    else:
+        # a fresh interpreter, so that the variable reaches the import too
+        src = str(Path(schurkernels.__file__).parents[1])
+        p = subprocess.run([sys.executable, "-m", "schurkernels.cli", *args],
+                           env={**os.environ, **env, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=60)
+        code, out = p.returncode, p.stdout + p.stderr
+    assert code in (1, 2)
+    assert "Traceback" not in out
+    assert len([line for line in out.splitlines() if line.startswith("Error:")]) == 1

@@ -9,7 +9,7 @@ import pytest
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, MomentTable, hankel_det,
                                     jack_avg_jacobi_coeff, lue_alpha_shift_pair,
-                                    moment, ortho_system, partition_function,
+                                    moment, ortho_system,
                                     schur_average, schur_avg_bruteforce,
                                     schur_avg_gue, schur_avg_jue,
                                     schur_avg_jue_gamma_form,
@@ -52,10 +52,22 @@ class TestSpec:
         with pytest.raises(ValueError):
             EnsembleSpec("qlue", alpha=0, q=F(3, 2))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("lue", {}), ("jue", {"alpha": 1}), ("jue_tilde", {"alpha": 0, "m": 2}),
+        ("lue_tilde", {}), ("qlue", {}),
+    ])
+    def test_required_parameters(self, kind, params):
+        with pytest.raises(ValueError, match="needs"):
+            EnsembleSpec(kind, **params)
+
 
 class TestMoments:
     def test_gue(self):
         assert [moment(GUE, p) for p in range(6)] == [1, 0, 1, 0, 3, 0]
+
+    def test_cache_is_bounded(self):
+        from schurkernels.ensembles import _moment_cached
+        assert _moment_cached.cache_parameters()["maxsize"] is not None
 
     def test_lue(self):
         assert moment(LUE0, 3) == 6
@@ -109,9 +121,6 @@ class TestHankelAndOrtho:
 
     def test_hankel_lue2(self):
         assert hankel_det(LUE0, 2) == 1  # 1*2 - 1
-
-    def test_partition_function_alias(self):
-        assert partition_function(SW, 2) == hankel_det(SW, 2)
 
     def test_gue_ortho(self):
         osys = ortho_system(GUE, 2)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from schurkernels.scalars import (Poly, QRat, barnes_g_int, binom,
                                   det_cofactor, det_exact, double_factorial,
-                                  frac_str, gamma_real, hp_close, poch,
-                                  qfactorial_floor, qgamma_real,
+                                  frac_str, gamma_real, hp_close, parse_number,
+                                  poch, qfactorial_floor, qgamma_real,
                                   qnum_floor, qnum_symmetric, rational_sqrt)
 
 F = Fraction
@@ -127,6 +127,12 @@ class TestPoly:
         with pytest.raises(ValueError):
             Poly([F(1), F(1), F(1)]) / q
 
+    def test_power(self):
+        x1 = Poly([F(1), F(1)])
+        assert x1 ** 3 == Poly([F(1), F(3), F(3), F(1)])
+        with pytest.raises(ValueError):
+            x1 ** -1
+
     def test_poly_det(self):
         x = Poly.x()
         m = [[x, x * x], [Poly.const(1), x]]
@@ -225,3 +231,25 @@ class TestSpecialFunctions:
     def test_frac_str(self):
         assert frac_str(F(4)) == "4/1"
         assert frac_str(F(-3, 7)) == "-3/7"
+
+
+class TestParseNumber:
+    def test_examples(self):
+        assert parse_number(" 12 ", 20) == 12 and isinstance(parse_number("12", 20), int)
+        assert parse_number("-3/6", 20) == F(-1, 2)
+        with mpmath.workdps(20):
+            assert parse_number("0.5", 20) == mpmath.mpf("0.5")
+        for bad in ("1/x", "1/0", "inf", "nan", "", "abc", "1.5/2"):
+            with pytest.raises(ValueError):
+                parse_number(bad, 20)
+
+    @given(st.one_of(st.text(), st.from_regex(r"\A[-+ ]?[0-9./e_]{0,8}\Z"),
+                     st.sampled_from(["inf", "-inf", "nan", "1e400000", "0x1p3"])))
+    @settings(max_examples=300, deadline=None)
+    def test_int_fraction_finite_mpf_or_value_error(self, s):
+        try:
+            v = parse_number(s, 20)
+        except ValueError:
+            return
+        assert (type(v) in (int, Fraction)
+                or (isinstance(v, mpmath.mpf) and mpmath.isfinite(v)))
