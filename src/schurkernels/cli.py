@@ -5,7 +5,8 @@ strings promoted to high-precision reals -- never binary floats.  Output is
 deterministic JSON (rationals as "p/q" strings, q-objects as Laurent data,
 reals as decimal strings with an explicit precision field); `--format csv`
 emits flat key,value rows.  The default precision comes from the
-SCHURKERNELS_PRECISION environment variable (50 digits if unset).  Bad
+SCHURKERNELS_PRECISION environment variable (50 digits if unset); the root
+group sets it once, as the mpmath working precision of every command.  Bad
 input exits with code 2 (usage) or 1 (no result) and a one-line message.
 """
 
@@ -26,13 +27,14 @@ from .kernels import (KernelQuery, expansion_table, k2_chebyshev, khat_cd,
 from .painleve import b_coeffs, f2n_zero
 from .scalars import DEFAULT_DPS, QRat, frac_str, hpreal_json, parse_number
 from .toeplitz_fh import duduchava_roch_check, toeplitz_inverse_exact
-from .verify import SUITES, run_all, run_suite
+from .verify import SUITES, run_suite
 
 
-def parse_numbers(values, dps: int) -> tuple:
-    """parse_number over each string, a parse failure as a usage error."""
+def parse_numbers(values) -> tuple:
+    """parse_number at the working precision over each string, a parse
+    failure as a usage error."""
     try:
-        return tuple(parse_number(v, dps) for v in values)
+        return tuple(parse_number(v, mpmath.mp.dps) for v in values)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -46,13 +48,13 @@ def parse_partition(s: str):
         raise click.UsageError(f"bad partition {s!r}: {exc}")
 
 
-def serialize(v, dps: int):
+def serialize(v):
     if isinstance(v, (int, Fraction)):
         return frac_str(v)
     if isinstance(v, QRat):
         return v.to_json()
     if isinstance(v, mpmath.mpf):
-        return hpreal_json(v, dps)
+        return hpreal_json(v)
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
@@ -75,10 +77,10 @@ def _flatten(obj, prefix=""):
         yield (prefix.rstrip("."), obj)
 
 
-def build_spec(ensemble, alpha, beta, alpha_tilde, q, m, dps) -> EnsembleSpec:
+def build_spec(ensemble, alpha, beta, alpha_tilde, q, m) -> EnsembleSpec:
     kind = ensemble.replace("-", "_").lower()
     try:
-        kwargs = {key: parse_number(v, dps) for key, v in
+        kwargs = {key: parse_number(v, mpmath.mp.dps) for key, v in
                   (("alpha", alpha), ("beta", beta), ("alpha_tilde", alpha_tilde),
                    ("q", q)) if v is not None}
         if kind == "jue_tilde":
@@ -104,15 +106,25 @@ def ensemble_options(f):
     return f
 
 
-@click.group()
+class _Main(click.Group):
+    """The root group, and the one error boundary of every command: a
+    library error becomes one `Error:` line and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, ZeroDivisionError, AssertionError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.option("--precision", type=click.IntRange(min=1), default=DEFAULT_DPS,
               envvar="SCHURKERNELS_PRECISION", show_default=True,
               help="working decimal digits for HPReal computations")
 @click.pass_context
 def main(ctx, precision):
     """Exact Schur expansions of random-matrix kernels."""
-    ctx.ensure_object(dict)
-    ctx.obj["dps"] = precision
+    ctx.with_resource(mpmath.workdps(precision))
 
 
 @main.command("schur-avg")
@@ -122,19 +134,12 @@ def main(ctx, precision):
 @click.option("--partition", default="", help="comma-separated parts, e.g. 2,1")
 @click.option("--method", type=click.Choice(["closed", "oracle"]), default="closed")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.pass_context
-def schur_avg_cmd(ctx, ensemble, alpha, beta, alpha_tilde, q, m, partition,
-                  method, fmt):
+def schur_avg_cmd(ensemble, alpha, beta, alpha_tilde, q, m, partition, method,
+                  fmt):
     """Schur-polynomial average <s_mu> in an ensemble of M variables."""
-    dps = ctx.obj["dps"]
-    spec = build_spec(ensemble, alpha, beta, alpha_tilde, q, m, dps)
+    spec = build_spec(ensemble, alpha, beta, alpha_tilde, q, m)
     mu = parse_partition(partition)
-    try:
-        with mpmath.workdps(dps):
-            value = schur_average(spec, mu, m, method, dps)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.ClickException(str(exc))
-    emit({"value": serialize(value, dps)}, fmt)
+    emit({"value": serialize(schur_average(spec, mu, m, method))}, fmt)
 
 
 @main.group()
@@ -149,21 +154,17 @@ def kernel():
               required=True)
 @click.option("--method", type=click.Choice(["closed", "oracle"]), default="closed")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.pass_context
-def kernel_expand(ctx, ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs,
+def kernel_expand(ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs,
                   method, fmt):
     """Table of expansion coefficients <s_lam'> over the 2n x (N-n) rectangle."""
-    dps = ctx.obj["dps"]
-    spec = build_spec(ensemble, alpha, beta, alpha_tilde, q, n_rank - n_pairs, dps)
-    try:
-        with mpmath.workdps(dps):
-            table = expansion_table(spec, n_rank, n_pairs, method, dps)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.ClickException(str(exc))
+    if n_rank <= n_pairs:
+        raise click.UsageError("--N must be greater than --n")
+    spec = build_spec(ensemble, alpha, beta, alpha_tilde, q, n_rank - n_pairs)
+    table = expansion_table(spec, n_rank, n_pairs, method)
     payload = {
         "rectangle": {"rows": table.rows, "cols": table.cols},
         "coefficients": [
-            {"partition": pt.to_json(lam), "coefficient": serialize(c, dps)}
+            {"partition": pt.to_json(lam), "coefficient": serialize(c)}
             for lam, c in sorted(table.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         ],
     }
@@ -181,22 +182,17 @@ def kernel_expand(ctx, ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs,
               type=click.Choice(["schur", "double", "cd", "chebyshev"]),
               default="schur")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.pass_context
-def kernel_eval(ctx, ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs,
-                x, y, method, fmt):
+def kernel_eval(ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs, x, y,
+                method, fmt):
     """Evaluate Khat_N^(n)(x; y) by the chosen representation."""
-    dps = ctx.obj["dps"]
-    spec = build_spec(ensemble, alpha, beta, alpha_tilde, q, n_rank - n_pairs, dps)
-    xs, ys = parse_numbers(x.split(","), dps), parse_numbers(y.split(","), dps)
-    try:
-        query = KernelQuery(spec, n_rank, n_pairs, xs, ys)
-        fn = {"schur": khat_schur, "double": khat_double, "cd": khat_cd,
-              "chebyshev": k2_chebyshev}[method]
-        with mpmath.workdps(dps):
-            value = fn(query, dps=dps)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.ClickException(str(exc))
-    emit({"khat": serialize(value, dps)}, fmt)
+    if n_rank <= n_pairs:
+        raise click.UsageError("--N must be greater than --n")
+    spec = build_spec(ensemble, alpha, beta, alpha_tilde, q, n_rank - n_pairs)
+    xs, ys = parse_numbers(x.split(",")), parse_numbers(y.split(","))
+    query = KernelQuery(spec, n_rank, n_pairs, xs, ys)
+    fn = {"schur": khat_schur, "double": khat_double, "cd": khat_cd,
+          "chebyshev": k2_chebyshev}[method]
+    emit({"khat": serialize(fn(query))}, fmt)
 
 
 @main.group()
@@ -205,18 +201,17 @@ def painleve():
 
 
 @painleve.command("coeffs")
-@click.option("--n", type=int, required=True, help="half the Laguerre parameter")
-@click.option("--m-size", type=int, required=True, help="number of variables M")
-@click.option("--order", type=int, default=2, help="highest b_k to report")
+@click.option("--n", type=click.IntRange(min=1), required=True,
+              help="half the Laguerre parameter")
+@click.option("--m-size", type=click.IntRange(min=1), required=True,
+              help="number of variables M")
+@click.option("--order", type=click.IntRange(min=0), default=2,
+              help="highest b_k to report")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.pass_context
-def painleve_coeffs(ctx, n, m_size, order, fmt):
+def painleve_coeffs(n, m_size, order, fmt):
     """f_2n(0) and the normalized Taylor coefficients b_1..b_order."""
-    try:
-        f0 = f2n_zero(n, m_size)
-        bs = b_coeffs(n, m_size, order)
-    except (ValueError, AssertionError) as exc:
-        raise click.ClickException(str(exc))
+    f0 = f2n_zero(n, m_size)
+    bs = b_coeffs(n, m_size, order)
     emit({"f0": frac_str(f0), "b": [frac_str(b) for b in bs]}, fmt)
 
 
@@ -228,21 +223,18 @@ def toeplitz():
 @toeplitz.command("inverse")
 @click.option("--gamma", type=click.IntRange(min=0), required=True)
 @click.option("--delta", type=click.IntRange(min=0), required=True)
-@click.option("--size", type=int, required=True)
+@click.option("--size", type=click.IntRange(min=1), required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def toeplitz_inverse_cmd(gamma, delta, size, fmt):
     """Exact inverse of the M x M Fisher-Hartwig Toeplitz matrix."""
-    try:
-        inv = toeplitz_inverse_exact(gamma, delta, size)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.ClickException(str(exc))
+    inv = toeplitz_inverse_exact(gamma, delta, size)
     emit({"matrix": [[frac_str(v) for v in row] for row in inv]}, fmt)
 
 
 @toeplitz.command("verify-dr")
 @click.option("--gamma", type=click.IntRange(min=0), required=True)
 @click.option("--delta", type=click.IntRange(min=0), required=True)
-@click.option("--size", type=int, required=True)
+@click.option("--size", type=click.IntRange(min=1), required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def toeplitz_verify_dr(gamma, delta, size, fmt):
     """Check the Duduchava-Roch identity on the M x M block."""
@@ -260,41 +252,26 @@ def toeplitz_verify_dr(gamma, delta, size, fmt):
 @click.option("--terms", type=int, default=None,
               help="partial-sum length (default: auto from the tail bound)")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.pass_context
-def heat_kernel_cmd(ctx, q, xi, eta, terms, fmt):
+def heat_kernel_cmd(q, xi, eta, terms, fmt):
     """Chebyshev heat kernel: partial sum, closed form, difference."""
-    dps = ctx.obj["dps"]
-    qv, xiv, etav = parse_numbers((q, xi, eta), dps)
-    try:
-        with mpmath.workdps(dps):
-            used = terms if terms is not None else auto_terms(qv)
-            s = heat_kernel_sum(qv, xiv, etav, used, dps)
-            c = heat_kernel_closed(qv, xiv, etav, dps)
-            diff = abs(s - c)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.ClickException(str(exc))
-    emit({"sum": hpreal_json(s, dps), "closed": hpreal_json(c, dps),
-          "abs_diff": hpreal_json(diff, dps), "terms": used}, fmt)
+    qv, xiv, etav = parse_numbers((q, xi, eta))
+    used = terms if terms is not None else auto_terms(qv)
+    s = heat_kernel_sum(qv, xiv, etav, used)
+    c = heat_kernel_closed(qv, xiv, etav)
+    emit({"sum": hpreal_json(s), "closed": hpreal_json(c),
+          "abs_diff": hpreal_json(abs(s - c)), "terms": used}, fmt)
 
 
 @main.command("verify")
-@click.option("--suite", default="all",
-              help="all | " + " | ".join(SUITES))
+@click.option("--suite", type=click.Choice(["all", *SUITES]), default="all")
 @click.option("--seed", type=int, default=1, show_default=True,
               help="seed for the random rational test points")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
               default="table")
-@click.pass_context
-def verify_cmd(ctx, suite, seed, fmt):
+def verify_cmd(suite, seed, fmt):
     """Run the verification suites; exit 0 iff every check passes."""
-    dps = ctx.obj["dps"]
-    if suite == "all":
-        results = run_all(seed=seed, dps=dps)
-    elif suite in SUITES:
-        results = [run_suite(suite, seed=seed, dps=dps)]
-    else:
-        raise click.UsageError(f"unknown suite {suite!r}; choices: all, "
-                               + ", ".join(SUITES))
+    results = [run_suite(name, seed, mpmath.mp.dps)
+               for name in (SUITES if suite == "all" else [suite])]
     if fmt == "json":
         payload = {r.name: {"passed": r.passed, "failed": r.failed,
                             "failures": r.failures[:20], "notes": r.notes}

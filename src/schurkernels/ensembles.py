@@ -21,10 +21,9 @@ from itertools import combinations_with_replacement
 import mpmath
 
 from . import partitions as pt
-from .scalars import (DEFAULT_DPS, Poly, QRat, binom, det_exact,
-                      double_factorial, factorial, gamma_real, parse_number,
-                      poch, qgamma_real, qnum_floor, to_mpf,
-                      with_working_precision)
+from .scalars import (DEFAULT_DPS, Poly, QRat, at_precision, binom,
+                      det_exact, double_factorial, factorial, gamma_real,
+                      parse_number, poch, qgamma_real, qnum_floor, to_mpf)
 from .symfun import qdim, schur_principal
 
 KINDS = ("gue", "lue", "jue", "jue_tilde", "lue_tilde", "sw", "qlue", "ginibre")
@@ -96,8 +95,9 @@ def spec_from_json(data: dict, dps: int = DEFAULT_DPS) -> EnsembleSpec:
     return EnsembleSpec(data["kind"], **kwargs)
 
 
-def moment(spec: EnsembleSpec, p: int, dps: int = DEFAULT_DPS):
-    """Moment m_p of the ensemble weight, exact where the parameters allow.
+def moment(spec: EnsembleSpec, p: int):
+    """Moment m_p of the ensemble weight, exact where the parameters allow;
+    real moments are at the working precision.
 
     GUE moments are for the normalized weight (m_0 = 1); qLUE moments are
     normalized to m_0 = 1.  Normalization constants cancel in every
@@ -105,12 +105,12 @@ def moment(spec: EnsembleSpec, p: int, dps: int = DEFAULT_DPS):
     """
     if p < 0:
         raise ValueError("moment needs p >= 0")
-    return _moment_cached(spec, p, dps)
+    return _moment_cached(spec, p, mpmath.mp.dps)
 
 
 @lru_cache(maxsize=4096)
-@with_working_precision
 def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
+    # dps is the cache key of the working precision a real moment is for
     kind = spec.kind
     if kind == "gue":
         return Fraction(0) if p % 2 else Fraction(double_factorial(p - 1))
@@ -118,15 +118,15 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
         a = spec.alpha
         if isinstance(a, int):
             return Fraction(factorial(a + p))
-        return gamma_real(to_mpf(a) + 1 + p, dps)
+        return gamma_real(to_mpf(a) + 1 + p)
     if kind == "jue":
         a, b = spec.alpha, spec.beta
         if isinstance(a, int) and isinstance(b, int):
             return Fraction(factorial(p + a) * factorial(b),
                             factorial(p + a + b + 1))
-        return (gamma_real(to_mpf(a) + p + 1, dps)
-                * gamma_real(to_mpf(b) + 1, dps)
-                / gamma_real(to_mpf(a) + to_mpf(b) + p + 2, dps))
+        return (gamma_real(to_mpf(a) + p + 1)
+                * gamma_real(to_mpf(b) + 1)
+                / gamma_real(to_mpf(a) + to_mpf(b) + p + 2))
     if kind == "jue_tilde":
         a, b, m = spec.alpha, spec.beta, spec.m
         if isinstance(a, int) and isinstance(b, int):
@@ -135,16 +135,16 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
                 raise ValueError(f"jue_tilde moment diverges at p = {p}")
             return Fraction(factorial(p + a) * factorial(top - 1),
                             factorial(m + b - 1))
-        return (gamma_real(p + to_mpf(a) + 1, dps)
-                * gamma_real(m - p - to_mpf(a) + to_mpf(b) - 1, dps)
-                / gamma_real(m + to_mpf(b), dps))
+        return (gamma_real(p + to_mpf(a) + 1)
+                * gamma_real(m - p - to_mpf(a) + to_mpf(b) - 1)
+                / gamma_real(m + to_mpf(b)))
     if kind == "lue_tilde":
         at = spec.alpha_tilde
         if isinstance(at, int):
             if at - p - 1 <= 0:
                 raise ValueError(f"lue_tilde moment diverges at p = {p}")
             return Fraction(factorial(at - p - 2))
-        return gamma_real(to_mpf(at) - p - 1, dps)
+        return gamma_real(to_mpf(at) - p - 1)
     if kind == "sw":
         return QRat.u_power(-((p + 1) ** 2))
     if kind == "qlue":
@@ -157,8 +157,8 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
         if spec.q is None:
             raise ValueError("real-alpha qlue moments need a numeric q")
         av = to_mpf(a)
-        return (gamma_real(-p - av, dps) * gamma_real(p + av + 1, dps)
-                / qgamma_real(-p - av, to_mpf(spec.q), dps))
+        return (gamma_real(-p - av) * gamma_real(p + av + 1)
+                / qgamma_real(-p - av, to_mpf(spec.q)))
     raise ValueError(f"moments not defined for kind {kind!r}")
 
 
@@ -169,25 +169,23 @@ class MomentTable:
     (worst case a value is recomputed).
     """
 
-    def __init__(self, spec: EnsembleSpec, dps: int = DEFAULT_DPS):
+    def __init__(self, spec: EnsembleSpec):
         self.spec = spec
-        self.dps = dps
         self._cache: dict[int, object] = {}
 
     def get(self, p: int):
         v = self._cache.get(p)
         if v is None:
-            v = moment(self.spec, p, self.dps)
+            v = moment(self.spec, p)
             self._cache.setdefault(p, v)
         return v
 
 
-@with_working_precision
-def hankel_det(spec: EnsembleSpec, m: int, dps: int = DEFAULT_DPS):
+def hankel_det(spec: EnsembleSpec, m: int):
     """det[m_{j+k}], 0 <= j,k <= m-1; equals the partition function."""
     if m == 0:
         return 1
-    return _moment_det(MomentTable(spec, dps), range(m), range(m))
+    return _moment_det(MomentTable(spec), range(m), range(m))
 
 
 def _moment_det(mom: MomentTable, rows, cols):
@@ -204,10 +202,9 @@ class OrthoSystem:
     norms: list
 
 
-@with_working_precision
-def ortho_system(spec: EnsembleSpec, kmax: int, dps: int = DEFAULT_DPS) -> OrthoSystem:
+def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
     """Gram-Schmidt on the moment bilinear form <z^a, z^b> = m_{a+b}."""
-    mom = MomentTable(spec, dps)
+    mom = MomentTable(spec)
 
     def inner(pa: Poly, pb: Poly):
         r = 0
@@ -236,8 +233,7 @@ def ortho_system(spec: EnsembleSpec, kmax: int, dps: int = DEFAULT_DPS) -> Ortho
 # Andreief determinant-ratio oracles
 # ----------------------------------------------------------------------------
 
-@with_working_precision
-def schur_avg_oracle(spec: EnsembleSpec, mu, m: int, dps: int = DEFAULT_DPS):
+def schur_avg_oracle(spec: EnsembleSpec, mu, m: int):
     """<s_mu> as a ratio of M x M moment determinants (Andreief).
 
     Row j of the numerator uses exponents mu_j + M - j + (k-1); the
@@ -248,15 +244,13 @@ def schur_avg_oracle(spec: EnsembleSpec, mu, m: int, dps: int = DEFAULT_DPS):
         raise ValueError(f"oracle needs l(mu) <= {m}")
     if m == 0:
         return Fraction(1)
-    mom = MomentTable(spec, dps)
+    mom = MomentTable(spec)
     num = _moment_det(mom, [pt.part(mu, j) + m - j for j in range(1, m + 1)], range(m))
     den = _moment_det(mom, [m - j for j in range(1, m + 1)], range(m))
     return num / den
 
 
-@with_working_precision
-def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int,
-                          dps: int = DEFAULT_DPS):
+def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
     """<s_lam s_mu> by a two-insertion Andreief determinant.
 
     Delta^2 s_lam s_mu = det[z_k^(lam_j+M-j)] det[z_k^(mu_j+M-j)], so the
@@ -268,18 +262,16 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int,
         raise ValueError(f"pair oracle needs l <= {m}")
     if m == 0:
         return Fraction(1)
-    mom = MomentTable(spec, dps)
+    mom = MomentTable(spec)
     a = [pt.part(lam, j) + m - j for j in range(1, m + 1)]
     b = [pt.part(mu, k) + m - k for k in range(1, m + 1)]
     a0 = [m - j for j in range(1, m + 1)]
     return _moment_det(mom, a, b) / _moment_det(mom, a0, a0)
 
 
-@with_working_precision
-def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x,
-                            dps: int = DEFAULT_DPS):
+def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
     """<det(x - Z)^n2> via Andreief with binomially modified moments."""
-    mom = MomentTable(spec, dps)
+    mom = MomentTable(spec)
 
     def modified(e):
         r = 0
@@ -396,7 +388,7 @@ def lue_alpha_shift_pair(mu, m: int, alpha: int):
     return lhs, rhs
 
 
-def schur_avg_jue(mu, m: int, alpha, beta, dps: int = DEFAULT_DPS):
+def schur_avg_jue(mu, m: int, alpha, beta):
     """JUE: dimension-ratio form for integer parameters, Gamma form else."""
     mu = pt.canonical(mu)
     if len(mu) > m:
@@ -404,11 +396,10 @@ def schur_avg_jue(mu, m: int, alpha, beta, dps: int = DEFAULT_DPS):
     if isinstance(alpha, int) and isinstance(beta, int):
         return (schur_principal(mu, m) * schur_principal(mu, alpha + m)
                 / schur_principal(mu, alpha + beta + 2 * m))
-    return schur_avg_jue_gamma_form(mu, m, alpha, beta, dps)
+    return schur_avg_jue_gamma_form(mu, m, alpha, beta)
 
 
-@with_working_precision
-def schur_avg_jue_gamma_form(mu, m: int, alpha, beta, dps: int = DEFAULT_DPS):
+def schur_avg_jue_gamma_form(mu, m: int, alpha, beta):
     """JUE Gamma form, valid at non-integer parameters:
     s_mu(1^m) prod_j G(mu_j-j+a+m+1) G(a+b+2m+1-j) / (G(mu_j-j+a+b+2m+1) G(a+m+1-j))."""
     mu = pt.canonical(mu)
@@ -418,10 +409,10 @@ def schur_avg_jue_gamma_form(mu, m: int, alpha, beta, dps: int = DEFAULT_DPS):
     r = to_mpf(schur_principal(mu, m))
     for j in range(1, m + 1):
         mj = pt.part(mu, j)
-        r *= (gamma_real(mj - j + a + m + 1, dps)
-              * gamma_real(a + b + 2 * m + 1 - j, dps)
-              / gamma_real(mj - j + a + b + 2 * m + 1, dps)
-              / gamma_real(a + m + 1 - j, dps))
+        r *= (gamma_real(mj - j + a + m + 1)
+              * gamma_real(a + b + 2 * m + 1 - j)
+              / gamma_real(mj - j + a + b + 2 * m + 1)
+              / gamma_real(a + m + 1 - j))
     return r
 
 
@@ -431,6 +422,8 @@ def schur_avg_jue_tilde(mu, m: int, alpha: int, beta: int):
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
+    if isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
+        raise ValueError("jue_tilde closed form needs rational alpha and beta")
     bt = beta - alpha - m
     if bt < 0:
         raise ValueError("jue_tilde average needs beta - alpha - m >= 0")
@@ -479,8 +472,7 @@ def schur_avg_sw(mu, m: int) -> QRat:
     return QRat.u_power(-e) * qdim(mu, m)
 
 
-@with_working_precision
-def schur_avg_qlue(mu, m: int, alpha, q=None, dps: int = DEFAULT_DPS):
+def schur_avg_qlue(mu, m: int, alpha, q=None):
     """q-Laguerre Schur average.
 
     Integer alpha: exact QRat.  The Gamma/Gamma_q ratios of the closed form
@@ -509,11 +501,11 @@ def schur_avg_qlue(mu, m: int, alpha, q=None, dps: int = DEFAULT_DPS):
     r = qv ** (-(m - 1) * mpmath.mpf(sum(mu)) / 2) * qdim(mu, m).eval_u(u)
     for j in range(1, m + 1):
         mj = pt.part(mu, j)
-        r *= (gamma_real(a + 1 + mj + m - j, dps)
-              * gamma_real(-a - mj - m + j, dps)
-              / gamma_real(a + j, dps) / gamma_real(-a - j + 1, dps))
-        r *= (qgamma_real(-a - j + 1, qv, dps)
-              / qgamma_real(-a - mj - m + j, qv, dps))
+        r *= (gamma_real(a + 1 + mj + m - j)
+              * gamma_real(-a - mj - m + j)
+              / gamma_real(a + j) / gamma_real(-a - j + 1))
+        r *= (qgamma_real(-a - j + 1, qv)
+              / qgamma_real(-a - mj - m + j, qv))
     return r
 
 
@@ -576,8 +568,7 @@ def jack_avg_jacobi_coeff(nu, m: int, alpha, beta, gamma, n: int):
     return r
 
 
-@with_working_precision
-def askey_limit_check(mu, m: int, alpha, q, dps: int = DEFAULT_DPS):
+def askey_limit_check(mu, m: int, alpha, q):
     """Pair (<s_mu>_qLUE(alpha), comparand) for the alpha -> infinity limit
     onto the Stieltjes-Wigert average.
 
@@ -588,7 +579,7 @@ def askey_limit_check(mu, m: int, alpha, q, dps: int = DEFAULT_DPS):
     """
     mu = pt.canonical(mu)
     qv, a = to_mpf(q), to_mpf(alpha)
-    lhs = schur_avg_qlue(mu, m, a, qv, dps)
+    lhs = schur_avg_qlue(mu, m, a, qv)
     sw = schur_avg_sw(mu, m).eval_u(mpmath.sqrt(qv))
     k = sum(mu)
     rhs = (1 - qv) ** (-k) * qv ** ((mpmath.mpf(1) / 2 - a) * k) * sw
@@ -596,37 +587,39 @@ def askey_limit_check(mu, m: int, alpha, q, dps: int = DEFAULT_DPS):
 
 
 def schur_average(spec: EnsembleSpec, mu, m: int, method: str = "closed",
-                  dps: int = DEFAULT_DPS):
-    """<s_mu> in the given ensemble via the closed form or the oracle."""
-    if method == "oracle":
-        return schur_avg_oracle(spec, mu, m, dps)
-    if method != "closed":
-        raise ValueError(f"unknown method {method!r}")
-    kind = spec.kind
-    if kind == "gue":
-        return schur_avg_gue(mu, m)
-    if kind == "lue":
-        return schur_avg_lue(mu, m, spec.alpha)
-    if kind == "jue":
-        return schur_avg_jue(mu, m, spec.alpha, spec.beta, dps)
-    if kind == "jue_tilde":
-        if spec.m != m:
-            raise ValueError("jue_tilde average needs m equal to spec.m")
-        return schur_avg_jue_tilde(mu, m, spec.alpha, spec.beta)
-    if kind == "lue_tilde":
-        return schur_avg_lue_tilde(mu, m, spec.alpha_tilde)
-    if kind == "sw":
-        return schur_avg_sw(mu, m)
-    if kind == "qlue":
-        return schur_avg_qlue(mu, m, spec.alpha, spec.q, dps)
-    raise ValueError(f"no single-Schur closed form for {kind!r}")
+                  dps: int | None = None):
+    """<s_mu> in the given ensemble via the closed form or the oracle, at dps
+    digits (None: the working precision)."""
+    with at_precision(dps):
+        if method == "oracle":
+            return schur_avg_oracle(spec, mu, m)
+        if method != "closed":
+            raise ValueError(f"unknown method {method!r}")
+        kind = spec.kind
+        if kind == "gue":
+            return schur_avg_gue(mu, m)
+        if kind == "lue":
+            return schur_avg_lue(mu, m, spec.alpha)
+        if kind == "jue":
+            return schur_avg_jue(mu, m, spec.alpha, spec.beta)
+        if kind == "jue_tilde":
+            if spec.m != m:
+                raise ValueError("jue_tilde average needs m equal to spec.m")
+            return schur_avg_jue_tilde(mu, m, spec.alpha, spec.beta)
+        if kind == "lue_tilde":
+            return schur_avg_lue_tilde(mu, m, spec.alpha_tilde)
+        if kind == "sw":
+            return schur_avg_sw(mu, m)
+        if kind == "qlue":
+            return schur_avg_qlue(mu, m, spec.alpha, spec.q)
+        raise ValueError(f"no single-Schur closed form for {kind!r}")
 
 
-def pair_average(spec: EnsembleSpec, lam, mu, m: int, dps: int = DEFAULT_DPS):
+def pair_average(spec: EnsembleSpec, lam, mu, m: int):
     """<s_lam s_mu> (real line) or <s_lam conj(s_mu)> (Ginibre)."""
     if spec.kind == "ginibre":
         return schur_pair_avg_ginibre(lam, mu, m)
-    return schur_pair_avg_oracle(spec, lam, mu, m, dps)
+    return schur_pair_avg_oracle(spec, lam, mu, m)
 
 
 # ----------------------------------------------------------------------------
@@ -718,11 +711,10 @@ def _mv_schur(lam, m: int) -> dict:
     return detrec(tuple(range(n)), tuple(range(n)))
 
 
-def average_bruteforce(spec: EnsembleSpec, poly: dict, m: int,
-                       dps: int = DEFAULT_DPS):
+def average_bruteforce(spec: EnsembleSpec, poly: dict, m: int):
     """Average of a polynomial in the eigenvalues by term-wise integration
     of Delta^2 * poly against the weight."""
-    mom = MomentTable(spec, dps)
+    mom = MomentTable(spec)
     dsq = _mv_vandermonde_sq(m)
 
     def integrate(p: dict):
@@ -737,12 +729,10 @@ def average_bruteforce(spec: EnsembleSpec, poly: dict, m: int,
     return integrate(_mv_mul(dsq, poly)) / integrate(dsq)
 
 
-def schur_avg_bruteforce(spec: EnsembleSpec, mu, m: int,
-                         dps: int = DEFAULT_DPS):
-    return average_bruteforce(spec, _mv_schur(mu, m), m, dps)
+def schur_avg_bruteforce(spec: EnsembleSpec, mu, m: int):
+    return average_bruteforce(spec, _mv_schur(mu, m), m)
 
 
-def schur_pair_avg_bruteforce(spec: EnsembleSpec, lam, mu, m: int,
-                              dps: int = DEFAULT_DPS):
+def schur_pair_avg_bruteforce(spec: EnsembleSpec, lam, mu, m: int):
     return average_bruteforce(spec, _mv_mul(_mv_schur(lam, m), _mv_schur(mu, m)),
-                              m, dps)
+                              m)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .scalars import DEFAULT_DPS, to_mpf
+from .scalars import to_mpf
 from .symfun import complete_h_all, schur_eval
 
 DEFAULT_TAIL_TOL = Fraction(1, 10**30)
@@ -27,40 +27,38 @@ def auto_terms(q, tol=DEFAULT_TAIL_TOL) -> int:
     return j + 5
 
 
-def heat_kernel_sum(q, xi, eta, terms: int = None, dps: int = DEFAULT_DPS):
+def heat_kernel_sum(q, xi, eta, terms: int = None):
     """Partial sum sum_{j<terms} q^j U_j(xi/2) U_j(eta/2) via the
     three-term recurrence."""
-    with mpmath.workdps(dps):
-        q, xi, eta = to_mpf(q), to_mpf(xi), to_mpf(eta)
-        if not (0 < q < 1):
-            raise ValueError("heat kernel needs 0 < q < 1")
-        if abs(xi) > 2 or abs(eta) > 2:
-            raise ValueError("heat kernel sum needs xi, eta in [-2, 2]")
-        if terms is None:
-            terms = auto_terms(q)
-        if terms < 1:
-            raise ValueError("heat kernel needs terms >= 1")
-        ux_prev, ux = mpmath.mpf(1), xi
-        ue_prev, ue = mpmath.mpf(1), eta
-        total = mpmath.mpf(1)
-        qj = mpmath.mpf(1)
-        for _ in range(1, terms):
-            qj *= q
-            total += qj * ux * ue
-            ux_prev, ux = ux, xi * ux - ux_prev
-            ue_prev, ue = ue, eta * ue - ue_prev
-        return total
+    q, xi, eta = to_mpf(q), to_mpf(xi), to_mpf(eta)
+    if not (0 < q < 1):
+        raise ValueError("heat kernel needs 0 < q < 1")
+    if abs(xi) > 2 or abs(eta) > 2:
+        raise ValueError("heat kernel sum needs xi, eta in [-2, 2]")
+    if terms is None:
+        terms = auto_terms(q)
+    if terms < 1:
+        raise ValueError("heat kernel needs terms >= 1")
+    ux_prev, ux = mpmath.mpf(1), xi
+    ue_prev, ue = mpmath.mpf(1), eta
+    total = mpmath.mpf(1)
+    qj = mpmath.mpf(1)
+    for _ in range(1, terms):
+        qj *= q
+        total += qj * ux * ue
+        ux_prev, ux = ux, xi * ux - ux_prev
+        ue_prev, ue = ue, eta * ue - ue_prev
+    return total
 
 
-def heat_kernel_closed(q, xi, eta, dps: int = DEFAULT_DPS):
+def heat_kernel_closed(q, xi, eta):
     """(1-q^2) / (1 - q xi eta + q^2 (xi^2 + eta^2 - 2) - q^3 xi eta + q^4)."""
-    with mpmath.workdps(dps):
-        q, xi, eta = to_mpf(q), to_mpf(xi), to_mpf(eta)
-        den = (1 - q * xi * eta + q ** 2 * (xi ** 2 + eta ** 2 - 2)
-               - q ** 3 * xi * eta + q ** 4)
-        if den == 0:
-            raise ZeroDivisionError("heat kernel closed form: zero denominator")
-        return (1 - q ** 2) / den
+    q, xi, eta = to_mpf(q), to_mpf(xi), to_mpf(eta)
+    den = (1 - q * xi * eta + q ** 2 * (xi ** 2 + eta ** 2 - 2)
+           - q ** 3 * xi * eta + q ** 4)
+    if den == 0:
+        raise ZeroDivisionError("heat kernel closed form: zero denominator")
+    return (1 - q ** 2) / den
 
 
 def schur_doubling_check(x, y, q, terms: int, k: int = 0):

@@ -5,7 +5,11 @@ Every other module is generic over these three scalar fields:
 
 * exact rationals          -- ``fractions.Fraction``,
 * exact q-objects          -- ``QRat``, Laurent rational functions in u,
-* high-precision reals     -- mpmath ``mpf`` at a configurable precision.
+* high-precision reals     -- mpmath ``mpf`` at the caller's working precision.
+
+Library code never sets the precision itself: like mpmath's own functions
+it runs at ``mpmath.mp.dps``.  The CLI root group, ``verify.run_suite`` and
+the ``dps`` argument of the query functions (``at_precision``) set it.
 
 Working in u = q^(1/2) (instead of q) keeps Stieltjes-Wigert moments
 q^(-(p+1)^2/2) and symmetric q-numbers exact Laurent objects.  One dense
@@ -16,10 +20,9 @@ strings and ``to_mpf`` the one scalar-to-real conversion.
 
 from __future__ import annotations
 
-import inspect
 import math
+from contextlib import nullcontext
 from fractions import Fraction
-from functools import wraps
 
 import mpmath
 
@@ -118,20 +121,10 @@ def recip(v):
     return 1 / v
 
 
-def with_working_precision(fn):
-    """Run the call under mpmath.workdps(dps), dps taken from the call's
-    own `dps` argument.  Exact-field work is unaffected; HPReal work gets
-    the requested precision independent of the ambient mpmath context."""
-    sig = inspect.signature(fn)
-
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        with mpmath.workdps(bound.arguments.get("dps", DEFAULT_DPS)):
-            return fn(*args, **kwargs)
-
-    return wrapper
+def at_precision(dps: int | None):
+    """mpmath.workdps(dps) for a query function's `dps` argument; None keeps
+    the caller's working precision."""
+    return nullcontext() if dps is None else mpmath.workdps(dps)
 
 
 def rational_sqrt(x) -> Fraction | None:
@@ -667,27 +660,28 @@ def mat_inverse_exact(matrix):
 # high-precision special functions
 # ----------------------------------------------------------------------------
 
-def gamma_real(z, dps: int = DEFAULT_DPS):
-    """Gamma(z) to dps decimal digits (mpmath's Lanczos-class evaluation).
+def gamma_real(z):
+    """Gamma(z) at the working precision (mpmath's Lanczos-class evaluation).
 
     Accuracy target: relative error below 10^-(dps-5), checked by the
     functional-equation sweep in the test suite.
     """
-    with mpmath.workdps(dps):
-        z = to_mpf(z)
-        if z <= 0 and abs(z - mpmath.nint(z)) < mpmath.mpf(10) ** (-(dps - 5)):
-            raise ValueError(f"gamma_real pole at z = {z}")
-        return mpmath.gamma(z)
+    z = to_mpf(z)
+    if z <= 0 and abs(z - mpmath.nint(z)) < mpmath.mpf(10) ** (5 - mpmath.mp.dps):
+        raise ValueError(f"gamma_real pole at z = {z}")
+    return mpmath.gamma(z)
 
 
-def qgamma_real(z, q, dps: int = DEFAULT_DPS):
+def qgamma_real(z, q):
     """Gamma_q(z) = (1-q)^(1-z) prod_{k>=0} (1-q^(k+1))/(1-q^(k+z)).
 
     The product is truncated once the running factor differs from 1 by
     less than 10^-(dps+5); the tail is geometric in q, so this bounds the
-    truncation error below the working precision.
+    truncation error below the working precision.  The product runs with
+    10 guard digits.
     """
-    with mpmath.workdps(dps + 10):
+    dps = mpmath.mp.dps
+    with mpmath.extradps(10):
         z, q = to_mpf(z), to_mpf(q)
         if not (0 < q < 1):
             raise ValueError("qgamma_real needs 0 < q < 1")
@@ -708,20 +702,18 @@ def qgamma_real(z, q, dps: int = DEFAULT_DPS):
             if k > 100 * (dps + 10):
                 raise ValueError("qgamma_real product failed to converge")
         result = (1 - q) ** (1 - z) * prod
-    with mpmath.workdps(dps):
-        return +result
+    return +result
 
 
-def hp_close(a, b, tol=DEFAULT_TOL, dps: int = DEFAULT_DPS) -> bool:
-    """Relative comparison of high-precision values inside a dps context."""
-    with mpmath.workdps(dps):
-        a, b = to_mpf(a), to_mpf(b)
-        scale = max(abs(a), abs(b))
-        if scale == 0:
-            return True
-        return abs(a - b) / scale < mpmath.mpf(tol.numerator) / tol.denominator
+def hp_close(a, b, tol=DEFAULT_TOL) -> bool:
+    """Relative comparison of high-precision values at the working precision."""
+    a, b = to_mpf(a), to_mpf(b)
+    scale = max(abs(a), abs(b))
+    if scale == 0:
+        return True
+    return abs(a - b) / scale < mpmath.mpf(tol.numerator) / tol.denominator
 
 
-def hpreal_json(x, dps: int = DEFAULT_DPS) -> dict:
-    with mpmath.workdps(dps):
-        return {"value": mpmath.nstr(x, dps), "precision": dps}
+def hpreal_json(x) -> dict:
+    dps = mpmath.mp.dps
+    return {"value": mpmath.nstr(x, dps), "precision": dps}

@@ -63,7 +63,7 @@ class SuiteResult:
             self.failures.append(label)
 
 
-def suite_schur_averages(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_schur_averages(seed: int = 1) -> SuiteResult:
     """Every closed-form Schur average equals the Andreief oracle exactly
     on mu in Y_{3,3}, M in {3,4}; non-integer spot checks at 10^-40."""
     r = SuiteResult("schur-averages")
@@ -96,17 +96,16 @@ def suite_schur_averages(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
                 r.check(f"qlue a={a} {mu} M={m}",
                         schur_avg_qlue(mu, m, a)
                         == schur_avg_oracle(EnsembleSpec("qlue", alpha=a), mu, m))
-    with mpmath.workdps(dps):
-        a_half = mpmath.mpf(1) / 2
-        for mu in ((1,), (2, 1), (2, 2)):
-            c = schur_avg_lue(mu, 3, a_half)
-            o = schur_avg_oracle(EnsembleSpec("lue", alpha=a_half), mu, 3, dps)
-            r.check(f"lue a=1/2 {mu}", hp_close(c, o, dps=dps))
-        ja, jb = mpmath.mpf("0.7"), mpmath.mpf("1.3")
-        for mu in ((1,), (2, 1), (3, 2)):
-            c = schur_avg_jue_gamma_form(mu, 3, ja, jb, dps)
-            o = schur_avg_oracle(EnsembleSpec("jue", alpha=ja, beta=jb), mu, 3, dps)
-            r.check(f"jue a=.7 b=1.3 {mu}", hp_close(c, o, dps=dps))
+    a_half = mpmath.mpf(1) / 2
+    for mu in ((1,), (2, 1), (2, 2)):
+        c = schur_avg_lue(mu, 3, a_half)
+        o = schur_avg_oracle(EnsembleSpec("lue", alpha=a_half), mu, 3)
+        r.check(f"lue a=1/2 {mu}", hp_close(c, o))
+    ja, jb = mpmath.mpf("0.7"), mpmath.mpf("1.3")
+    for mu in ((1,), (2, 1), (3, 2)):
+        c = schur_avg_jue_gamma_form(mu, 3, ja, jb)
+        o = schur_avg_oracle(EnsembleSpec("jue", alpha=ja, beta=jb), mu, 3)
+        r.check(f"jue a=.7 b=1.3 {mu}", hp_close(c, o))
     return r
 
 
@@ -114,7 +113,7 @@ _KERNEL_SPECS = (EnsembleSpec("gue"), EnsembleSpec("lue", alpha=0),
                  EnsembleSpec("lue", alpha=2), EnsembleSpec("jue", alpha=1, beta=1))
 
 
-def suite_kernel_equivalence(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_kernel_equivalence(seed: int = 1) -> SuiteResult:
     """khat_schur = khat_double = khat_cd (and = k2_chebyshev at n = 1),
     exactly, on 10 seeded rational points per (spec, N, n)."""
     r = SuiteResult("kernel-equivalence")
@@ -138,7 +137,7 @@ def suite_kernel_equivalence(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResu
     return r
 
 
-def suite_hankel_inverse(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_hankel_inverse(seed: int = 1) -> SuiteResult:
     """hankel_inverse_gen = kernel_cd exactly, N <= 5."""
     r = SuiteResult("hankel-inverse")
     rng = random.Random(seed)
@@ -151,7 +150,7 @@ def suite_hankel_inverse(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
     return r
 
 
-def suite_symmetry(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_symmetry(seed: int = 1) -> SuiteResult:
     """The Schur expansion is invariant under all 24 permutations of t;
     n=2, N=4, LUE(0)."""
     r = SuiteResult("symmetry")
@@ -166,7 +165,7 @@ def suite_symmetry(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
     return r
 
 
-def suite_painleve(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_painleve(seed: int = 1) -> SuiteResult:
     """f2n routes agree exactly; b1 = 0; b2 closed form; f2n(0) forms."""
     r = SuiteResult("painleve")
     for (n, m) in ((1, 1), (1, 2), (1, 3), (2, 2)):
@@ -188,7 +187,7 @@ def suite_painleve(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
     return r
 
 
-def suite_dual_cauchy(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_dual_cauchy(seed: int = 1) -> SuiteResult:
     """Direct product = partition sum for (2n, M) grids, 20 seeded points."""
     r = SuiteResult("dual-cauchy")
     rng = random.Random(seed)
@@ -201,7 +200,7 @@ def suite_dual_cauchy(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
     return r
 
 
-def suite_ginibre(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_ginibre(seed: int = 1) -> SuiteResult:
     """Schur single-sum = closed form (N <= 5); real-Ginibre antisymmetry
     and displayed values (N <= 4)."""
     r = SuiteResult("ginibre")
@@ -224,7 +223,7 @@ def suite_ginibre(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
     return r
 
 
-def suite_df_selberg(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_df_selberg(seed: int = 1) -> SuiteResult:
     """DF chiral factorization at gamma=1; Kadell coefficient at gamma=1;
     Selberg product vs JUE Hankel determinant."""
     r = SuiteResult("df-selberg")
@@ -247,14 +246,14 @@ def suite_df_selberg(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
                     == schur_avg_jue(nu, m, a, b))
     for m in (1, 2, 3):
         for (a, b) in ((0, 0), (1, 2)):
-            zje = selberg_je_partition(m, a, b, 1, dps)
+            zje = selberg_je_partition(m, a, b, 1)
             h = hankel_det(EnsembleSpec("jue", alpha=a, beta=b), m)
             r.check(f"selberg gamma=1 M={m} a={a} b={b}",
-                    hp_close(zje, Fraction(h), dps=dps))
+                    hp_close(zje, Fraction(h)))
     return r
 
 
-def suite_sw_fermion(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_sw_fermion(seed: int = 1) -> SuiteResult:
     """Character expansion = modified-moment Andreief polynomial up to one
     x-independent constant, M <= 3, n = 1; constants and the Z_M^SW
     normalization ratio are reported."""
@@ -270,7 +269,7 @@ def suite_sw_fermion(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
     return r
 
 
-def suite_toeplitz(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_toeplitz(seed: int = 1) -> SuiteResult:
     """Closed-form inverse = exact inverse; Duduchava-Roch identity; FH
     generating function = inverse generating sum (both routes)."""
     r = SuiteResult("toeplitz")
@@ -294,22 +293,21 @@ def suite_toeplitz(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
     return r
 
 
-def suite_heat_kernel(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_heat_kernel(seed: int = 1) -> SuiteResult:
     """|partial sum - closed form| <= 10^-25 with auto term count on a
     5 x 5 x 3 grid; Schur-doubling exact for J <= 10, k <= 3."""
     r = SuiteResult("heat-kernel")
     rng = random.Random(seed)
-    with mpmath.workdps(dps):
-        tol = mpmath.mpf(10) ** -25
-        xis = [mpmath.mpf(v) / 2 for v in (-4, -2, 0, 2, 4)]
-        for q in (mpmath.mpf("0.2"), mpmath.mpf("0.5"), mpmath.mpf("0.8")):
-            for xi in xis:
-                for eta in xis:
-                    s = heat_kernel_sum(q, xi, eta, dps=dps)
-                    c = heat_kernel_closed(q, xi, eta, dps=dps)
-                    r.check(f"heat q={q} xi={xi} eta={eta}", abs(s - c) <= tol)
-        r.check("symmetry", heat_kernel_closed("0.37", "1.25", "-0.5", dps)
-                == heat_kernel_closed("0.37", "-0.5", "1.25", dps))
+    tol = mpmath.mpf(10) ** -25
+    xis = [mpmath.mpf(v) / 2 for v in (-4, -2, 0, 2, 4)]
+    for q in (mpmath.mpf("0.2"), mpmath.mpf("0.5"), mpmath.mpf("0.8")):
+        for xi in xis:
+            for eta in xis:
+                s = heat_kernel_sum(q, xi, eta)
+                c = heat_kernel_closed(q, xi, eta)
+                r.check(f"heat q={q} xi={xi} eta={eta}", abs(s - c) <= tol)
+    r.check("symmetry", heat_kernel_closed("0.37", "1.25", "-0.5")
+            == heat_kernel_closed("0.37", "-0.5", "1.25"))
     for _ in range(10):
         x, y = random_rationals(rng, 2)
         q = Fraction(rng.randint(1, 9), 10)
@@ -321,22 +319,20 @@ def suite_heat_kernel(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
     return r
 
 
-def suite_askey(seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
+def suite_askey(seed: int = 1) -> SuiteResult:
     """The qLUE/SW pair ratio tends to 1 monotonically in alpha."""
     r = SuiteResult("askey")
-    with mpmath.workdps(dps):
-        for mu in ((1,), (1, 1)):
-            for m in (1, 2):
-                if len(mu) > m:
-                    continue
-                for q in (Fraction(1, 2), Fraction(1, 3)):
-                    devs = []
-                    for al in ("10.5", "20.5", "40.5"):
-                        lhs, rhs = askey_limit_check(mu, m, mpmath.mpf(al),
-                                                     q, dps)
-                        devs.append(abs(lhs / rhs - 1))
-                    r.check(f"askey mu={mu} M={m} q={q} monotone to 1",
-                            devs[0] > devs[1] > devs[2])
+    for mu in ((1,), (1, 1)):
+        for m in (1, 2):
+            if len(mu) > m:
+                continue
+            for q in (Fraction(1, 2), Fraction(1, 3)):
+                devs = []
+                for al in ("10.5", "20.5", "40.5"):
+                    lhs, rhs = askey_limit_check(mu, m, mpmath.mpf(al), q)
+                    devs.append(abs(lhs / rhs - 1))
+                r.check(f"askey mu={mu} M={m} q={q} monotone to 1",
+                        devs[0] > devs[1] > devs[2])
     return r
 
 
@@ -357,11 +353,9 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 1, dps: int = DEFAULT_DPS) -> SuiteResult:
-    t0 = time.time()
-    result = SUITES[name](seed=seed, dps=dps)
-    result.seconds = time.time() - t0
+    """Run one suite at dps working digits."""
+    t0 = time.perf_counter()
+    with mpmath.workdps(dps):
+        result = SUITES[name](seed=seed)
+    result.seconds = time.perf_counter() - t0
     return result
-
-
-def run_all(seed: int = 1, dps: int = DEFAULT_DPS) -> list[SuiteResult]:
-    return [run_suite(name, seed, dps) for name in SUITES]

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schurkernels
 from schurkernels.cli import main
@@ -173,6 +175,17 @@ EVAL = ["kernel", "eval", "--ensemble", "gue", "--N", "3", "--n", "1"]
     (["schur-avg", "--ensemble", "lue", "--alpha", "1/x", "--m", "2"], None),
     (EVAL + ["--x", "1/0", "--y", "2"], None),
     (["heat-kernel", "--q", "1", "--xi", "0", "--eta", "0"], None),
+    (["toeplitz", "inverse", "--gamma", "1", "--delta", "1", "--size", "-1"], None),
+    (["toeplitz", "verify-dr", "--gamma", "1", "--delta", "1", "--size", "0"], None),
+    (["kernel", "expand", "--ensemble", "gue", "--N", "0", "--n", "1"], None),
+    (["kernel", "eval", "--ensemble", "gue", "--N", "1", "--n", "1", "--x", "1",
+      "--y", "2"], None),
+    (["painleve", "coeffs", "--n", "-1", "--m-size", "2"], None),
+    (["painleve", "coeffs", "--n", "1", "--m-size", "2", "--order", "-1"], None),
+    (["schur-avg", "--ensemble", "jue-tilde", "--alpha", "0.5", "--beta", "7",
+      "--m", "2", "--partition", "1"], None),
+    (["kernel", "eval", "--ensemble", "sw", "--N", "3", "--n", "1", "--x", "0.5",
+      "--y", "2"], None),
 ])
 def test_bad_input_fails_cleanly(runner, args, env):
     if env is None:
@@ -189,3 +202,82 @@ def test_bad_input_fails_cleanly(runner, args, env):
     assert code in (1, 2)
     assert "Traceback" not in out
     assert len([line for line in out.splitlines() if line.startswith("Error:")]) == 1
+
+
+
+NUMBERS = ["-1", "0", "1", "2", "3", "1/2", "-1/2", "1/3", "3/2", "0.5", "-0.5",
+           "0.3", "2.5"]
+BAD_NUMBERS = ["1/0", "nan", "inf", "abc", ""]
+BAD_INTS = ["-1", "x"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line with flag values from fixed pools of good and bad
+    values; sizes stay small (N <= 6, M <= 4, size <= 6, order <= 3)."""
+    def mostly():
+        return draw(st.integers(0, 9)) < 9
+
+    def value(good, bad=BAD_INTS):
+        """A good value, or one time in ten a bad one."""
+        return draw(st.sampled_from(good if mostly() else bad))
+
+    def flag(name, good, bad=BAD_INTS):
+        """The flag with a value, or one time in ten nothing."""
+        return [name, value(good, bad)] if mostly() else []
+
+    ensemble = ["--ensemble", value(["gue", "lue", "jue", "jue-tilde", "lue-tilde",
+                                     "sw", "qlue", "ginibre"], ["bogus"])]
+    ensemble += [x for name in ("--alpha", "--beta", "--alpha-tilde")
+                 for x in flag(name, NUMBERS, BAD_NUMBERS)]
+    ensemble += flag("--q", ["1/2", "1/3", "0.3"], BAD_NUMBERS + ["1", "-1/2"])
+    kernel = ["--N", value(["2", "3", "4", "6"], ["-1", "0", "1"]),
+              "--n", value(["1", "2"], ["-1", "0", "x"])]
+    points = NUMBERS + ["1,2", "1/2,-3"]
+    args = draw(st.sampled_from([
+        lambda: ["schur-avg", *ensemble, "--m", value(["0", "1", "2", "4"]),
+                 "--partition", value(["", "1", "2,1", "3,3"], ["1,x", "-1", "1,2"]),
+                 "--method", value(["closed", "oracle"])],
+        lambda: ["kernel", "expand", *ensemble, *kernel],
+        lambda: ["kernel", "eval", *ensemble, *kernel,
+                 "--x", value(points, BAD_NUMBERS), "--y", value(points, BAD_NUMBERS),
+                 "--method", value(["schur", "double", "cd", "chebyshev"])],
+        lambda: ["painleve", "coeffs", "--n", value(["1", "2", "3"], ["-1", "0", "x"]),
+                 "--m-size", value(["1", "2", "3"], ["-1", "0", "x"]),
+                 "--order", value(["0", "1", "2", "3"])],
+        lambda: ["toeplitz", draw(st.sampled_from(["inverse", "verify-dr"])),
+                 "--gamma", value(["0", "1", "2", "3"]),
+                 "--delta", value(["0", "1", "2", "3"]),
+                 "--size", value(["1", "3", "6"], ["-1", "0", "x"])],
+        lambda: ["heat-kernel",
+                 "--q", value(["0.2", "1/2", "0.9"], BAD_NUMBERS + ["1", "0"]),
+                 "--xi", value(NUMBERS + ["-2"], BAD_NUMBERS),
+                 "--eta", value(NUMBERS + ["-2"], BAD_NUMBERS),
+                 *flag("--terms", ["1", "5", "60"], ["-1", "0", "x"])],
+    ]))()
+    return flag("--precision", ["1", "5", "20", "50", "80"], ["-1", "0", "x"]) + args
+
+
+@given(command_lines())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_fails_cleanly(args):
+    """Any command line: exit code 0, 1 or 2, no traceback, at most one
+    `Error:` line."""
+    r = CliRunner().invoke(main, args)
+    assert r.exception is None or isinstance(r.exception, SystemExit), args
+    assert r.exit_code in (0, 1, 2), args
+    assert "Traceback" not in r.output
+    assert len([line for line in r.output.splitlines()
+                if line.startswith("Error:")]) <= 1
+
+
+@pytest.mark.parametrize("args", [
+    ["kernel", "expand", "--ensemble", "gue", "--N", "2", "--n", "2"],
+    ["kernel", "eval", "--ensemble", "gue", "--N", "2", "--n", "2",
+     "--x", "1,2", "--y", "3,4"],
+])
+def test_rank_must_exceed_pairs(runner, args):
+    """--N <= --n is a usage error that names the flags."""
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert "--N must be greater than --n" in r.output

@@ -325,6 +325,15 @@ class TestRealParameterPaths:
                 devs.append(abs(got - mpmath.mpf(target.numerator) / target.denominator))
             assert devs[0] > devs[1] > devs[2]
 
+    def test_dps_argument_sets_the_precision(self):
+        """schur_average(..., dps=120) computes at 120 digits whatever the
+        caller's precision (here 50), on the closed route too."""
+        spec = EnsembleSpec("lue", alpha=mpmath.mpf("0.3"))
+        got = schur_average(spec, (2, 1), 3, "closed", dps=120)
+        with mpmath.workdps(120):
+            ref = schur_average(spec, (2, 1), 3, "closed")
+            assert abs(got - ref) <= abs(ref) * mpmath.mpf(10) ** -110
+
 
 class TestJackCoefficient:
     def test_empty(self):
