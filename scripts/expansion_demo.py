@@ -3,35 +3,45 @@
 four representations (expansion / double expansion / Christoffel-Darboux /
 Chebyshev) at one rational point pair to display their exact agreement.
 
-Example:
+Example (the defaults):
     python scripts/expansion_demo.py --ensemble lue --alpha 1 --N 4 --x 3/2 --y 2/3
 """
 
 import argparse
 from fractions import Fraction
 
+import mpmath
+
 from schurkernels.ensembles import EnsembleSpec
 from schurkernels.kernels import (KernelQuery, expansion_table, k2_chebyshev,
                                   khat_cd, khat_double, khat_schur)
-from schurkernels.scalars import rational_sqrt
+from schurkernels.scalars import DEFAULT_DPS, parse_number, rational_sqrt
+
+
+def number(s: str):
+    """An int, a "p/q" Fraction or a decimal real, as the CLI parses it."""
+    return parse_number(s, DEFAULT_DPS)
 
 
 def main():
+    mpmath.mp.dps = DEFAULT_DPS
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ensemble", default="lue")
-    ap.add_argument("--alpha", type=Fraction, default=None)
-    ap.add_argument("--beta", type=Fraction, default=None)
+    ap.add_argument("--alpha", type=number, default=1)
+    ap.add_argument("--beta", type=number, default=None)
     ap.add_argument("--N", dest="n_rank", type=int, default=4)
-    ap.add_argument("--x", type=Fraction, default=Fraction(3, 2))
-    ap.add_argument("--y", type=Fraction, default=Fraction(2, 3))
+    ap.add_argument("--x", type=number, default=Fraction(3, 2))
+    ap.add_argument("--y", type=number, default=Fraction(2, 3))
     args = ap.parse_args()
 
-    kwargs = {}
-    if args.alpha is not None:
-        kwargs["alpha"] = int(args.alpha) if args.alpha.denominator == 1 else args.alpha
+    kwargs = {"alpha": args.alpha}
     if args.beta is not None:
-        kwargs["beta"] = int(args.beta) if args.beta.denominator == 1 else args.beta
-    spec = EnsembleSpec(args.ensemble.replace("-", "_"), **kwargs)
+        kwargs["beta"] = args.beta
+    try:
+        spec = EnsembleSpec(args.ensemble.replace("-", "_"), **kwargs)
+        q = KernelQuery(spec, args.n_rank, 1, (args.x,), (args.y,))
+    except ValueError as exc:
+        ap.error(str(exc))
 
     table = expansion_table(spec, args.n_rank, 1)
     print(f"expansion coefficients <s_lam'> for {spec.kind}, "
@@ -39,12 +49,12 @@ def main():
     for lam, coeff in sorted(table.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
         print(f"  {str(list(lam)):12s} -> {coeff}")
 
-    q = KernelQuery(spec, args.n_rank, 1, (args.x,), (args.y,))
     print(f"\nKhat at x={args.x}, y={args.y}:")
     print(f"  schur expansion : {khat_schur(q)}")
     print(f"  double expansion: {khat_double(q)}")
     print(f"  CD determinant  : {khat_cd(q)}")
-    if rational_sqrt(args.x * args.y) is not None:
+    xy = args.x * args.y
+    if isinstance(xy, (int, Fraction)) and rational_sqrt(xy) is not None:
         print(f"  chebyshev form  : {k2_chebyshev(q)}")
     else:
         print("  chebyshev form  : (xy is not a rational square; skipped)")

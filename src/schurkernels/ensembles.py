@@ -3,6 +3,12 @@ the Andreief determinant-ratio oracle, and closed-form Schur averages for
 the Gaussian, Laguerre, Jacobi, inverse-Jacobi, inverse-Laguerre,
 Stieltjes-Wigert, q-Laguerre and Ginibre ensembles.
 
+The LUE, JUE, qLUE and Ginibre closed forms are products of Gamma (or
+Gamma_q) ratios; each telescopes, under Gamma(z+1) = z Gamma(z) and
+Gamma_q(z+1) = |z|_q Gamma_q(z), to one finite row product
+(`_row_product`), so no Gamma is evaluated: the value is exact at every
+rational parameter (for qLUE, at every integer alpha).
+
 Every closed form is cross-validated against `schur_avg_oracle`, which
 reduces the M-fold average to a ratio of moment determinants.  Both the
 numerator and the denominator of the oracle use the same row scheme
@@ -23,7 +29,8 @@ import mpmath
 from . import partitions as pt
 from .scalars import (DEFAULT_DPS, Poly, QRat, at_precision, binom,
                       det_exact, double_factorial, factorial, gamma_real,
-                      parse_number, poch, qgamma_real, qnum_floor, to_mpf)
+                      parse_number, poch, qgamma_real, qnum_floor, recip,
+                      to_mpf)
 from .symfun import qdim, schur_principal
 
 KINDS = ("gue", "lue", "jue", "jue_tilde", "lue_tilde", "sw", "qlue", "ginibre")
@@ -52,8 +59,10 @@ class EnsembleSpec:
         missing = [k for k in _REQUIRED.get(self.kind, ()) if getattr(self, k) is None]
         if missing:
             raise ValueError(f"{self.kind} needs {' and '.join(missing)}")
-        if self.kind == "lue" and not (self.alpha > -1):
-            raise ValueError("lue needs alpha > -1")
+        if self.kind in ("lue", "qlue") and not (self.alpha > -1):
+            raise ValueError(f"{self.kind} needs alpha > -1")
+        if self.kind == "qlue" and not isinstance(self.alpha, int) and self.q is None:
+            raise ValueError("qlue needs q for non-integer alpha")
         if self.kind == "jue" and (not (self.alpha > -1) or not (self.beta > -1)):
             raise ValueError("jue needs alpha, beta > -1")
         if self.q is not None and not (0 < self.q < 1):
@@ -154,8 +163,6 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
             for s in range(1, p + 1):
                 r = r * (-qnum_floor(-(a + s)))
             return r
-        if spec.q is None:
-            raise ValueError("real-alpha qlue moments need a numeric q")
         av = to_mpf(a)
         return (gamma_real(-p - av) * gamma_real(p + av + 1)
                 / qgamma_real(-p - av, to_mpf(spec.q)))
@@ -343,19 +350,27 @@ def _gue_block_coeff(l: list) -> Fraction | None:
     return sign * num / cross
 
 
-def schur_avg_lue(mu, m: int, alpha):
-    """LUE: s_mu(1^m) prod_j Gamma(alpha+mu_j+m+1-j)/Gamma(alpha+m+1-j).
+def _row_product(mu, m: int, step):
+    """prod_j prod_{p=m-j+1}^{mu_j+m-j} step(p).
 
-    The Gamma ratios are rising factorials, so the value is exact for any
-    exact alpha and a high-precision real otherwise.
+    This is prod_j f(mu_j+m-j)/f(m-j) for any f with f(p) = step(p) f(p-1),
+    telescoped so that f itself is never evaluated.
     """
+    r = 1
+    for j in range(1, m + 1):
+        for p in range(m - j + 1, pt.part(mu, j) + m - j + 1):
+            r = r * step(p)
+    return r
+
+
+def schur_avg_lue(mu, m: int, alpha):
+    """LUE: s_mu(1^m) prod_j Gamma(alpha+mu_j+m+1-j)/Gamma(alpha+m+1-j),
+    the row product of alpha+p: exact for any exact alpha and a
+    high-precision real otherwise."""
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
-    r = schur_principal(mu, m)
-    for j in range(1, m + 1):
-        r = r * poch(alpha + m + 1 - j, pt.part(mu, j))
-    return r
+    return schur_principal(mu, m) * _row_product(mu, m, lambda p: alpha + p)
 
 
 def schur_avg_lue_int_form(mu, m: int, alpha: int):
@@ -389,31 +404,16 @@ def lue_alpha_shift_pair(mu, m: int, alpha: int):
 
 
 def schur_avg_jue(mu, m: int, alpha, beta):
-    """JUE: dimension-ratio form for integer parameters, Gamma form else."""
+    """JUE: s_mu(1^m) prod_j G(mu_j-j+a+m+1) G(a+b+2m+1-j)
+    / (G(mu_j-j+a+b+2m+1) G(a+m+1-j)), the ratio of the row products of
+    a+p and a+b+m+p.  At integer parameters it is the dimension ratio
+    s_mu(1^m) s_mu(1^(a+m)) / s_mu(1^(a+b+2m)); it is exact at every
+    rational a, b and a high-precision real otherwise."""
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
-    if isinstance(alpha, int) and isinstance(beta, int):
-        return (schur_principal(mu, m) * schur_principal(mu, alpha + m)
-                / schur_principal(mu, alpha + beta + 2 * m))
-    return schur_avg_jue_gamma_form(mu, m, alpha, beta)
-
-
-def schur_avg_jue_gamma_form(mu, m: int, alpha, beta):
-    """JUE Gamma form, valid at non-integer parameters:
-    s_mu(1^m) prod_j G(mu_j-j+a+m+1) G(a+b+2m+1-j) / (G(mu_j-j+a+b+2m+1) G(a+m+1-j))."""
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return 0
-    a, b = to_mpf(alpha), to_mpf(beta)
-    r = to_mpf(schur_principal(mu, m))
-    for j in range(1, m + 1):
-        mj = pt.part(mu, j)
-        r *= (gamma_real(mj - j + a + m + 1)
-              * gamma_real(a + b + 2 * m + 1 - j)
-              / gamma_real(mj - j + a + b + 2 * m + 1)
-              / gamma_real(a + m + 1 - j))
-    return r
+    return (schur_principal(mu, m) * _row_product(mu, m, lambda p: alpha + p)
+            / _row_product(mu, m, lambda p: alpha + beta + m + p))
 
 
 def schur_avg_jue_tilde(mu, m: int, alpha: int, beta: int):
@@ -457,8 +457,7 @@ def schur_avg_lue_tilde(nu, m: int, alpha_tilde):
     nustar = pt.rectangle_complement(nu, m, ell)
     pref = Fraction(1)
     for j in range(1, m + 1):
-        p = poch(abase - ell + j, ell)
-        pref = pref / p if isinstance(p, (int, Fraction)) else pref * (1 / p)
+        pref = pref * recip(poch(abase - ell + j, ell))
     return pref * schur_avg_lue(nustar, m, abase - ell)
 
 
@@ -475,48 +474,28 @@ def schur_avg_sw(mu, m: int) -> QRat:
 def schur_avg_qlue(mu, m: int, alpha, q=None):
     """q-Laguerre Schur average.
 
-    Integer alpha: exact QRat.  The Gamma/Gamma_q ratios of the closed form
-    telescope under Gamma(z+1) = z Gamma(z) and Gamma_q(z+1) = |z|_q
-    Gamma_q(z) into the moment-recursion products
+    The Gamma/Gamma_q ratios of the closed form telescope under
+    Gamma(z+1) = z Gamma(z) and Gamma_q(z+1) = |z|_q Gamma_q(z) into the
+    moment-recursion products
 
-        prod_j m_{mu_j+m-j}/m_{j-1},  m_p = prod_{s<=p} (-|-(alpha+s)|_q),
+        prod_j m_{mu_j+m-j}/m_{m-j},  m_p/m_{p-1} = -|-(alpha+p)|_q,
 
     times q^(-(m-1)|mu|/2) dim_q(mu), with no singular factor evaluated.
-
-    Real alpha: the closed form evaluated verbatim in high precision
-    (Gamma and Gamma_q at negative non-integer arguments).
+    Integer alpha gives an exact QRat; any other alpha needs the numeric q
+    and gives a high-precision real, with the factor
+    (q^(-(alpha+p)) - 1)/(1 - q).
     """
     mu = pt.canonical(mu)
     if len(mu) > m:
         raise ValueError(f"qlue average needs l(mu) <= {m}")
+    pref = QRat.u_power(-(m - 1) * sum(mu)) * qdim(mu, m)
     if isinstance(alpha, int):
-        r = QRat.u_power(-(m - 1) * sum(mu)) * qdim(mu, m)
-        for j in range(1, m + 1):
-            r = r * _qlue_moment_ratio(alpha, pt.part(mu, j) + m - j, j - 1)
-        return r
+        return pref * _row_product(mu, m, lambda p: -qnum_floor(-(alpha + p)))
     if q is None:
         raise ValueError("real-alpha qlue average needs a numeric q")
     a, qv = to_mpf(alpha), to_mpf(q)
-    u = mpmath.sqrt(qv)
-    r = qv ** (-(m - 1) * mpmath.mpf(sum(mu)) / 2) * qdim(mu, m).eval_u(u)
-    for j in range(1, m + 1):
-        mj = pt.part(mu, j)
-        r *= (gamma_real(a + 1 + mj + m - j)
-              * gamma_real(-a - mj - m + j)
-              / gamma_real(a + j) / gamma_real(-a - j + 1))
-        r *= (qgamma_real(-a - j + 1, qv)
-              / qgamma_real(-a - mj - m + j, qv))
-    return r
-
-
-def _qlue_moment_ratio(alpha: int, a: int, b: int) -> QRat:
-    """m_a / m_b for integer-alpha qLUE moments."""
-    if a >= b:
-        r = QRat.const(1)
-        for s in range(b + 1, a + 1):
-            r = r * (-qnum_floor(-(alpha + s)))
-        return r
-    return _qlue_moment_ratio(alpha, b, a).inverse()
+    return (pref.eval_u(mpmath.sqrt(qv))
+            * _row_product(mu, m, lambda p: (qv ** -(a + p) - 1) / (1 - qv)))
 
 
 def schur_pair_avg_ginibre(lam, mu, m: int):
@@ -527,10 +506,7 @@ def schur_pair_avg_ginibre(lam, mu, m: int):
         raise ValueError(f"ginibre pair average needs l <= {m}")
     if lam != mu:
         return Fraction(0)
-    r = Fraction(1)
-    for j in range(1, m + 1):
-        r *= poch(m - j + 1, pt.part(lam, j))
-    return r
+    return Fraction(_row_product(lam, m, lambda p: p))
 
 
 def jack_avg_jacobi_coeff(nu, m: int, alpha, beta, gamma, n: int):

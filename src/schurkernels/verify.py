@@ -21,9 +21,9 @@ import mpmath
 from . import partitions as pt
 from .ensembles import (EnsembleSpec, askey_limit_check, hankel_det,
                         jack_avg_jacobi_coeff,
-                        schur_avg_gue, schur_avg_jue, schur_avg_jue_gamma_form,
-                        schur_avg_jue_tilde, schur_avg_lue, schur_avg_lue_tilde,
-                        schur_avg_oracle, schur_avg_qlue, schur_avg_sw)
+                        schur_avg_gue, schur_avg_jue, schur_avg_jue_tilde,
+                        schur_avg_lue, schur_avg_lue_tilde, schur_avg_oracle,
+                        schur_avg_qlue, schur_avg_sw)
 from .heat_kernel import (heat_kernel_closed, heat_kernel_sum,
                           schur_doubling_check)
 from .kernels import (KernelQuery, df_chiral_closed_n1, df_chiral_kernel,
@@ -103,7 +103,7 @@ def suite_schur_averages(seed: int = 1) -> SuiteResult:
         r.check(f"lue a=1/2 {mu}", hp_close(c, o))
     ja, jb = mpmath.mpf("0.7"), mpmath.mpf("1.3")
     for mu in ((1,), (2, 1), (3, 2)):
-        c = schur_avg_jue_gamma_form(mu, 3, ja, jb)
+        c = schur_avg_jue(mu, 3, ja, jb)
         o = schur_avg_oracle(EnsembleSpec("jue", alpha=ja, beta=jb), mu, 3)
         r.check(f"jue a=.7 b=1.3 {mu}", hp_close(c, o))
     return r

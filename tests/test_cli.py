@@ -186,6 +186,10 @@ EVAL = ["kernel", "eval", "--ensemble", "gue", "--N", "3", "--n", "1"]
       "--m", "2", "--partition", "1"], None),
     (["kernel", "eval", "--ensemble", "sw", "--N", "3", "--n", "1", "--x", "0.5",
       "--y", "2"], None),
+    (["schur-avg", "--ensemble", "qlue", "--alpha", "-3", "--m", "2",
+      "--partition", "1"], None),
+    (["schur-avg", "--ensemble", "qlue", "--alpha", "-1", "--m", "2",
+      "--partition", "1"], None),
 ])
 def test_bad_input_fails_cleanly(runner, args, env):
     if env is None:

@@ -12,7 +12,6 @@ from schurkernels.ensembles import (EnsembleSpec, MomentTable, hankel_det,
                                     moment, ortho_system,
                                     schur_average, schur_avg_bruteforce,
                                     schur_avg_gue, schur_avg_jue,
-                                    schur_avg_jue_gamma_form,
                                     schur_avg_jue_tilde, schur_avg_lue,
                                     schur_avg_lue_int_form, schur_avg_lue_tilde,
                                     schur_avg_oracle, schur_avg_qlue,
@@ -20,6 +19,7 @@ from schurkernels.ensembles import (EnsembleSpec, MomentTable, hankel_det,
                                     schur_pair_avg_ginibre,
                                     schur_pair_avg_oracle)
 from schurkernels.scalars import QRat, hp_close, qnum_floor
+from schurkernels.symfun import schur_principal
 
 F = Fraction
 
@@ -51,10 +51,12 @@ class TestSpec:
             EnsembleSpec("jue_tilde", alpha=0, beta=5)
         with pytest.raises(ValueError):
             EnsembleSpec("qlue", alpha=0, q=F(3, 2))
+        with pytest.raises(ValueError, match="alpha > -1"):
+            EnsembleSpec("qlue", alpha=-1)
 
     @pytest.mark.parametrize("kind, params", [
         ("lue", {}), ("jue", {"alpha": 1}), ("jue_tilde", {"alpha": 0, "m": 2}),
-        ("lue_tilde", {}), ("qlue", {}),
+        ("lue_tilde", {}), ("qlue", {}), ("qlue", {"alpha": F(1, 2)}),
     ])
     def test_required_parameters(self, kind, params):
         with pytest.raises(ValueError, match="needs"):
@@ -233,11 +235,22 @@ class TestClosedForms:
         assert schur_avg_jue((1,), 1, 0, 0) == F(1, 2)
 
     def test_jue_gamma_form_matches_integer(self):
-        with mpmath.workdps(50):
-            for mu in pt.enumerate_bounded(2, 2):
-                v1 = schur_avg_jue(mu, 2, 1, 2)
-                v2 = schur_avg_jue_gamma_form(mu, 2, 1, 2)
-                assert hp_close(F(v1), v2)
+        """At integer parameters the telescoped Gamma form is the dimension
+        ratio s_mu(1^m) s_mu(1^(a+m)) / s_mu(1^(a+b+2m))."""
+        for mu in pt.enumerate_bounded(3, 3):
+            for m in (3, 4):
+                for a in (0, 1, 2):
+                    for b in (0, 1, 2):
+                        assert schur_avg_jue(mu, m, a, b) == (
+                            schur_principal(mu, m) * schur_principal(mu, a + m)
+                            / schur_principal(mu, a + b + 2 * m))
+
+    def test_jue_rational_parameters_are_exact(self):
+        spec = EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2))
+        for mu in pt.enumerate_bounded(3, 3):
+            v = schur_avg_jue(mu, 3, F(1, 2), F(3, 2))
+            assert isinstance(v, F)
+            assert hp_close(v, schur_avg_oracle(spec, mu, 3))
 
     def test_jue_tilde_example(self):
         assert schur_avg_jue_tilde((1,), 1, 0, 3) == F(1, 2)
@@ -309,9 +322,10 @@ class TestRealParameterPaths:
         with mpmath.workdps(50):
             q = mpmath.mpf(1) / 2
             a = mpmath.mpf("1.5")
-            c = schur_avg_qlue((2, 1), 2, a, q)
-            o = schur_avg_oracle(EnsembleSpec("qlue", alpha=a, q=q), (2, 1), 2)
-            assert hp_close(c, o)
+            spec = EnsembleSpec("qlue", alpha=a, q=q)
+            for mu in pt.enumerate_bounded(3, 3):
+                c = schur_avg_qlue(mu, 3, a, q)
+                assert hp_close(c, schur_avg_oracle(spec, mu, 3))
 
     def test_qlue_approaches_lue_as_q_to_1(self):
         """qLUE -> LUE: deviation shrinks as 1 - q does."""

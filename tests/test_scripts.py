@@ -1,0 +1,34 @@
+"""Smoke tests of the runnable demos in scripts/: each runs in a fresh
+interpreter, with the package on PYTHONPATH, as a user would run it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import schurkernels
+
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    src = str(Path(schurkernels.__file__).parents[1])
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_runs_with_no_flags(name):
+    p = run_script(name)
+    assert p.returncode == 0, p.stderr
+    assert "Traceback" not in p.stdout + p.stderr
+
+
+def test_expansion_demo_missing_parameter_is_a_usage_error():
+    p = run_script("expansion_demo.py", "--ensemble", "jue")
+    assert p.returncode == 2
+    assert "Traceback" not in p.stderr
+    assert "jue needs beta" in p.stderr
