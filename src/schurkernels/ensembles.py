@@ -412,6 +412,9 @@ def schur_avg_jue(mu, m: int, alpha, beta):
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
+    if isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
+        # Fraction / mpf is undefined: one real parameter makes both real.
+        alpha, beta = to_mpf(alpha), to_mpf(beta)
     return (schur_principal(mu, m) * _row_product(mu, m, lambda p: alpha + p)
             / _row_product(mu, m, lambda p: alpha + beta + m + p))
 

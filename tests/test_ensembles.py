@@ -252,6 +252,15 @@ class TestClosedForms:
             assert isinstance(v, F)
             assert hp_close(v, schur_avg_oracle(spec, mu, 3))
 
+    def test_jue_mixed_rational_and_real_parameters(self):
+        """One real parameter makes the value real; a rational alpha with a
+        real beta must not divide a Fraction by an mpf."""
+        for a, b in ((F(1, 2), mpmath.mpf("0.5")), (mpmath.mpf("0.5"), F(3, 2))):
+            spec = EnsembleSpec("jue", alpha=a, beta=b)
+            for mu in pt.enumerate_bounded(2, 2):
+                assert hp_close(schur_avg_jue(mu, 2, a, b),
+                                schur_avg_oracle(spec, mu, 2))
+
     def test_jue_tilde_example(self):
         assert schur_avg_jue_tilde((1,), 1, 0, 3) == F(1, 2)
         assert schur_avg_jue_tilde((1,), 2, 1, 5) == 3
