@@ -17,6 +17,8 @@ def main():
     ap.add_argument("--max-m", type=int, default=4)
     ap.add_argument("--n", type=int, default=1)
     args = ap.parse_args()
+    if args.n < 0:
+        ap.error("--n must be >= 0")
 
     print(f"{'M':>3s}  {'expansion/oracle constant':30s}  hankel/product ratio")
     for m in range(1, args.max_m + 1):

@@ -120,7 +120,7 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 @click.option("--precision", type=click.IntRange(min=1), default=DEFAULT_DPS,
               envvar="SCHURKERNELS_PRECISION", show_default=True,
-              help="working decimal digits for HPReal computations")
+              help="working decimal digits for real (mpf) computations")
 @click.pass_context
 def main(ctx, precision):
     """Exact Schur expansions of random-matrix kernels."""

@@ -9,6 +9,11 @@ Gamma_q(z+1) = |z|_q Gamma_q(z), to one finite row product
 (`_row_product`), so no Gamma is evaluated: the value is exact at every
 rational parameter (for qLUE, at every integer alpha).
 
+The moments evaluate no Gamma either: each moment sequence is generated by
+the weight's own ratio m_p/m_{p-1} (`moment`), so the oracles below, the
+orthogonal polynomials and every kernel route built on them are exact at
+every rational parameter too.
+
 Every closed form is cross-validated against `schur_avg_oracle`, which
 reduces the M-fold average to a ratio of moment determinants.  Both the
 numerator and the denominator of the oracle use the same row scheme
@@ -28,9 +33,8 @@ import mpmath
 
 from . import partitions as pt
 from .scalars import (DEFAULT_DPS, Poly, QRat, at_precision, binom,
-                      det_exact, double_factorial, factorial, gamma_real,
-                      parse_number, poch, qgamma_real, qnum_floor, recip,
-                      to_mpf)
+                      det_exact, double_factorial, factorial, parse_number,
+                      poch, qnum_floor, recip, to_mpf)
 from .symfun import qdim, schur_principal
 
 KINDS = ("gue", "lue", "jue", "jue_tilde", "lue_tilde", "sw", "qlue", "ginibre")
@@ -56,10 +60,15 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        for key in ("alpha", "beta", "alpha_tilde"):
+            v = getattr(self, key)
+            if isinstance(v, Fraction) and v.denominator == 1:
+                # 4/2 is the integer 2: same exact path, same moment cache key
+                object.__setattr__(self, key, v.numerator)
         missing = [k for k in _REQUIRED.get(self.kind, ()) if getattr(self, k) is None]
         if missing:
             raise ValueError(f"{self.kind} needs {' and '.join(missing)}")
-        if self.kind in ("lue", "qlue") and not (self.alpha > -1):
+        if self.kind in ("lue", "qlue", "jue_tilde") and not (self.alpha > -1):
             raise ValueError(f"{self.kind} needs alpha > -1")
         if self.kind == "qlue" and not isinstance(self.alpha, int) and self.q is None:
             raise ValueError("qlue needs q for non-integer alpha")
@@ -96,7 +105,7 @@ def _param_str(v) -> str:
 
 def spec_from_json(data: dict, dps: int = DEFAULT_DPS) -> EnsembleSpec:
     """Parse {"kind": ..., "alpha": "p/q" | "decimal", ...}; integers stay
-    exact, "p/q" becomes Fraction, decimal strings become HPReal."""
+    exact, "p/q" becomes Fraction, decimal strings become mpf at dps digits."""
     kwargs = {key: parse_number(str(data[key]), dps)
               for key in ("alpha", "beta", "alpha_tilde", "q") if key in data}
     if "m" in data:
@@ -105,99 +114,86 @@ def spec_from_json(data: dict, dps: int = DEFAULT_DPS) -> EnsembleSpec:
 
 
 def moment(spec: EnsembleSpec, p: int):
-    """Moment m_p of the ensemble weight, exact where the parameters allow;
-    real moments are at the working precision.
+    """Moment m_p of the ensemble weight: exact at integer and rational
+    parameters, a real at the working precision otherwise.
 
-    GUE moments are for the normalized weight (m_0 = 1); qLUE moments are
-    normalized to m_0 = 1.  Normalization constants cancel in every
-    determinant ratio.
+    Apart from GUE and SW, m_p = m_0 prod_{s=1}^p step(s) with the weight's
+    own ratio m_s/m_{s-1}.  m_0 is the exact mass (a factorial product) at
+    integer parameters and 1 at any other parameter; GUE moments are for the
+    normalized weight and qLUE moments have m_0 = 1 throughout.  The mass
+    cancels in every determinant ratio.  A divergent tilde moment raises.
     """
     if p < 0:
         raise ValueError("moment needs p >= 0")
-    return _moment_cached(spec, p, mpmath.mp.dps)
+    # An exact parameter equals, and hashes as, the mpf of the same value
+    # (1/2 and 0.5), so the key tells real moments from exact ones.
+    params = (spec.alpha, spec.beta, spec.alpha_tilde)
+    real = (any(isinstance(v, mpmath.mpf) for v in params)
+            or spec.kind == "qlue" and not isinstance(spec.alpha, int))
+    return _moment_cached(spec, p, mpmath.mp.dps if real else 0)
 
 
 @lru_cache(maxsize=4096)
 def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
-    # dps is the cache key of the working precision a real moment is for
-    kind = spec.kind
+    # dps is the working precision of a real moment, and 0 for an exact one
+    kind, a, b, m = spec.kind, spec.alpha, spec.beta, spec.m
     if kind == "gue":
         return Fraction(0) if p % 2 else Fraction(double_factorial(p - 1))
-    if kind == "lue":
-        a = spec.alpha
-        if isinstance(a, int):
-            return Fraction(factorial(a + p))
-        return gamma_real(to_mpf(a) + 1 + p)
-    if kind == "jue":
-        a, b = spec.alpha, spec.beta
-        if isinstance(a, int) and isinstance(b, int):
-            return Fraction(factorial(p + a) * factorial(b),
-                            factorial(p + a + b + 1))
-        return (gamma_real(to_mpf(a) + p + 1)
-                * gamma_real(to_mpf(b) + 1)
-                / gamma_real(to_mpf(a) + to_mpf(b) + p + 2))
-    if kind == "jue_tilde":
-        a, b, m = spec.alpha, spec.beta, spec.m
-        if isinstance(a, int) and isinstance(b, int):
-            top = m - p - a + b - 1
-            if top <= 0:
-                raise ValueError(f"jue_tilde moment diverges at p = {p}")
-            return Fraction(factorial(p + a) * factorial(top - 1),
-                            factorial(m + b - 1))
-        return (gamma_real(p + to_mpf(a) + 1)
-                * gamma_real(m - p - to_mpf(a) + to_mpf(b) - 1)
-                / gamma_real(m + to_mpf(b)))
-    if kind == "lue_tilde":
-        at = spec.alpha_tilde
-        if isinstance(at, int):
-            if at - p - 1 <= 0:
-                raise ValueError(f"lue_tilde moment diverges at p = {p}")
-            return Fraction(factorial(at - p - 2))
-        return gamma_real(to_mpf(at) - p - 1)
     if kind == "sw":
         return QRat.u_power(-((p + 1) ** 2))
-    if kind == "qlue":
-        a = spec.alpha
-        if isinstance(a, int):
-            r = QRat.const(1)
-            for s in range(1, p + 1):
-                r = r * (-qnum_floor(-(a + s)))
-            return r
-        av = to_mpf(a)
-        return (gamma_real(-p - av) * gamma_real(p + av + 1)
-                / qgamma_real(-p - av, to_mpf(spec.q)))
-    raise ValueError(f"moments not defined for kind {kind!r}")
-
-
-class MomentTable:
-    """Lazily extended table p -> m_p for one ensemble.
-
-    Entries are deterministic, so concurrent extension is harmless
-    (worst case a value is recomputed).
-    """
-
-    def __init__(self, spec: EnsembleSpec):
-        self.spec = spec
-        self._cache: dict[int, object] = {}
-
-    def get(self, p: int):
-        v = self._cache.get(p)
-        if v is None:
-            v = moment(self.spec, p)
-            self._cache.setdefault(p, v)
-        return v
+    integer = all(isinstance(v, int) for v in (a, b, spec.alpha_tilde)
+                  if v is not None)
+    mass = mpmath.mpf(1) if dps else Fraction(1)
+    if kind == "lue":
+        if integer:
+            mass = Fraction(factorial(a))
+        step = lambda s: a + s
+    elif kind == "jue":
+        if integer:
+            mass = Fraction(factorial(a) * factorial(b), factorial(a + b + 1))
+        step = lambda s: (a + s) * recip(a + b + 1 + s)
+    elif kind == "jue_tilde":
+        if not (m - p - a + b - 1 > 0):
+            raise ValueError(f"jue_tilde moment diverges at p = {p}")
+        if integer:
+            mass = Fraction(factorial(a) * factorial(m - a + b - 2),
+                            factorial(m + b - 1))
+        step = lambda s: (a + s) * recip(m - s - a + b - 1)
+    elif kind == "lue_tilde":
+        at = spec.alpha_tilde
+        if not (at - p - 1 > 0):
+            raise ValueError(f"lue_tilde moment diverges at p = {p}")
+        if integer:
+            mass = Fraction(factorial(at - 2))
+        step = lambda s: recip(at - s - 1)
+    elif kind == "qlue":
+        if integer:
+            mass = QRat.const(1)
+            step = lambda s: -qnum_floor(-(a + s))
+        else:
+            av, qv = to_mpf(a), to_mpf(spec.q)
+            step = lambda s: (qv ** -(av + s) - 1) / (1 - qv)
+    else:
+        raise ValueError(f"moments not defined for kind {kind!r}")
+    r = mass
+    for s in range(1, p + 1):
+        r = r * step(s)
+    return r
 
 
 def hankel_det(spec: EnsembleSpec, m: int):
-    """det[m_{j+k}], 0 <= j,k <= m-1; equals the partition function."""
+    """det[m_{j+k}], 0 <= j,k <= m-1: the partition function of the weight
+    with the mass m_0 of `moment` (its true mass at integer parameters)."""
     if m == 0:
         return 1
-    return _moment_det(MomentTable(spec), range(m), range(m))
+    return _moment_det(spec, range(m), range(m))
 
 
-def _moment_det(mom: MomentTable, rows, cols):
+def _moment_det(spec: EnsembleSpec, rows, cols):
     """det[m_{a+b}] for a in rows (row order) and b in cols (column order)."""
-    return det_exact([[mom.get(a + b) for b in cols] for a in rows])
+    mom = [moment(spec, p)
+           for p in range(max(rows, default=0) + max(cols, default=0) + 1)]
+    return det_exact([[mom[a + b] for b in cols] for a in rows])
 
 
 @dataclass
@@ -211,7 +207,7 @@ class OrthoSystem:
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
     """Gram-Schmidt on the moment bilinear form <z^a, z^b> = m_{a+b}."""
-    mom = MomentTable(spec)
+    mom = [moment(spec, p) for p in range(2 * kmax + 1)]
 
     def inner(pa: Poly, pb: Poly):
         r = 0
@@ -219,7 +215,7 @@ def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
             if ca:
                 for j, cb in enumerate(pb.coeffs):
                     if cb:
-                        r = r + ca * cb * mom.get(i + j)
+                        r = r + ca * cb * mom[i + j]
         return r
 
     polys, norms = [], []
@@ -251,9 +247,9 @@ def schur_avg_oracle(spec: EnsembleSpec, mu, m: int):
         raise ValueError(f"oracle needs l(mu) <= {m}")
     if m == 0:
         return Fraction(1)
-    mom = MomentTable(spec)
-    num = _moment_det(mom, [pt.part(mu, j) + m - j for j in range(1, m + 1)], range(m))
-    den = _moment_det(mom, [m - j for j in range(1, m + 1)], range(m))
+    num = _moment_det(spec, [pt.part(mu, j) + m - j for j in range(1, m + 1)],
+                      range(m))
+    den = _moment_det(spec, [m - j for j in range(1, m + 1)], range(m))
     return num / den
 
 
@@ -269,26 +265,25 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
         raise ValueError(f"pair oracle needs l <= {m}")
     if m == 0:
         return Fraction(1)
-    mom = MomentTable(spec)
     a = [pt.part(lam, j) + m - j for j in range(1, m + 1)]
     b = [pt.part(mu, k) + m - k for k in range(1, m + 1)]
     a0 = [m - j for j in range(1, m + 1)]
-    return _moment_det(mom, a, b) / _moment_det(mom, a0, a0)
+    return _moment_det(spec, a, b) / _moment_det(spec, a0, a0)
 
 
 def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
     """<det(x - Z)^n2> via Andreief with binomially modified moments."""
-    mom = MomentTable(spec)
+    mom = [moment(spec, p) for p in range(2 * m - 1 + n2)]
 
     def modified(e):
         r = 0
         for l in range(n2 + 1):
-            term = Fraction((-1) ** l * binom(n2, l)) * x ** (n2 - l) * mom.get(e + l)
+            term = Fraction((-1) ** l * binom(n2, l)) * x ** (n2 - l) * mom[e + l]
             r = r + term
         return r
 
     num = det_exact([[modified(j + k) for k in range(m)] for j in range(m)])
-    return num / _moment_det(mom, range(m), range(m))
+    return num / _moment_det(spec, range(m), range(m))
 
 
 # ----------------------------------------------------------------------------
@@ -693,7 +688,6 @@ def _mv_schur(lam, m: int) -> dict:
 def average_bruteforce(spec: EnsembleSpec, poly: dict, m: int):
     """Average of a polynomial in the eigenvalues by term-wise integration
     of Delta^2 * poly against the weight."""
-    mom = MomentTable(spec)
     dsq = _mv_vandermonde_sq(m)
 
     def integrate(p: dict):
@@ -701,7 +695,7 @@ def average_bruteforce(spec: EnsembleSpec, poly: dict, m: int):
         for e, c in p.items():
             t = c
             for ei in e:
-                t = t * mom.get(ei)
+                t = t * moment(spec, ei)
             total = total + t
         return total
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 
 from . import partitions as pt
-from .ensembles import (EnsembleSpec, MomentTable, OrthoSystem, ortho_system,
+from .ensembles import (EnsembleSpec, OrthoSystem, moment, ortho_system,
                         pair_average, schur_average, schur_avg_jue,
                         schur_pair_avg_ginibre)
 from .scalars import (at_precision, binom, det_exact, factorial, gamma_real,
@@ -137,7 +137,7 @@ def k2_chebyshev(query: KernelQuery, dps: int | None = None):
         if isinstance(xy, Fraction):
             s = rational_sqrt(xy)
             if s is None:
-                raise ValueError("xy has no exact square root; evaluate in HPReal")
+                raise ValueError("xy has no exact square root; give decimal points")
         else:
             s = mpmath.sqrt(xy)
         w = -(x + y) / (2 * s)
@@ -211,8 +211,8 @@ def khat_cd(query: KernelQuery, dps: int | None = None):
 def hankel_inverse_gen(spec: EnsembleSpec, n_rank: int, x, y):
     """K_N(x,y) as the generating function of the inverse moment Hankel:
     sum_{j,k} x^j y^k [H_N^-1]_{jk}."""
-    mom = MomentTable(spec)
-    h = [[mom.get(j + k) for k in range(n_rank)] for j in range(n_rank)]
+    mom = [moment(spec, p) for p in range(2 * n_rank - 1)]
+    h = [[mom[j + k] for k in range(n_rank)] for j in range(n_rank)]
     hinv = mat_inverse_exact(h)
     total = 0
     for j in range(n_rank):

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import partitions as pt
-from .ensembles import (EnsembleSpec, MomentTable, char_poly_moment_oracle,
-                        hankel_det)
+from .ensembles import (EnsembleSpec, char_poly_moment_oracle, hankel_det,
+                        moment)
 from .scalars import (Poly, QRat, barnes_g_int, binom, det_exact, factorial,
                       qfactorial_floor)
 from .symfun import qdim, schur_principal
@@ -169,13 +169,14 @@ def sw_fermion_partition(m: int, n: int) -> Poly:
 def sw_fermion_oracle(m: int, n: int) -> Poly:
     """(1/M!) int Delta^2 prod (x - z_j)^2n w(z_j) dz as a polynomial in x:
     the Andreief determinant of binomially modified SW moments."""
-    mom = MomentTable(EnsembleSpec("sw"))
+    sw = EnsembleSpec("sw")
+    mom = [moment(sw, p) for p in range(2 * m - 1 + 2 * n)]
 
     def entry(j, k):
         coeffs = [QRat.const(0)] * (2 * n + 1)
         for l in range(2 * n + 1):
             coeffs[2 * n - l] = QRat.const((-1) ** l * binom(2 * n, l)) \
-                * mom.get(j + k + l)
+                * mom[j + k + l]
         return Poly(coeffs)
 
     return det_exact([[entry(j, k) for k in range(m)] for j in range(m)])

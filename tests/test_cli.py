@@ -190,6 +190,12 @@ EVAL = ["kernel", "eval", "--ensemble", "gue", "--N", "3", "--n", "1"]
       "--partition", "1"], None),
     (["schur-avg", "--ensemble", "qlue", "--alpha", "-1", "--m", "2",
       "--partition", "1"], None),
+    (["schur-avg", "--ensemble", "lue-tilde", "--alpha-tilde", "5/2", "--m", "2",
+      "--partition", "1", "--method", "oracle"], None),
+    (["schur-avg", "--ensemble", "jue-tilde", "--alpha", "1/2", "--beta", "1",
+      "--m", "2", "--partition", "1", "--method", "oracle"], None),
+    (["schur-avg", "--ensemble", "lue-tilde", "--alpha-tilde", "2.5", "--m", "2",
+      "--partition", "1", "--method", "oracle"], None),
 ])
 def test_bad_input_fails_cleanly(runner, args, env):
     if env is None:

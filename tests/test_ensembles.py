@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from schurkernels import partitions as pt
-from schurkernels.ensembles import (EnsembleSpec, MomentTable, hankel_det,
+from schurkernels.ensembles import (EnsembleSpec, hankel_det,
                                     jack_avg_jacobi_coeff, lue_alpha_shift_pair,
                                     moment, ortho_system,
                                     schur_average, schur_avg_bruteforce,
@@ -18,7 +18,8 @@ from schurkernels.ensembles import (EnsembleSpec, MomentTable, hankel_det,
                                     schur_avg_sw, schur_pair_avg_bruteforce,
                                     schur_pair_avg_ginibre,
                                     schur_pair_avg_oracle)
-from schurkernels.scalars import QRat, hp_close, qnum_floor
+from schurkernels.scalars import (QRat, gamma_real, hp_close, qgamma_real,
+                                  qnum_floor)
 from schurkernels.symfun import schur_principal
 
 F = Fraction
@@ -44,6 +45,11 @@ class TestSpec:
         real = spec_from_json({"kind": "lue", "alpha": "0.5"})
         assert isinstance(real.alpha, mpmath.mpf)
 
+    def test_integral_fraction_is_an_int(self):
+        spec = EnsembleSpec("jue", alpha=F(4, 2), beta=F(1, 2))
+        assert type(spec.alpha) is int and spec.alpha == 2
+        assert spec == EnsembleSpec("jue", alpha=2, beta=F(1, 2))
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             EnsembleSpec("lue", alpha=-2)
@@ -53,6 +59,8 @@ class TestSpec:
             EnsembleSpec("qlue", alpha=0, q=F(3, 2))
         with pytest.raises(ValueError, match="alpha > -1"):
             EnsembleSpec("qlue", alpha=-1)
+        with pytest.raises(ValueError, match="alpha > -1"):
+            EnsembleSpec("jue_tilde", alpha=mpmath.mpf(-1), beta=7, m=2)
 
     @pytest.mark.parametrize("kind, params", [
         ("lue", {}), ("jue", {"alpha": 1}), ("jue_tilde", {"alpha": 0, "m": 2}),
@@ -104,14 +112,49 @@ class TestMoments:
         assert moment(spec, 1) == QRat.q_power(-1)
         assert moment(spec, 2) == QRat.q_power(-1) * (-qnum_floor(-2))
 
-    def test_moment_table_caches(self):
-        table = MomentTable(GUE)
-        assert table.get(4) == 3
-        assert table.get(4) == 3
-
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             moment(GUE, -1)
+
+    def test_recurrence_matches_gamma_definition(self):
+        """m_p/m_0 from the moment recurrence against the Gamma (Gamma_q)
+        form of the moment, at real parameters and 120 digits."""
+        with mpmath.workdps(120):
+            r = mpmath.mpf
+            g = gamma_real
+            cases = [
+                (EnsembleSpec("lue", alpha=r("0.5")),
+                 lambda p: g(r("1.5") + p)),
+                (EnsembleSpec("jue", alpha=r("0.7"), beta=r("1.3")),
+                 lambda p: g(r("1.7") + p) * g(r("2.3")) / g(r("4") + p)),
+                (EnsembleSpec("jue", alpha=0, beta=r("0.5")),
+                 lambda p: g(1 + p) * g(r("1.5")) / g(r("2.5") + p)),
+                (EnsembleSpec("jue_tilde", alpha=r("0.5"), beta=r("12.5"), m=2),
+                 lambda p: g(r("1.5") + p) * g(r("13") - p) / g(r("14.5"))),
+                (EnsembleSpec("lue_tilde", alpha_tilde=r("10.5")),
+                 lambda p: g(r("9.5") - p)),
+                (EnsembleSpec("qlue", alpha=r("0.5"), q=F(1, 3)),
+                 lambda p: (g(-p - r("0.5")) * g(p + r("1.5"))
+                            / qgamma_real(-p - r("0.5"), F(1, 3)))),
+            ]
+            for spec, gamma_form in cases:
+                for p in range(9):
+                    assert hp_close(moment(spec, p) / moment(spec, 0),
+                                    gamma_form(p) / gamma_form(0),
+                                    tol=F(1, 10**110)), (spec, p)
+
+    def test_cache_keeps_exact_and_real_apart(self):
+        """1/2 and 0.5 (2 and 2.0) are equal spec keys of different fields."""
+        with mpmath.workdps(50):
+            for exact, real, p, value in ((F(1, 2), "0.5", 3, F(105, 8)),
+                                          (2, "2", 1, 6)):
+                real_m = moment(EnsembleSpec("lue", alpha=mpmath.mpf(real)), p)
+                exact_m = moment(EnsembleSpec("lue", alpha=exact), p)
+                assert isinstance(real_m, mpmath.mpf)
+                assert isinstance(exact_m, F) and exact_m == value
+
+    def test_deep_moment_needs_no_recursion(self):
+        assert moment(EnsembleSpec("lue", alpha=F(1, 2)), 1500) > 0
 
 
 class TestHankelAndOrtho:
@@ -149,10 +192,9 @@ class TestHankelAndOrtho:
 
     def test_orthogonality(self):
         osys = ortho_system(GUE, 3)
-        table = MomentTable(GUE)
 
         def inner(pa, pb):
-            return sum(ca * cb * table.get(i + j)
+            return sum(ca * cb * moment(GUE, i + j)
                        for i, ca in enumerate(pa.coeffs) if ca
                        for j, cb in enumerate(pb.coeffs) if cb)
 
@@ -251,6 +293,16 @@ class TestClosedForms:
             v = schur_avg_jue(mu, 3, F(1, 2), F(3, 2))
             assert isinstance(v, F)
             assert hp_close(v, schur_avg_oracle(spec, mu, 3))
+
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec("lue", alpha=F(1, 2)),
+        EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2)),
+        EnsembleSpec("lue_tilde", alpha_tilde=F(25, 2)),
+        EnsembleSpec("jue_tilde", alpha=F(1, 2), beta=F(19, 2), m=3),
+    ])
+    def test_oracle_is_exact_at_rational_parameters(self, spec):
+        for mu in pt.enumerate_bounded(3, 3):
+            assert schur_avg_oracle(spec, mu, 3) == schur_average(spec, mu, 3)
 
     def test_jue_mixed_rational_and_real_parameters(self):
         """One real parameter makes the value real; a rational alpha with a

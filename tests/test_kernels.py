@@ -80,6 +80,11 @@ class TestSchurExpansion:
         q = KernelQuery(spec, 3, 1, (F(3),), (F(2),))
         assert khat_schur(q) == khat_cd(q)
 
+    def test_routes_exact_at_rational_parameters(self):
+        spec = EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2))
+        q = KernelQuery(spec, 3, 1, (F(1, 2),), (F(2),))
+        assert khat_schur(q) == khat_cd(q) == khat_double(q) == F(-17, 192)
+
 
 class TestFourWayEquality:
     @pytest.mark.parametrize("spec", [GUE, LUE0, EnsembleSpec("lue", alpha=2),

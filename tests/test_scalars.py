@@ -36,7 +36,7 @@ class TestDetExact:
         assert det_exact(m) == 0
 
     def test_mixed_fields_rejected(self):
-        # rationals embed everywhere, but QRat/Poly/HPReal cannot mix
+        # rationals embed everywhere, but QRat/Poly/mpf cannot mix
         with mpmath.workdps(20):
             with pytest.raises(ValueError):
                 det_exact([[mpmath.mpf(1), QRat.const(1)],

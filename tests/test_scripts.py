@@ -32,3 +32,10 @@ def test_expansion_demo_missing_parameter_is_a_usage_error():
     assert p.returncode == 2
     assert "Traceback" not in p.stderr
     assert "jue needs beta" in p.stderr
+
+
+def test_fermion_report_negative_n_is_a_usage_error():
+    p = run_script("fermion_report.py", "--n", "-1")
+    assert p.returncode == 2
+    assert "Traceback" not in p.stderr
+    assert "--n" in p.stderr
