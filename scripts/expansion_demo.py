@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 
-from schurkernels.ensembles import EnsembleSpec
+from schurkernels.ensembles import PARAMS, EnsembleSpec
 from schurkernels.kernels import (KernelQuery, expansion_table, k2_chebyshev,
                                   khat_cd, khat_double, khat_schur)
 from schurkernels.scalars import DEFAULT_DPS, parse_number, rational_sqrt
@@ -27,18 +27,21 @@ def main():
     mpmath.mp.dps = DEFAULT_DPS
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ensemble", default="lue")
-    ap.add_argument("--alpha", type=number, default=1)
+    ap.add_argument("--alpha", type=number, default=None,
+                    help="default 1 for the kinds that take alpha")
     ap.add_argument("--beta", type=number, default=None)
     ap.add_argument("--N", dest="n_rank", type=int, default=4)
     ap.add_argument("--x", type=number, default=Fraction(3, 2))
     ap.add_argument("--y", type=number, default=Fraction(2, 3))
     args = ap.parse_args()
 
-    kwargs = {"alpha": args.alpha}
-    if args.beta is not None:
-        kwargs["beta"] = args.beta
+    kind = args.ensemble.replace("-", "_")
+    kwargs = {key: v for key, v in (("alpha", args.alpha), ("beta", args.beta))
+              if v is not None}
+    if "alpha" in PARAMS.get(kind, ()):
+        kwargs.setdefault("alpha", 1)
     try:
-        spec = EnsembleSpec(args.ensemble.replace("-", "_"), **kwargs)
+        spec = EnsembleSpec(kind, **kwargs)
         q = KernelQuery(spec, args.n_rank, 1, (args.x,), (args.y,))
     except ValueError as exc:
         ap.error(str(exc))

@@ -37,7 +37,10 @@ from .scalars import (DEFAULT_DPS, Poly, QRat, at_precision, binom,
                       poch, qnum_floor, recip, to_mpf)
 from .symfun import qdim, schur_principal
 
-KINDS = ("gue", "lue", "jue", "jue_tilde", "lue_tilde", "sw", "qlue", "ginibre")
+#: the ensemble kinds and the parameters each takes; all but q are required
+PARAMS = {"gue": (), "lue": ("alpha",), "jue": ("alpha", "beta"),
+          "jue_tilde": ("alpha", "beta", "m"), "lue_tilde": ("alpha_tilde",),
+          "sw": (), "qlue": ("alpha", "q"), "ginibre": ()}
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,9 @@ class EnsembleSpec:
 
     Parameters are ints (exact), Fractions (exact rational) or mpf (real).
     `m` is required for jue_tilde, whose weight (1+z)^-(M+beta) depends on
-    the number of variables.  `q` is the numeric q for real-parameter
-    evaluations; exact SW/qLUE work is symbolic in u = q^(1/2).
+    the number of variables.  `q` is the numeric q of qLUE at non-integer
+    alpha; exact SW/qLUE work is symbolic in u = q^(1/2).  A parameter the
+    kind does not take is an error.
     """
 
     kind: str
@@ -58,20 +62,27 @@ class EnsembleSpec:
     m: int = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PARAMS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         for key in ("alpha", "beta", "alpha_tilde"):
             v = getattr(self, key)
             if isinstance(v, Fraction) and v.denominator == 1:
                 # 4/2 is the integer 2: same exact path, same moment cache key
                 object.__setattr__(self, key, v.numerator)
-        missing = [k for k in _REQUIRED.get(self.kind, ()) if getattr(self, k) is None]
+        takes = PARAMS[self.kind]
+        missing = [k for k in takes if k != "q" and getattr(self, k) is None]
         if missing:
             raise ValueError(f"{self.kind} needs {' and '.join(missing)}")
+        stray = [k for k in ("alpha", "beta", "alpha_tilde", "q", "m")
+                 if k not in takes and getattr(self, k) is not None]
+        if stray:
+            raise ValueError(f"{self.kind} does not take {' or '.join(stray)}")
         if self.kind in ("lue", "qlue", "jue_tilde") and not (self.alpha > -1):
             raise ValueError(f"{self.kind} needs alpha > -1")
         if self.kind == "qlue" and not isinstance(self.alpha, int) and self.q is None:
             raise ValueError("qlue needs q for non-integer alpha")
+        if self.kind == "qlue" and isinstance(self.alpha, int) and self.q is not None:
+            raise ValueError("qlue takes no q at integer alpha: it is exact in u = q^(1/2)")
         if self.kind == "jue" and (not (self.alpha > -1) or not (self.beta > -1)):
             raise ValueError("jue needs alpha, beta > -1")
         if self.q is not None and not (0 < self.q < 1):
@@ -87,12 +98,6 @@ class EnsembleSpec:
         if self.m is not None:
             out["m"] = self.m
         return out
-
-
-#: parameters each kind cannot do without
-_REQUIRED = {"lue": ("alpha",), "jue": ("alpha", "beta"),
-             "jue_tilde": ("alpha", "beta", "m"), "lue_tilde": ("alpha_tilde",),
-             "qlue": ("alpha",)}
 
 
 def _param_str(v) -> str:
@@ -128,8 +133,7 @@ def moment(spec: EnsembleSpec, p: int):
     # An exact parameter equals, and hashes as, the mpf of the same value
     # (1/2 and 0.5), so the key tells real moments from exact ones.
     params = (spec.alpha, spec.beta, spec.alpha_tilde)
-    real = (any(isinstance(v, mpmath.mpf) for v in params)
-            or spec.kind == "qlue" and not isinstance(spec.alpha, int))
+    real = spec.q is not None or any(isinstance(v, mpmath.mpf) for v in params)
     return _moment_cached(spec, p, mpmath.mp.dps if real else 0)
 
 

@@ -45,8 +45,7 @@ class KernelQuery:
             raise ValueError("need n x-points and n y-points")
         if any(not v for v in self.x) or any(not v for v in self.y):
             raise ValueError("points must be nonzero (t-vector undefined)")
-        q_exact = self.spec.kind == "sw" or (self.spec.kind == "qlue"
-                                             and isinstance(self.spec.alpha, int))
+        q_exact = self.spec.kind in ("sw", "qlue") and self.spec.q is None
         if q_exact and any(isinstance(v, mpmath.mpf) for v in self.x + self.y):
             raise ValueError("an exact q-ensemble needs rational points")
         object.__setattr__(self, "x", tuple(_exactify(v) for v in self.x))

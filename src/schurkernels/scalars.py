@@ -12,15 +12,20 @@ it runs at ``mpmath.mp.dps``.  The CLI root group, ``verify.run_suite`` and
 the ``dps`` argument of the query functions (``at_precision``) set it.
 
 Working in u = q^(1/2) (instead of q) keeps Stieltjes-Wigert moments
-q^(-(p+1)^2/2) and symmetric q-numbers exact Laurent objects.  One dense
-coefficient-list engine (the ``_p*`` helpers) does the polynomial arithmetic
-of both ``QRat`` and ``Poly``; ``parse_number`` is the one parser of numeric
-strings and ``to_mpf`` the one scalar-to-real conversion.
+q^(-(p+1)^2/2) and symmetric q-numbers exact Laurent objects.  ``QRat``
+keeps integer coefficient lists (the ``_z*`` helpers): a list c is read as
+the one integer c(2^(8w)) (Kronecker substitution), so a product, an exact
+quotient, a heuristic gcd or a whole Bareiss determinant over Z[u] is
+big-integer arithmetic.  ``Poly`` over Fractions, QRats or mpfs uses the
+generic dense-list helpers (``_p*``).  ``parse_number`` is the one parser
+of numeric strings and ``to_mpf`` the one scalar-to-real conversion.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -139,8 +144,8 @@ def rational_sqrt(x) -> Fraction | None:
 
 
 # ----------------------------------------------------------------------------
-# dense coefficient lists, lowest degree first: the one polynomial engine,
-# shared by QRat (Fraction coefficients) and Poly (any exact field or mpf)
+# dense coefficient lists, lowest degree first, over any ring: the arithmetic
+# of Poly (any exact field or mpf) and the generic parts of QRat's
 # ----------------------------------------------------------------------------
 
 def _ptrim(c: list) -> list:
@@ -192,16 +197,6 @@ def _pdivmod(a: list, b: list) -> tuple[list, list]:
     return _ptrim(q), r
 
 
-def _pgcd(a: list, b: list) -> list:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        lc = a[-1]
-        a = [x / lc for x in a]
-    return a
-
-
 def _phorner(c: list, x):
     r = x * 0
     for v in reversed(c):
@@ -228,15 +223,83 @@ def _binpow(b, k: int, one):
 
 
 # ----------------------------------------------------------------------------
+# integer coefficient lists, the exact core of QRat.  c is read as the integer
+# c(2^(8w)), w bytes per coefficient, with every |c_i| < 2^(8w-1); the least
+# such w for |c_i| <= bound is bound.bit_length() // 8 + 1
+# ----------------------------------------------------------------------------
+
+def _zbias(n: int, w: int) -> int:
+    """sum_{i<n} 2^(8w-1) 2^(8wi), which makes n signed digits nonnegative."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _zpack(c, w: int) -> int:
+    h = 1 << (8 * w - 1)
+    return int.from_bytes(b"".join((x + h).to_bytes(w, "little") for x in c),
+                          "little") - _zbias(len(c), w)
+
+
+def _zunpack(x: int, w: int) -> list:
+    n, h = x.bit_length() // (8 * w) + 2, 1 << (8 * w - 1)
+    b = (x + _zbias(n, w)).to_bytes(n * w, "little")
+    return _ptrim([int.from_bytes(b[i:i + w], "little") - h for i in range(0, n * w, w)])
+
+
+def _zmul(a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) <= 1:
+        return [x * b[0] for x in a] if b else []
+    w = (max(map(abs, a)) * max(map(abs, b)) * len(b)).bit_length() // 8 + 1
+    return _zunpack(_zpack(a, w) * _zpack(b, w), w)
+
+
+def _zexquo(a: list, b: list):
+    """a/b if b divides the nonzero a in Z[u], else None.  A factor of a has
+    coefficients at most 2^deg ||a||_1 (Mignotte), so the quotient's digits
+    read back; the product check makes the answer exact."""
+    w = max(sum(map(abs, a)) << max(len(a) - len(b), 0), *map(abs, b)).bit_length() // 8 + 1
+    q, r = divmod(_zpack(a, w), _zpack(b, w))
+    q = None if r else _zunpack(q, w)
+    return q if q and _zmul(b, q) == a else None
+
+
+def _zprim(c: list) -> list:
+    """c over its content, with a positive leading coefficient."""
+    g = math.gcd(*c) * (1 if c[-1] > 0 else -1)
+    return [x // g for x in c]
+
+
+def _zgcd(a: list, b: list) -> list:
+    """Primitive gcd of nonzero a, b in Z[u].  Heuristic gcd (Char, Geddes
+    and Gonnet, J. Symb. Comp. 7, 1989): at xi = 2^(8w) >= 2 max|a_i, b_i|
+    + 2, the symmetric xi-adic digits of gcd(a(xi), b(xi)) are the gcd once
+    their primitive part divides both; otherwise primitive Euclid decides."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    a, b = _zprim(a), _zprim(b)
+    w = max(map(abs, a + b)).bit_length() // 8 + 1
+    g = _zprim(_zunpack(math.gcd(_zpack(a, w), _zpack(b, w)), w))
+    if len(g) == 1 or (_zexquo(a, g) and _zexquo(b, g)):
+        return g
+    while b:  # each remainder over Q scaled to a primitive integer list
+        r = _pdivmod([Fraction(x) for x in a], b)[1]
+        a, b = b, r and _zprim([int(x * math.lcm(*(y.denominator for y in r))) for x in r])
+    return a
+
+
+# ----------------------------------------------------------------------------
 # QRat: Laurent rational functions in u = q^(1/2)
 # ----------------------------------------------------------------------------
 
 class QRat:
     """Exact Laurent rational function in u = q^(1/2).
 
-    Canonical form: value = u^offset * num(u)/den(u) with num[0] != 0,
-    den[0] != 0, gcd(num, den) = 1 and den monic (leading coefficient 1,
-    hence positive).  Zero is offset 0, num = [], den = [1].
+    Canonical form: value = u^offset * num(u)/den(u) with integer
+    coefficients, num[0] != 0, den[0] != 0, gcd(num, den) = 1, no integer
+    factor common to all coefficients of num and den, and den[-1] > 0.
+    Zero is offset 0, num = [], den = [1].  The constructor also takes
+    Fraction coefficients.
     """
 
     __slots__ = ("offset", "num", "den")
@@ -244,27 +307,30 @@ class QRat:
     def __init__(self, offset=0, num=(1,), den=(1,)):
         num = [Fraction(c) for c in num]
         den = [Fraction(c) for c in den]
-        self.offset, self.num, self.den = _qr_canonical(offset, num, den)
+        lcd = math.lcm(*(c.denominator for c in num + den))
+        self.offset, self.num, self.den = _qr_canonical(
+            offset, [int(c * lcd) for c in num], [int(c * lcd) for c in den])
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def const(cls, c) -> "QRat":
-        return cls(0, [Fraction(c)], [Fraction(1)])
+        c = Fraction(c)
+        return cls._raw(0, [c.numerator], [c.denominator], True)
 
     @classmethod
     def u_power(cls, k: int) -> "QRat":
-        return cls(k, [Fraction(1)], [Fraction(1)])
+        return cls._raw(k, [1], [1], True)
 
     @classmethod
     def q_power(cls, k: int) -> "QRat":
         """q^k = u^(2k)."""
-        return cls(2 * k, [Fraction(1)], [Fraction(1)])
+        return cls.u_power(2 * k)
 
     @classmethod
-    def _raw(cls, offset, num, den) -> "QRat":
+    def _raw(cls, offset, num, den, coprime=False) -> "QRat":
         self = object.__new__(cls)
-        self.offset, self.num, self.den = _qr_canonical(offset, num, den)
+        self.offset, self.num, self.den = _qr_canonical(offset, num, den, coprime)
         return self
 
     # -- helpers -------------------------------------------------------------
@@ -291,14 +357,14 @@ class QRat:
         if not o.num:
             return self
         k = min(self.offset, o.offset)
-        a = _pmul(_ushift(self.num, self.offset - k), o.den)
-        b = _pmul(_ushift(o.num, o.offset - k), self.den)
-        return QRat._raw(k, _padd(a, b), _pmul(self.den, o.den))
+        a = _zmul(_ushift(self.num, self.offset - k), o.den)
+        b = _zmul(_ushift(o.num, o.offset - k), self.den)
+        return QRat._raw(k, _padd(a, b), _zmul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QRat._raw(self.offset, _pneg(self.num), self.den)
+        return QRat._raw(self.offset, _pneg(self.num), self.den, True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -318,21 +384,17 @@ class QRat:
             return NotImplemented
         if not self.num or not o.num:
             return QRat.const(0)
-        # cross-cancel before multiplying to keep gcds small
-        g1 = _pgcd(self.num, o.den)
-        g2 = _pgcd(o.num, self.den)
-        n1 = _pdivmod(self.num, g1)[0] if len(g1) > 1 else self.num
-        d2 = _pdivmod(o.den, g1)[0] if len(g1) > 1 else o.den
-        n2 = _pdivmod(o.num, g2)[0] if len(g2) > 1 else o.num
-        d1 = _pdivmod(self.den, g2)[0] if len(g2) > 1 else self.den
-        return QRat._raw(self.offset + o.offset, _pmul(n1, n2), _pmul(d1, d2))
+        # cross-cancel, after which the product is already in lowest terms
+        n1, d2 = _zcancel(self.num, o.den)
+        n2, d1 = _zcancel(o.num, self.den)
+        return QRat._raw(self.offset + o.offset, _zmul(n1, n2), _zmul(d1, d2), True)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QRat":
         if not self.num:
             raise ZeroDivisionError("QRat inverse of zero")
-        return QRat._raw(-self.offset, self.den, self.num)
+        return QRat._raw(-self.offset, self.den, self.num, True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -376,48 +438,49 @@ class QRat:
             raise ZeroDivisionError("QRat has a pole at u = 1")
         return _phorner(self.num, Fraction(1)) / den
 
+    def _monic(self) -> tuple[list, list]:
+        """num and den as Fractions over the leading coefficient of den."""
+        return tuple([Fraction(c, self.den[-1]) for c in p] for p in (self.num, self.den))
+
     def to_json(self) -> dict:
-        return {
-            "var": "u",
-            "offset": self.offset,
-            "num": [frac_str(c) for c in self.num],
-            "den": [frac_str(c) for c in self.den],
-        }
+        num, den = self._monic()
+        return {"var": "u", "offset": self.offset,
+                "num": [frac_str(c) for c in num], "den": [frac_str(c) for c in den]}
 
     def __repr__(self):
         if not self.num:
             return "QRat(0)"
-        return (f"QRat(u^{self.offset} * ({_pstr(self.num, 'u')}) / ({_pstr(self.den, 'u')}))")
+        num, den = self._monic()
+        return f"QRat(u^{self.offset} * ({_pstr(num, 'u')}) / ({_pstr(den, 'u')}))"
 
 
 def _ushift(c: list, k: int) -> list:
-    return [Fraction(0)] * k + c if k else c
+    return [0] * k + c if k and c else c
 
 
-def _qr_canonical(offset, num, den):
+def _zcancel(a: list, b: list) -> tuple[list, list]:
+    """a and b over their gcd."""
+    g = _zgcd(a, b)
+    return (_zexquo(a, g), _zexquo(b, g)) if len(g) > 1 else (a, b)
+
+
+def _qr_canonical(offset, num, den, coprime=False):
     _ptrim(num)
     _ptrim(den)
     if not den:
         raise ZeroDivisionError("QRat with zero denominator")
     if not num:
-        return 0, [], [Fraction(1)]
+        return 0, [], [1]
     i = next(k for k, c in enumerate(num) if c)
     j = next(k for k, c in enumerate(den) if c)
     offset += i - j
     num, den = num[i:], den[j:]
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
-    lc = den[-1]
-    if lc != 1:
-        num = [c / lc for c in num]
-        den = [c / lc for c in den]
+    if not coprime:
+        num, den = _zcancel(num, den)
+    c = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
+    if c != 1:
+        num, den = [x // c for x in num], [x // c for x in den]
     return offset, num, den
-
-
-QRAT_ONE = QRat.const(1)
-QRAT_U = QRat.u_power(1)
 
 
 def qnum_symmetric(z: int) -> QRat:
@@ -427,7 +490,7 @@ def qnum_symmetric(z: int) -> QRat:
     if z < 0:
         return -qnum_symmetric(-z)
     # u^(1-z) (1 + u^2 + ... + u^(2z-2))
-    return QRat(1 - z, [Fraction(1), Fraction(0)] * (z - 1) + [Fraction(1)])
+    return QRat._raw(1 - z, [1, 0] * (z - 1) + [1], [1], True)
 
 
 def qnum_floor(z: int) -> QRat:
@@ -437,7 +500,7 @@ def qnum_floor(z: int) -> QRat:
     if z < 0:
         # (1 - q^z)/(1 - q) = -q^z * |  -z |_q
         return -(QRat.q_power(z) * qnum_floor(-z))
-    return QRat(0, [Fraction(1), Fraction(0)] * (z - 1) + [Fraction(1)])
+    return QRat._raw(0, [1, 0] * (z - 1) + [1], [1], True)
 
 
 def qfactorial_floor(n: int) -> QRat:
@@ -581,7 +644,15 @@ def det_exact(matrix):
         raise ValueError(f"mixed scalar fields in matrix: {sorted(kinds)}")
     if kinds == {"hpreal"}:
         return _det_hpreal(matrix)
-    m = [list(row) for row in matrix]
+    if kinds == {"qrat"}:
+        return _det_qrat(matrix)
+    return _bareiss([list(row) for row in matrix], operator.truediv)
+
+
+def _bareiss(m, div):
+    """Fraction-free elimination of the matrix m in place; div is the exact
+    division of its entries."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -594,11 +665,31 @@ def det_exact(matrix):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 t = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = t / prev if k > 0 else t
+                m[i][j] = div(t, prev) if k > 0 else t
             m[i][k] = 0
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return -d if sign < 0 else d
+
+
+def _det_qrat(matrix):
+    """Row i times u^-k_i L_i (L_i the product of its denominators) is a row
+    of Z over Z[u]; det = u^(sum k_i) det Z / prod L_i.  Bareiss runs on Z at
+    u = 2^(8w), a ring map, so its divisions stay exact; 2^(8w-1) exceeds
+    prod_i sum_j ||Z_ij||_1, which bounds the coefficients of every minor."""
+    rows, offset, den, bound = [], 0, [1], 1
+    for row in matrix:
+        row = [QRat._coerce(x) for x in row]
+        if not any(row):
+            return QRat.const(0)
+        k = min(x.offset for x in row if x)
+        lcd = functools.reduce(_zmul, {tuple(x.den) for x in row}, [1])
+        rows.append([_zmul(_ushift(x.num, x.offset - k), _zexquo(lcd, x.den)) for x in row])
+        offset, den = offset + k, _zmul(den, lcd)
+        bound *= sum(abs(c) for e in rows[-1] for c in e)
+    w = bound.bit_length() // 8 + 1
+    d = _bareiss([[_zpack(e, w) for e in z] for z in rows], operator.floordiv)
+    return QRat._raw(offset, _zunpack(d, w), den)
 
 
 def _det_hpreal(matrix):

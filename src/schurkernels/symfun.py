@@ -101,12 +101,12 @@ def qdim(mu, m: int) -> QRat:
     mu = pt.canonical(mu)
     if len(mu) > m:
         raise ValueError(f"qdim needs l(mu) <= {m}")
-    r = QRat.const(1)
+    num = den = QRat.const(1)
     for j in range(1, m + 1):
         for k in range(j + 1, m + 1):
-            r = r * qnum_symmetric(pt.part(mu, j) - j - pt.part(mu, k) + k)
-            r = r / qnum_symmetric(k - j)
-    return r
+            num = num * qnum_symmetric(pt.part(mu, j) - j - pt.part(mu, k) + k)
+            den = den * qnum_symmetric(k - j)
+    return num / den
 
 
 def dual_cauchy_check(t: list, z: list):

@@ -196,6 +196,16 @@ EVAL = ["kernel", "eval", "--ensemble", "gue", "--N", "3", "--n", "1"]
       "--m", "2", "--partition", "1", "--method", "oracle"], None),
     (["schur-avg", "--ensemble", "lue-tilde", "--alpha-tilde", "2.5", "--m", "2",
       "--partition", "1", "--method", "oracle"], None),
+    (["schur-avg", "--ensemble", "lue", "--alpha", "1", "--beta", "3", "--m", "2",
+      "--partition", "1"], None),
+    (["schur-avg", "--ensemble", "lue", "--alpha", "1", "--q", "1/2", "--m", "2",
+      "--partition", "1"], None),
+    (["schur-avg", "--ensemble", "gue", "--alpha", "1", "--m", "2", "--partition", "1"],
+     None),
+    (["schur-avg", "--ensemble", "sw", "--q", "1/2", "--m", "2", "--partition", "1"],
+     None),
+    (["schur-avg", "--ensemble", "qlue", "--alpha", "1", "--q", "1/2", "--m", "2",
+      "--partition", "1"], None),
 ])
 def test_bad_input_fails_cleanly(runner, args, env):
     if env is None:

@@ -70,6 +70,23 @@ class TestSpec:
         with pytest.raises(ValueError, match="needs"):
             EnsembleSpec(kind, **params)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("gue", {"alpha": 1}), ("lue", {"alpha": 1, "beta": 3}),
+        ("lue", {"alpha": 1, "q": F(1, 2)}), ("jue", {"alpha": 1, "beta": 1, "m": 2}),
+        ("lue_tilde", {"alpha_tilde": 5, "alpha": 1}), ("sw", {"q": F(1, 2)}),
+        ("ginibre", {"beta": 1}),
+    ])
+    def test_unused_parameters_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="does not take"):
+            EnsembleSpec(kind, **params)
+
+    def test_qlue_takes_q_only_at_non_integer_alpha(self):
+        with pytest.raises(ValueError, match="no q at integer alpha"):
+            EnsembleSpec("qlue", alpha=1, q=F(1, 2))
+        assert EnsembleSpec("qlue", alpha=F(1, 2), q=F(1, 2)).q == F(1, 2)
+        with pytest.raises(ValueError, match=r"q must be in \(0, 1\)"):
+            EnsembleSpec("qlue", alpha=F(1, 2), q=F(3, 2))
+
 
 class TestMoments:
     def test_gue(self):

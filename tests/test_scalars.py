@@ -1,5 +1,6 @@
 """Unit tests for scalars: QRat arithmetic, determinants, special functions."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkernels.scalars import (Poly, QRat, barnes_g_int, binom,
-                                  det_cofactor, det_exact, double_factorial,
-                                  frac_str, gamma_real, hp_close, parse_number,
-                                  poch, qfactorial_floor, qgamma_real,
-                                  qnum_floor, qnum_symmetric, rational_sqrt)
+from schurkernels.scalars import (Poly, QRat, _zexquo, _zgcd, _zpack, _zprim,
+                                  _zunpack, barnes_g_int, binom, det_cofactor,
+                                  det_exact, double_factorial, frac_str,
+                                  gamma_real, hp_close, parse_number, poch,
+                                  qfactorial_floor, qgamma_real, qnum_floor,
+                                  qnum_symmetric, rational_sqrt)
 
 F = Fraction
 
@@ -111,6 +113,82 @@ class TestQRat:
         if x:
             assert (x / x) == QRat.const(1)
             assert (y / x) * x == y
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def qrats(draw):
+    """A QRat from Fraction coefficient lists: a negative or small offset, up
+    to three numerator terms (zero included) and a nonzero denominator of up
+    to three terms."""
+    num = draw(st.lists(SMALL, max_size=3))
+    den = draw(st.lists(SMALL, min_size=1, max_size=3).filter(any))
+    return QRat(draw(st.integers(-4, 2)), num, den)
+
+
+class TestIntegerLaurentCore:
+    """QRat keeps integer coefficient lists; det_exact runs Bareiss over Z[u]."""
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(qrats(), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    @settings(max_examples=60, deadline=None)
+    def test_det_matches_cofactor(self, m):
+        assert det_exact(m) == det_cofactor(m)
+
+    @given(qrats(), qrats(),
+           st.fractions(min_value=F(-3), max_value=F(3), max_denominator=5))
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_matches_evaluation(self, x, y, u):
+        try:
+            xu, yu = x.eval_u(u), y.eval_u(u)
+        except ZeroDivisionError:  # a pole of x or y, or u = 0 with offset < 0
+            return
+        assert (x + y).eval_u(u) == xu + yu
+        assert (x * y).eval_u(u) == xu * yu
+        if yu:
+            assert (x / y).eval_u(u) == xu / yu
+
+    @given(qrats())
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_form(self, x):
+        assert all(isinstance(c, int) for c in x.num + x.den)
+        assert x.den[-1] > 0 and math.gcd(*x.num, *x.den) == 1
+        if x:
+            assert x.num[0] and x.den[0] and _zgcd(x.num, x.den) == [1]
+
+    def test_fraction_and_integer_coefficients_agree(self):
+        a = QRat(-2, [F(1, 2), F(0), F(-2, 3)], [F(3, 4), F(1, 6)])
+        b = QRat(-2, [6, 0, -8], [9, 2])
+        assert a == b
+        assert (a.offset, a.num, a.den) == (-2, [6, 0, -8], [9, 2])
+        assert a.to_json() == {"var": "u", "offset": -2, "num": ["3/1", "0/1", "-4/1"],
+                               "den": ["9/2", "1/1"]}
+
+    def test_gcd_fallback(self):
+        # a = 3 (1 + u^2)(-21 + 10u - 22u^2 ... ) and b = 6 (1 + u^2)(15u - 16);
+        # at xi = 2^8 the integer gcd of a(xi), b(xi) reads back as
+        # (1 + u^2)(u - 17), which divides neither, so primitive Euclid decides
+        a = [-63, -33, 39, -99, 102, -66]
+        b = [-96, 90, -96, 90]
+        pa, pb = _zprim(a), _zprim(b)
+        candidate = _zunpack(math.gcd(_zpack(pa, 1), _zpack(pb, 1)), 1)
+        assert candidate == [-17, 1, -17, 1]
+        assert _zexquo(pa, candidate) is None
+        assert _zgcd(a, b) == [1, 0, 1]
+
+    def test_exact_quotient(self):
+        assert _zexquo([-1, 0, 1], [1, 1]) == [-1, 1]
+        assert _zexquo([1, 1, 1], [1, 1]) is None
+        assert _zexquo([2, 2], [4, 4]) is None  # 1/2 is not in Z[u]
+
+    def test_det_clears_row_denominators(self):
+        u = QRat.u_power
+        one_minus_u = 1 - u(1)
+        m = [[1 / one_minus_u, u(-3)], [QRat.const(F(1, 2)), 1 / (1 + u(2))]]
+        assert det_exact(m) == det_cofactor(m)
 
 
 class TestPoly:

@@ -34,6 +34,19 @@ def test_expansion_demo_missing_parameter_is_a_usage_error():
     assert "jue needs beta" in p.stderr
 
 
+@pytest.mark.parametrize("kind", ["gue", "sw"])
+def test_expansion_demo_runs_on_kinds_without_alpha(kind):
+    p = run_script("expansion_demo.py", "--ensemble", kind)
+    assert p.returncode == 0, p.stderr
+    assert "schur expansion" in p.stdout
+
+
+def test_expansion_demo_stray_alpha_is_a_usage_error():
+    p = run_script("expansion_demo.py", "--ensemble", "gue", "--alpha", "1")
+    assert p.returncode == 2
+    assert "gue does not take alpha" in p.stderr
+
+
 def test_fermion_report_negative_n_is_a_usage_error():
     p = run_script("fermion_report.py", "--n", "-1")
     assert p.returncode == 2
