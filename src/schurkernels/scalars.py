@@ -284,7 +284,8 @@ def _zgcd(a: list, b: list) -> list:
         return g
     while b:  # each remainder over Q scaled to a primitive integer list
         r = _pdivmod([Fraction(x) for x in a], b)[1]
-        a, b = b, r and _zprim([int(x * math.lcm(*(y.denominator for y in r))) for x in r])
+        lcd = math.lcm(*(x.denominator for x in r))
+        a, b = b, r and _zprim([int(x * lcd) for x in r])
     return a
 
 
