@@ -631,8 +631,9 @@ def det_exact(matrix):
     """Determinant of a square matrix over one scalar field.
 
     Fraction-free Bareiss elimination for the exact fields (every division
-    is exact, which tames intermediate growth); partial-pivot Gaussian
-    elimination for high-precision reals.  Mixing fields is an error.
+    is exact, which tames intermediate growth; over QRat it runs on big
+    integers, see _det_qrat); partial-pivot Gaussian elimination for
+    high-precision reals.  Mixing fields is an error.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -651,8 +652,8 @@ def det_exact(matrix):
 
 
 def _bareiss(m, div):
-    """Fraction-free elimination of the matrix m in place; div is the exact
-    division of its entries."""
+    """Determinant of the square matrix m by fraction-free elimination, in
+    place; div is the exact division of its entries."""
     n = len(m)
     sign = 1
     prev = 1
