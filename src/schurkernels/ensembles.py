@@ -33,8 +33,9 @@ import mpmath
 
 from . import partitions as pt
 from .scalars import (DEFAULT_DPS, Poly, QRat, at_precision, binom,
-                      det_exact, double_factorial, factorial, parse_number,
-                      poch, qnum_floor, recip, to_mpf)
+                      det_exact, double_factorial, factorial,
+                      mat_inverse_exact, parse_number, poch, qnum_floor, recip,
+                      to_mpf)
 from .symfun import qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -130,11 +131,15 @@ def moment(spec: EnsembleSpec, p: int):
     """
     if p < 0:
         raise ValueError("moment needs p >= 0")
-    # An exact parameter equals, and hashes as, the mpf of the same value
-    # (1/2 and 0.5), so the key tells real moments from exact ones.
+    return _moment_cached(spec, p, field_key(spec))
+
+
+def field_key(spec: EnsembleSpec) -> int:
+    """The cache key part that tells a real spec (the working precision) from
+    an exact one (0): 1/2 and 0.5 are equal, equally hashed parameters."""
     params = (spec.alpha, spec.beta, spec.alpha_tilde)
     real = spec.q is not None or any(isinstance(v, mpmath.mpf) for v in params)
-    return _moment_cached(spec, p, mpmath.mp.dps if real else 0)
+    return mpmath.mp.dps if real else 0
 
 
 @lru_cache(maxsize=4096)
@@ -200,17 +205,23 @@ def _moment_det(spec: EnsembleSpec, rows, cols):
     return det_exact([[mom[a + b] for b in cols] for a in rows])
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrthoSystem:
     """Monic orthogonal polynomials P_0..P_K and their norms h_0..h_K."""
 
     spec: EnsembleSpec
-    polys: list
-    norms: list
+    polys: tuple
+    norms: tuple
 
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
-    """Gram-Schmidt on the moment bilinear form <z^a, z^b> = m_{a+b}."""
+    """Gram-Schmidt on the moment bilinear form <z^a, z^b> = m_{a+b};
+    cached, bounded, with the key of `moment`."""
+    return _ortho_cached(spec, kmax, field_key(spec))
+
+
+@lru_cache(maxsize=128)
+def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
     mom = [moment(spec, p) for p in range(2 * kmax + 1)]
 
     def inner(pa: Poly, pb: Poly):
@@ -233,7 +244,7 @@ def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
             raise ValueError(f"degenerate measure: zero norm at degree {k}")
         polys.append(p)
         norms.append(h)
-    return OrthoSystem(spec, polys, norms)
+    return OrthoSystem(spec, tuple(polys), tuple(norms))
 
 
 # ----------------------------------------------------------------------------
@@ -273,6 +284,29 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
     b = [pt.part(mu, k) + m - k for k in range(1, m + 1)]
     a0 = [m - j for j in range(1, m + 1)]
     return _moment_det(spec, a, b) / _moment_det(spec, a0, a0)
+
+
+def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
+    """(numerators, denominator) of <s_lam' s_mu'> for lam, mu in Y_{n,M}.
+
+    The numerator in `schur_pair_avg_oracle` is the minor H[A, B] of the
+    (M+n)-square moment Hankel matrix; A^c = {M-1+i-lam_i}.  By Jacobi's
+    complementary-minor identity it is (-1)^(sum A + sum B)
+    det adj(H)[B^c, A^c] / det(H)^(n-1): one adj(H) = det(H) H^-1 for all.
+    """
+    size = m + n
+    mom = [moment(spec, p) for p in range(2 * size - 1)]
+    h = [[mom[j + k] for k in range(size)] for j in range(size)]
+    det_h = det_exact(h)
+    adj = [[det_h * x for x in row] for row in mat_inverse_exact(h)]
+    comp = {lam: [m - 1 + i - pt.part(lam, i) for i in range(1, n + 1)]
+            for lam in pt.enumerate_bounded(n, m)}
+    nums = {}
+    for lam, a in comp.items():
+        for mu, b in comp.items():
+            minor = det_exact([[adj[j][k] for k in a] for j in b])
+            nums[lam, mu] = -minor if (sum(a) + sum(b)) % 2 else minor
+    return nums, hankel_det(spec, m) * det_h ** (n - 1)
 
 
 def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):

@@ -14,18 +14,20 @@ where Khat = [prod_{j=M}^{N-1} h_j / prod_i (x_i y_i)^M] K_N^(n).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import mpmath
 
 from . import partitions as pt
-from .ensembles import (EnsembleSpec, OrthoSystem, moment, ortho_system,
-                        pair_average, schur_average, schur_avg_jue,
-                        schur_pair_avg_ginibre)
+from .ensembles import (EnsembleSpec, OrthoSystem, field_key, moment,
+                        ortho_system, pair_average, pair_cofactors,
+                        schur_average, schur_avg_jue, schur_pair_avg_ginibre)
 from .scalars import (at_precision, binom, det_exact, factorial, gamma_real,
                       mat_inverse_exact, rational_sqrt, recip, to_mpf)
-from .symfun import chebyshev_u, schur_eval
+from .symfun import chebyshev_u, schur_eval, schur_table
 
 
 @dataclass(frozen=True)
@@ -64,29 +66,37 @@ def _exactify(v):
     return Fraction(v) if isinstance(v, int) else v
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelExpansion:
-    """Coefficient map of the Schur expansion over the 2n x (N-n) rectangle."""
+    """Read-only coefficient map of the Schur expansion over the 2n x (N-n)
+    rectangle (a cached table is shared by every caller)."""
 
     rows: int
     cols: int
-    coeffs: dict = field(default_factory=dict)
+    coeffs: MappingProxyType
 
     def evaluate(self, t: tuple):
+        """sum_lam s_lam(t) c_lam, every s_lam(t) from one `schur_table` pass."""
+        s = schur_table(self.rows, self.cols, list(t))
         total = 0
         for lam, c in self.coeffs.items():
-            total = total + schur_eval(lam, list(t)) * c
+            total = total + s[lam] * c
         return total
 
 
 def expansion_table(spec: EnsembleSpec, n_rank: int, n_pairs: int,
                     method: str = "closed") -> KernelExpansion:
-    """Coefficients <s_lam'>_w for all lam in Y_{2n, N-n}."""
+    """Coefficients <s_lam'>_w for all lam in Y_{2n, N-n}; cached, bounded,
+    with the key of `moment`."""
+    return _table_cached(spec, n_rank, n_pairs, method, field_key(spec))
+
+
+@lru_cache(maxsize=128)
+def _table_cached(spec, n_rank, n_pairs, method, dps) -> KernelExpansion:
     m = n_rank - n_pairs
-    exp = KernelExpansion(rows=2 * n_pairs, cols=m)
-    for lam in pt.enumerate_bounded(2 * n_pairs, m):
-        exp.coeffs[lam] = schur_average(spec, pt.conjugate(lam), m, method)
-    return exp
+    coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method)
+              for lam in pt.enumerate_bounded(2 * n_pairs, m)}
+    return KernelExpansion(2 * n_pairs, m, MappingProxyType(coeffs))
 
 
 def khat_schur(query: KernelQuery, method: str = "closed",
@@ -99,30 +109,29 @@ def khat_schur(query: KernelQuery, method: str = "closed",
 
 
 def khat_double(query: KernelQuery, dps: int | None = None):
-    """Khat via the double expansion over pairs (lam, mu) in Y_{n,M}^2 with
-    two-insertion Andreief pair averages."""
+    """Khat via the double expansion sum over lam, mu in Y_{n,M} of
+    s_lam(x^v) s_mu(y^v) <s_lam' s_mu'>: on the real line from one Hankel
+    adjugate (`pair_cofactors`), divided once; Ginibre by `pair_average`."""
     with at_precision(dps):
-        m = query.m_size
-        xd = [-1 / v for v in query.x]
-        yd = [-1 / v for v in query.y]
+        spec, m, n = query.spec, query.m_size, query.n_pairs
+        sx = schur_table(n, m, [-1 / v for v in query.x])
+        sy = schur_table(n, m, [-1 / v for v in query.y])
+        if spec.kind == "ginibre":
+            nums = {(lam, mu): pair_average(spec, pt.conjugate(lam), pt.conjugate(mu), m)
+                    for lam in sx for mu in sy}
+            den = 1
+        else:
+            nums, den = pair_cofactors(spec, n, m)
         total = 0
-        parts = pt.enumerate_bounded(query.n_pairs, m)
-        sx = {lam: schur_eval(lam, xd) for lam in parts}
-        sy = {mu: schur_eval(mu, yd) for mu in parts}
-        for lam in parts:
-            if not sx[lam]:
-                continue
-            for mu in parts:
-                if not sy[mu]:
-                    continue
-                avg = pair_average(query.spec, pt.conjugate(lam), pt.conjugate(mu), m)
-                total = total + sx[lam] * sy[mu] * avg
-        return total
+        for (lam, mu), c in nums.items():
+            total = total + sx[lam] * sy[mu] * c
+        return total * recip(den)
 
 
 def k2_chebyshev(query: KernelQuery, dps: int | None = None):
     """2-point Khat via the Chebyshev form
-    sum_{lam1 >= lam2} <s_lam'> (xy)^(-|lam|/2) U_{lam1-lam2}(-(x+y)/(2 sqrt(xy))).
+    sum_{lam1 >= lam2} <s_lam'> (xy)^(-|lam|/2) U_{lam1-lam2}(-(x+y)/(2 sqrt(xy))),
+    with the coefficients <s_lam'> read from `expansion_table(spec, N, 1)`.
 
     lam1 runs to N-1 (= M for n = 1): this is the full rectangle of the
     Schur expansion, without which the equality with khat_schur fails.
@@ -140,14 +149,11 @@ def k2_chebyshev(query: KernelQuery, dps: int | None = None):
         else:
             s = mpmath.sqrt(xy)
         w = -(x + y) / (2 * s)
-        m = query.m_size
+        coeffs = expansion_table(query.spec, query.n_rank, 1).coeffs
         total = 0
-        for lam1 in range(0, query.n_rank):
-            if lam1 > m:
-                break
+        for lam1 in range(query.m_size + 1):
             for lam2 in range(0, lam1 + 1):
-                lam = pt.canonical((lam1, lam2))
-                c = schur_average(query.spec, pt.conjugate(lam), m)
+                c = coeffs[pt.canonical((lam1, lam2))]
                 total = total + c * s ** (-(lam1 + lam2)) * chebyshev_u(lam1 - lam2, w)
         return total
 

@@ -184,9 +184,9 @@ def _pdivmod(a: list, b: list) -> tuple[list, list]:
         raise ZeroDivisionError("polynomial division by zero")
     r = a[:]
     q = [0] * max(0, len(a) - len(b) + 1)
-    lb = b[-1]
+    inv = recip(b[-1])
     while len(r) >= len(b):
-        c = r[-1] / lb
+        c = r[-1] * inv
         d = len(r) - len(b)
         q[d] = c
         for i, y in enumerate(b):
@@ -631,7 +631,8 @@ def det_exact(matrix):
     """Determinant of a square matrix over one scalar field.
 
     Fraction-free Bareiss elimination for the exact fields (every division
-    is exact, which tames intermediate growth; over QRat it runs on big
+    is exact, which tames intermediate growth; an all-int matrix divides
+    with //, so its determinant is an int; over QRat it runs on big
     integers, see _det_qrat); partial-pivot Gaussian elimination for
     high-precision reals.  Mixing fields is an error.
     """
@@ -648,7 +649,9 @@ def det_exact(matrix):
         return _det_hpreal(matrix)
     if kinds == {"qrat"}:
         return _det_qrat(matrix)
-    return _bareiss([list(row) for row in matrix], operator.truediv)
+    ints = all(isinstance(x, int) for row in matrix for x in row)
+    return _bareiss([list(row) for row in matrix],
+                    operator.floordiv if ints else operator.truediv)
 
 
 def _bareiss(m, div):
@@ -731,7 +734,8 @@ def det_cofactor(matrix):
 
 
 def mat_inverse_exact(matrix):
-    """Exact inverse of a square matrix over an exact field (Gauss-Jordan)."""
+    """Inverse of a square matrix by Gauss-Jordan, exact over the exact
+    fields (an int matrix gives Fractions)."""
     n = len(matrix)
     m = [list(row) + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(matrix)]
@@ -740,8 +744,8 @@ def mat_inverse_exact(matrix):
         if piv is None:
             raise ZeroDivisionError("singular matrix")
         m[k], m[piv] = m[piv], m[k]
-        d = m[k][k]
-        m[k] = [x / d for x in m[k]]
+        d = recip(m[k][k])
+        m[k] = [x * d for x in m[k]]
         for i in range(n):
             if i != k and m[i][k]:
                 f = m[i][k]

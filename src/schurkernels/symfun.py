@@ -4,13 +4,16 @@ identity and the Chebyshev bridge.
 
 Schur polynomials are evaluated by the Jacobi-Trudi determinant of complete
 homogeneous polynomials: division-free, exact in any scalar field and valid
-at repeated points.  The bialternant ratio is provided only as a
-cross-check at distinct points.
+at repeated points; `schur_table` gives every s_lam of a rectangle in one
+branching pass.  The bialternant ratio is only a cross-check at distinct
+points.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import partitions as pt
 from .scalars import QRat, det_exact, qnum_symmetric
@@ -61,6 +64,36 @@ def schur_eval(lam, z: list):
              if 0 <= lam[i] - (i + 1) + (j + 1) <= lam[0] + n - 1 else 0)
             for j in range(n)] for i in range(n)]
     return det_exact(mat)
+
+
+def schur_table(rows: int, cols: int, z: list) -> dict:
+    """s_lam(z) for every lam in Y_{rows,cols}, adding one variable at a time
+    by the branching rule s_lam(z_1..z_k) = sum_mu s_mu(z_1..z_{k-1})
+    z_k^(|lam|-|mu|), mu interlacing lam (Demmel and Koev, Math. Comp. 75,
+    2006).  Rational points run on ints: s_lam(z) = s_lam(Dz) / D^|lam|."""
+    parts, steps = _branching(rows, cols)
+    exact = all(isinstance(v, (int, Fraction)) for v in z)
+    d = math.lcm(*(Fraction(v).denominator for v in z)) if exact else 1
+    s = [1] + [0] * (len(parts) - 1)
+    for x in ([int(v * d) for v in z] if exact else z):
+        for step in steps:
+            for k, j in step:
+                s[k] = s[k] + x * s[j]
+    if exact:
+        return {p: Fraction(v, d ** sum(p)) for p, v in zip(parts, s)}
+    return dict(zip(parts, s))
+
+
+@lru_cache(maxsize=64)
+def _branching(rows: int, cols: int):
+    """Y_{rows,cols} and, for rows i = rows..1, the index pairs (nu, nu - e_i).
+    s[nu] += x s[nu - e_i] over them, nu in increasing size, sums the mu
+    that interlace nu in rows >= i, so one pass over all rows adds x."""
+    parts = pt.enumerate_bounded(rows, cols)
+    index = {p: k for k, p in enumerate(parts)}
+    return parts, [[(k, index[pt.canonical(p[:i - 1] + (p[i - 1] - 1,) + p[i:])])
+                    for k, p in enumerate(parts) if pt.part(p, i) > pt.part(p, i + 1)]
+                   for i in range(rows, 0, -1)]
 
 
 def schur_bialternant(lam, z: list):

@@ -20,10 +20,10 @@ import mpmath
 
 from . import partitions as pt
 from .ensembles import (EnsembleSpec, askey_limit_check, hankel_det,
-                        jack_avg_jacobi_coeff,
+                        jack_avg_jacobi_coeff, pair_cofactors,
                         schur_avg_gue, schur_avg_jue, schur_avg_jue_tilde,
                         schur_avg_lue, schur_avg_lue_tilde, schur_avg_oracle,
-                        schur_avg_qlue, schur_avg_sw)
+                        schur_avg_qlue, schur_avg_sw, schur_pair_avg_oracle)
 from .heat_kernel import (heat_kernel_closed, heat_kernel_sum,
                           schur_doubling_check)
 from .kernels import (KernelQuery, df_chiral_closed_n1, df_chiral_kernel,
@@ -35,7 +35,7 @@ from .kernels import (KernelQuery, df_chiral_closed_n1, df_chiral_kernel,
 from .painleve import (b2_closed, b_coeffs, f2n_confluence_pair, f2n_schur,
                        f2n_wronskian, f2n_zero, sw_fermion_constant,
                        sw_zm_ratio)
-from .scalars import DEFAULT_DPS, hp_close
+from .scalars import DEFAULT_DPS, hp_close, recip
 from .symfun import dual_cauchy_check
 from .toeplitz_fh import (duduchava_roch_check, fh_inverse_via_elementary_oracle,
                           fh_kernel_generating, toeplitz_inverse_closed,
@@ -115,17 +115,26 @@ _KERNEL_SPECS = (EnsembleSpec("gue"), EnsembleSpec("lue", alpha=0),
 
 def suite_kernel_equivalence(seed: int = 1) -> SuiteResult:
     """khat_schur = khat_double = khat_cd (and = k2_chebyshev at n = 1),
-    exactly, on 10 seeded rational points per (spec, N, n)."""
+    exactly, on 10 seeded rational points per (spec, N, n).  The double
+    checks of each (spec, N, n) also need 4 seeded pair averages of
+    `pair_cofactors` to equal the per-pair determinant oracle."""
     r = SuiteResult("kernel-equivalence")
-    rng = random.Random(seed)
+    rng, pair_rng = random.Random(seed), random.Random(f"pairs:{seed}")
     for spec in _KERNEL_SPECS:
         for n in (1, 2):
             for nr in range(n + 1, 6):
+                m = nr - n
+                nums, den = pair_cofactors(spec, n, m)
+                pairs_ok = all(
+                    nums[lam, mu] * recip(den)
+                    == schur_pair_avg_oracle(spec, pt.conjugate(lam), pt.conjugate(mu), m)
+                    for lam, mu in pair_rng.sample(sorted(nums), min(4, len(nums))))
                 for _ in range(10):
                     pts = random_rationals(rng, 2 * n)
                     q = KernelQuery(spec, nr, n, tuple(pts[:n]), tuple(pts[n:]))
                     a = khat_schur(q)
-                    r.check(f"{spec.kind} N={nr} n={n} double", khat_double(q) == a)
+                    r.check(f"{spec.kind} N={nr} n={n} double",
+                            pairs_ok and khat_double(q) == a)
                     r.check(f"{spec.kind} N={nr} n={n} cd", khat_cd(q) == a)
                     if n == 1:
                         x0 = pts[0]

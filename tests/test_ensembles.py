@@ -93,8 +93,10 @@ class TestMoments:
         assert [moment(GUE, p) for p in range(6)] == [1, 0, 1, 0, 3, 0]
 
     def test_cache_is_bounded(self):
-        from schurkernels.ensembles import _moment_cached
-        assert _moment_cached.cache_parameters()["maxsize"] is not None
+        from schurkernels.ensembles import _moment_cached, _ortho_cached
+        from schurkernels.kernels import _table_cached
+        for cache in (_moment_cached, _ortho_cached, _table_cached):
+            assert cache.cache_parameters()["maxsize"] is not None
 
     def test_lue(self):
         assert moment(LUE0, 3) == 6
@@ -169,6 +171,17 @@ class TestMoments:
                 exact_m = moment(EnsembleSpec("lue", alpha=exact), p)
                 assert isinstance(real_m, mpmath.mpf)
                 assert isinstance(exact_m, F) and exact_m == value
+            # the same holds for the ortho_system and expansion_table caches
+            from schurkernels.kernels import expansion_table
+            real, exact = (EnsembleSpec("lue", alpha=mpmath.mpf("0.5")),
+                           EnsembleSpec("lue", alpha=F(1, 2)))
+            for spec, kind in ((real, mpmath.mpf), (exact, F), (real, mpmath.mpf)):
+                osys = ortho_system(spec, 3)
+                table = expansion_table(spec, 4, 1)
+                assert all(isinstance(h, kind) for h in osys.norms)
+                assert all(isinstance(c, kind) for p in osys.polys for c in p.coeffs[:-1])
+                # <s_()> = 1 is exact in every field
+                assert all(isinstance(c, kind) for lam, c in table.coeffs.items() if lam)
 
     def test_deep_moment_needs_no_recursion(self):
         assert moment(EnsembleSpec("lue", alpha=F(1, 2)), 1500) > 0
@@ -445,3 +458,52 @@ class TestJackCoefficient:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             jack_avg_jacobi_coeff((3,), 3, 0, 0, 1, 1)  # nu_1 > 2n
+
+
+class TestCachedValuesAreImmutable:
+    """lru_cache hands one object to every caller, so none may be mutable."""
+
+    def test_ortho_system(self):
+        osys = ortho_system(LUE0, 3)
+        assert isinstance(osys.polys, tuple) and isinstance(osys.norms, tuple)
+        with pytest.raises(AttributeError):
+            osys.norms = ()
+        assert ortho_system(LUE0, 3) is osys
+
+    def test_expansion_table(self):
+        from schurkernels.kernels import expansion_table
+        table = expansion_table(LUE0, 4, 1)
+        with pytest.raises(TypeError):
+            table.coeffs[()] = 0
+        assert expansion_table(LUE0, 4, 1) is table
+
+
+PAIR_SPECS = {"gue": GUE, "lue1": EnsembleSpec("lue", alpha=1),
+              "jue11": EnsembleSpec("jue", alpha=1, beta=1),
+              "jue_half": EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2)),
+              "sw": SW, "qlue1": EnsembleSpec("qlue", alpha=1)}
+# (M, n): every pair of Y_{n,M}.  qLUE runs smaller sizes: its per-pair
+# oracle determinant costs about 1.7 s at M = 8 and 40 ms at M = 6.
+PAIR_SIZES = [(name, size) for name in PAIR_SPECS
+              for size in ((5, 1), (4, 2), (2, 3)) if name == "qlue1"] + \
+             [(name, size) for name in PAIR_SPECS if name != "qlue1"
+              for size in ((8, 1), (6, 2), (4, 3))]
+
+
+class TestPairCofactors:
+    @pytest.mark.parametrize("name,size", PAIR_SIZES,
+                             ids=[f"{n}-M{m}-n{k}" for n, (m, k) in PAIR_SIZES])
+    def test_every_pair_equals_the_determinant_oracle(self, name, size):
+        from schurkernels.ensembles import pair_cofactors
+        from schurkernels.scalars import recip
+        spec, (m, n) = PAIR_SPECS[name], size
+        nums, den = pair_cofactors(spec, n, m)
+        assert len(nums) == len(pt.enumerate_bounded(n, m)) ** 2
+        inv = recip(den)
+        for (lam, mu), c in nums.items():
+            # H is symmetric, so the oracle is symmetric in (lam, mu): one
+            # oracle call covers both orders once the numerators agree
+            assert c == nums[mu, lam], (lam, mu)
+            if lam <= mu:
+                assert c * inv == schur_pair_avg_oracle(
+                    spec, pt.conjugate(lam), pt.conjugate(mu), m), (lam, mu)

@@ -241,6 +241,18 @@ class TestRealParameterKernels:
             ch = k2_chebyshev(q)
             assert hp_close(a, b) and hp_close(a, c) and hp_close(a, ch)
 
+    def test_double_route_digits_at_real_alpha(self):
+        """The Hankel-adjugate double route keeps 35 of 50 digits on
+        LUE alpha=0.5, N=12, n=1 (against a 120-digit khat_schur)."""
+        def query(dps):
+            with mpmath.workdps(dps):
+                spec = EnsembleSpec("lue", alpha=mpmath.mpf("0.5"))
+                return KernelQuery(spec, 12, 1, (F(3, 7),), (F(-5, 11),))
+        ref = khat_schur(query(120), dps=120)
+        value = khat_double(query(50), dps=50)
+        with mpmath.workdps(120):
+            assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -35
+
     def test_qlue_real_alpha_routes_agree(self):
         with mpmath.workdps(50):
             spec = EnsembleSpec("qlue", alpha=mpmath.mpf("1.5"),

@@ -22,6 +22,21 @@ class TestDetExact:
     def test_identity_1x1(self):
         assert det_exact([[F(1)]]) == 1
 
+    def test_plain_ints_stay_exact(self):
+        from schurkernels.scalars import mat_inverse_exact
+        from schurkernels.symfun import schur_eval
+        d = det_exact([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+        assert type(d) is int and d == 4
+        s = schur_eval((9, 9, 9), [10**6, 3, 7, 11])
+        assert type(s) is int
+        assert s == schur_eval((9, 9, 9), [F(10**6), F(3), F(7), F(11)])
+        assert s == 228864248542038526632208971940491027027635774064062302289819733412394471
+        q = (Poly([1, 2, 1]) / Poly([1, 1])).coeffs
+        assert q == [1, 1] and all(isinstance(c, (int, F)) for c in q)
+        inv = mat_inverse_exact([[2, 1], [1, 3]])
+        assert inv == [[F(3, 5), F(-1, 5)], [F(-1, 5), F(2, 5)]]
+        assert all(isinstance(c, (int, F)) for row in inv for c in row)
+
     def test_gue_moment_2x2(self):
         # cofactor by hand: m0 m2 - m1^2 with moments (1, 0, 1)
         assert det_exact([[F(1), F(0)], [F(0), F(1)]]) == 1

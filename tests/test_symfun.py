@@ -3,16 +3,17 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkernels import partitions as pt
 from schurkernels.kernels import random_rationals
-from schurkernels.scalars import QRat
+from schurkernels.scalars import QRat, hp_close
 from schurkernels.symfun import (chebyshev_u, complete_h, dual_cauchy_check,
                                  elementary, qdim, schur_bialternant,
-                                 schur_eval, schur_principal)
+                                 schur_eval, schur_principal, schur_table)
 
 F = Fraction
 
@@ -71,6 +72,41 @@ class TestSchurEval:
     def test_qrat_points(self):
         z = [QRat.u_power(1), QRat.u_power(-1)]
         assert schur_eval((1,), z) == QRat.u_power(1) + QRat.u_power(-1)
+
+
+RECTANGLES = [(2, 11), (4, 6), (6, 4)]
+
+
+class TestSchurTable:
+    """The one-pass branching evaluator against per-partition Jacobi-Trudi."""
+
+    @pytest.mark.parametrize("rows,cols", RECTANGLES)
+    def test_rational_points_with_repeats(self, rows, cols):
+        rng = random.Random(rows * 100 + cols)
+        for nz in (rows, rows - 1, rows + 1):
+            z = random_rationals(rng, nz, nonzero=False, distinct=False)
+            z[-1] = z[0]
+            table = schur_table(rows, cols, z)
+            assert list(table) == pt.enumerate_bounded(rows, cols)
+            for lam, v in table.items():
+                assert isinstance(v, Fraction) and v == schur_eval(lam, z), lam
+
+    @pytest.mark.parametrize("rows,cols", RECTANGLES)
+    def test_qrat_points(self, rows, cols):
+        z = [QRat.u_power(k) for k in (1, -2, 3, 1, 0, -1)[:rows]]
+        for lam, v in schur_table(rows, cols, z).items():
+            assert v == schur_eval(lam, z), lam
+
+    @pytest.mark.parametrize("rows,cols", RECTANGLES)
+    def test_mpf_points_at_50_digits(self, rows, cols):
+        with mpmath.workdps(50):
+            z = [mpmath.mpf(v) for v in ("0.3", "-1.7", "2.25", "0.3", "-0.9", "1.1")[:rows]]
+            for lam, v in schur_table(rows, cols, z).items():
+                assert hp_close(v, schur_eval(lam, z)), lam
+
+    def test_empty_point_list(self):
+        assert schur_table(2, 3, []) == {lam: (1 if not lam else 0)
+                                         for lam in pt.enumerate_bounded(2, 3)}
 
 
 class TestSchurPrincipal:
