@@ -92,7 +92,8 @@ def expansion_table(spec: EnsembleSpec, n_rank: int, n_pairs: int,
 
 
 @lru_cache(maxsize=128)
-def _table_cached(spec, n_rank, n_pairs, method, dps) -> KernelExpansion:
+def _table_cached(spec: EnsembleSpec, n_rank: int, n_pairs: int, method: str,
+                  dps: int) -> KernelExpansion:
     m = n_rank - n_pairs
     coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method)
               for lam in pt.enumerate_bounded(2 * n_pairs, m)}
