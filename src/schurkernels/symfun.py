@@ -91,9 +91,10 @@ def _branching(rows: int, cols: int):
     that interlace nu in rows >= i, so one pass over all rows adds x."""
     parts = pt.enumerate_bounded(rows, cols)
     index = {p: k for k, p in enumerate(parts)}
-    return parts, [[(k, index[pt.canonical(p[:i - 1] + (p[i - 1] - 1,) + p[i:])])
-                    for k, p in enumerate(parts) if pt.part(p, i) > pt.part(p, i + 1)]
-                   for i in range(rows, 0, -1)]
+    return tuple(parts), tuple(
+        tuple((k, index[pt.canonical(p[:i - 1] + (p[i - 1] - 1,) + p[i:])])
+              for k, p in enumerate(parts) if pt.part(p, i) > pt.part(p, i + 1))
+        for i in range(rows, 0, -1))
 
 
 def schur_bialternant(lam, z: list):
