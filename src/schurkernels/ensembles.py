@@ -293,6 +293,7 @@ def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
     (M+n)-square moment Hankel matrix; A^c = {M-1+i-lam_i}.  By Jacobi's
     complementary-minor identity it is (-1)^(sum A + sum B)
     det adj(H)[B^c, A^c] / det(H)^(n-1): one adj(H) = det(H) H^-1 for all.
+    sum A + sum B has the parity of sum A^c + sum B^c.
     """
     size = m + n
     mom = [moment(spec, p) for p in range(2 * size - 1)]
