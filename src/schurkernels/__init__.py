@@ -5,7 +5,7 @@ Modules:
 * ``scalars``    -- exact rationals, Laurent rational functions in u = q^(1/2),
                     high-precision reals, polynomials, determinants
 * ``partitions`` -- partition combinatorics
-* ``symfun``     -- Schur / elementary / complete-homogeneous evaluation
+* ``symfun``     -- Schur / complete-homogeneous evaluation, q-dimensions
 * ``ensembles``  -- moments, orthogonal polynomials, Schur averages + oracle
 * ``kernels``    -- kernel representations and their mutual-equality checks
 * ``painleve``   -- Laguerre-Wronskian series and the fermion identity

@@ -164,7 +164,7 @@ def kernel_expand(ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs,
     payload = {
         "rectangle": {"rows": table.rows, "cols": table.cols},
         "coefficients": [
-            {"partition": pt.to_json(lam), "coefficient": serialize(c)}
+            {"partition": list(lam), "coefficient": serialize(c)}
             for lam, c in sorted(table.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         ],
     }

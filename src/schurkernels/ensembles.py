@@ -10,16 +10,13 @@ Gamma_q(z+1) = |z|_q Gamma_q(z), to one finite row product
 rational parameter (for qLUE, at every integer alpha).
 
 The moments evaluate no Gamma either: each moment sequence is generated by
-the weight's own ratio m_p/m_{p-1} (`moment`), so the oracles below, the
+the weight's own ratio m_p/m_{p-1} (`moment`), so the Andreief oracles, the
 orthogonal polynomials and every kernel route built on them are exact at
 every rational parameter too.
 
 Every closed form is cross-validated against `schur_avg_oracle`, which
-reduces the M-fold average to a ratio of moment determinants.  Both the
-numerator and the denominator of the oracle use the same row scheme
-(exponents mu_j + M - j + (k-1), the denominator at mu = empty); using the
-plain Hankel ordering for the denominator alone would flip the sign by
-(-1)^floor(M/2).
+reduces the M-fold average to a ratio of moment determinants: the pair
+oracle `schur_pair_avg_oracle` at mu = empty.
 """
 
 from __future__ import annotations
@@ -27,15 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import mpmath
 
 from . import partitions as pt
-from .scalars import (DEFAULT_DPS, Poly, QRat, at_precision, binom,
-                      det_exact, double_factorial, factorial,
-                      mat_inverse_exact, parse_number, poch, qnum_floor, recip,
-                      to_mpf)
+from .scalars import (Poly, QRat, at_precision, binom, det_exact,
+                      double_factorial, factorial, mat_inverse_exact, poch,
+                      qnum_floor, recip, to_mpf)
 from .symfun import qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -88,35 +83,6 @@ class EnsembleSpec:
             raise ValueError("jue needs alpha, beta > -1")
         if self.q is not None and not (0 < self.q < 1):
             raise ValueError("q must be in (0, 1)")
-
-    def to_json(self) -> dict:
-        """JSON form with parameters as "p/q" or decimal strings."""
-        out = {"kind": self.kind}
-        for key in ("alpha", "beta", "alpha_tilde", "q"):
-            v = getattr(self, key)
-            if v is not None:
-                out[key] = _param_str(v)
-        if self.m is not None:
-            out["m"] = self.m
-        return out
-
-
-def _param_str(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return mpmath.nstr(v, mpmath.mp.dps)
-
-
-def spec_from_json(data: dict, dps: int = DEFAULT_DPS) -> EnsembleSpec:
-    """Parse {"kind": ..., "alpha": "p/q" | "decimal", ...}; integers stay
-    exact, "p/q" becomes Fraction, decimal strings become mpf at dps digits."""
-    kwargs = {key: parse_number(str(data[key]), dps)
-              for key in ("alpha", "beta", "alpha_tilde", "q") if key in data}
-    if "m" in data:
-        kwargs["m"] = int(data["m"])
-    return EnsembleSpec(data["kind"], **kwargs)
 
 
 def moment(spec: EnsembleSpec, p: int):
@@ -209,7 +175,6 @@ def _moment_det(spec: EnsembleSpec, rows, cols):
 class OrthoSystem:
     """Monic orthogonal polynomials P_0..P_K and their norms h_0..h_K."""
 
-    spec: EnsembleSpec
     polys: tuple
     norms: tuple
 
@@ -244,7 +209,7 @@ def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
             raise ValueError(f"degenerate measure: zero norm at degree {k}")
         polys.append(p)
         norms.append(h)
-    return OrthoSystem(spec, tuple(polys), tuple(norms))
+    return OrthoSystem(tuple(polys), tuple(norms))
 
 
 # ----------------------------------------------------------------------------
@@ -252,20 +217,9 @@ def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
 # ----------------------------------------------------------------------------
 
 def schur_avg_oracle(spec: EnsembleSpec, mu, m: int):
-    """<s_mu> as a ratio of M x M moment determinants (Andreief).
-
-    Row j of the numerator uses exponents mu_j + M - j + (k-1); the
-    denominator uses the same scheme at mu = empty.
-    """
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        raise ValueError(f"oracle needs l(mu) <= {m}")
-    if m == 0:
-        return Fraction(1)
-    num = _moment_det(spec, [pt.part(mu, j) + m - j for j in range(1, m + 1)],
-                      range(m))
-    den = _moment_det(spec, [m - j for j in range(1, m + 1)], range(m))
-    return num / den
+    """<s_mu> as a ratio of M x M moment determinants (Andreief): the pair
+    oracle at the empty partition."""
+    return schur_pair_avg_oracle(spec, mu, (), m)
 
 
 def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
@@ -273,11 +227,12 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
 
     Delta^2 s_lam s_mu = det[z_k^(lam_j+M-j)] det[z_k^(mu_j+M-j)], so the
     average is det[m_{a_j + b_k}] over the shifted exponent sets, divided
-    by the same determinant at lam = mu = empty.
+    by the same determinant at lam = mu = empty.  It is 0 when l(lam) > M
+    or l(mu) > M.
     """
     lam, mu = pt.canonical(lam), pt.canonical(mu)
     if len(lam) > m or len(mu) > m:
-        raise ValueError(f"pair oracle needs l <= {m}")
+        return Fraction(0)
     if m == 0:
         return Fraction(1)
     a = [pt.part(lam, j) + m - j for j in range(1, m + 1)]
@@ -310,8 +265,9 @@ def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
     return nums, hankel_det(spec, m) * det_h ** (n - 1)
 
 
-def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
-    """<det(x - Z)^n2> via Andreief with binomially modified moments."""
+def char_poly_moment_det(spec: EnsembleSpec, m: int, n2: int, x):
+    """(1/M!) int Delta^2 prod_j (x - z_j)^n2 w(z_j) dz: the Andreief
+    determinant of binomially modified moments."""
     mom = [moment(spec, p) for p in range(2 * m - 1 + n2)]
 
     def modified(e):
@@ -321,8 +277,12 @@ def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
             r = r + term
         return r
 
-    num = det_exact([[modified(j + k) for k in range(m)] for j in range(m)])
-    return num / _moment_det(spec, range(m), range(m))
+    return det_exact([[modified(j + k) for k in range(m)] for j in range(m)])
+
+
+def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
+    """<det(x - Z)^n2> via Andreief with binomially modified moments."""
+    return char_poly_moment_det(spec, m, n2, x) / hankel_det(spec, m)
 
 
 # ----------------------------------------------------------------------------
@@ -502,7 +462,7 @@ def schur_avg_sw(mu, m: int) -> QRat:
     """Stieltjes-Wigert: q^(-1/2 sum mu_j (mu_j + 3m + 1 - 2j)) dim_q mu."""
     mu = pt.canonical(mu)
     if len(mu) > m:
-        raise ValueError(f"sw average needs l(mu) <= {m}")
+        return Fraction(0)
     e = sum(pt.part(mu, j) * (pt.part(mu, j) + 3 * m + 1 - 2 * j)
             for j in range(1, m + 1))
     return QRat.u_power(-e) * qdim(mu, m)
@@ -524,7 +484,7 @@ def schur_avg_qlue(mu, m: int, alpha, q=None):
     """
     mu = pt.canonical(mu)
     if len(mu) > m:
-        raise ValueError(f"qlue average needs l(mu) <= {m}")
+        return Fraction(0)
     pref = QRat.u_power(-(m - 1) * sum(mu)) * qdim(mu, m)
     if isinstance(alpha, int):
         return pref * _row_product(mu, m, lambda p: -qnum_floor(-(alpha + p)))
@@ -539,9 +499,7 @@ def schur_pair_avg_ginibre(lam, mu, m: int):
     """Complex Ginibre: <s_lam conj(s_mu)> = delta_{lam,mu} prod_j
     Gamma(m-j+1+lam_j)/Gamma(m-j+1)."""
     lam, mu = pt.canonical(lam), pt.canonical(mu)
-    if len(lam) > m or len(mu) > m:
-        raise ValueError(f"ginibre pair average needs l <= {m}")
-    if lam != mu:
+    if lam != mu or len(lam) > m:
         return Fraction(0)
     return Fraction(_row_product(lam, m, lambda p: p))
 
@@ -604,11 +562,13 @@ def schur_average(spec: EnsembleSpec, mu, m: int, method: str = "closed",
     """<s_mu> in the given ensemble via the closed form or the oracle, at dps
     digits (None: the working precision)."""
     with at_precision(dps):
+        kind = spec.kind
+        if kind == "ginibre":
+            raise ValueError("ginibre has no single-Schur average (no moments)")
         if method == "oracle":
             return schur_avg_oracle(spec, mu, m)
         if method != "closed":
             raise ValueError(f"unknown method {method!r}")
-        kind = spec.kind
         if kind == "gue":
             return schur_avg_gue(mu, m)
         if kind == "lue":
@@ -633,118 +593,3 @@ def pair_average(spec: EnsembleSpec, lam, mu, m: int):
     if spec.kind == "ginibre":
         return schur_pair_avg_ginibre(lam, mu, m)
     return schur_pair_avg_oracle(spec, lam, mu, m)
-
-
-# ----------------------------------------------------------------------------
-# brute-force monomial integrator (validates the Andreief oracles themselves)
-# ----------------------------------------------------------------------------
-
-def _mv_add(p1: dict, p2: dict) -> dict:
-    out = dict(p1)
-    for e, c in p2.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _mv_mul(p1: dict, p2: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _mv_var(i: int, m: int) -> dict:
-    return {tuple(1 if j == i else 0 for j in range(m)): Fraction(1)}
-
-
-def _mv_const(c, m: int) -> dict:
-    return {(0,) * m: Fraction(c)} if c else {}
-
-
-def _mv_vandermonde_sq(m: int) -> dict:
-    d = _mv_const(1, m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = _mv_add(_mv_var(i, m), {k: -v for k, v in _mv_var(j, m).items()})
-            d = _mv_mul(d, _mv_mul(diff, diff))
-    return d
-
-
-def _mv_complete_h(k: int, m: int) -> dict:
-    out: dict = {}
-    for combo in combinations_with_replacement(range(m), k):
-        e = [0] * m
-        for i in combo:
-            e[i] += 1
-        out[tuple(e)] = out.get(tuple(e), Fraction(0)) + 1
-    return out or _mv_const(1, m)
-
-
-def _mv_schur(lam, m: int) -> dict:
-    """s_lam(z_1..z_m) as an explicit polynomial, via Jacobi-Trudi with
-    cofactor expansion over multivariate polynomial entries."""
-    lam = pt.canonical(lam)
-    if not lam:
-        return _mv_const(1, m)
-    n = len(lam)
-    h = {k: _mv_complete_h(k, m) for k in range(lam[0] + n)}
-
-    def entry(i, j):
-        k = lam[i] - (i + 1) + (j + 1)
-        if k < 0:
-            return {}
-        return h[k]
-
-    def detrec(rows, cols):
-        if not rows:
-            return _mv_const(1, m)
-        i = rows[0]
-        out: dict = {}
-        for idx, j in enumerate(cols):
-            e = entry(i, j)
-            if not e:
-                continue
-            sub = detrec(rows[1:], cols[:idx] + cols[idx + 1:])
-            term = _mv_mul(e, sub)
-            if idx % 2:
-                term = {k: -v for k, v in term.items()}
-            out = _mv_add(out, term)
-        return out
-
-    return detrec(tuple(range(n)), tuple(range(n)))
-
-
-def average_bruteforce(spec: EnsembleSpec, poly: dict, m: int):
-    """Average of a polynomial in the eigenvalues by term-wise integration
-    of Delta^2 * poly against the weight."""
-    dsq = _mv_vandermonde_sq(m)
-
-    def integrate(p: dict):
-        total = 0
-        for e, c in p.items():
-            t = c
-            for ei in e:
-                t = t * moment(spec, ei)
-            total = total + t
-        return total
-
-    return integrate(_mv_mul(dsq, poly)) / integrate(dsq)
-
-
-def schur_avg_bruteforce(spec: EnsembleSpec, mu, m: int):
-    return average_bruteforce(spec, _mv_schur(mu, m), m)
-
-
-def schur_pair_avg_bruteforce(spec: EnsembleSpec, lam, mu, m: int):
-    return average_bruteforce(spec, _mv_mul(_mv_schur(lam, m), _mv_schur(mu, m)),
-                              m)

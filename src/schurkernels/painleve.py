@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import partitions as pt
-from .ensembles import (EnsembleSpec, char_poly_moment_oracle, hankel_det,
-                        moment)
+from .ensembles import (EnsembleSpec, char_poly_moment_det,
+                        char_poly_moment_oracle, hankel_det)
 from .scalars import (Poly, QRat, barnes_g_int, binom, det_exact, factorial,
                       qfactorial_floor)
 from .symfun import qdim, schur_principal
@@ -89,7 +89,7 @@ def f2n_schur(n: int, m: int) -> ExpSeries:
         term = schur_principal(lam, 2 * n) * schur_principal(lamc, m + 2 * n)
         for j in range(1, m + 1):
             term *= factorial(pt.part(lamc, j) - j + m)
-        coeffs[2 * m * n - pt.size(lam)] += g * term
+        coeffs[2 * m * n - sum(lam)] += g * term
     return ExpSeries(rate=Fraction(-m, 2), poly=Poly(coeffs))
 
 
@@ -156,30 +156,20 @@ def sw_fermion_partition(m: int, n: int) -> Poly:
     coeffs = [QRat.const(0)] * (2 * n * m + 1)
     for lam in pt.enumerate_bounded(2 * n, m):
         lamc = pt.conjugate(lam)
-        ue = -(3 * m + 1) * pt.size(lam)
+        ue = -(3 * m + 1) * sum(lam)
         for j in range(1, m + 1):
             cj = pt.part(lamc, j)
             ue += -cj * cj + 2 * j * cj
         term = (QRat.u_power(ue) * qdim(lamc, m)
                 * QRat.const(schur_principal(lam, 2 * n)))
-        coeffs[2 * n * m - pt.size(lam)] = coeffs[2 * n * m - pt.size(lam)] + term
+        coeffs[2 * n * m - sum(lam)] += term
     return Poly([zm * c for c in coeffs])
 
 
 def sw_fermion_oracle(m: int, n: int) -> Poly:
     """(1/M!) int Delta^2 prod (x - z_j)^2n w(z_j) dz as a polynomial in x:
-    the Andreief determinant of binomially modified SW moments."""
-    sw = EnsembleSpec("sw")
-    mom = [moment(sw, p) for p in range(2 * m - 1 + 2 * n)]
-
-    def entry(j, k):
-        coeffs = [QRat.const(0)] * (2 * n + 1)
-        for l in range(2 * n + 1):
-            coeffs[2 * n - l] = QRat.const((-1) ** l * binom(2 * n, l)) \
-                * mom[j + k + l]
-        return Poly(coeffs)
-
-    return det_exact([[entry(j, k) for k in range(m)] for j in range(m)])
+    the char-poly Andreief determinant of SW at the variable x."""
+    return char_poly_moment_det(EnsembleSpec("sw"), m, 2 * n, Poly([0, 1]))
 
 
 def sw_fermion_constant(m: int, n: int) -> QRat:

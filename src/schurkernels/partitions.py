@@ -23,10 +23,6 @@ def canonical(parts) -> Partition:
     return p
 
 
-def size(p: Partition) -> int:
-    return sum(p)
-
-
 def part(p: Partition, j: int) -> int:
     """1-based part with zero padding beyond the length."""
     return p[j - 1] if 1 <= j <= len(p) else 0
@@ -89,11 +85,3 @@ def hook_content_data(p: Partition) -> list[tuple[tuple[int, int], int, int]]:
     pc = conjugate(p)
     return [((i, j), p[i - 1] - j + pc[j - 1] - i + 1, j - i)
             for (i, j) in cells(p)]
-
-
-def to_json(p: Partition) -> list[int]:
-    return list(p)
-
-
-def from_json(parts) -> Partition:
-    return canonical(parts)

@@ -432,13 +432,6 @@ class QRat:
             raise ZeroDivisionError("QRat pole at requested u")
         return (u ** self.offset) * num / den
 
-    def subs_u1(self):
-        """Exact value at u = 1 (q -> 1 limit of the reduced form)."""
-        den = _phorner(self.den, Fraction(1))
-        if den == 0:
-            raise ZeroDivisionError("QRat has a pole at u = 1")
-        return _phorner(self.num, Fraction(1)) / den
-
     def _monic(self) -> tuple[list, list]:
         """num and den as Fractions over the leading coefficient of den."""
         return tuple([Fraction(c, self.den[-1]) for c in p] for p in (self.num, self.den))
@@ -527,14 +520,6 @@ class Poly:
 
     def __init__(self, coeffs=()):
         self.coeffs = _ptrim(list(coeffs))
-
-    @classmethod
-    def const(cls, c):
-        return cls([c])
-
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -714,23 +699,6 @@ def _det_hpreal(matrix):
             for j in range(k, n):
                 m[i][j] -= f * m[k][j]
     return det
-
-
-def det_cofactor(matrix):
-    """Naive cofactor expansion; the reference oracle for det_exact."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for j in range(n):
-        if not matrix[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * det_cofactor(minor)
-        total = total - term if j % 2 else total + term
-    return total
 
 
 def mat_inverse_exact(matrix):

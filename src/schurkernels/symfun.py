@@ -1,12 +1,11 @@
-"""Symmetric-function evaluation: elementary, complete homogeneous and Schur
+"""Symmetric-function evaluation: complete homogeneous and Schur
 polynomials, principal specializations, q-dimensions, the dual Cauchy
 identity and the Chebyshev bridge.
 
 Schur polynomials are evaluated by the Jacobi-Trudi determinant of complete
 homogeneous polynomials: division-free, exact in any scalar field and valid
 at repeated points; `schur_table` gives every s_lam of a rectangle in one
-branching pass.  The bialternant ratio is only a cross-check at distinct
-points.
+branching pass.
 """
 
 from __future__ import annotations
@@ -19,15 +18,6 @@ from . import partitions as pt
 from .scalars import QRat, det_exact, qnum_symmetric
 
 
-def elementary_all(kmax: int, z: list) -> list:
-    """e_0..e_kmax of the point vector z, one variable at a time."""
-    e = [1] + [0] * kmax
-    for x in z:
-        for k in range(kmax, 0, -1):
-            e[k] = e[k] + x * e[k - 1]
-    return e
-
-
 def complete_h_all(kmax: int, z: list) -> list:
     """h_0..h_kmax of the point vector z, one variable at a time."""
     h = [1] + [0] * kmax
@@ -35,20 +25,6 @@ def complete_h_all(kmax: int, z: list) -> list:
         for k in range(1, kmax + 1):
             h[k] = h[k] + x * h[k - 1]
     return h
-
-
-def elementary(k: int, z: list):
-    if k < 0:
-        raise ValueError("elementary needs k >= 0")
-    if k > len(z):
-        return 0
-    return elementary_all(k, z)[k]
-
-
-def complete_h(k: int, z: list):
-    if k < 0:
-        raise ValueError("complete_h needs k >= 0")
-    return complete_h_all(k, z)[k]
 
 
 def schur_eval(lam, z: list):
@@ -97,22 +73,6 @@ def _branching(rows: int, cols: int):
         for i in range(rows, 0, -1))
 
 
-def schur_bialternant(lam, z: list):
-    """s_lam(z) as det[z_i^(lam_j + M - j)] / det[z_i^(M - j)].
-
-    Requires pairwise distinct points; used only to cross-check the
-    Jacobi-Trudi evaluator.
-    """
-    lam = pt.canonical(lam)
-    m = len(z)
-    if len(lam) > m:
-        return 0
-    exps = [pt.part(lam, j) + m - j for j in range(1, m + 1)]
-    num = det_exact([[zi ** e for e in exps] for zi in z])
-    den = det_exact([[zi ** (m - j) for j in range(1, m + 1)] for zi in z])
-    return num / den
-
-
 def schur_principal(lam, m: int) -> Fraction:
     """s_lam(1^m) by the hook-content product; 0 when l(lam) > m."""
     lam = pt.canonical(lam)
@@ -130,11 +90,11 @@ def qdim(mu, m: int) -> QRat:
     prod_{1<=j<k<=m} [mu_j - j - mu_k + k]_q / [k - j]_q.  The denominator
     uses the positive argument k - j, which normalizes dim_q(empty) = 1 and
     matches the q -> 1 limit s_mu(1^m); the opposite convention [j - k]_q
-    would rescale everything by (-1)^(m(m-1)/2).
+    would rescale everything by (-1)^(m(m-1)/2).  It is 0 when l(mu) > m.
     """
     mu = pt.canonical(mu)
     if len(mu) > m:
-        raise ValueError(f"qdim needs l(mu) <= {m}")
+        return QRat.const(0)
     num = den = QRat.const(1)
     for j in range(1, m + 1):
         for k in range(j + 1, m + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import binom, det_exact, factorial, mat_inverse_exact
+from .scalars import binom, det_exact, factorial, mat_inverse_exact, poch
 
 
 def fh_coeff(gamma: int, delta: int, k: int) -> Fraction:
@@ -60,7 +60,7 @@ def toeplitz_inverse_closed(gamma: int, delta: int, m: int):
     out = [[Fraction(0)] * m for _ in range(m)]
     for j in range(1, m + 1):
         for k in range(1, m + 1):
-            pref = Fraction(_gamma_ratio(gamma, j) * _gamma_ratio(delta, k))
+            pref = Fraction(poch(j, gamma) * poch(k, delta))
             s = Fraction(0)
             for r in range(max(j, k), m + 1):
                 s += Fraction(factorial(r - 1),
@@ -69,14 +69,6 @@ def toeplitz_inverse_closed(gamma: int, delta: int, m: int):
                     * binom(delta + r - j - 1, r - j)
             out[j - 1][k - 1] = pref * s
     return out
-
-
-def _gamma_ratio(z: int, j: int) -> int:
-    """Gamma(z+j)/Gamma(j) for integer z >= 0."""
-    r = 1
-    for i in range(z):
-        r *= j + i
-    return r
 
 
 def _diag_m(z: int, m: int) -> list[Fraction]:

@@ -1,0 +1,164 @@
+"""Brute-force reference computations that the tests compare the library
+against.  Each is independent of the code it checks:
+
+* `det_cofactor`      -- cofactor expansion, the reference for `det_exact`;
+* `schur_bialternant` -- the ratio of alternants, the reference for
+                         `schur_eval` at distinct points;
+* `average_bruteforce`, `schur_avg_bruteforce`, `schur_pair_avg_bruteforce`
+  -- term-wise integration of explicit polynomials in the eigenvalues, the
+  reference for the Andreief oracles of `schurkernels.ensembles`.
+"""
+
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
+from schurkernels import partitions as pt
+from schurkernels.ensembles import EnsembleSpec, moment
+from schurkernels.scalars import det_exact
+
+
+def det_cofactor(matrix):
+    """Naive cofactor expansion; the reference oracle for det_exact."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    if n == 1:
+        return matrix[0][0]
+    total = 0
+    for j in range(n):
+        if not matrix[0][j]:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        term = matrix[0][j] * det_cofactor(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def schur_bialternant(lam, z: list):
+    """s_lam(z) as det[z_i^(lam_j + M - j)] / det[z_i^(M - j)].
+
+    Requires pairwise distinct points.
+    """
+    lam = pt.canonical(lam)
+    m = len(z)
+    if len(lam) > m:
+        return 0
+    exps = [pt.part(lam, j) + m - j for j in range(1, m + 1)]
+    num = det_exact([[zi ** e for e in exps] for zi in z])
+    den = det_exact([[zi ** (m - j) for j in range(1, m + 1)] for zi in z])
+    return num / den
+
+
+# ----------------------------------------------------------------------------
+# brute-force monomial integrator (validates the Andreief oracles themselves)
+# ----------------------------------------------------------------------------
+
+def _mv_add(p1: dict, p2: dict) -> dict:
+    out = dict(p1)
+    for e, c in p2.items():
+        v = out.get(e, 0) + c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _mv_mul(p1: dict, p2: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p1.items():
+        for e2, c2 in p2.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _mv_var(i: int, m: int) -> dict:
+    return {tuple(1 if j == i else 0 for j in range(m)): Fraction(1)}
+
+
+def _mv_const(c, m: int) -> dict:
+    return {(0,) * m: Fraction(c)} if c else {}
+
+
+def _mv_vandermonde_sq(m: int) -> dict:
+    d = _mv_const(1, m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            diff = _mv_add(_mv_var(i, m), {k: -v for k, v in _mv_var(j, m).items()})
+            d = _mv_mul(d, _mv_mul(diff, diff))
+    return d
+
+
+def _mv_complete_h(k: int, m: int) -> dict:
+    out: dict = {}
+    for combo in combinations_with_replacement(range(m), k):
+        e = [0] * m
+        for i in combo:
+            e[i] += 1
+        out[tuple(e)] = out.get(tuple(e), Fraction(0)) + 1
+    return out or _mv_const(1, m)
+
+
+def _mv_schur(lam, m: int) -> dict:
+    """s_lam(z_1..z_m) as an explicit polynomial, via Jacobi-Trudi with
+    cofactor expansion over multivariate polynomial entries."""
+    lam = pt.canonical(lam)
+    if not lam:
+        return _mv_const(1, m)
+    n = len(lam)
+    h = {k: _mv_complete_h(k, m) for k in range(lam[0] + n)}
+
+    def entry(i, j):
+        k = lam[i] - (i + 1) + (j + 1)
+        if k < 0:
+            return {}
+        return h[k]
+
+    def detrec(rows, cols):
+        if not rows:
+            return _mv_const(1, m)
+        i = rows[0]
+        out: dict = {}
+        for idx, j in enumerate(cols):
+            e = entry(i, j)
+            if not e:
+                continue
+            sub = detrec(rows[1:], cols[:idx] + cols[idx + 1:])
+            term = _mv_mul(e, sub)
+            if idx % 2:
+                term = {k: -v for k, v in term.items()}
+            out = _mv_add(out, term)
+        return out
+
+    return detrec(tuple(range(n)), tuple(range(n)))
+
+
+def average_bruteforce(spec: EnsembleSpec, poly: dict, m: int):
+    """Average of a polynomial in the eigenvalues by term-wise integration
+    of Delta^2 * poly against the weight."""
+    dsq = _mv_vandermonde_sq(m)
+
+    def integrate(p: dict):
+        total = 0
+        for e, c in p.items():
+            t = c
+            for ei in e:
+                t = t * moment(spec, ei)
+            total = total + t
+        return total
+
+    return integrate(_mv_mul(dsq, poly)) / integrate(dsq)
+
+
+def schur_avg_bruteforce(spec: EnsembleSpec, mu, m: int):
+    return average_bruteforce(spec, _mv_schur(mu, m), m)
+
+
+def schur_pair_avg_bruteforce(spec: EnsembleSpec, lam, mu, m: int):
+    return average_bruteforce(spec, _mv_mul(_mv_schur(lam, m), _mv_schur(mu, m)),
+                              m)

@@ -57,6 +57,13 @@ class TestSchurAvg:
                                  "--m", "2", "--partition", "1"])
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize("partition", ["", "1", "1,1,1"])
+    def test_ginibre_rejected_by_oracle(self, runner, partition):
+        r = runner.invoke(main, ["schur-avg", "--ensemble", "ginibre", "--m", "2",
+                                 "--partition", partition, "--method", "oracle"])
+        assert r.exit_code == 1
+        assert "no single-Schur average" in r.output
+
     def test_unknown_flag_exit2(self, runner):
         r = runner.invoke(main, ["schur-avg", "--ensemble", "lue",
                                  "--nope", "1"])
@@ -66,6 +73,22 @@ class TestSchurAvg:
         r = runner.invoke(main, ["schur-avg", "--ensemble", "lue", "--alpha",
                                  "0", "--m", "2", "--partition", "1,x"])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    @pytest.mark.parametrize("ensemble", [
+        ["gue"], ["lue", "--alpha", "1"], ["lue", "--alpha", "0.5"],
+        ["jue", "--alpha", "1", "--beta", "2"],
+        ["jue-tilde", "--alpha", "0", "--beta", "7"],
+        ["lue-tilde", "--alpha-tilde", "8"], ["sw"], ["qlue", "--alpha", "1"],
+        ["qlue", "--alpha", "1/2", "--q", "1/3"],
+    ], ids=" ".join)
+    def test_more_rows_than_variables_is_zero(self, runner, ensemble, method):
+        """s_mu with l(mu) > M is the zero polynomial: every kind that takes
+        a single average answers an exact 0 by both methods."""
+        r = invoke(runner, ["schur-avg", "--ensemble", *ensemble, "--m", "1",
+                            "--partition", "1,1", "--method", method])
+        assert r.exit_code == 0
+        assert json.loads(r.output) == {"value": "0/1"}
 
 
 class TestKernelCommands:
@@ -125,6 +148,24 @@ class TestPainleveToeplitzHeat:
         payload = json.loads(r.output)
         assert payload["closed"]["value"].startswith("0.4444444444")
         assert float(payload["abs_diff"]["value"]) < 1e-25
+
+    def test_heat_kernel_tiny_q(self, runner):
+        # q = 1e-400 is below the smallest float; the term count needs no float
+        r = invoke(runner, ["heat-kernel", "--q", "1e-400", "--xi", "1",
+                            "--eta", "-1"])
+        assert r.exit_code == 0
+        payload = json.loads(r.output)
+        assert payload["terms"] == 6
+        assert payload["closed"]["value"].startswith("1.0")
+        assert float(payload["abs_diff"]["value"]) < 1e-300
+
+    def test_heat_kernel_q_near_one_names_terms(self, runner):
+        # q = 1 - 10^-20 rounds to the float 1; its tail bound needs ~10^22 terms
+        r = runner.invoke(main, ["heat-kernel", "--q", "0.99999999999999999999",
+                                 "--xi", "1", "--eta", "-1"])
+        assert r.exit_code == 1
+        errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "--terms" in errors[0]
 
     def test_heat_kernel_explicit_terms(self, runner):
         r = invoke(runner, ["heat-kernel", "--q", "0.5", "--xi", "0",

@@ -102,6 +102,23 @@ class TestSwFermion:
         p = sw_fermion_oracle(1, 1)
         assert p.coeffs == [QRat.u_power(-9), -2 * QRat.u_power(-4), QRat.u_power(-1)]
 
+    @pytest.mark.parametrize("m, pinned", [
+        (2, [(-34, [1, 0, -1]), (-29, [-2, 0, 0, 0, 2]),
+             (-26, [1, 0, 0, 0, 0, 0, 2, 0, -3]), (-17, [-2, 0, 0, 0, 2]),
+             (-10, [1, 0, -1])]),
+        (3, [(-83, [1, 0, -2, 0, 0, 0, 2, 0, -1]),
+             (-78, [-2, 0, 2, 0, 2, 0, 0, 0, -2, 0, -2, 0, 2]),
+             (-75, [1, 0, -1, 0, 0, 0, 2, 0, -3, 0, -2, 0, 0, 0, 4, 0, 2, 0, -3]),
+             (-66, [-2, 0, 0, 0, 4, 0, 0, 0, 0, 0, -4, 0, 4, 0, 0, 0, -6, 0, 4]),
+             (-59, [1, 0, -1, 0, 0, 0, 2, 0, -3, 0, -2, 0, 0, 0, 4, 0, 2, 0, -3]),
+             (-46, [-2, 0, 2, 0, 2, 0, 0, 0, -2, 0, -2, 0, 2]),
+             (-35, [1, 0, -2, 0, 0, 0, 2, 0, -1])]),
+    ])
+    def test_oracle_pinned_n1(self, m, pinned):
+        # coefficient of x^k is u^offset times an integer polynomial in u
+        p = sw_fermion_oracle(m, 1)
+        assert p.coeffs == [QRat(offset, num) for offset, num in pinned]
+
     def test_reduces_to_hankel_at_n0(self):
         from schurkernels.ensembles import EnsembleSpec, hankel_det
         for m in (1, 2):

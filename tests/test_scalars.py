@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import det_cofactor
 from schurkernels.scalars import (Poly, QRat, _zexquo, _zgcd, _zpack, _zprim,
-                                  _zunpack, barnes_g_int, binom, det_cofactor,
-                                  det_exact, double_factorial, frac_str,
-                                  gamma_real, hp_close, parse_number, poch,
+                                  _zunpack, barnes_g_int, binom, det_exact,
+                                  double_factorial, frac_str, gamma_real,
+                                  hp_close, parse_number, poch,
                                   qfactorial_floor, qgamma_real, qnum_floor,
                                   qnum_symmetric, rational_sqrt)
 
@@ -69,6 +70,12 @@ class TestDetExact:
             m = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
                  for _ in range(4)]
             assert det_exact(m) == det_cofactor(m)
+            ints = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+            assert det_exact(ints) == det_cofactor(ints)
+            assert type(det_exact(ints)) is int
+            polys = [[Poly([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)])
+                      for _ in range(4)] for _ in range(4)]
+            assert det_exact(polys) == det_cofactor(polys)
 
     def test_qrat_matrix(self):
         u = QRat.u_power
@@ -105,8 +112,8 @@ class TestQRat:
 
     def test_subs_u1_matches_integer(self):
         for z in range(1, 7):
-            assert qnum_symmetric(z).subs_u1() == z
-            assert qnum_floor(z).subs_u1() == z
+            assert qnum_symmetric(z).eval_u(F(1)) == z
+            assert qnum_floor(z).eval_u(F(1)) == z
 
     def test_pow_negative(self):
         x = qnum_floor(2)
@@ -227,8 +234,8 @@ class TestPoly:
             x1 ** -1
 
     def test_poly_det(self):
-        x = Poly.x()
-        m = [[x, x * x], [Poly.const(1), x]]
+        x = Poly([0, 1])
+        m = [[x, x * x], [Poly([1]), x]]
         assert det_exact(m) == Poly([])
 
 
