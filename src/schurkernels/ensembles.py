@@ -24,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import mpmath
 
 from . import partitions as pt
 from .scalars import (Poly, QRat, at_precision, binom, det_exact,
-                      double_factorial, factorial, mat_inverse_exact, poch,
-                      qnum_floor, recip, to_mpf)
+                      double_factorial, factorial, int_form, mat_inverse_exact,
+                      poch, qnum_floor, recip, to_mpf)
 from .symfun import qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -173,10 +174,13 @@ def _moment_det(spec: EnsembleSpec, rows, cols):
 
 @dataclass(frozen=True)
 class OrthoSystem:
-    """Monic orthogonal polynomials P_0..P_K and their norms h_0..h_K."""
+    """Monic orthogonal polynomials P_0..P_K and their norms h_0..h_K; at
+    rational moments also ints = (p, w, W) with integer coefficient tuples
+    p_j = e_j P_j and P_j(x) P_j(y) / h_j = w_j p_j(x) p_j(y) / W."""
 
     polys: tuple
     norms: tuple
+    ints: tuple | None
 
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
@@ -209,7 +213,10 @@ def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
             raise ValueError(f"degenerate measure: zero norm at degree {k}")
         polys.append(p)
         norms.append(h)
-    return OrthoSystem(tuple(polys), tuple(norms))
+    forms = [int_form(p.coeffs) for p in polys]
+    w = all(forms) and int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
+    return OrthoSystem(tuple(polys), tuple(norms),
+                       (tuple(c for c, _ in forms), *w) if w else None)
 
 
 # ----------------------------------------------------------------------------
@@ -242,7 +249,10 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
 
 
 def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
-    """(numerators, denominator) of <s_lam' s_mu'> for lam, mu in Y_{n,M}.
+    """(nums, den, ints) with <s_lam' s_mu'> = nums[lam, mu] / den for lam,
+    mu in Y_{n,M}, nums read-only; at rational moments ints = (c, d) with
+    c[i][j] / d the same average, lam and mu the i-th and j-th of
+    `enumerate_bounded`, else None.  Cached, bounded, with the key of `moment`.
 
     The numerator in `schur_pair_avg_oracle` is the minor H[A, B] of the
     (M+n)-square moment Hankel matrix; A^c = {M-1+i-lam_i}.  By Jacobi's
@@ -250,6 +260,11 @@ def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
     det adj(H)[B^c, A^c] / det(H)^(n-1): one adj(H) = det(H) H^-1 for all.
     sum A + sum B has the parity of sum A^c + sum B^c.
     """
+    return _cofactors_cached(spec, n, m, field_key(spec))
+
+
+@lru_cache(maxsize=128)
+def _cofactors_cached(spec: EnsembleSpec, n: int, m: int, dps: int):
     size = m + n
     mom = [moment(spec, p) for p in range(2 * size - 1)]
     h = [[mom[j + k] for k in range(size)] for j in range(size)]
@@ -262,7 +277,11 @@ def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
         for mu, b in comp.items():
             minor = det_exact([[adj[j][k] for k in a] for j in b])
             nums[lam, mu] = -minor if (sum(a) + sum(b)) % 2 else minor
-    return nums, hankel_det(spec, m) * det_h ** (n - 1)
+    den = hankel_det(spec, m) * det_h ** (n - 1)
+    form = int_form(list(nums.values()) + [den])
+    ints = form and (tuple(form[0][i:i + len(comp)]
+                           for i in range(0, len(nums), len(comp))), form[0][-1])
+    return MappingProxyType(nums), den, ints
 
 
 def char_poly_moment_det(spec: EnsembleSpec, m: int, n2: int, x):
@@ -282,7 +301,7 @@ def char_poly_moment_det(spec: EnsembleSpec, m: int, n2: int, x):
 
 def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
     """<det(x - Z)^n2> via Andreief with binomially modified moments."""
-    return char_poly_moment_det(spec, m, n2, x) / hankel_det(spec, m)
+    return char_poly_moment_det(spec, m, n2, x) * recip(hankel_det(spec, m))
 
 
 # ----------------------------------------------------------------------------

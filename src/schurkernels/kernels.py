@@ -13,6 +13,7 @@ where Khat = [prod_{j=M}^{N-1} h_j / prod_i (x_i y_i)^M] K_N^(n).
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +27,8 @@ from .ensembles import (EnsembleSpec, OrthoSystem, field_key, moment,
                         ortho_system, pair_average, pair_cofactors,
                         schur_average, schur_avg_jue, schur_pair_avg_ginibre)
 from .scalars import (at_precision, binom, det_exact, factorial, gamma_real,
-                      mat_inverse_exact, rational_sqrt, recip, to_mpf)
-from .symfun import chebyshev_u, schur_eval, schur_table
+                      int_form, mat_inverse_exact, rational_sqrt, recip, to_mpf)
+from .symfun import chebyshev_u_all, schur_eval, schur_table, schur_values
 
 
 @dataclass(frozen=True)
@@ -69,19 +70,40 @@ def _exactify(v):
 @dataclass(frozen=True)
 class KernelExpansion:
     """Read-only coefficient map of the Schur expansion over the 2n x (N-n)
-    rectangle (a cached table is shared by every caller)."""
+    rectangle (a cached table is shared by every caller); at rational
+    coefficients also their `int_form`, in the order of the map."""
 
     rows: int
     cols: int
     coeffs: MappingProxyType
+    ints: tuple | None
 
     def evaluate(self, t: tuple):
-        """sum_lam s_lam(t) c_lam, every s_lam(t) from one `schur_table` pass."""
-        s = schur_table(self.rows, self.cols, list(t))
-        total = 0
-        for lam, c in self.coeffs.items():
-            total = total + s[lam] * c
-        return total
+        """sum_lam s_lam(t) c_lam, every s_lam(t) from one branching pass; at
+        rational t on ints, grouped by |lam| with Horner in the denominator."""
+        form = int_form(t)
+        if form is None or self.ints is None:
+            s = schur_table(self.rows, self.cols, list(t))
+            total = 0
+            for lam, c in self.coeffs.items():
+                total = total + s[lam] * c
+            return total
+        (z, d), (c, e) = form, self.ints
+        parts, s = schur_values(self.rows, self.cols, z)
+        return Fraction(_horner_dot(map(sum, parts), s, c, d),
+                        e * d ** (self.rows * self.cols))
+
+
+def _horner_dot(sizes, a, b, d):
+    """sum_i a_i b_i d^(K - sizes_i), K = sizes[-1], by Horner in d over
+    nondecreasing sizes: sum_i a_i b_i / d^sizes_i times d^K."""
+    total, k = 0, 0
+    for size, u, v in zip(sizes, a, b):
+        if size > k:
+            total *= d ** (size - k)
+            k = size
+        total += u * v
+    return total
 
 
 def expansion_table(spec: EnsembleSpec, n_rank: int, n_pairs: int,
@@ -97,7 +119,8 @@ def _table_cached(spec: EnsembleSpec, n_rank: int, n_pairs: int, method: str,
     m = n_rank - n_pairs
     coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method)
               for lam in pt.enumerate_bounded(2 * n_pairs, m)}
-    return KernelExpansion(2 * n_pairs, m, MappingProxyType(coeffs))
+    return KernelExpansion(2 * n_pairs, m, MappingProxyType(coeffs),
+                           int_form(list(coeffs.values())))
 
 
 def khat_schur(query: KernelQuery, method: str = "closed",
@@ -112,17 +135,24 @@ def khat_schur(query: KernelQuery, method: str = "closed",
 def khat_double(query: KernelQuery, dps: int | None = None):
     """Khat via the double expansion sum over lam, mu in Y_{n,M} of
     s_lam(x^v) s_mu(y^v) <s_lam' s_mu'>: on the real line from one Hankel
-    adjugate (`pair_cofactors`), divided once; Ginibre by `pair_average`."""
+    adjugate (`pair_cofactors`), divided once, on ints at rational points;
+    Ginibre by `pair_average`."""
     with at_precision(dps):
         spec, m, n = query.spec, query.m_size, query.n_pairs
-        sx = schur_table(n, m, [-1 / v for v in query.x])
-        sy = schur_table(n, m, [-1 / v for v in query.y])
+        tx, ty = [-1 / v for v in query.x], [-1 / v for v in query.y]
+        if spec.kind != "ginibre":
+            (nums, den, ints), fx, fy = pair_cofactors(spec, n, m), int_form(tx), int_form(ty)
+            if ints and fx and fy:
+                (c, e), (zx, dx), (zy, dy) = ints, fx, fy
+                parts, sx = schur_values(n, m, zx)
+                sy, sizes = schur_values(n, m, zy)[1], [sum(p) for p in parts]
+                inner = [_horner_dot(sizes, row, sy, dy) for row in c]
+                return Fraction(_horner_dot(sizes, sx, inner, dx), e * (dx * dy) ** (n * m))
+        sx, sy = schur_table(n, m, tx), schur_table(n, m, ty)
         if spec.kind == "ginibre":
             nums = {(lam, mu): pair_average(spec, pt.conjugate(lam), pt.conjugate(mu), m)
                     for lam in sx for mu in sy}
             den = 1
-        else:
-            nums, den = pair_cofactors(spec, n, m)
         total = 0
         for (lam, mu), c in nums.items():
             total = total + sx[lam] * sy[mu] * c
@@ -132,7 +162,9 @@ def khat_double(query: KernelQuery, dps: int | None = None):
 def k2_chebyshev(query: KernelQuery, dps: int | None = None):
     """2-point Khat via the Chebyshev form
     sum_{lam1 >= lam2} <s_lam'> (xy)^(-|lam|/2) U_{lam1-lam2}(-(x+y)/(2 sqrt(xy))),
-    with the coefficients <s_lam'> read from `expansion_table(spec, N, 1)`.
+    with the coefficients <s_lam'> read from `expansion_table(spec, N, 1)`:
+    U_0..U_M from one recurrence, then Horner in 1/(xy) over lam2 and in
+    1/sqrt(xy) over lam1 - lam2.
 
     lam1 runs to N-1 (= M for n = 1): this is the full rectangle of the
     Schur expansion, without which the equality with khat_schur fails.
@@ -149,13 +181,15 @@ def k2_chebyshev(query: KernelQuery, dps: int | None = None):
                 raise ValueError("xy has no exact square root; give decimal points")
         else:
             s = mpmath.sqrt(xy)
-        w = -(x + y) / (2 * s)
+        m = query.m_size
         coeffs = expansion_table(query.spec, query.n_rank, 1).coeffs
-        total = 0
-        for lam1 in range(query.m_size + 1):
-            for lam2 in range(0, lam1 + 1):
-                c = coeffs[pt.canonical((lam1, lam2))]
-                total = total + c * s ** (-(lam1 + lam2)) * chebyshev_u(lam1 - lam2, w)
+        u = chebyshev_u_all(m, -(x + y) / (2 * s))
+        r, inv_s, total = recip(xy), recip(s), 0
+        for j in range(m, -1, -1):
+            b = 0  # sum over lam2 = i of <s_(i+j, i)'> (xy)^-i
+            for i in range(m - j, -1, -1):
+                b = b * r + coeffs[pt.canonical((i + j, i))]
+            total = total * inv_s + u[j] * b
         return total
 
 
@@ -169,11 +203,22 @@ def kernel_cd(spec: EnsembleSpec, n_rank: int, x, y):
 
 
 def _cd_sum(osys: OrthoSystem, x, y):
-    """sum_j P_j(x) P_j(y) / h_j over every polynomial of osys, in degree order."""
-    total = 0
-    for p, h in zip(osys.polys, osys.norms):
-        total = total + p(x) * p(y) * recip(h)
-    return total
+    """sum_j P_j(x) P_j(y) / h_j over every polynomial of osys, in degree
+    order; at rational points on ints (`OrthoSystem.ints`)."""
+    fx, fy = int_form([x]), int_form([y])
+    if osys.ints is None or fx is None or fy is None:
+        total = 0
+        for p, h in zip(osys.polys, osys.norms):
+            total = total + p(x) * p(y) * recip(h)
+        return total
+    polys, w, den = osys.ints
+    k = len(polys) - 1
+    # p_j(a / d) = sum_i p_ji a^i d^(k-i) / d^k: one monomial vector and one
+    # denominator d^k for every degree j <= k
+    mx, my = ([a ** i * d ** (k - i) for i in range(k + 1)] for (a,), d in (fx, fy))
+    total = sum(wj * sum(map(operator.mul, c, mx)) * sum(map(operator.mul, c, my))
+                for c, wj in zip(polys, w))
+    return Fraction(total, den * (fx[1] * fy[1]) ** k)
 
 
 def kernel_cd_formula(spec: EnsembleSpec, n_rank: int, x, y):

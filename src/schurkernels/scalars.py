@@ -126,6 +126,16 @@ def recip(v):
     return 1 / v
 
 
+def int_form(values):
+    """(ints, d) with values[i] = ints[i] / d, d the lcm of the denominators,
+    when every value is an int or a Fraction; None otherwise (a QRat or an
+    mpf).  Sums over rationals run on these ints and build one Fraction."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    d = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
+
+
 def at_precision(dps: int | None):
     """mpmath.workdps(dps) for a query function's `dps` argument; None keeps
     the caller's working precision."""

@@ -10,12 +10,11 @@ branching pass.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions as pt
-from .scalars import QRat, det_exact, qnum_symmetric
+from .scalars import QRat, det_exact, int_form, qnum_symmetric
 
 
 def complete_h_all(kmax: int, z: list) -> list:
@@ -43,21 +42,27 @@ def schur_eval(lam, z: list):
 
 
 def schur_table(rows: int, cols: int, z: list) -> dict:
-    """s_lam(z) for every lam in Y_{rows,cols}, adding one variable at a time
-    by the branching rule s_lam(z_1..z_k) = sum_mu s_mu(z_1..z_{k-1})
-    z_k^(|lam|-|mu|), mu interlacing lam (Demmel and Koev, Math. Comp. 75,
-    2006).  Rational points run on ints: s_lam(z) = s_lam(Dz) / D^|lam|."""
+    """s_lam(z) for every lam in Y_{rows,cols}.  Rational points run on ints
+    (`int_form`): s_lam(z) = s_lam(Dz) / D^|lam|."""
+    form = int_form(z)
+    if form is None:
+        return dict(zip(*schur_values(rows, cols, z)))
+    parts, s = schur_values(rows, cols, form[0])
+    return {p: Fraction(v, form[1] ** sum(p)) for p, v in zip(parts, s)}
+
+
+def schur_values(rows: int, cols: int, z) -> tuple:
+    """(Y_{rows,cols} in `enumerate_bounded` order, the s_lam(z)), adding
+    one variable at a time by the branching rule s_lam(z_1..z_k) =
+    sum_mu s_mu(z_1..z_{k-1}) z_k^(|lam|-|mu|), mu interlacing lam (Demmel
+    and Koev, Math. Comp. 75, 2006).  Division-free: int points give ints."""
     parts, steps = _branching(rows, cols)
-    exact = all(isinstance(v, (int, Fraction)) for v in z)
-    d = math.lcm(*(Fraction(v).denominator for v in z)) if exact else 1
     s = [1] + [0] * (len(parts) - 1)
-    for x in ([int(v * d) for v in z] if exact else z):
+    for x in z:
         for step in steps:
             for k, j in step:
                 s[k] = s[k] + x * s[j]
-    if exact:
-        return {p: Fraction(v, d ** sum(p)) for p, v in zip(parts, s)}
-    return dict(zip(parts, s))
+    return parts, s
 
 
 @lru_cache(maxsize=64)
@@ -119,13 +124,11 @@ def dual_cauchy_check(t: list, z: list):
     return lhs, rhs
 
 
-def chebyshev_u(k: int, w):
-    """Chebyshev U_k(w) via U_{k+1}(w) = 2w U_k(w) - U_{k-1}(w)."""
-    if k < 0:
-        raise ValueError("chebyshev_u needs k >= 0")
-    u_prev, u = 1, 2 * w
-    if k == 0:
-        return 1
-    for _ in range(k - 1):
-        u_prev, u = u, 2 * w * u - u_prev
-    return u
+def chebyshev_u_all(kmax: int, w) -> list:
+    """Chebyshev U_0(w)..U_kmax(w) via U_{k+1}(w) = 2w U_k(w) - U_{k-1}(w)."""
+    if kmax < 0:
+        raise ValueError("chebyshev_u_all needs kmax >= 0")
+    u = [1, 2 * w]
+    for _ in range(kmax - 1):
+        u.append(2 * w * u[-1] - u[-2])
+    return u[:kmax + 1]

@@ -124,7 +124,7 @@ def suite_kernel_equivalence(seed: int = 1) -> SuiteResult:
         for n in (1, 2):
             for nr in range(n + 1, 6):
                 m = nr - n
-                nums, den = pair_cofactors(spec, n, m)
+                nums, den, _ = pair_cofactors(spec, n, m)
                 pairs_ok = all(
                     nums[lam, mu] * recip(den)
                     == schur_pair_avg_oracle(spec, pt.conjugate(lam), pt.conjugate(mu), m)

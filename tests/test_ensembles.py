@@ -2,13 +2,15 @@
 Andreief oracle and every closed-form Schur average."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import mpmath
 import pytest
 
 from oracles import schur_avg_bruteforce, schur_pair_avg_bruteforce
 from schurkernels import partitions as pt
-from schurkernels.ensembles import (EnsembleSpec, hankel_det,
+from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
+                                    hankel_det,
                                     jack_avg_jacobi_coeff, lue_alpha_shift_pair,
                                     moment, ortho_system, schur_average,
                                     schur_avg_gue, schur_avg_jue,
@@ -81,9 +83,10 @@ class TestMoments:
         assert [moment(GUE, p) for p in range(6)] == [1, 0, 1, 0, 3, 0]
 
     def test_cache_is_bounded(self):
-        from schurkernels.ensembles import _moment_cached, _ortho_cached
+        from schurkernels.ensembles import (_cofactors_cached, _moment_cached,
+                                            _ortho_cached)
         from schurkernels.kernels import _table_cached
-        for cache in (_moment_cached, _ortho_cached, _table_cached):
+        for cache in (_moment_cached, _ortho_cached, _table_cached, _cofactors_cached):
             assert cache.cache_parameters()["maxsize"] is not None
 
     def test_lue(self):
@@ -159,17 +162,25 @@ class TestMoments:
                 exact_m = moment(EnsembleSpec("lue", alpha=exact), p)
                 assert isinstance(real_m, mpmath.mpf)
                 assert isinstance(exact_m, F) and exact_m == value
-            # the same holds for the ortho_system and expansion_table caches
+            # the same holds for the ortho_system, expansion_table and
+            # pair_cofactors caches
+            from schurkernels.ensembles import pair_cofactors
             from schurkernels.kernels import expansion_table
             real, exact = (EnsembleSpec("lue", alpha=mpmath.mpf("0.5")),
                            EnsembleSpec("lue", alpha=F(1, 2)))
             for spec, kind in ((real, mpmath.mpf), (exact, F), (real, mpmath.mpf)):
                 osys = ortho_system(spec, 3)
                 table = expansion_table(spec, 4, 1)
+                nums, den, ints = pair_cofactors(spec, 2, 2)
                 assert all(isinstance(h, kind) for h in osys.norms)
                 assert all(isinstance(c, kind) for p in osys.polys for c in p.coeffs[:-1])
                 # <s_()> = 1 is exact in every field
                 assert all(isinstance(c, kind) for lam, c in table.coeffs.items() if lam)
+                assert isinstance(den, kind)
+                assert all(isinstance(c, kind) for c in nums.values())
+                # only the exact field has the int forms
+                assert all((v is None) == (kind is mpmath.mpf)
+                           for v in (osys.ints, table.ints, ints))
 
     def test_deep_moment_needs_no_recursion(self):
         assert moment(EnsembleSpec("lue", alpha=F(1, 2)), 1500) > 0
@@ -260,9 +271,17 @@ class TestOracle:
                         == schur_pair_avg_bruteforce(spec, lam, mu, 2)
 
     def test_pair_reduces_to_single(self):
-        for mu in pt.enumerate_bounded(2, 2):
-            assert schur_pair_avg_oracle(LUE0, mu, (), 3) \
-                == schur_avg_oracle(LUE0, mu, 3)
+        """mu in the column slot is the transposed determinant; it must give
+        the closed form <s_mu> all the same."""
+        for spec in (GUE, LUE0, EnsembleSpec("jue", alpha=1, beta=1), SW):
+            for mu in pt.enumerate_bounded(2, 2):
+                assert schur_pair_avg_oracle(spec, (), mu, 3) \
+                    == schur_average(spec, mu, 3), (spec.kind, mu)
+
+    def test_char_poly_oracle_at_m0_is_exact(self):
+        """No variables: <det(x - Z)^n2> is the exact 1, not the float 1.0."""
+        v = char_poly_moment_oracle(EnsembleSpec("lue", alpha=1), 0, 2, F(3))
+        assert isinstance(v, F) and v == 1
 
 
 class TestClosedForms:
@@ -471,6 +490,25 @@ class TestCachedValuesAreImmutable:
         with pytest.raises(TypeError):
             table.coeffs[()] = 0
         assert expansion_table(LUE0, 4, 1) is table
+        assert _nested_tuples(table.ints)
+
+    def test_ortho_system_int_form(self):
+        assert _nested_tuples(ortho_system(LUE0, 3).ints)
+
+    def test_pair_cofactors(self):
+        from schurkernels.ensembles import pair_cofactors
+        cof = pair_cofactors(LUE0, 2, 3)
+        with pytest.raises(TypeError):
+            cof[0][(), ()] = 0
+        assert _nested_tuples(cof)
+        assert pair_cofactors(LUE0, 2, 3) is cof
+
+
+def _nested_tuples(v) -> bool:
+    """v holds no list, dict or other mutable container at any depth."""
+    if isinstance(v, tuple):
+        return all(_nested_tuples(x) for x in v)
+    return isinstance(v, (int, F, MappingProxyType))
 
 
 PAIR_SPECS = {"gue": GUE, "lue1": EnsembleSpec("lue", alpha=1),
@@ -492,7 +530,7 @@ class TestPairCofactors:
         from schurkernels.ensembles import pair_cofactors
         from schurkernels.scalars import recip
         spec, (m, n) = PAIR_SPECS[name], size
-        nums, den = pair_cofactors(spec, n, m)
+        nums, den, _ = pair_cofactors(spec, n, m)
         assert len(nums) == len(pt.enumerate_bounded(n, m)) ** 2
         inv = recip(den)
         for (lam, mu), c in nums.items():

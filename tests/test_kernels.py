@@ -6,8 +6,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from schurkernels.ensembles import EnsembleSpec, hankel_det
-from schurkernels.kernels import (KernelQuery, df_chiral_closed_n1,
+from schurkernels.ensembles import (EnsembleSpec, hankel_det, ortho_system,
+                                    pair_cofactors)
+from schurkernels.kernels import (KernelQuery, _cd_sum, df_chiral_closed_n1,
                                   df_chiral_kernel, df_khat_double,
                                   df_kernel_factorized, df_partition,
                                   expansion_table, ginibre_kernel,
@@ -17,6 +18,7 @@ from schurkernels.kernels import (KernelQuery, df_chiral_closed_n1,
                                   random_rationals, real_ginibre_kernel,
                                   selberg_je_partition)
 from schurkernels.scalars import QRat, hp_close
+from schurkernels.symfun import schur_eval
 
 F = Fraction
 GUE = EnsembleSpec("gue")
@@ -230,6 +232,82 @@ class TestDotsenkoFateev:
                     for eps in (mpmath.mpf("1e-6"), mpmath.mpf("1e-7"))]
             assert all(mpmath.isfinite(v) for v in vals)
             assert abs(vals[1]) < abs(vals[0]) < mpmath.mpf("1e-4")
+
+
+INT_SPECS = (GUE, EnsembleSpec("lue", alpha=1),
+             EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2)))
+
+
+class TestIntegerEvaluation:
+    """The int paths of evaluate, _cd_sum and khat_double against the plain
+    Fraction sums they replace, written out here."""
+
+    @staticmethod
+    def points(rng, count):
+        """count seeded rationals of mixed denominators; from two on, the
+        first one twice."""
+        pts = random_rationals(rng, count)
+        return pts[:1] * 2 + pts[2:] if count > 1 else pts
+
+    @pytest.mark.parametrize("spec", INT_SPECS, ids=["gue", "lue1", "jue_half"])
+    def test_evaluate(self, spec):
+        rng = random.Random(31)
+        for nr, n in ((4, 1), (5, 2), (5, 3)):
+            table = expansion_table(spec, nr, n)
+            assert table.ints is not None
+            # fewer t-variables than rows, then all 2n of them
+            for count in (1, n, 2 * n):
+                t = self.points(rng, count)
+                want = sum(schur_eval(lam, t) * c for lam, c in table.coeffs.items())
+                got = table.evaluate(tuple(t))
+                assert isinstance(got, F) and got == want, (nr, n, t)
+
+    @pytest.mark.parametrize("spec", INT_SPECS, ids=["gue", "lue1", "jue_half"])
+    def test_cd_sum(self, spec):
+        rng = random.Random(37)
+        osys = ortho_system(spec, 6)
+        assert osys.ints is not None
+        for x, y in [self.points(rng, 2) for _ in range(4)] + [(F(2, 9), F(2, 9))]:
+            want = sum(p(x) * p(y) / h for p, h in zip(osys.polys, osys.norms))
+            got = _cd_sum(osys, x, y)
+            assert isinstance(got, F) and got == want, (x, y)
+
+    @pytest.mark.parametrize("spec", INT_SPECS, ids=["gue", "lue1", "jue_half"])
+    def test_khat_double(self, spec):
+        rng = random.Random(41)
+        for nr, n in ((5, 1), (5, 2), (6, 3)):
+            m = nr - n
+            nums, den, ints = pair_cofactors(spec, n, m)
+            assert ints is not None
+            x, y = self.points(rng, n), self.points(rng, n)
+            tx, ty = [-1 / v for v in x], [-1 / v for v in y]
+            want = sum(schur_eval(lam, tx) * schur_eval(mu, ty) * c
+                       for (lam, mu), c in nums.items()) / den
+            got = khat_double(KernelQuery(spec, nr, n, tuple(x), tuple(y)))
+            assert isinstance(got, F) and got == want, (nr, n, x, y)
+
+    def test_q_and_real_fields_keep_their_types(self):
+        sw, qlue = EnsembleSpec("sw"), EnsembleSpec("qlue", alpha=1)
+        assert expansion_table(sw, 4, 1).ints is None
+        assert pair_cofactors(sw, 1, 3)[2] is None
+        assert ortho_system(qlue, 3).ints is None
+        x, y = (F(2),), (F(8),)
+        q = KernelQuery(sw, 4, 1, x, y)
+        for route in (khat_schur, khat_double, k2_chebyshev, khat_cd):
+            assert isinstance(route(q), QRat), route
+        assert isinstance(khat_cd(KernelQuery(qlue, 4, 1, x, y)), QRat)
+        with mpmath.workdps(30):
+            spec = EnsembleSpec("lue", alpha=mpmath.mpf("0.5"))
+            assert expansion_table(spec, 4, 1).ints is None
+            assert pair_cofactors(spec, 1, 3)[2] is None
+            assert ortho_system(spec, 3).ints is None
+            q = KernelQuery(spec, 4, 1, x, y)
+            for route in (khat_schur, khat_double, k2_chebyshev, khat_cd):
+                assert isinstance(route(q), mpmath.mpf), route
+            # rational spec, real points
+            q = KernelQuery(LUE0, 4, 1, (mpmath.mpf("0.3"),), (mpmath.mpf("1.7"),))
+            for route in (khat_schur, khat_double, k2_chebyshev, khat_cd):
+                assert isinstance(route(q), mpmath.mpf), route
 
 
 class TestRealParameterKernels:

@@ -12,7 +12,7 @@ from schurkernels import partitions as pt
 from schurkernels.kernels import random_rationals
 from schurkernels.scalars import QRat, hp_close
 from oracles import schur_bialternant
-from schurkernels.symfun import (chebyshev_u, complete_h_all, dual_cauchy_check,
+from schurkernels.symfun import (chebyshev_u_all, complete_h_all, dual_cauchy_check,
                                  qdim, schur_eval, schur_principal, schur_table)
 
 F = Fraction
@@ -159,15 +159,18 @@ class TestDualCauchy:
 
 class TestChebyshev:
     def test_u0_u1(self):
-        assert chebyshev_u(0, F(7)) == 1
-        assert chebyshev_u(1, F(7)) == 14
+        assert chebyshev_u_all(0, F(7)) == [1]
+        assert chebyshev_u_all(1, F(7)) == [1, 14]
 
     def test_u2_at_zero(self):
-        assert chebyshev_u(2, F(0)) == -1
+        assert chebyshev_u_all(2, F(0)) == [1, 0, -1]
 
     def test_u_at_one(self):
-        for k in range(8):
-            assert chebyshev_u(k, F(1)) == k + 1
+        assert chebyshev_u_all(7, F(1)) == list(range(1, 9))
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            chebyshev_u_all(-1, F(1))
 
     @given(st.integers(min_value=0, max_value=5),
            st.integers(min_value=0, max_value=5),
@@ -178,4 +181,4 @@ class TestChebyshev:
         if x == 0:
             return
         w = (x + 1 / x) / 2
-        assert schur_eval((k + j, k), [x, 1 / x]) == chebyshev_u(j, w)
+        assert schur_eval((k + j, k), [x, 1 / x]) == chebyshev_u_all(j, w)[j]
