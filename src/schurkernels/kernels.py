@@ -141,7 +141,8 @@ def khat_double(query: KernelQuery, dps: int | None = None):
         spec, m, n = query.spec, query.m_size, query.n_pairs
         tx, ty = [-1 / v for v in query.x], [-1 / v for v in query.y]
         if spec.kind != "ginibre":
-            (nums, den, ints), fx, fy = pair_cofactors(spec, n, m), int_form(tx), int_form(ty)
+            nums, den, ints = pair_cofactors(spec, n, m)
+            fx, fy = int_form(tx), int_form(ty)
             if ints and fx and fy:
                 (c, e), (zx, dx), (zy, dy) = ints, fx, fy
                 parts, sx = schur_values(n, m, zx)
