@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 import mpmath
 
@@ -174,13 +173,14 @@ def _moment_det(spec: EnsembleSpec, rows, cols):
 
 @dataclass(frozen=True)
 class OrthoSystem:
-    """Monic orthogonal polynomials P_0..P_K and their norms h_0..h_K; at
-    rational moments also ints = (p, w, W) with integer coefficient tuples
-    p_j = e_j P_j and P_j(x) P_j(y) / h_j = w_j p_j(x) p_j(y) / W."""
+    """Monic orthogonal polynomials P_0..P_K, their norms h_0..h_K and
+    ints = (p, w, W) with P_j(x) P_j(y) / h_j = w_j p_j(x) p_j(y) / W, from
+    `int_form`: at rational moments p_j = e_j P_j has integer coefficients
+    and w, W are ints; otherwise p_j = P_j, w_j = 1 / h_j and W = 1."""
 
     polys: tuple
     norms: tuple
-    ints: tuple | None
+    ints: tuple
 
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
@@ -214,9 +214,8 @@ def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
         polys.append(p)
         norms.append(h)
     forms = [int_form(p.coeffs) for p in polys]
-    w = all(forms) and int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
-    return OrthoSystem(tuple(polys), tuple(norms),
-                       (tuple(c for c, _ in forms), *w) if w else None)
+    w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
+    return OrthoSystem(tuple(polys), tuple(norms), (tuple(c for c, _ in forms), *w))
 
 
 # ----------------------------------------------------------------------------
@@ -249,10 +248,11 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
 
 
 def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
-    """(nums, den, ints) with <s_lam' s_mu'> = nums[lam, mu] / den for lam,
-    mu in Y_{n,M}, nums read-only; at rational moments ints = (c, d) with
-    c[i][j] / d the same average, lam and mu the i-th and j-th of
-    `enumerate_bounded`, else None.  Cached, bounded, with the key of `moment`.
+    """(rows, den) with <s_lam' s_mu'> = rows[i][j] / den, lam and mu the
+    i-th and j-th of `enumerate_bounded(n, m)`, over one denominator by
+    `int_form`: ints at rational moments, the QRats or mpfs otherwise.
+    Ginibre's diagonal comes from `pair_average`.  Cached, bounded, with
+    the key of `moment`.
 
     The numerator in `schur_pair_avg_oracle` is the minor H[A, B] of the
     (M+n)-square moment Hankel matrix; A^c = {M-1+i-lam_i}.  By Jacobi's
@@ -265,23 +265,24 @@ def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
 
 @lru_cache(maxsize=128)
 def _cofactors_cached(spec: EnsembleSpec, n: int, m: int, dps: int):
-    size = m + n
-    mom = [moment(spec, p) for p in range(2 * size - 1)]
-    h = [[mom[j + k] for k in range(size)] for j in range(size)]
-    det_h = det_exact(h)
-    adj = [[det_h * x for x in row] for row in mat_inverse_exact(h)]
-    comp = {lam: [m - 1 + i - pt.part(lam, i) for i in range(1, n + 1)]
-            for lam in pt.enumerate_bounded(n, m)}
-    nums = {}
-    for lam, a in comp.items():
-        for mu, b in comp.items():
-            minor = det_exact([[adj[j][k] for k in a] for j in b])
-            nums[lam, mu] = -minor if (sum(a) + sum(b)) % 2 else minor
-    den = hankel_det(spec, m) * det_h ** (n - 1)
-    form = int_form(list(nums.values()) + [den])
-    ints = form and (tuple(form[0][i:i + len(comp)]
-                           for i in range(0, len(nums), len(comp))), form[0][-1])
-    return MappingProxyType(nums), den, ints
+    parts = pt.enumerate_bounded(n, m)
+    if spec.kind == "ginibre":
+        nums = [pair_average(spec, pt.conjugate(lam), pt.conjugate(mu), m)
+                for lam in parts for mu in parts]
+        den = 1
+    else:
+        size = m + n
+        mom = [moment(spec, p) for p in range(2 * size - 1)]
+        h = [[mom[j + k] for k in range(size)] for j in range(size)]
+        det_h = det_exact(h)
+        adj = [[det_h * x for x in row] for row in mat_inverse_exact(h)]
+        comp = [[m - 1 + i - pt.part(lam, i) for i in range(1, n + 1)] for lam in parts]
+        nums = [(-1) ** (sum(a) + sum(b)) * det_exact([[adj[j][k] for k in a] for j in b])
+                for a in comp for b in comp]
+        den = hankel_det(spec, m) * det_h ** (n - 1)
+    flat, _ = int_form(nums + [den])
+    k = len(parts)
+    return tuple(flat[i:i + k] for i in range(0, k * k, k)), flat[-1]
 
 
 def char_poly_moment_det(spec: EnsembleSpec, m: int, n2: int, x):

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import mpmath
 
+from . import partitions as pt
 from .scalars import to_mpf
-from .symfun import complete_h_all, schur_eval
+from .symfun import complete_h_all, schur_table
 
 DEFAULT_TAIL_TOL = Fraction(1, 10**30)
 
@@ -78,11 +79,14 @@ def schur_doubling_check(x, y, q, terms: int, k: int = 0):
     zx, zy = [x, 1 / x], [y, 1 / y]
     hx = complete_h_all(terms - 1, zx)
     hy = complete_h_all(terms - 1, zy)
+    cols = max(k + terms - 1, 0)
+    sx, sy = schur_table(2, cols, zx), schur_table(2, cols, zy)
     schur_form = Fraction(0)
     h_form = Fraction(0)
     qj = Fraction(1)
     for j in range(terms):
-        schur_form += qj * schur_eval((k + j, k), zx) * schur_eval((k + j, k), zy)
+        lam = pt.canonical((k + j, k))
+        schur_form += qj * sx[lam] * sy[lam]
         h_form += qj * hx[j] * hy[j]
         qj *= q
     return schur_form, h_form

@@ -24,11 +24,12 @@ import mpmath
 
 from . import partitions as pt
 from .ensembles import (EnsembleSpec, OrthoSystem, field_key, moment,
-                        ortho_system, pair_average, pair_cofactors,
-                        schur_average, schur_avg_jue, schur_pair_avg_ginibre)
+                        ortho_system, pair_cofactors, schur_average,
+                        schur_avg_jue, schur_pair_avg_ginibre)
 from .scalars import (at_precision, binom, det_exact, factorial, gamma_real,
-                      int_form, mat_inverse_exact, rational_sqrt, recip, to_mpf)
-from .symfun import chebyshev_u_all, schur_eval, schur_table, schur_values
+                      int_form, mat_inverse_exact, over, rational_sqrt, recip,
+                      to_mpf)
+from .symfun import chebyshev_u_all, schur_table, schur_values
 
 
 @dataclass(frozen=True)
@@ -70,28 +71,23 @@ def _exactify(v):
 @dataclass(frozen=True)
 class KernelExpansion:
     """Read-only coefficient map of the Schur expansion over the 2n x (N-n)
-    rectangle (a cached table is shared by every caller); at rational
-    coefficients also their `int_form`, in the order of the map."""
+    rectangle (a cached table is shared by every caller) and its `int_form`
+    (c, e), in the order of the map: ints over their lcm at rational
+    coefficients, the QRat or mpf coefficients over e = 1 otherwise."""
 
     rows: int
     cols: int
     coeffs: MappingProxyType
-    ints: tuple | None
+    ints: tuple
 
     def evaluate(self, t: tuple):
-        """sum_lam s_lam(t) c_lam, every s_lam(t) from one branching pass; at
-        rational t on ints, grouped by |lam| with Horner in the denominator."""
-        form = int_form(t)
-        if form is None or self.ints is None:
-            s = schur_table(self.rows, self.cols, list(t))
-            total = 0
-            for lam, c in self.coeffs.items():
-                total = total + s[lam] * c
-            return total
-        (z, d), (c, e) = form, self.ints
+        """sum_lam s_lam(t) c_lam, every s_lam(t) from one branching pass at
+        the `int_form` (z, d) of t, grouped by |lam| with Horner in d and
+        divided once."""
+        (z, d), (c, e) = int_form(t), self.ints
         parts, s = schur_values(self.rows, self.cols, z)
-        return Fraction(_horner_dot(map(sum, parts), s, c, d),
-                        e * d ** (self.rows * self.cols))
+        return over(_horner_dot(map(sum, parts), s, c, d),
+                    e * d ** (self.rows * self.cols))
 
 
 def _horner_dot(sizes, a, b, d):
@@ -134,30 +130,18 @@ def khat_schur(query: KernelQuery, method: str = "closed",
 
 def khat_double(query: KernelQuery, dps: int | None = None):
     """Khat via the double expansion sum over lam, mu in Y_{n,M} of
-    s_lam(x^v) s_mu(y^v) <s_lam' s_mu'>: on the real line from one Hankel
-    adjugate (`pair_cofactors`), divided once, on ints at rational points;
-    Ginibre by `pair_average`."""
+    s_lam(x^v) s_mu(y^v) <s_lam' s_mu'>, the pair averages read from
+    `pair_cofactors` (one denominator, Ginibre included).  s_lam and s_mu
+    are taken at the `int_form` of each point set; the sum runs by Horner
+    in each denominator and divides once."""
     with at_precision(dps):
-        spec, m, n = query.spec, query.m_size, query.n_pairs
-        tx, ty = [-1 / v for v in query.x], [-1 / v for v in query.y]
-        if spec.kind != "ginibre":
-            nums, den, ints = pair_cofactors(spec, n, m)
-            fx, fy = int_form(tx), int_form(ty)
-            if ints and fx and fy:
-                (c, e), (zx, dx), (zy, dy) = ints, fx, fy
-                parts, sx = schur_values(n, m, zx)
-                sy, sizes = schur_values(n, m, zy)[1], [sum(p) for p in parts]
-                inner = [_horner_dot(sizes, row, sy, dy) for row in c]
-                return Fraction(_horner_dot(sizes, sx, inner, dx), e * (dx * dy) ** (n * m))
-        sx, sy = schur_table(n, m, tx), schur_table(n, m, ty)
-        if spec.kind == "ginibre":
-            nums = {(lam, mu): pair_average(spec, pt.conjugate(lam), pt.conjugate(mu), m)
-                    for lam in sx for mu in sy}
-            den = 1
-        total = 0
-        for (lam, mu), c in nums.items():
-            total = total + sx[lam] * sy[mu] * c
-        return total * recip(den)
+        m, n = query.m_size, query.n_pairs
+        c, e = pair_cofactors(query.spec, n, m)
+        (zx, dx), (zy, dy) = (int_form([-1 / v for v in pts]) for pts in (query.x, query.y))
+        parts, sx = schur_values(n, m, zx)
+        sy, sizes = schur_values(n, m, zy)[1], [sum(p) for p in parts]
+        inner = [_horner_dot(sizes, row, sy, dy) for row in c]
+        return over(_horner_dot(sizes, sx, inner, dx), e * (dx * dy) ** (n * m))
 
 
 def k2_chebyshev(query: KernelQuery, dps: int | None = None):
@@ -169,13 +153,15 @@ def k2_chebyshev(query: KernelQuery, dps: int | None = None):
 
     lam1 runs to N-1 (= M for n = 1): this is the full rectangle of the
     Schur expansion, without which the equality with khat_schur fails.
-    Exact mode requires xy to be a perfect rational square.
+    Needs xy > 0; exact mode requires xy to be a perfect rational square.
     """
     with at_precision(dps):
         if query.n_pairs != 1:
             raise ValueError("k2_chebyshev is the 2-point (n = 1) form")
         x, y = query.x[0], query.y[0]
         xy = x * y
+        if xy < 0:
+            raise ValueError("the Chebyshev form needs x*y > 0")
         if isinstance(xy, Fraction):
             s = rational_sqrt(xy)
             if s is None:
@@ -205,21 +191,17 @@ def kernel_cd(spec: EnsembleSpec, n_rank: int, x, y):
 
 def _cd_sum(osys: OrthoSystem, x, y):
     """sum_j P_j(x) P_j(y) / h_j over every polynomial of osys, in degree
-    order; at rational points on ints (`OrthoSystem.ints`)."""
-    fx, fy = int_form([x]), int_form([y])
-    if osys.ints is None or fx is None or fy is None:
-        total = 0
-        for p, h in zip(osys.polys, osys.norms):
-            total = total + p(x) * p(y) * recip(h)
-        return total
+    order, on `OrthoSystem.ints` at the `int_form` of each point, divided
+    once."""
     polys, w, den = osys.ints
     k = len(polys) - 1
+    fx, fy = int_form([x]), int_form([y])
     # p_j(a / d) = sum_i p_ji a^i d^(k-i) / d^k: one monomial vector and one
     # denominator d^k for every degree j <= k
     mx, my = ([a ** i * d ** (k - i) for i in range(k + 1)] for (a,), d in (fx, fy))
     total = sum(wj * sum(map(operator.mul, c, mx)) * sum(map(operator.mul, c, my))
                 for c, wj in zip(polys, w))
-    return Fraction(total, den * (fx[1] * fy[1]) ** k)
+    return over(total, den * (fx[1] * fy[1]) ** k)
 
 
 def kernel_cd_formula(spec: EnsembleSpec, n_rank: int, x, y):
@@ -293,13 +275,12 @@ def ginibre_khat_schur(n_rank: int, n_pairs: int, xs, ybars):
     """Ginibre Khat via the single-sum Schur expansion
     sum_lam s_lam(x^v) s_lam(ybar^v) <s_lam' sbar_lam'>."""
     m = n_rank - n_pairs
-    xd = [-1 / _exactify(v) for v in xs]
-    yd = [-1 / _exactify(v) for v in ybars]
+    sx = schur_table(n_pairs, m, [-1 / _exactify(v) for v in xs])
+    sy = schur_table(n_pairs, m, [-1 / _exactify(v) for v in ybars])
     total = 0
-    for lam in pt.enumerate_bounded(n_pairs, m):
+    for lam, s in sx.items():
         lc = pt.conjugate(lam)
-        total = (total + schur_eval(lam, xd) * schur_eval(lam, yd)
-                 * schur_pair_avg_ginibre(lc, lc, m))
+        total = total + s * sy[lam] * schur_pair_avg_ginibre(lc, lc, m)
     return total
 
 
@@ -325,11 +306,10 @@ def df_chiral_kernel(n_rank: int, n_pairs: int, xs, alpha, beta, gamma=1):
             return df_chiral_closed_n1(n_rank, _exactify(xs[0]), alpha, beta, gamma)
         raise ValueError("df_chiral_kernel supports gamma != 1 only at n = 1")
     m = n_rank - n_pairs
-    xd = [-1 / _exactify(v) for v in xs]
+    sx = schur_table(n_pairs, m, [-1 / _exactify(v) for v in xs])
     total = 0
-    for lam in pt.enumerate_bounded(n_pairs, m):
-        total = (total + schur_eval(lam, xd)
-                 * schur_avg_jue(pt.conjugate(lam), m, alpha, beta))
+    for lam, s in sx.items():
+        total = total + s * schur_avg_jue(pt.conjugate(lam), m, alpha, beta)
     return total
 
 
@@ -366,14 +346,14 @@ def df_khat_double(n_rank: int, n_pairs: int, xs, ybars, alpha, beta):
     from .ensembles import schur_avg_oracle
     spec = EnsembleSpec("jue", alpha=alpha, beta=beta)
     m = n_rank - n_pairs
-    xd = [-1 / _exactify(v) for v in xs]
-    yd = [-1 / _exactify(v) for v in ybars]
+    sx = schur_table(n_pairs, m, [-1 / _exactify(v) for v in xs])
+    sy = schur_table(n_pairs, m, [-1 / _exactify(v) for v in ybars])
     total = 0
-    for lam in pt.enumerate_bounded(n_pairs, m):
-        for mu in pt.enumerate_bounded(n_pairs, m):
+    for lam, s in sx.items():
+        for mu, r in sy.items():
             avg = (schur_avg_oracle(spec, pt.conjugate(lam), m)
                    * schur_avg_oracle(spec, pt.conjugate(mu), m))
-            total = (total + schur_eval(lam, xd) * schur_eval(mu, yd) * avg)
+            total = total + s * r * avg
     return total
 
 

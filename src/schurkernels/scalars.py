@@ -127,13 +127,22 @@ def recip(v):
 
 
 def int_form(values):
-    """(ints, d) with values[i] = ints[i] / d, d the lcm of the denominators,
-    when every value is an int or a Fraction; None otherwise (a QRat or an
-    mpf).  Sums over rationals run on these ints and build one Fraction."""
+    """(nums, d) with values[i] = nums[i] / d, for a sum over a common
+    denominator that divides once (`over`): at ints and Fractions the ints
+    over the lcm d of the denominators, in any other field (QRat, mpf) the
+    values themselves over d = 1."""
     if not all(isinstance(v, (int, Fraction)) for v in values):
-        return None
+        return tuple(values), 1
     d = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (d // v.denominator) for v in values), d
+
+
+def over(n, d):
+    """n / d, the one division that ends a sum over a common denominator:
+    a Fraction for two ints, n itself when d = 1."""
+    if isinstance(n, int) and isinstance(d, int):
+        return Fraction(n, d)
+    return n if d == 1 else n / d
 
 
 def at_precision(dps: int | None):

@@ -2,10 +2,10 @@
 polynomials, principal specializations, q-dimensions, the dual Cauchy
 identity and the Chebyshev bridge.
 
-Schur polynomials are evaluated by the Jacobi-Trudi determinant of complete
-homogeneous polynomials: division-free, exact in any scalar field and valid
-at repeated points; `schur_table` gives every s_lam of a rectangle in one
-branching pass.
+`schur_table` gives every s_lam of a rectangle in one division-free
+branching pass, exact in any scalar field and valid at repeated points; the
+rectangle sums read it.  `schur_eval` evaluates one s_lam by the
+Jacobi-Trudi determinant of complete homogeneous polynomials.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions as pt
-from .scalars import QRat, det_exact, int_form, qnum_symmetric
+from .scalars import QRat, det_exact, int_form, over, qnum_symmetric
 
 
 def complete_h_all(kmax: int, z: list) -> list:
@@ -42,13 +42,11 @@ def schur_eval(lam, z: list):
 
 
 def schur_table(rows: int, cols: int, z: list) -> dict:
-    """s_lam(z) for every lam in Y_{rows,cols}.  Rational points run on ints
-    (`int_form`): s_lam(z) = s_lam(Dz) / D^|lam|."""
-    form = int_form(z)
-    if form is None:
-        return dict(zip(*schur_values(rows, cols, z)))
-    parts, s = schur_values(rows, cols, form[0])
-    return {p: Fraction(v, form[1] ** sum(p)) for p, v in zip(parts, s)}
+    """s_lam(z) for every lam in Y_{rows,cols}, from the `int_form` (w, D) of
+    z: s_lam(z) = s_lam(w) / D^|lam| (D = 1 off the rationals)."""
+    w, d = int_form(z)
+    parts, s = schur_values(rows, cols, w)
+    return {p: over(v, d ** sum(p)) for p, v in zip(parts, s)}
 
 
 def schur_values(rows: int, cols: int, z) -> tuple:
@@ -83,10 +81,11 @@ def schur_principal(lam, m: int) -> Fraction:
     lam = pt.canonical(lam)
     if len(lam) > m:
         return Fraction(0)
-    r = Fraction(1)
+    num = den = 1
     for (_, hook, content) in pt.hook_content_data(lam):
-        r *= Fraction(m + content, hook)
-    return r
+        num *= m + content
+        den *= hook
+    return Fraction(num, den)
 
 
 def qdim(mu, m: int) -> QRat:
@@ -118,9 +117,11 @@ def dual_cauchy_check(t: list, z: list):
     for ti in t:
         for zj in z:
             lhs = lhs * (1 + ti * zj)
+    st = schur_table(len(t), len(z), t)
+    sz = schur_table(len(z), len(t), z)
     rhs = 0
-    for lam in pt.enumerate_bounded(len(t), len(z)):
-        rhs = rhs + schur_eval(lam, t) * schur_eval(pt.conjugate(lam), z)
+    for lam, s in st.items():
+        rhs = rhs + s * sz[pt.conjugate(lam)]
     return lhs, rhs
 
 

@@ -332,6 +332,18 @@ def test_fuzz_fails_cleanly(args):
                 if line.startswith("Error:")]) <= 1
 
 
+@pytest.mark.parametrize("x,y", [("0.3", "-1.7"), ("3/10", "-17/10")])
+def test_chebyshev_rejects_negative_xy(runner, x, y):
+    """sqrt(xy) is not real at x*y < 0, at decimal and at rational points
+    alike: one `Error:` line and exit code 1."""
+    r = runner.invoke(main, ["kernel", "eval", "--ensemble", "lue", "--alpha", "1",
+                             "--N", "4", "--n", "1", "--x", x, "--y", y,
+                             "--method", "chebyshev"])
+    assert r.exit_code == 1 and "Traceback" not in r.output
+    errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "x*y > 0" in errors[0]
+
+
 @pytest.mark.parametrize("args", [
     ["kernel", "expand", "--ensemble", "gue", "--N", "2", "--n", "2"],
     ["kernel", "eval", "--ensemble", "gue", "--N", "2", "--n", "2",

@@ -171,16 +171,22 @@ class TestMoments:
             for spec, kind in ((real, mpmath.mpf), (exact, F), (real, mpmath.mpf)):
                 osys = ortho_system(spec, 3)
                 table = expansion_table(spec, 4, 1)
-                nums, den, ints = pair_cofactors(spec, 2, 2)
+                rows, den = pair_cofactors(spec, 2, 2)
                 assert all(isinstance(h, kind) for h in osys.norms)
                 assert all(isinstance(c, kind) for p in osys.polys for c in p.coeffs[:-1])
                 # <s_()> = 1 is exact in every field
                 assert all(isinstance(c, kind) for lam, c in table.coeffs.items() if lam)
-                assert isinstance(den, kind)
-                assert all(isinstance(c, kind) for c in nums.values())
-                # only the exact field has the int forms
-                assert all((v is None) == (kind is mpmath.mpf)
-                           for v in (osys.ints, table.ints, ints))
+                # the exact field sums on ints; the real field on its own
+                # values over the denominator 1
+                num = int if kind is F else mpmath.mpf
+                assert isinstance(den, num)
+                assert all(isinstance(c, num) for row in rows for c in row)
+                assert all(isinstance(c, num) for c in table.ints[0][1:])
+                assert all(isinstance(c, num) for c in osys.ints[1])
+                if kind is mpmath.mpf:
+                    assert table.ints == (tuple(table.coeffs.values()), 1)
+                    assert osys.ints[0] == tuple(tuple(p.coeffs) for p in osys.polys)
+                    assert osys.ints[2] == 1
 
     def test_deep_moment_needs_no_recursion(self):
         assert moment(EnsembleSpec("lue", alpha=F(1, 2)), 1500) > 0
@@ -499,7 +505,7 @@ class TestCachedValuesAreImmutable:
         from schurkernels.ensembles import pair_cofactors
         cof = pair_cofactors(LUE0, 2, 3)
         with pytest.raises(TypeError):
-            cof[0][(), ()] = 0
+            cof[0][0] = ()
         assert _nested_tuples(cof)
         assert pair_cofactors(LUE0, 2, 3) is cof
 
@@ -530,13 +536,15 @@ class TestPairCofactors:
         from schurkernels.ensembles import pair_cofactors
         from schurkernels.scalars import recip
         spec, (m, n) = PAIR_SPECS[name], size
-        nums, den, _ = pair_cofactors(spec, n, m)
-        assert len(nums) == len(pt.enumerate_bounded(n, m)) ** 2
+        rows, den = pair_cofactors(spec, n, m)
+        parts = pt.enumerate_bounded(n, m)
+        assert len(rows) == len(parts) and all(len(row) == len(parts) for row in rows)
         inv = recip(den)
-        for (lam, mu), c in nums.items():
-            # H is symmetric, so the oracle is symmetric in (lam, mu): one
-            # oracle call covers both orders once the numerators agree
-            assert c == nums[mu, lam], (lam, mu)
-            if lam <= mu:
-                assert c * inv == schur_pair_avg_oracle(
-                    spec, pt.conjugate(lam), pt.conjugate(mu), m), (lam, mu)
+        for i, lam in enumerate(parts):
+            for j, mu in enumerate(parts):
+                # H is symmetric, so the oracle is symmetric in (lam, mu): one
+                # oracle call covers both orders once the numerators agree
+                assert rows[i][j] == rows[j][i], (lam, mu)
+                if lam <= mu:
+                    assert rows[i][j] * inv == schur_pair_avg_oracle(
+                        spec, pt.conjugate(lam), pt.conjugate(mu), m), (lam, mu)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, hankel_det, ortho_system,
                                     pair_cofactors)
 from schurkernels.kernels import (KernelQuery, _cd_sum, df_chiral_closed_n1,
@@ -17,7 +18,7 @@ from schurkernels.kernels import (KernelQuery, _cd_sum, df_chiral_closed_n1,
                                   khat_cd, khat_double, khat_schur,
                                   random_rationals, real_ginibre_kernel,
                                   selberg_je_partition)
-from schurkernels.scalars import QRat, hp_close
+from schurkernels.scalars import QRat, hp_close, recip, to_mpf
 from schurkernels.symfun import schur_eval
 
 F = Fraction
@@ -175,6 +176,18 @@ class TestGinibre:
             x, y = F(3, 2), F(-2, 5)
             assert ginibre_khat_schur(nr, 1, (x,), (y,)) == ginibre_kernel(nr, x, y)
 
+    def test_double_route(self):
+        """khat_double reads the Ginibre diagonal from pair_cofactors: it
+        equals the single sum, and the closed form at n = 1."""
+        rng = random.Random(13)
+        for nr, n in ((3, 1), (5, 1), (4, 2), (5, 2)):
+            pts = random_rationals(rng, 2 * n)
+            x, y = tuple(pts[:n]), tuple(pts[n:])
+            got = khat_double(KernelQuery(EnsembleSpec("ginibre"), nr, n, x, y))
+            assert isinstance(got, F) and got == ginibre_khat_schur(nr, n, x, y)
+            if n == 1:
+                assert got == ginibre_kernel(nr, x[0], y[0])
+
     def test_real_ginibre(self):
         assert real_ginibre_kernel(1, F(5), F(2)) == 3
         assert real_ginibre_kernel(2, F(2), F(1)) == 3
@@ -234,13 +247,36 @@ class TestDotsenkoFateev:
             assert abs(vals[1]) < abs(vals[0]) < mpmath.mpf("1e-4")
 
 
-INT_SPECS = (GUE, EnsembleSpec("lue", alpha=1),
-             EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2)))
+INT_SPECS = {"gue": GUE, "lue1": EnsembleSpec("lue", alpha=1),
+             "jue_half": EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2)),
+             "sw": EnsembleSpec("sw"), "qlue1": EnsembleSpec("qlue", alpha=1),
+             "lue_half_real": EnsembleSpec("lue", alpha=mpmath.mpf("0.5"))}
+
+
+def _same(got, want) -> bool:
+    """got is in want's field and equal to it: exactly in the exact fields,
+    to 40 digits for reals."""
+    if isinstance(want, mpmath.mpf):
+        return isinstance(got, mpmath.mpf) and hp_close(got, want)
+    return type(got) is type(want) and got == want
+
+
+def _keeps_its_field(spec):
+    """Off the rationals every cached form is the field's own values over
+    the denominator 1."""
+    table, osys = expansion_table(spec, 4, 1), ortho_system(spec, 3)
+    rows, den = pair_cofactors(spec, 1, 3)
+    assert table.ints == (tuple(table.coeffs.values()), 1)
+    assert osys.ints == (tuple(tuple(p.coeffs) for p in osys.polys),
+                         tuple(recip(h) for h in osys.norms), 1)
+    assert not isinstance(den, (int, F))
+    assert all(type(c) is type(den) for row in rows for c in row)
 
 
 class TestIntegerEvaluation:
-    """The int paths of evaluate, _cd_sum and khat_double against the plain
-    Fraction sums they replace, written out here."""
+    """The common-denominator sums of evaluate, _cd_sum and khat_double
+    against the plain field sums they replace, written out here: on ints at
+    rational inputs, on the QRats or mpfs themselves over 1 otherwise."""
 
     @staticmethod
     def points(rng, count):
@@ -249,48 +285,54 @@ class TestIntegerEvaluation:
         pts = random_rationals(rng, count)
         return pts[:1] * 2 + pts[2:] if count > 1 else pts
 
-    @pytest.mark.parametrize("spec", INT_SPECS, ids=["gue", "lue1", "jue_half"])
-    def test_evaluate(self, spec):
+    @pytest.mark.parametrize("name", INT_SPECS)
+    def test_evaluate(self, name):
         rng = random.Random(31)
         for nr, n in ((4, 1), (5, 2), (5, 3)):
-            table = expansion_table(spec, nr, n)
-            assert table.ints is not None
+            table = expansion_table(INT_SPECS[name], nr, n)
             # fewer t-variables than rows, then all 2n of them
             for count in (1, n, 2 * n):
                 t = self.points(rng, count)
                 want = sum(schur_eval(lam, t) * c for lam, c in table.coeffs.items())
-                got = table.evaluate(tuple(t))
-                assert isinstance(got, F) and got == want, (nr, n, t)
+                assert _same(table.evaluate(tuple(t)), want), (nr, n, t)
 
-    @pytest.mark.parametrize("spec", INT_SPECS, ids=["gue", "lue1", "jue_half"])
-    def test_cd_sum(self, spec):
+    @pytest.mark.parametrize("name", INT_SPECS)
+    def test_cd_sum(self, name):
         rng = random.Random(37)
-        osys = ortho_system(spec, 6)
-        assert osys.ints is not None
+        osys = ortho_system(INT_SPECS[name], 6)
         for x, y in [self.points(rng, 2) for _ in range(4)] + [(F(2, 9), F(2, 9))]:
-            want = sum(p(x) * p(y) / h for p, h in zip(osys.polys, osys.norms))
-            got = _cd_sum(osys, x, y)
-            assert isinstance(got, F) and got == want, (x, y)
+            want = sum(p(x) * p(y) * recip(h) for p, h in zip(osys.polys, osys.norms))
+            assert _same(_cd_sum(osys, x, y), want), (x, y)
 
-    @pytest.mark.parametrize("spec", INT_SPECS, ids=["gue", "lue1", "jue_half"])
-    def test_khat_double(self, spec):
-        rng = random.Random(41)
-        for nr, n in ((5, 1), (5, 2), (6, 3)):
-            m = nr - n
-            nums, den, ints = pair_cofactors(spec, n, m)
-            assert ints is not None
+    @pytest.mark.parametrize("name", INT_SPECS)
+    def test_khat_double(self, name):
+        spec, rng = INT_SPECS[name], random.Random(41)
+        # the 3-pair QRat cofactors of a 6 x 6 Hankel matrix take seconds
+        for nr, n in ((5, 1), (5, 2), (5 if name in ("sw", "qlue1") else 6, 3)):
             x, y = self.points(rng, n), self.points(rng, n)
-            tx, ty = [-1 / v for v in x], [-1 / v for v in y]
-            want = sum(schur_eval(lam, tx) * schur_eval(mu, ty) * c
-                       for (lam, mu), c in nums.items()) / den
-            got = khat_double(KernelQuery(spec, nr, n, tuple(x), tuple(y)))
-            assert isinstance(got, F) and got == want, (nr, n, x, y)
+            assert _same(khat_double(KernelQuery(spec, nr, n, tuple(x), tuple(y))),
+                         _plain_double(spec, nr - n, x, y)), (nr, n, x, y)
+
+    def test_rational_table_at_real_points(self):
+        """Int coefficients over their lcm, mpf points over 1."""
+        spec, rng = INT_SPECS["lue1"], random.Random(43)
+        for nr, n in ((4, 1), (5, 2)):
+            table = expansion_table(spec, nr, n)
+            t = [to_mpf(v) for v in self.points(rng, 2 * n)]
+            want = sum(schur_eval(lam, t) * c for lam, c in table.coeffs.items())
+            assert _same(table.evaluate(tuple(t)), want), (nr, n)
+            x, y = t[:n], t[n:]
+            assert _same(khat_double(KernelQuery(spec, nr, n, tuple(x), tuple(y))),
+                         _plain_double(spec, nr - n, x, y)), (nr, n)
+        osys = ortho_system(spec, 6)
+        x, y = to_mpf(F(-3, 7)), to_mpf(F(5, 11))
+        want = sum(p(x) * p(y) * recip(h) for p, h in zip(osys.polys, osys.norms))
+        assert _same(_cd_sum(osys, x, y), want)
 
     def test_q_and_real_fields_keep_their_types(self):
         sw, qlue = EnsembleSpec("sw"), EnsembleSpec("qlue", alpha=1)
-        assert expansion_table(sw, 4, 1).ints is None
-        assert pair_cofactors(sw, 1, 3)[2] is None
-        assert ortho_system(qlue, 3).ints is None
+        _keeps_its_field(sw)
+        _keeps_its_field(qlue)
         x, y = (F(2),), (F(8),)
         q = KernelQuery(sw, 4, 1, x, y)
         for route in (khat_schur, khat_double, k2_chebyshev, khat_cd):
@@ -298,9 +340,7 @@ class TestIntegerEvaluation:
         assert isinstance(khat_cd(KernelQuery(qlue, 4, 1, x, y)), QRat)
         with mpmath.workdps(30):
             spec = EnsembleSpec("lue", alpha=mpmath.mpf("0.5"))
-            assert expansion_table(spec, 4, 1).ints is None
-            assert pair_cofactors(spec, 1, 3)[2] is None
-            assert ortho_system(spec, 3).ints is None
+            _keeps_its_field(spec)
             q = KernelQuery(spec, 4, 1, x, y)
             for route in (khat_schur, khat_double, k2_chebyshev, khat_cd):
                 assert isinstance(route(q), mpmath.mpf), route
@@ -308,6 +348,17 @@ class TestIntegerEvaluation:
             q = KernelQuery(LUE0, 4, 1, (mpmath.mpf("0.3"),), (mpmath.mpf("1.7"),))
             for route in (khat_schur, khat_double, k2_chebyshev, khat_cd):
                 assert isinstance(route(q), mpmath.mpf), route
+
+
+def _plain_double(spec, m, x, y):
+    """sum_{lam, mu} s_lam(tx) s_mu(ty) rows[i][j] / den, in the field."""
+    n = len(x)
+    rows, den = pair_cofactors(spec, n, m)
+    tx, ty = [-1 / v for v in x], [-1 / v for v in y]
+    parts = pt.enumerate_bounded(n, m)
+    return sum(schur_eval(lam, tx) * schur_eval(mu, ty) * rows[i][j]
+               for i, lam in enumerate(parts)
+               for j, mu in enumerate(parts)) * recip(den)
 
 
 class TestRealParameterKernels:
