@@ -21,6 +21,7 @@ oracle `schur_pair_avg_oracle` at mu = empty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -184,35 +185,37 @@ class OrthoSystem:
 
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
-    """Gram-Schmidt on the moment bilinear form <z^a, z^b> = m_{a+b};
-    cached, bounded, with the key of `moment`."""
+    """P_0..P_K and h_0..h_K of the moment form <z^a, z^b> = m_{a+b} by the
+    Chebyshev algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982): the
+    recurrence straight from the moments in O(K^2) operations in any scalar
+    field.  Gram-Schmidt is its test oracle.  Cached, bounded, keyed as `moment`."""
     return _ortho_cached(spec, kmax, field_key(spec))
 
 
 @lru_cache(maxsize=128)
 def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
-    mom = [moment(spec, p) for p in range(2 * kmax + 1)]
-
-    def inner(pa: Poly, pb: Poly):
-        r = 0
-        for i, ca in enumerate(pa.coeffs):
-            if ca:
-                for j, cb in enumerate(pb.coeffs):
-                    if cb:
-                        r = r + ca * cb * mom[i + j]
-        return r
-
-    polys, norms = [], []
+    # step k holds sig[l] = <P_k, z^l> for k <= l <= 2K - k, h_k = sig_{k,k},
+    # a_k = sig_{k,k+1}/h_k - sig_{k-1,k}/h_{k-1}, b_k = h_k/h_{k-1}, and makes
+    # sig_{k+1,l} = sig_{k,l+1} - a_k sig_{k,l} - b_k sig_{k-1,l} and
+    # P_{k+1} = (z - a_k) P_k - b_k P_{k-1}; inv = 1/h_{k-1} starts at 0, so b_0 = 0
+    sig = prev = [moment(spec, p) for p in range(2 * kmax + 1)]
+    pk, pprev = Poly([1]), Poly()
+    polys, norms = [pk], []
+    ratio = inv = 0
     for k in range(kmax + 1):
-        p = Poly([0] * k + [1])
-        for j in range(k):
-            c = inner(p, polys[j]) / norms[j]
-            p = p - polys[j] * c
-        h = inner(p, p)
+        h = sig[k]
         if not h:
             raise ValueError(f"degenerate measure: zero norm at degree {k}")
-        polys.append(p)
         norms.append(h)
+        if k == kmax:
+            break
+        b, inv = h * inv, recip(h)
+        r = sig[k + 1] * inv
+        a, ratio = r - ratio, r
+        prev, sig = sig, [0] * (k + 1) + [sig[l + 1] - a * sig[l] - b * prev[l]
+                                          for l in range(k + 1, 2 * kmax - k)]
+        pk, pprev = Poly([0] + pk.coeffs) - pk * a - pprev * b, pk
+        polys.append(pk)
     forms = [int_form(p.coeffs) for p in polys]
     w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
     return OrthoSystem(tuple(polys), tuple(norms), (tuple(c for c, _ in forms), *w))
@@ -351,17 +354,10 @@ def _gue_block_coeff(l: list) -> Fraction | None:
         else:
             inv += seen_odd
     sign = -1 if inv % 2 else 1
-    num = Fraction(1)
-    for x in odd:
-        num *= double_factorial(x)
-    for x in even:
-        num *= double_factorial(x - 1)
-    cross = Fraction(1)
-    for i, a in enumerate(l):
-        for b in l[i + 1:]:
-            if (a - b) % 2:
-                cross *= a - b
-    return sign * num / cross
+    # (x)!! at odd x, (x - 1)!! at even x; the cross-parity differences
+    num = math.prod(double_factorial(x - 1 + x % 2) for x in l)
+    cross = math.prod(a - b for i, a in enumerate(l) for b in l[i + 1:] if (a - b) % 2)
+    return Fraction(sign * num, cross)
 
 
 def _row_product(mu, m: int, step):

@@ -165,7 +165,10 @@ def k2_chebyshev(query: KernelQuery, dps: int | None = None):
         if isinstance(xy, Fraction):
             s = rational_sqrt(xy)
             if s is None:
-                raise ValueError("xy has no exact square root; give decimal points")
+                # an exact q-ensemble takes no decimal points (KernelQuery)
+                exact_q = query.spec.kind in ("sw", "qlue") and query.spec.q is None
+                raise ValueError("xy has no exact square root; " + (
+                    "use --method schur" if exact_q else "give decimal points"))
         else:
             s = mpmath.sqrt(xy)
         m = query.m_size

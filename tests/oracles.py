@@ -6,15 +6,17 @@ against.  Each is independent of the code it checks:
                          `schur_eval` at distinct points;
 * `average_bruteforce`, `schur_avg_bruteforce`, `schur_pair_avg_bruteforce`
   -- term-wise integration of explicit polynomials in the eigenvalues, the
-  reference for the Andreief oracles of `schurkernels.ensembles`.
+  reference for the Andreief oracles of `schurkernels.ensembles`;
+* `ortho_gram_schmidt` -- Gram-Schmidt on the moment bilinear form, the
+                         reference for `ortho_system` (Chebyshev algorithm).
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from schurkernels import partitions as pt
-from schurkernels.ensembles import EnsembleSpec, moment
-from schurkernels.scalars import det_exact
+from schurkernels.ensembles import EnsembleSpec, OrthoSystem, moment
+from schurkernels.scalars import Poly, det_exact, int_form, recip
 
 
 def det_cofactor(matrix):
@@ -47,6 +49,36 @@ def schur_bialternant(lam, z: list):
     num = det_exact([[zi ** e for e in exps] for zi in z])
     den = det_exact([[zi ** (m - j) for j in range(1, m + 1)] for zi in z])
     return num / den
+
+
+def ortho_gram_schmidt(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
+    """Gram-Schmidt on the moment bilinear form <z^a, z^b> = m_{a+b}, over
+    O(K^3) field products; the reference oracle for `ortho_system`."""
+    mom = [moment(spec, p) for p in range(2 * kmax + 1)]
+
+    def inner(pa: Poly, pb: Poly):
+        r = 0
+        for i, ca in enumerate(pa.coeffs):
+            if ca:
+                for j, cb in enumerate(pb.coeffs):
+                    if cb:
+                        r = r + ca * cb * mom[i + j]
+        return r
+
+    polys, norms = [], []
+    for k in range(kmax + 1):
+        p = Poly([0] * k + [1])
+        for j in range(k):
+            c = inner(p, polys[j]) / norms[j]
+            p = p - polys[j] * c
+        h = inner(p, p)
+        if not h:
+            raise ValueError(f"degenerate measure: zero norm at degree {k}")
+        polys.append(p)
+        norms.append(h)
+    forms = [int_form(p.coeffs) for p in polys]
+    w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
+    return OrthoSystem(tuple(polys), tuple(norms), (tuple(c for c, _ in forms), *w))
 
 
 # ----------------------------------------------------------------------------

@@ -344,6 +344,19 @@ def test_chebyshev_rejects_negative_xy(runner, x, y):
     assert len(errors) == 1 and "x*y > 0" in errors[0]
 
 
+@pytest.mark.parametrize("spec", [["sw"], ["qlue", "--alpha", "1"]])
+def test_chebyshev_irrational_root_on_exact_q_names_schur(runner, spec):
+    """An exact q-ensemble takes no decimal points, so at xy = 6 the error
+    names --method schur: one `Error:` line and exit code 1."""
+    r = runner.invoke(main, ["kernel", "eval", "--ensemble", *spec, "--N", "4",
+                             "--n", "1", "--x", "2", "--y", "3",
+                             "--method", "chebyshev"])
+    assert r.exit_code == 1 and "Traceback" not in r.output
+    errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "--method schur" in errors[0]
+    assert "decimal" not in errors[0]
+
+
 @pytest.mark.parametrize("args", [
     ["kernel", "expand", "--ensemble", "gue", "--N", "2", "--n", "2"],
     ["kernel", "eval", "--ensemble", "gue", "--N", "2", "--n", "2",

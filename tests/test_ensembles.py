@@ -7,7 +7,8 @@ from types import MappingProxyType
 import mpmath
 import pytest
 
-from oracles import schur_avg_bruteforce, schur_pair_avg_bruteforce
+from oracles import (ortho_gram_schmidt, schur_avg_bruteforce,
+                     schur_pair_avg_bruteforce)
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     hankel_det,
@@ -224,6 +225,20 @@ class TestHankelAndOrtho:
             for j in range(4):
                 ratio = hankel_det(spec, j + 1) / hankel_det(spec, j)
                 assert osys.norms[j] == ratio
+
+    @pytest.mark.parametrize("spec,kmax", [
+        *((spec, kmax) for spec in (GUE, LUE0, EnsembleSpec("lue", alpha=1),
+                                    EnsembleSpec("jue", alpha=1, beta=1),
+                                    EnsembleSpec("jue", alpha=F(7, 10), beta=F(13, 10)))
+          for kmax in (7, 9, 23)),
+        (SW, 7), (EnsembleSpec("qlue", alpha=1), 7)])
+    def test_chebyshev_algorithm_equals_gram_schmidt(self, spec, kmax):
+        """The recurrence from the moments gives the Gram-Schmidt polynomials,
+        norms and integer forms exactly, in every exact field."""
+        osys, oracle = ortho_system(spec, kmax), ortho_gram_schmidt(spec, kmax)
+        assert osys.polys == oracle.polys
+        assert osys.norms == oracle.norms
+        assert osys.ints == oracle.ints
 
     def test_orthogonality(self):
         osys = ortho_system(GUE, 3)

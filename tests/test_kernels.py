@@ -382,6 +382,20 @@ class TestRealParameterKernels:
         with mpmath.workdps(120):
             assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -35
 
+    def test_cd_route_digits_at_real_jacobi(self):
+        """The Chebyshev-algorithm khat_cd keeps 20 of 50 digits on JUE
+        alpha=0.7 beta=1.3, N=24, n=1 (Gram-Schmidt kept 18.8), against
+        khat_schur at the exact 7/10 and 13/10."""
+        x, y = (F(-7, 5),), (F(11, 13),)
+        exact = EnsembleSpec("jue", alpha=F(7, 10), beta=F(13, 10))
+        ref = khat_schur(KernelQuery(exact, 24, 1, x, y))
+        with mpmath.workdps(50):
+            real = EnsembleSpec("jue", alpha=mpmath.mpf("0.7"),
+                                beta=mpmath.mpf("1.3"))
+            value = khat_cd(KernelQuery(real, 24, 1, x, y))
+        with mpmath.workdps(120):
+            assert abs(value - to_mpf(ref)) <= abs(to_mpf(ref)) * mpmath.mpf(10) ** -20
+
     def test_qlue_real_alpha_routes_agree(self):
         with mpmath.workdps(50):
             spec = EnsembleSpec("qlue", alpha=mpmath.mpf("1.5"),
