@@ -186,16 +186,15 @@ class OrthoSystem:
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
     """P_0..P_K and h_0..h_K of the moment form <z^a, z^b> = m_{a+b} by the
-    Chebyshev algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982): the
-    recurrence straight from the moments in O(K^2) operations in any scalar
-    field.  Gram-Schmidt is its test oracle.  Cached, bounded, keyed as `moment`."""
+    Chebyshev algorithm (Gautschi 1982), O(K^2) operations in any scalar field;
+    Gram-Schmidt is its test oracle.  Cached, bounded, keyed as `moment`."""
     return _ortho_cached(spec, kmax, field_key(spec))
 
 
 @lru_cache(maxsize=128)
 def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
-    # step k holds sig[l] = <P_k, z^l> for k <= l <= 2K - k, h_k = sig_{k,k},
-    # a_k = sig_{k,k+1}/h_k - sig_{k-1,k}/h_{k-1}, b_k = h_k/h_{k-1}, and makes
+    # step k: sig[l] = <P_k, z^l> (k <= l <= 2K - k) gives h_k = sig_{k,k},
+    # a_k = sig_{k,k+1}/h_k - sig_{k-1,k}/h_{k-1} and b_k = h_k/h_{k-1}, then
     # sig_{k+1,l} = sig_{k,l+1} - a_k sig_{k,l} - b_k sig_{k-1,l} and
     # P_{k+1} = (z - a_k) P_k - b_k P_{k-1}; inv = 1/h_{k-1} starts at 0, so b_0 = 0
     sig = prev = [moment(spec, p) for p in range(2 * kmax + 1)]

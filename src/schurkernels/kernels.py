@@ -49,11 +49,14 @@ class KernelQuery:
             raise ValueError("need n x-points and n y-points")
         if any(not v for v in self.x) or any(not v for v in self.y):
             raise ValueError("points must be nonzero (t-vector undefined)")
-        q_exact = self.spec.kind in ("sw", "qlue") and self.spec.q is None
-        if q_exact and any(isinstance(v, mpmath.mpf) for v in self.x + self.y):
+        if self.q_exact and any(isinstance(v, mpmath.mpf) for v in self.x + self.y):
             raise ValueError("an exact q-ensemble needs rational points")
         object.__setattr__(self, "x", tuple(_exactify(v) for v in self.x))
         object.__setattr__(self, "y", tuple(_exactify(v) for v in self.y))
+
+    @property
+    def q_exact(self) -> bool:
+        return self.spec.kind in ("sw", "qlue") and self.spec.q is None
 
     @property
     def m_size(self) -> int:
@@ -165,10 +168,9 @@ def k2_chebyshev(query: KernelQuery, dps: int | None = None):
         if isinstance(xy, Fraction):
             s = rational_sqrt(xy)
             if s is None:
-                # an exact q-ensemble takes no decimal points (KernelQuery)
-                exact_q = query.spec.kind in ("sw", "qlue") and query.spec.q is None
-                raise ValueError("xy has no exact square root; " + (
-                    "use --method schur" if exact_q else "give decimal points"))
+                # an exact q-ensemble takes no decimal points (__post_init__)
+                hint = "use --method schur" if query.q_exact else "give decimal points"
+                raise ValueError(f"xy has no exact square root; {hint}")
         else:
             s = mpmath.sqrt(xy)
         m = query.m_size
