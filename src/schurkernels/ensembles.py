@@ -340,9 +340,7 @@ def schur_avg_gue(mu, m: int) -> Fraction:
 
 
 def _gue_block_coeff(l: list) -> Fraction | None:
-    odd = [x for x in l if x % 2]
-    even = [x for x in l if x % 2 == 0]
-    if len(odd) != len(even):
+    if 2 * sum(x % 2 for x in l) != len(l):
         return None
     # sign of moving even-l rows in front of odd-l rows, order preserved
     inv = 0
