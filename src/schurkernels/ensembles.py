@@ -31,7 +31,7 @@ import mpmath
 from . import partitions as pt
 from .scalars import (Poly, QRat, at_precision, binom, det_exact,
                       double_factorial, factorial, int_form, mat_inverse_exact,
-                      poch, qnum_floor, recip, to_mpf)
+                      poch, qratio, recip, to_mpf)
 from .symfun import qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -144,8 +144,9 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
         step = lambda s: recip(at - s - 1)
     elif kind == "qlue":
         if integer:
-            mass = QRat.const(1)
-            step = lambda s: -qnum_floor(-(a + s))
+            # m_p/m_{p-1} = -|-(a+p)|_q = q^(-(a+p)) (1 - q^(a+p))/(1 - q)
+            ups = range(a + 1, a + p + 1)
+            return qratio(ups, [1] * p, -2 * sum(ups))
         else:
             av, qv = to_mpf(a), to_mpf(spec.q)
             step = lambda s: (qv ** -(av + s) - 1) / (1 - qv)
@@ -235,8 +236,8 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
 
     Delta^2 s_lam s_mu = det[z_k^(lam_j+M-j)] det[z_k^(mu_j+M-j)], so the
     average is det[m_{a_j + b_k}] over the shifted exponent sets, divided
-    by the same determinant at lam = mu = empty.  It is 0 when l(lam) > M
-    or l(mu) > M.
+    by the same determinant at lam = mu = empty (`_oracle_den`).  It is 0
+    when l(lam) > M or l(mu) > M.
     """
     lam, mu = pt.canonical(lam), pt.canonical(mu)
     if len(lam) > m or len(mu) > m:
@@ -245,8 +246,14 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
         return Fraction(1)
     a = [pt.part(lam, j) + m - j for j in range(1, m + 1)]
     b = [pt.part(mu, k) + m - k for k in range(1, m + 1)]
-    a0 = [m - j for j in range(1, m + 1)]
-    return _moment_det(spec, a, b) / _moment_det(spec, a0, a0)
+    return _moment_det(spec, a, b) / _oracle_den(spec, m, field_key(spec))
+
+
+@lru_cache(maxsize=128)
+def _oracle_den(spec: EnsembleSpec, m: int, dps: int):
+    """`hankel_det` in the oracle's row order M-1..0: the same value, and in
+    the real field rounded as the numerator is.  Keyed as `moment`."""
+    return _moment_det(spec, range(m - 1, -1, -1), range(m - 1, -1, -1))
 
 
 def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
@@ -472,13 +479,14 @@ def schur_avg_lue_tilde(nu, m: int, alpha_tilde):
 
 
 def schur_avg_sw(mu, m: int) -> QRat:
-    """Stieltjes-Wigert: q^(-1/2 sum mu_j (mu_j + 3m + 1 - 2j)) dim_q mu."""
+    """Stieltjes-Wigert: q^(-1/2 sum mu_j (mu_j + 3m + 1 - 2j)) dim_q mu,
+    one hook-content `qdim` quotient: a Laurent polynomial in u."""
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
     e = sum(pt.part(mu, j) * (pt.part(mu, j) + 3 * m + 1 - 2 * j)
             for j in range(1, m + 1))
-    return QRat.u_power(-e) * qdim(mu, m)
+    return qdim(mu, m, offset=-e)
 
 
 def schur_avg_qlue(mu, m: int, alpha, q=None):
@@ -491,20 +499,22 @@ def schur_avg_qlue(mu, m: int, alpha, q=None):
         prod_j m_{mu_j+m-j}/m_{m-j},  m_p/m_{p-1} = -|-(alpha+p)|_q,
 
     times q^(-(m-1)|mu|/2) dim_q(mu), with no singular factor evaluated.
-    Integer alpha gives an exact QRat; any other alpha needs the numeric q
-    and gives a high-precision real, with the factor
-    (q^(-(alpha+p)) - 1)/(1 - q).
+    At integer alpha a ratio is q^(-(alpha+p)) (1 - q^(alpha+p))/(1 - q), so
+    the average is one exact `qdim` quotient; any other alpha needs the
+    numeric q and gives a real, with the factor (q^(-(alpha+p)) - 1)/(1 - q).
     """
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
-    pref = QRat.u_power(-(m - 1) * sum(mu)) * qdim(mu, m)
+    e = (m - 1) * sum(mu)
     if isinstance(alpha, int):
-        return pref * _row_product(mu, m, lambda p: -qnum_floor(-(alpha + p)))
+        rows = [alpha + p for j in range(1, m + 1)
+                for p in range(m - j + 1, pt.part(mu, j) + m - j + 1)]
+        return qdim(mu, m, rows, [1] * len(rows), -e - 2 * sum(rows))
     if q is None:
         raise ValueError("real-alpha qlue average needs a numeric q")
     a, qv = to_mpf(alpha), to_mpf(q)
-    return (pref.eval_u(mpmath.sqrt(qv))
+    return (qdim(mu, m, offset=-e).eval_u(mpmath.sqrt(qv))
             * _row_product(mu, m, lambda p: (qv ** -(a + p) - 1) / (1 - qv)))
 
 

@@ -13,7 +13,7 @@ from . import partitions as pt
 from .ensembles import (EnsembleSpec, char_poly_moment_det,
                         char_poly_moment_oracle, hankel_det)
 from .scalars import (Poly, QRat, barnes_g_int, binom, det_exact, factorial,
-                      qfactorial_floor)
+                      qratio)
 from .symfun import qdim, schur_principal
 
 
@@ -160,9 +160,7 @@ def sw_fermion_partition(m: int, n: int) -> Poly:
         for j in range(1, m + 1):
             cj = pt.part(lamc, j)
             ue += -cj * cj + 2 * j * cj
-        term = (QRat.u_power(ue) * qdim(lamc, m)
-                * QRat.const(schur_principal(lam, 2 * n)))
-        coeffs[2 * n * m - sum(lam)] += term
+        coeffs[2 * n * m - sum(lam)] += qdim(lamc, m, offset=ue) * schur_principal(lam, 2 * n)
     return Poly([zm * c for c in coeffs])
 
 
@@ -199,13 +197,11 @@ def sw_fermion_constant(m: int, n: int) -> QRat:
 
 def sw_zm_product(m: int) -> QRat:
     """The q-factorial product form of the SW partition function,
-    [prod_{j<M} Gamma_q(1+j)] (1-q)^(M(M-1)/2) q^(-M(M^2-1)/6), exact in u."""
-    r = QRat.const(1)
-    for j in range(1, m):
-        r = r * qfactorial_floor(j)
-    one_minus_q = QRat(0, [Fraction(1), Fraction(0), Fraction(-1)])
-    r = r * one_minus_q ** (m * (m - 1) // 2)
-    return r * QRat.u_power(-m * (m * m - 1) // 3)
+    [prod_{j<M} Gamma_q(1+j)] (1-q)^(M(M-1)/2) q^(-M(M^2-1)/6), exact in u:
+    Gamma_q(1+j) = prod_{i<=j} (1-q^i)/(1-q), and the M(M-1)/2 factors
+    1-q cancel, which leaves one `qratio`."""
+    return qratio([i for j in range(1, m) for i in range(1, j + 1)], [],
+                  -m * (m * m - 1) // 3)
 
 
 def sw_zm_ratio(m: int) -> QRat:

@@ -26,8 +26,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 
@@ -456,9 +458,9 @@ class QRat:
         return tuple([Fraction(c, self.den[-1]) for c in p] for p in (self.num, self.den))
 
     def to_json(self) -> dict:
-        num, den = self._monic()
-        return {"var": "u", "offset": self.offset,
-                "num": [frac_str(c) for c in num], "den": [frac_str(c) for c in den]}
+        num, den = (([f"{c}/1" for c in p] for p in (self.num, self.den)) if self.den[-1] == 1
+                    else ([frac_str(c) for c in p] for p in self._monic()))
+        return {"var": "u", "offset": self.offset, "num": num, "den": den}
 
     def __repr__(self):
         if not self.num:
@@ -496,32 +498,27 @@ def _qr_canonical(offset, num, den, coprime=False):
     return offset, num, den
 
 
-def qnum_symmetric(z: int) -> QRat:
-    """Symmetric q-number [z]_q = (u^(-z) - u^z)/(u^(-1) - u)."""
-    if z == 0:
-        return QRat.const(0)
-    if z < 0:
-        return -qnum_symmetric(-z)
-    # u^(1-z) (1 + u^2 + ... + u^(2z-2))
-    return QRat._raw(1 - z, [1, 0] * (z - 1) + [1], [1], True)
-
-
-def qnum_floor(z: int) -> QRat:
-    """Asymmetric q-number |z|_q = (1 - q^z)/(1 - q)."""
-    if z == 0:
-        return QRat.const(0)
-    if z < 0:
-        # (1 - q^z)/(1 - q) = -q^z * |  -z |_q
-        return -(QRat.q_power(z) * qnum_floor(-z))
-    return QRat._raw(0, [1, 0] * (z - 1) + [1], [1], True)
-
-
-def qfactorial_floor(n: int) -> QRat:
-    """|n|_q! = prod_{i=1}^{n} |i|_q; equals Gamma_q(n+1) at integers."""
-    r = QRat.const(1)
-    for i in range(1, n + 1):
-        r = r * qnum_floor(i)
-    return r
+def qratio(ups, downs, offset: int = 0) -> QRat:
+    """u^offset prod_a (1 - q^a) / prod_b (1 - q^b) for positive integer
+    exponents, when the quotient is a Laurent polynomial; otherwise
+    ValueError.  Equal exponents cancel, the rest multiply as integer lists
+    in q (c - q^a c), and c / (1 - q^b) is the prefix sum of c along the
+    stride b, whose last b entries are the remainder.  No gcd is taken."""
+    up, down = Counter(ups), Counter(downs)
+    c = [1]
+    for a in (up - down).elements():
+        ext = c + [0] * a
+        c = ext[:a] + [x - y for x, y in zip(ext[a:], c)]
+    for b in (down - up).elements():
+        s = c[:]
+        for r in range(b):
+            s[r::b] = accumulate(c[r::b])
+        if len(s) <= b or any(s[-b:]):
+            raise ValueError("qratio: the product is not divisible")
+        c = s[:-b]
+    num = [0] * (2 * len(c) - 1)
+    num[::2] = c
+    return QRat._raw(offset, num, [1], True)
 
 
 # ----------------------------------------------------------------------------
@@ -693,7 +690,8 @@ def _det_qrat(matrix):
             return QRat.const(0)
         k = min(x.offset for x in row if x)
         lcd = functools.reduce(_zmul, {tuple(x.den) for x in row}, [1])
-        rows.append([_zmul(_ushift(x.num, x.offset - k), _zexquo(lcd, x.den)) for x in row])
+        rows.append([_zmul(_ushift(x.num, x.offset - k),
+                           lcd if x.den == [1] else _zexquo(lcd, x.den)) for x in row])
         offset, den = offset + k, _zmul(den, lcd)
         bound *= sum(abs(c) for e in rows[-1] for c in e)
     w = bound.bit_length() // 8 + 1

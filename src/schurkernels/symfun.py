@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions as pt
-from .scalars import QRat, det_exact, int_form, over, qnum_symmetric
+from .scalars import QRat, det_exact, int_form, over, qratio
 
 
 def complete_h_all(kmax: int, z: list) -> list:
@@ -88,23 +88,19 @@ def schur_principal(lam, m: int) -> Fraction:
     return Fraction(num, den)
 
 
-def qdim(mu, m: int) -> QRat:
-    """q-dimension of the U(m) representation mu.
-
-    prod_{1<=j<k<=m} [mu_j - j - mu_k + k]_q / [k - j]_q.  The denominator
-    uses the positive argument k - j, which normalizes dim_q(empty) = 1 and
-    matches the q -> 1 limit s_mu(1^m); the opposite convention [j - k]_q
-    would rescale everything by (-1)^(m(m-1)/2).  It is 0 when l(mu) > m.
-    """
+def qdim(mu, m: int, ups=(), downs=(), offset: int = 0) -> QRat:
+    """q-dimension of the U(m) representation mu (0 when l(mu) > m) times
+    u^offset prod_a (1 - q^a) / prod_b (1 - q^b), as one `qratio`: the
+    hook-content product prod_boxes [m + c]_q / [h]_q with [z]_q =
+    u^(1-z) (1 - q^z)/(1 - q) (Macdonald, I.3 Ex. 1).  It equals the Weyl
+    product prod_{j<k} [mu_j - j - mu_k + k]_q / [k - j]_q and tends to
+    s_mu(1^m) as q -> 1."""
     mu = pt.canonical(mu)
     if len(mu) > m:
         return QRat.const(0)
-    num = den = QRat.const(1)
-    for j in range(1, m + 1):
-        for k in range(j + 1, m + 1):
-            num = num * qnum_symmetric(pt.part(mu, j) - j - pt.part(mu, k) + k)
-            den = den * qnum_symmetric(k - j)
-    return num / den
+    data = pt.hook_content_data(mu)
+    up, down = [m + c for _, _, c in data], [h for _, h, _ in data]
+    return qratio(up + list(ups), down + list(downs), offset + sum(down) - sum(up))
 
 
 def dual_cauchy_check(t: list, z: list):

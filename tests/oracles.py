@@ -8,7 +8,11 @@ against.  Each is independent of the code it checks:
   -- term-wise integration of explicit polynomials in the eigenvalues, the
   reference for the Andreief oracles of `schurkernels.ensembles`;
 * `ortho_gram_schmidt` -- Gram-Schmidt on the moment bilinear form, the
-                         reference for `ortho_system` (Chebyshev algorithm).
+                         reference for `ortho_system` (Chebyshev algorithm);
+* `qdim_weyl`         -- the Weyl product of symmetric q-numbers, the
+                         reference for the hook-content `qdim`; with
+                         `qnum_floor` and `qfactorial_floor` it rebuilds the
+                         q-products that `scalars.qratio` forms in one pass.
 """
 
 from fractions import Fraction
@@ -16,7 +20,7 @@ from itertools import combinations_with_replacement
 
 from schurkernels import partitions as pt
 from schurkernels.ensembles import EnsembleSpec, OrthoSystem, moment
-from schurkernels.scalars import Poly, det_exact, int_form, recip
+from schurkernels.scalars import Poly, QRat, det_exact, int_form, recip
 
 
 def det_cofactor(matrix):
@@ -79,6 +83,57 @@ def ortho_gram_schmidt(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
     forms = [int_form(p.coeffs) for p in polys]
     w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
     return OrthoSystem(tuple(polys), tuple(norms), (tuple(c for c, _ in forms), *w))
+
+
+# ----------------------------------------------------------------------------
+# q-numbers as QRat products
+# ----------------------------------------------------------------------------
+
+def qnum_symmetric(z: int) -> QRat:
+    """Symmetric q-number [z]_q = (u^(-z) - u^z)/(u^(-1) - u)."""
+    if z == 0:
+        return QRat.const(0)
+    if z < 0:
+        return -qnum_symmetric(-z)
+    # u^(1-z) (1 + u^2 + ... + u^(2z-2))
+    return QRat._raw(1 - z, [1, 0] * (z - 1) + [1], [1], True)
+
+
+def qnum_floor(z: int) -> QRat:
+    """Asymmetric q-number |z|_q = (1 - q^z)/(1 - q)."""
+    if z == 0:
+        return QRat.const(0)
+    if z < 0:
+        # (1 - q^z)/(1 - q) = -q^z * |  -z |_q
+        return -(QRat.q_power(z) * qnum_floor(-z))
+    return QRat._raw(0, [1, 0] * (z - 1) + [1], [1], True)
+
+
+def qfactorial_floor(n: int) -> QRat:
+    """|n|_q! = prod_{i=1}^{n} |i|_q; equals Gamma_q(n+1) at integers."""
+    r = QRat.const(1)
+    for i in range(1, n + 1):
+        r = r * qnum_floor(i)
+    return r
+
+
+def qdim_weyl(mu, m: int) -> QRat:
+    """q-dimension of the U(m) representation mu.
+
+    prod_{1<=j<k<=m} [mu_j - j - mu_k + k]_q / [k - j]_q.  The denominator
+    uses the positive argument k - j, which normalizes dim_q(empty) = 1 and
+    matches the q -> 1 limit s_mu(1^m); the opposite convention [j - k]_q
+    would rescale everything by (-1)^(m(m-1)/2).  It is 0 when l(mu) > m.
+    """
+    mu = pt.canonical(mu)
+    if len(mu) > m:
+        return QRat.const(0)
+    num = den = QRat.const(1)
+    for j in range(1, m + 1):
+        for k in range(j + 1, m + 1):
+            num = num * qnum_symmetric(pt.part(mu, j) - j - pt.part(mu, k) + k)
+            den = den * qnum_symmetric(k - j)
+    return num / den
 
 
 # ----------------------------------------------------------------------------

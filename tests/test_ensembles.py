@@ -7,7 +7,7 @@ from types import MappingProxyType
 import mpmath
 import pytest
 
-from oracles import (ortho_gram_schmidt, schur_avg_bruteforce,
+from oracles import (ortho_gram_schmidt, qnum_floor, schur_avg_bruteforce,
                      schur_pair_avg_bruteforce)
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
@@ -20,8 +20,7 @@ from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     schur_avg_oracle, schur_avg_qlue,
                                     schur_avg_sw, schur_pair_avg_ginibre,
                                     schur_pair_avg_oracle)
-from schurkernels.scalars import (QRat, gamma_real, hp_close, qgamma_real,
-                                  qnum_floor)
+from schurkernels.scalars import QRat, gamma_real, hp_close, qgamma_real
 from schurkernels.symfun import schur_principal
 
 F = Fraction
@@ -85,9 +84,10 @@ class TestMoments:
 
     def test_cache_is_bounded(self):
         from schurkernels.ensembles import (_cofactors_cached, _moment_cached,
-                                            _ortho_cached)
+                                            _oracle_den, _ortho_cached)
         from schurkernels.kernels import _table_cached
-        for cache in (_moment_cached, _ortho_cached, _table_cached, _cofactors_cached):
+        for cache in (_moment_cached, _ortho_cached, _table_cached, _cofactors_cached,
+                      _oracle_den):
             assert cache.cache_parameters()["maxsize"] is not None
 
     def test_lue(self):
@@ -122,6 +122,16 @@ class TestMoments:
         assert moment(spec, 0) == QRat.const(1)
         assert moment(spec, 1) == QRat.q_power(-1)
         assert moment(spec, 2) == QRat.q_power(-1) * (-qnum_floor(-2))
+
+    @pytest.mark.parametrize("alpha", range(4))
+    def test_qlue_integer_equals_the_ratio_recursion(self, alpha):
+        """The one-quotient moment against m_p = m_{p-1} (-|-(alpha+p)|_q)."""
+        spec, r = EnsembleSpec("qlue", alpha=alpha), QRat.const(1)
+        for p in range(13):
+            if p:
+                r = r * -qnum_floor(-(alpha + p))
+            m = moment(spec, p)
+            assert (m.offset, m.num, m.den) == (r.offset, r.num, r.den)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -163,13 +173,15 @@ class TestMoments:
                 exact_m = moment(EnsembleSpec("lue", alpha=exact), p)
                 assert isinstance(real_m, mpmath.mpf)
                 assert isinstance(exact_m, F) and exact_m == value
-            # the same holds for the ortho_system, expansion_table and
-            # pair_cofactors caches
-            from schurkernels.ensembles import pair_cofactors
+            # the same holds for the ortho_system, expansion_table,
+            # pair_cofactors and oracle-denominator caches
+            from schurkernels.ensembles import _oracle_den, field_key, pair_cofactors
             from schurkernels.kernels import expansion_table
             real, exact = (EnsembleSpec("lue", alpha=mpmath.mpf("0.5")),
                            EnsembleSpec("lue", alpha=F(1, 2)))
             for spec, kind in ((real, mpmath.mpf), (exact, F), (real, mpmath.mpf)):
+                assert isinstance(_oracle_den(spec, 3, field_key(spec)), kind)
+                assert isinstance(schur_avg_oracle(spec, (1,), 3), kind)
                 osys = ortho_system(spec, 3)
                 table = expansion_table(spec, 4, 1)
                 rows, den = pair_cofactors(spec, 2, 2)
@@ -401,6 +413,13 @@ class TestClosedForms:
 
     def test_qlue_m1_example(self):
         assert schur_avg_qlue((1,), 1, 0) == QRat.q_power(-1)
+
+    @pytest.mark.parametrize("alpha", range(4))
+    def test_qlue_integer_closed_form_equals_oracle(self, alpha):
+        spec = EnsembleSpec("qlue", alpha=alpha)
+        for m in range(1, 6):
+            for mu in pt.enumerate_bounded(min(m, 3), 3):
+                assert schur_avg_qlue(mu, m, alpha) == schur_avg_oracle(spec, mu, m), (mu, m)
 
     def test_ginibre_pair(self):
         assert schur_pair_avg_ginibre((), (), 3) == 1

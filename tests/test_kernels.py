@@ -83,6 +83,11 @@ class TestSchurExpansion:
         q = KernelQuery(spec, 3, 1, (F(3),), (F(2),))
         assert khat_schur(q) == khat_cd(q)
 
+    def test_sw_kernel_at_kernel_size(self):
+        """SW (14,1): the hook-content table against the Chebyshev bridge."""
+        q = KernelQuery(EnsembleSpec("sw"), 14, 1, (F(1, 3),), (F(3, 4),))
+        assert khat_schur(q) == k2_chebyshev(q)
+
     def test_routes_exact_at_rational_parameters(self):
         spec = EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2))
         q = KernelQuery(spec, 3, 1, (F(1, 2),), (F(2),))
@@ -395,6 +400,18 @@ class TestRealParameterKernels:
             value = khat_cd(KernelQuery(real, 24, 1, x, y))
         with mpmath.workdps(120):
             assert abs(value - to_mpf(ref)) <= abs(to_mpf(ref)) * mpmath.mpf(10) ** -20
+
+    def test_qlue_real_alpha_schur_digits_at_kernel_size(self):
+        """khat_schur on qLUE alpha=0.5 q=1/3, N=12, n=1 at 50 dps keeps 45
+        digits against khat_cd at 120 dps."""
+        def query(dps):
+            with mpmath.workdps(dps):
+                spec = EnsembleSpec("qlue", alpha=mpmath.mpf("0.5"), q=F(1, 3))
+                return KernelQuery(spec, 12, 1, (F(3, 7),), (F(-5, 11),))
+        ref = khat_cd(query(120), dps=120)
+        value = khat_schur(query(50), dps=50)
+        with mpmath.workdps(120):
+            assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -45
 
     def test_qlue_real_alpha_routes_agree(self):
         with mpmath.workdps(50):

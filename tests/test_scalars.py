@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import det_cofactor
+from oracles import det_cofactor, qfactorial_floor, qnum_floor, qnum_symmetric
 from schurkernels.scalars import (Poly, QRat, _zexquo, _zgcd, _zpack, _zprim,
                                   _zunpack, barnes_g_int, binom, det_exact,
                                   double_factorial, frac_str, gamma_real,
-                                  hp_close, parse_number, poch,
-                                  qfactorial_floor, qgamma_real, qnum_floor,
-                                  qnum_symmetric, rational_sqrt)
+                                  hp_close, parse_number, poch, qgamma_real,
+                                  qratio, rational_sqrt)
 
 F = Fraction
 
@@ -124,6 +123,14 @@ class TestQRat:
         assert d == {"var": "u", "offset": -1, "num": ["1/1", "0/1", "1/1"],
                      "den": ["1/1"]}
 
+    def test_serialization_is_over_the_monic_denominator(self):
+        # den[-1] = 1 writes the integers as they are; any other den[-1]
+        # divides every coefficient by it
+        for x, num, den in (
+                (QRat(2, [3, -1], [2, 0, 1]), ["3/1", "-1/1"], ["2/1", "0/1", "1/1"]),
+                (QRat(0, [1, 1], [1, 3]), ["1/3", "1/3"], ["1/3", "1/1"])):
+            assert x.to_json() == {"var": "u", "offset": x.offset, "num": num, "den": den}
+
     @given(st.fractions(min_value=-5, max_value=5),
            st.fractions(min_value=-5, max_value=5),
            st.integers(min_value=-4, max_value=4))
@@ -135,6 +142,28 @@ class TestQRat:
         if x:
             assert (x / x) == QRat.const(1)
             assert (y / x) * x == y
+
+
+class TestQRatio:
+    def test_products_of_q_numbers(self):
+        # (1-q^3)/(1-q) = |3|_q; [5]_q [4]_q / ([2]_q [1]_q) in symmetric form
+        assert qratio([3], [1]) == qnum_floor(3)
+        assert qratio([5, 4], [2, 1], 3 - 9) == (qnum_symmetric(5) * qnum_symmetric(4)
+                                               / qnum_symmetric(2))
+        assert qratio([], []) == QRat.const(1)
+        assert qratio([2, 3], [3, 2], 4) == QRat.u_power(4)
+        assert qratio(range(1, 6), [], -2) == QRat.u_power(-2) * math.prod(
+            1 - QRat.q_power(a) for a in range(1, 6))
+
+    def test_q_factorials(self):
+        for n in range(7):
+            assert qratio(range(1, n + 1), [1] * n) == qfactorial_floor(n)
+
+    @pytest.mark.parametrize("ups, downs", [([3], [2]), ([1], [2]), ([], [1]),
+                                            ([4, 6], [5])])
+    def test_inexact_quotient_raises(self, ups, downs):
+        with pytest.raises(ValueError, match="not divisible"):
+            qratio(ups, downs)
 
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)

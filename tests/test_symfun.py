@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from schurkernels import partitions as pt
 from schurkernels.kernels import random_rationals
 from schurkernels.scalars import QRat, hp_close
-from oracles import schur_bialternant
+from oracles import qdim_weyl, qnum_symmetric, schur_bialternant
 from schurkernels.symfun import (chebyshev_u_all, complete_h_all, dual_cauchy_check,
                                  qdim, schur_eval, schur_principal, schur_table)
 
@@ -136,6 +136,31 @@ class TestQDim:
         for mu in pt.enumerate_bounded(3, 3):
             for m in range(len(mu), 5):
                 assert qdim(mu, m).eval_u(F(1)) == schur_principal(mu, m)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_hook_content_equals_weyl(self, m):
+        for mu in pt.enumerate_bounded(m, 5):
+            a, b = qdim(mu, m), qdim_weyl(mu, m)
+            assert (a.offset, a.num, a.den) == (b.offset, b.num, b.den), mu
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hook_content_equals_weyl_at_m23(self, seed):
+        """At m = 23 the QRat Weyl product takes seconds, so both sides are
+        read at the integer u = X > dim(mu): there the Weyl product is one
+        exact Fraction.  Both are Laurent polynomials with integer
+        coefficients in [0, X), so equal values are equal base-X digit
+        strings, that is equal polynomials."""
+        rng, m = random.Random(seed), 23
+        mu = pt.canonical(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True))
+        x = F(2 * int(schur_principal(mu, m)) + 2)
+        weyl = F(1)
+        for j in range(1, m + 1):
+            for k in range(j + 1, m + 1):
+                weyl *= (qnum_symmetric(pt.part(mu, j) - j - pt.part(mu, k) + k).eval_u(x)
+                         / qnum_symmetric(k - j).eval_u(x))
+        got = qdim(mu, m)
+        assert got.den == [1] and all(0 <= c < x for c in got.num)
+        assert got.eval_u(x) == weyl
 
 
 class TestDualCauchy:
