@@ -249,7 +249,7 @@ def toeplitz_verify_dr(gamma, delta, size, fmt):
 @click.option("--q", required=True)
 @click.option("--xi", required=True)
 @click.option("--eta", required=True)
-@click.option("--terms", type=int, default=None,
+@click.option("--terms", type=click.IntRange(min=1), default=None,
               help="partial-sum length (default: auto from the tail bound)")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def heat_kernel_cmd(q, xi, eta, terms, fmt):

@@ -160,16 +160,21 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
 
 def hankel_det(spec: EnsembleSpec, m: int):
     """det[m_{j+k}], 0 <= j,k <= m-1: the partition function of the weight
-    with the mass m_0 of `moment` (its true mass at integer parameters)."""
-    if m == 0:
-        return 1
-    return _moment_det(spec, range(m), range(m))
+    with the mass m_0 of `moment` (its true mass at integer parameters).
+    Eliminated in the row order M-1..0 of the oracle numerators, so a real
+    Andreief ratio rounds both of its determinants alike.  Cached, bounded,
+    keyed as `moment`."""
+    return _hankel_cached(spec, m, field_key(spec)) if m else 1
+
+
+@lru_cache(maxsize=128)
+def _hankel_cached(spec: EnsembleSpec, m: int, dps: int):
+    return _moment_det(spec, range(m - 1, -1, -1), range(m - 1, -1, -1))
 
 
 def _moment_det(spec: EnsembleSpec, rows, cols):
     """det[m_{a+b}] for a in rows (row order) and b in cols (column order)."""
-    mom = [moment(spec, p)
-           for p in range(max(rows, default=0) + max(cols, default=0) + 1)]
+    mom = [moment(spec, p) for p in range(max(rows) + max(cols) + 1)]
     return det_exact([[mom[a + b] for b in cols] for a in rows])
 
 
@@ -236,7 +241,7 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
 
     Delta^2 s_lam s_mu = det[z_k^(lam_j+M-j)] det[z_k^(mu_j+M-j)], so the
     average is det[m_{a_j + b_k}] over the shifted exponent sets, divided
-    by the same determinant at lam = mu = empty (`_oracle_den`).  It is 0
+    by the same determinant at lam = mu = empty (`hankel_det`).  It is 0
     when l(lam) > M or l(mu) > M.
     """
     lam, mu = pt.canonical(lam), pt.canonical(mu)
@@ -246,14 +251,7 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
         return Fraction(1)
     a = [pt.part(lam, j) + m - j for j in range(1, m + 1)]
     b = [pt.part(mu, k) + m - k for k in range(1, m + 1)]
-    return _moment_det(spec, a, b) / _oracle_den(spec, m, field_key(spec))
-
-
-@lru_cache(maxsize=128)
-def _oracle_den(spec: EnsembleSpec, m: int, dps: int):
-    """`hankel_det` in the oracle's row order M-1..0: the same value, and in
-    the real field rounded as the numerator is.  Keyed as `moment`."""
-    return _moment_det(spec, range(m - 1, -1, -1), range(m - 1, -1, -1))
+    return _moment_det(spec, a, b) / hankel_det(spec, m)
 
 
 def pair_cofactors(spec: EnsembleSpec, n: int, m: int):

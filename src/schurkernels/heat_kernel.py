@@ -16,14 +16,15 @@ from .symfun import complete_h_all, schur_table
 DEFAULT_TAIL_TOL = Fraction(1, 10**30)
 
 
-def auto_terms(q, tol=DEFAULT_TAIL_TOL) -> int:
-    """Term count with tail below tol: |U_j| <= j+1 on [-1,1] bounds the
-    tail of sum q^j (j+1)^2 by C q^J/(1-q)^3, so J ~ log(tol (1-q)^3)/log q,
-    taken at the working precision.  More than 10^6 terms is an error."""
+def auto_terms(q) -> int:
+    """Term count with tail below tol = DEFAULT_TAIL_TOL: |U_j| <= j+1 on
+    [-1,1] bounds the tail of sum q^j (j+1)^2 by C q^J/(1-q)^3, so
+    J ~ log(tol (1-q)^3)/log q, taken at the working precision.  More than
+    10^6 terms is an error."""
     if not (0 < q < 1):
         raise ValueError("heat kernel needs 0 < q < 1")
     q = to_mpf(q)
-    j = (mpmath.log(to_mpf(tol)) + 3 * mpmath.log(1 - q)) / mpmath.log(q)
+    j = (mpmath.log(to_mpf(DEFAULT_TAIL_TOL)) + 3 * mpmath.log(1 - q)) / mpmath.log(q)
     if j > 10**6:
         raise ValueError("heat kernel tail bound needs more than 10^6 terms "
                          "at this q; give the count with --terms")

@@ -25,7 +25,7 @@ import mpmath
 from . import partitions as pt
 from .ensembles import (EnsembleSpec, OrthoSystem, field_key, moment,
                         ortho_system, pair_cofactors, schur_average,
-                        schur_avg_jue, schur_pair_avg_ginibre)
+                        schur_avg_jue)
 from .scalars import (at_precision, binom, det_exact, factorial, gamma_real,
                       int_form, mat_inverse_exact, over, rational_sqrt, recip,
                       to_mpf)
@@ -122,21 +122,21 @@ def _table_cached(spec: EnsembleSpec, n_rank: int, n_pairs: int, method: str,
                            int_form(list(coeffs.values())))
 
 
-def khat_schur(query: KernelQuery, method: str = "closed",
-               dps: int | None = None):
+def khat_schur(query: KernelQuery, dps: int | None = None):
     """Khat via the single-sum Schur expansion (Theorem path), at dps digits
     (None: the working precision, as for every query function below)."""
     with at_precision(dps):
-        table = expansion_table(query.spec, query.n_rank, query.n_pairs, method)
+        table = expansion_table(query.spec, query.n_rank, query.n_pairs)
         return table.evaluate(query.t)
 
 
 def khat_double(query: KernelQuery, dps: int | None = None):
     """Khat via the double expansion sum over lam, mu in Y_{n,M} of
     s_lam(x^v) s_mu(y^v) <s_lam' s_mu'>, the pair averages read from
-    `pair_cofactors` (one denominator, Ginibre included).  s_lam and s_mu
-    are taken at the `int_form` of each point set; the sum runs by Horner
-    in each denominator and divides once."""
+    `pair_cofactors` (one denominator).  On Ginibre the pair averages are
+    diagonal and this is the single sum of s_lam(x^v) s_lam(ybar^v)
+    <s_lam' sbar_lam'>.  s_lam and s_mu are taken at the `int_form` of each
+    point set; the sum runs by Horner in each denominator and divides once."""
     with at_precision(dps):
         m, n = query.m_size, query.n_pairs
         c, e = pair_cofactors(query.spec, n, m)
@@ -165,6 +165,8 @@ def k2_chebyshev(query: KernelQuery, dps: int | None = None):
         xy = x * y
         if xy < 0:
             raise ValueError("the Chebyshev form needs x*y > 0")
+        m = query.m_size
+        coeffs = expansion_table(query.spec, query.n_rank, 1).coeffs
         if isinstance(xy, Fraction):
             s = rational_sqrt(xy)
             if s is None:
@@ -173,8 +175,6 @@ def k2_chebyshev(query: KernelQuery, dps: int | None = None):
                 raise ValueError(f"xy has no exact square root; {hint}")
         else:
             s = mpmath.sqrt(xy)
-        m = query.m_size
-        coeffs = expansion_table(query.spec, query.n_rank, 1).coeffs
         u = chebyshev_u_all(m, -(x + y) / (2 * s))
         r, inv_s, total = recip(xy), recip(s), 0
         for j in range(m, -1, -1):
@@ -274,19 +274,6 @@ def ginibre_kernel(n_rank: int, x, ybar):
     for j in range(n_rank):
         total = total + xy ** (j - n_rank + 1) * Fraction(1, factorial(j))
     return factorial(n_rank - 1) * total
-
-
-def ginibre_khat_schur(n_rank: int, n_pairs: int, xs, ybars):
-    """Ginibre Khat via the single-sum Schur expansion
-    sum_lam s_lam(x^v) s_lam(ybar^v) <s_lam' sbar_lam'>."""
-    m = n_rank - n_pairs
-    sx = schur_table(n_pairs, m, [-1 / _exactify(v) for v in xs])
-    sy = schur_table(n_pairs, m, [-1 / _exactify(v) for v in ybars])
-    total = 0
-    for lam, s in sx.items():
-        lc = pt.conjugate(lam)
-        total = total + s * sy[lam] * schur_pair_avg_ginibre(lc, lc, m)
-    return total
 
 
 def real_ginibre_kernel(n_rank: int, x, y):
@@ -398,11 +385,11 @@ def df_partition(m: int, alpha, beta, gamma):
 
 
 def random_rationals(rng: random.Random, count: int, nonzero=True,
-                     distinct=True, maxval: int = 13) -> list[Fraction]:
+                     distinct=True) -> list[Fraction]:
     """Seeded random rational test points with |numerator|, denominator <= 13."""
     out: list[Fraction] = []
     while len(out) < count:
-        v = Fraction(rng.randint(-maxval, maxval), rng.randint(1, maxval))
+        v = Fraction(rng.randint(-13, 13), rng.randint(1, 13))
         if nonzero and not v:
             continue
         if distinct and v in out:

@@ -9,6 +9,7 @@ gamma, delta nonnegative integers (the exact regime; z_0 = 1).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import binom, det_exact, factorial, mat_inverse_exact, poch
 
@@ -26,11 +27,11 @@ def toeplitz_matrix(gamma: int, delta: int, m: int) -> list[list[Fraction]]:
     return [[fh_coeff(gamma, delta, j - k) for k in range(m)] for j in range(m)]
 
 
+@lru_cache(maxsize=128)
 def toeplitz_det(gamma: int, delta: int, m: int) -> Fraction:
-    """det T_M = the circular-ensemble partition function (Heine)."""
-    if m == 0:
-        return Fraction(1)
-    return det_exact(toeplitz_matrix(gamma, delta, m))
+    """det T_M = the circular-ensemble partition function (Heine); cached,
+    bounded."""
+    return Fraction(det_exact(toeplitz_matrix(gamma, delta, m)))
 
 
 def toeplitz_inverse_exact(gamma: int, delta: int, m: int):
@@ -123,19 +124,15 @@ def fh_pair_elementary_avg(gamma: int, delta: int, a: int, b: int, m: int):
         det[c_{(mu_k+m-k) - (lam_j+m-j)}] / det[c_{j-k}]
 
     with lam = (1^a), mu = (1^b) (Fourier moments of the symbol reduce the
-    circle integrals to Toeplitz minors).
+    circle integrals to Toeplitz minors); the denominator is `toeplitz_det`.
     """
     if a > m or b > m:
         return Fraction(0)
-    if m == 0:
-        return Fraction(1)
     aexp = [(1 if j <= a else 0) + m - j for j in range(1, m + 1)]
     bexp = [(1 if k <= b else 0) + m - k for k in range(1, m + 1)]
     num = det_exact([[fh_coeff(gamma, delta, bk - aj) for bk in bexp]
                      for aj in aexp])
-    den = det_exact([[fh_coeff(gamma, delta, bk - aj) for bk in [m - k for k in range(1, m + 1)]]
-                     for aj in [m - j for j in range(1, m + 1)]])
-    return num / den
+    return num / toeplitz_det(gamma, delta, m)
 
 
 def fh_inverse_via_elementary_oracle(gamma: int, delta: int, n_rank: int):

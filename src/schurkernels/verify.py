@@ -20,15 +20,13 @@ import mpmath
 
 from . import partitions as pt
 from .ensembles import (EnsembleSpec, askey_limit_check, hankel_det,
-                        jack_avg_jacobi_coeff, pair_cofactors,
-                        schur_avg_gue, schur_avg_jue, schur_avg_jue_tilde,
-                        schur_avg_lue, schur_avg_lue_tilde, schur_avg_oracle,
-                        schur_avg_qlue, schur_avg_sw, schur_pair_avg_oracle)
+                        jack_avg_jacobi_coeff, pair_cofactors, schur_average,
+                        schur_avg_jue, schur_pair_avg_oracle)
 from .heat_kernel import (heat_kernel_closed, heat_kernel_sum,
                           schur_doubling_check)
 from .kernels import (KernelQuery, df_chiral_closed_n1, df_chiral_kernel,
                       df_khat_double, df_kernel_factorized, expansion_table,
-                      ginibre_kernel, ginibre_khat_schur, hankel_inverse_gen,
+                      ginibre_kernel, hankel_inverse_gen,
                       k2_chebyshev, kernel_cd, khat_cd, khat_double,
                       khat_schur, random_rationals, real_ginibre_kernel,
                       selberg_je_partition)
@@ -65,48 +63,32 @@ class SuiteResult:
 
 def suite_schur_averages(seed: int = 1) -> SuiteResult:
     """Every closed-form Schur average equals the Andreief oracle exactly
-    on mu in Y_{3,3}, M in {3,4}; non-integer spot checks at 10^-40."""
+    on mu in Y_{3,3}, M in {3,4}; non-integer spot checks at 10^-40.  Both
+    sides go through `schur_average`, the dispatch the CLI runs."""
     r = SuiteResult("schur-averages")
-    grid = pt.enumerate_bounded(3, 3)
     for m in (3, 4):
-        for mu in grid:
-            r.check(f"gue {mu} M={m}",
-                    schur_avg_gue(mu, m) == schur_avg_oracle(EnsembleSpec("gue"), mu, m))
-            for a in (0, 1, 2):
-                r.check(f"lue a={a} {mu} M={m}",
-                        schur_avg_lue(mu, m, a)
-                        == schur_avg_oracle(EnsembleSpec("lue", alpha=a), mu, m))
-            for a in (0, 1, 2):
-                for b in (0, 1, 2):
-                    r.check(f"jue a={a} b={b} {mu} M={m}",
-                            schur_avg_jue(mu, m, a, b)
-                            == schur_avg_oracle(EnsembleSpec("jue", alpha=a, beta=b), mu, m))
-            for a in (0, 1):
-                b = a + m + 4
-                r.check(f"jue_tilde a={a} b={b} {mu} M={m}",
-                        schur_avg_jue_tilde(mu, m, a, b)
-                        == schur_avg_oracle(EnsembleSpec("jue_tilde", alpha=a, beta=b, m=m), mu, m))
-            at = 2 * m + 6
-            r.check(f"lue_tilde at={at} {mu} M={m}",
-                    schur_avg_lue_tilde(mu, m, at)
-                    == schur_avg_oracle(EnsembleSpec("lue_tilde", alpha_tilde=at), mu, m))
-            r.check(f"sw {mu} M={m}",
-                    schur_avg_sw(mu, m) == schur_avg_oracle(EnsembleSpec("sw"), mu, m))
-            for a in (0, 1):
-                r.check(f"qlue a={a} {mu} M={m}",
-                        schur_avg_qlue(mu, m, a)
-                        == schur_avg_oracle(EnsembleSpec("qlue", alpha=a), mu, m))
-    a_half = mpmath.mpf(1) / 2
-    for mu in ((1,), (2, 1), (2, 2)):
-        c = schur_avg_lue(mu, 3, a_half)
-        o = schur_avg_oracle(EnsembleSpec("lue", alpha=a_half), mu, 3)
-        r.check(f"lue a=1/2 {mu}", hp_close(c, o))
-    ja, jb = mpmath.mpf("0.7"), mpmath.mpf("1.3")
-    for mu in ((1,), (2, 1), (3, 2)):
-        c = schur_avg_jue(mu, 3, ja, jb)
-        o = schur_avg_oracle(EnsembleSpec("jue", alpha=ja, beta=jb), mu, 3)
-        r.check(f"jue a=.7 b=1.3 {mu}", hp_close(c, o))
+        specs = [EnsembleSpec("gue"),
+                 *(EnsembleSpec("lue", alpha=a) for a in (0, 1, 2)),
+                 *(EnsembleSpec("jue", alpha=a, beta=b) for a in (0, 1, 2) for b in (0, 1, 2)),
+                 *(EnsembleSpec("jue_tilde", alpha=a, beta=a + m + 4, m=m) for a in (0, 1)),
+                 EnsembleSpec("lue_tilde", alpha_tilde=2 * m + 6), EnsembleSpec("sw"),
+                 *(EnsembleSpec("qlue", alpha=a) for a in (0, 1))]
+        for mu in pt.enumerate_bounded(3, 3):
+            for spec in specs:
+                r.check(f"{_label(spec)} {mu} M={m}",
+                        schur_average(spec, mu, m) == schur_average(spec, mu, m, "oracle"))
+    half, ja, jb = mpmath.mpf(1) / 2, mpmath.mpf("0.7"), mpmath.mpf("1.3")
+    for spec, mus in ((EnsembleSpec("lue", alpha=half), ((1,), (2, 1), (2, 2))),
+                      (EnsembleSpec("jue", alpha=ja, beta=jb), ((1,), (2, 1), (3, 2)))):
+        for mu in mus:
+            r.check(f"{_label(spec)} {mu}",
+                    hp_close(schur_average(spec, mu, 3), schur_average(spec, mu, 3, "oracle")))
     return r
+
+
+def _label(spec: EnsembleSpec) -> str:
+    """The kind and the set parameters of spec, as a check label."""
+    return " ".join(f"{k}={v}" for k, v in vars(spec).items() if v is not None)
 
 
 _KERNEL_SPECS = (EnsembleSpec("gue"), EnsembleSpec("lue", alpha=0),
@@ -213,15 +195,18 @@ def suite_dual_cauchy(seed: int = 1) -> SuiteResult:
 
 
 def suite_ginibre(seed: int = 1) -> SuiteResult:
-    """Schur single-sum = closed form (N <= 5); real-Ginibre antisymmetry
-    and displayed values (N <= 4)."""
+    """Schur single sum (`khat_double`, whose Ginibre pair averages are
+    diagonal) = closed form (2 <= N <= 6); real-Ginibre antisymmetry and
+    displayed values (N <= 4)."""
     r = SuiteResult("ginibre")
     rng = random.Random(seed)
-    for nr in range(1, 6):
+    ginibre = EnsembleSpec("ginibre")
+    for nr in range(2, 7):
         for _ in range(4):
             x, y = random_rationals(rng, 2)
             r.check(f"ginibre N={nr}",
-                    ginibre_khat_schur(nr, 1, (x,), (y,)) == ginibre_kernel(nr, x, y))
+                    khat_double(KernelQuery(ginibre, nr, 1, (x,), (y,)))
+                    == ginibre_kernel(nr, x, y))
     for nr in range(1, 5):
         for _ in range(4):
             x, y = random_rationals(rng, 2)

@@ -12,15 +12,20 @@ against.  Each is independent of the code it checks:
 * `qdim_weyl`         -- the Weyl product of symmetric q-numbers, the
                          reference for the hook-content `qdim`; with
                          `qnum_floor` and `qfactorial_floor` it rebuilds the
-                         q-products that `scalars.qratio` forms in one pass.
+                         q-products that `scalars.qratio` forms in one pass;
+* `ginibre_khat_schur` -- the Ginibre single sum term by term over Schur
+                         tables, the reference for `khat_double` on Ginibre.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from schurkernels import partitions as pt
-from schurkernels.ensembles import EnsembleSpec, OrthoSystem, moment
+from schurkernels.ensembles import (EnsembleSpec, OrthoSystem, moment,
+                                    schur_pair_avg_ginibre)
+from schurkernels.kernels import _exactify
 from schurkernels.scalars import Poly, QRat, det_exact, int_form, recip
+from schurkernels.symfun import schur_table
 
 
 def det_cofactor(matrix):
@@ -83,6 +88,19 @@ def ortho_gram_schmidt(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
     forms = [int_form(p.coeffs) for p in polys]
     w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
     return OrthoSystem(tuple(polys), tuple(norms), (tuple(c for c, _ in forms), *w))
+
+
+def ginibre_khat_schur(n_rank: int, n_pairs: int, xs, ybars):
+    """Ginibre Khat via the single-sum Schur expansion
+    sum_lam s_lam(x^v) s_lam(ybar^v) <s_lam' sbar_lam'>."""
+    m = n_rank - n_pairs
+    sx = schur_table(n_pairs, m, [-1 / _exactify(v) for v in xs])
+    sy = schur_table(n_pairs, m, [-1 / _exactify(v) for v in ybars])
+    total = 0
+    for lam, s in sx.items():
+        lc = pt.conjugate(lam)
+        total = total + s * sy[lam] * schur_pair_avg_ginibre(lc, lc, m)
+    return total
 
 
 # ----------------------------------------------------------------------------

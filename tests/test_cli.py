@@ -357,6 +357,26 @@ def test_chebyshev_irrational_root_on_exact_q_names_schur(runner, spec):
     assert "decimal" not in errors[0]
 
 
+@pytest.mark.parametrize("point", ["2", "2.0"])
+def test_chebyshev_on_ginibre_names_ginibre(runner, point):
+    """Ginibre has no single-Schur table: at any point, exact or decimal,
+    the Chebyshev form says so instead of asking for decimal points."""
+    r = runner.invoke(main, ["kernel", "eval", "--ensemble", "ginibre", "--N", "3",
+                             "--n", "1", "--x", point, "--y", "3",
+                             "--method", "chebyshev"])
+    assert r.exit_code == 1 and "Traceback" not in r.output
+    errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "ginibre has no single-Schur average" in errors[0]
+
+
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_heat_kernel_terms_out_of_range_is_usage_error(runner, terms):
+    """--terms below 1 is an out-of-range flag: exit code 2, like --size."""
+    r = runner.invoke(main, ["heat-kernel", "--q", "0.5", "--xi", "1", "--eta", "1",
+                             "--terms", terms])
+    assert r.exit_code == 2 and "--terms" in r.output
+
+
 @pytest.mark.parametrize("args", [
     ["kernel", "expand", "--ensemble", "gue", "--N", "2", "--n", "2"],
     ["kernel", "eval", "--ensemble", "gue", "--N", "2", "--n", "2",

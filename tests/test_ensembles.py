@@ -83,11 +83,11 @@ class TestMoments:
         assert [moment(GUE, p) for p in range(6)] == [1, 0, 1, 0, 3, 0]
 
     def test_cache_is_bounded(self):
-        from schurkernels.ensembles import (_cofactors_cached, _moment_cached,
-                                            _oracle_den, _ortho_cached)
+        from schurkernels.ensembles import (_cofactors_cached, _hankel_cached,
+                                            _moment_cached, _ortho_cached)
         from schurkernels.kernels import _table_cached
         for cache in (_moment_cached, _ortho_cached, _table_cached, _cofactors_cached,
-                      _oracle_den):
+                      _hankel_cached):
             assert cache.cache_parameters()["maxsize"] is not None
 
     def test_lue(self):
@@ -174,13 +174,13 @@ class TestMoments:
                 assert isinstance(real_m, mpmath.mpf)
                 assert isinstance(exact_m, F) and exact_m == value
             # the same holds for the ortho_system, expansion_table,
-            # pair_cofactors and oracle-denominator caches
-            from schurkernels.ensembles import _oracle_den, field_key, pair_cofactors
+            # pair_cofactors and hankel_det caches
+            from schurkernels.ensembles import pair_cofactors
             from schurkernels.kernels import expansion_table
             real, exact = (EnsembleSpec("lue", alpha=mpmath.mpf("0.5")),
                            EnsembleSpec("lue", alpha=F(1, 2)))
             for spec, kind in ((real, mpmath.mpf), (exact, F), (real, mpmath.mpf)):
-                assert isinstance(_oracle_den(spec, 3, field_key(spec)), kind)
+                assert isinstance(hankel_det(spec, 3), kind)
                 assert isinstance(schur_avg_oracle(spec, (1,), 3), kind)
                 osys = ortho_system(spec, 3)
                 table = expansion_table(spec, 4, 1)

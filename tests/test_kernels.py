@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from oracles import ginibre_khat_schur
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, hankel_det, ortho_system,
                                     pair_cofactors)
@@ -13,7 +14,7 @@ from schurkernels.kernels import (KernelQuery, _cd_sum, df_chiral_closed_n1,
                                   df_chiral_kernel, df_khat_double,
                                   df_kernel_factorized, df_partition,
                                   expansion_table, ginibre_kernel,
-                                  ginibre_khat_schur, hankel_inverse_gen,
+                                  hankel_inverse_gen,
                                   k2_chebyshev, kernel_cd, kernel_cd_formula,
                                   khat_cd, khat_double, khat_schur,
                                   random_rationals, real_ginibre_kernel,
@@ -177,9 +178,12 @@ class TestGinibre:
         assert ginibre_kernel(2, F(1), F(1)) == 2
 
     def test_expansion_matches_closed(self):
-        for nr in range(1, 6):
-            x, y = F(3, 2), F(-2, 5)
-            assert ginibre_khat_schur(nr, 1, (x,), (y,)) == ginibre_kernel(nr, x, y)
+        """khat_double, the library's Ginibre single sum, equals the closed
+        form; a query needs N > n, so N starts at 2."""
+        x, y = F(3, 2), F(-2, 5)
+        for nr in range(2, 7):
+            q = KernelQuery(EnsembleSpec("ginibre"), nr, 1, (x,), (y,))
+            assert khat_double(q) == ginibre_kernel(nr, x, y)
 
     def test_double_route(self):
         """khat_double reads the Ginibre diagonal from pair_cofactors: it
