@@ -8,6 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_man_exp, to_fixed
 
 from . import partitions as pt
 from .scalars import to_mpf
@@ -33,26 +34,33 @@ def auto_terms(q) -> int:
 
 def heat_kernel_sum(q, xi, eta, terms: int = None):
     """Partial sum sum_{j<terms} q^j U_j(xi/2) U_j(eta/2) via the
-    three-term recurrence."""
+    three-term recurrence, run on ints in fixed point: every value is
+    scaled by 2^p, p = prec + 20 + bit_length(terms), and the sum is
+    rounded once to the working precision.  The guard bits absorb the
+    truncations (below 2^-p per shift, grown by the recurrence like a low
+    power of j): at least dps - 1 digits are right on the tested grid."""
     q, xi, eta = to_mpf(q), to_mpf(xi), to_mpf(eta)
     if not (0 < q < 1):
         raise ValueError("heat kernel needs 0 < q < 1")
-    if abs(xi) > 2 or abs(eta) > 2:
+    if not (abs(xi) <= 2 and abs(eta) <= 2):  # NaN has no fixed-point form
         raise ValueError("heat kernel sum needs xi, eta in [-2, 2]")
     if terms is None:
         terms = auto_terms(q)
     if terms < 1:
         raise ValueError("heat kernel needs terms >= 1")
-    ux_prev, ux = mpmath.mpf(1), xi
-    ue_prev, ue = mpmath.mpf(1), eta
-    total = mpmath.mpf(1)
-    qj = mpmath.mpf(1)
+    prec = mpmath.mp.prec
+    p = prec + 20 + terms.bit_length()
+    qf, xf, ef = (to_fixed(v._mpf_, p) for v in (q, xi, eta))
+    one = 1 << p
+    ux_prev, ux = one, xf
+    ue_prev, ue = one, ef
+    total = qj = one
     for _ in range(1, terms):
-        qj *= q
-        total += qj * ux * ue
-        ux_prev, ux = ux, xi * ux - ux_prev
-        ue_prev, ue = ue, eta * ue - ue_prev
-    return total
+        qj = qj * qf >> p
+        total += (qj * ux >> p) * ue >> p
+        ux_prev, ux = ux, (xf * ux >> p) - ux_prev
+        ue_prev, ue = ue, (ef * ue >> p) - ue_prev
+    return mpmath.mp.make_mpf(from_man_exp(total, -p, prec, "n"))
 
 
 def heat_kernel_closed(q, xi, eta):

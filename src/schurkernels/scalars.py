@@ -632,9 +632,11 @@ def det_exact(matrix):
     """Determinant of a square matrix over one scalar field.
 
     Fraction-free Bareiss elimination for the exact fields (every division
-    is exact, which tames intermediate growth; an all-int matrix divides
-    with //, so its determinant is an int; over QRat it runs on big
-    integers, see _det_qrat); partial-pivot Gaussian elimination for
+    is exact, which tames intermediate growth).  Over the rationals row i
+    is first scaled by the lcm L_i of its denominators, so Bareiss runs on
+    ints with // and det = det(int rows) / prod L_i: an all-int matrix gives
+    an int, any Fraction entry a Fraction.  Over QRat it runs on big
+    integers, see _det_qrat; partial-pivot Gaussian elimination for
     high-precision reals.  Mixing fields is an error.
     """
     n = len(matrix)
@@ -650,9 +652,15 @@ def det_exact(matrix):
         return _det_hpreal(matrix)
     if kinds == {"qrat"}:
         return _det_qrat(matrix)
-    ints = all(isinstance(x, int) for row in matrix for x in row)
-    return _bareiss([list(row) for row in matrix],
-                    operator.floordiv if ints else operator.truediv)
+    if n == 1:
+        return matrix[0][0]
+    if kinds == {"poly"}:
+        return _bareiss([list(row) for row in matrix], operator.truediv)
+    rows = [int_form(row) for row in matrix]
+    d = _bareiss([list(z) for z, _ in rows], operator.floordiv)
+    if all(isinstance(x, int) for row in matrix for x in row):
+        return d
+    return Fraction(d, math.prod(lcd for _, lcd in rows))
 
 
 def _bareiss(m, div):
@@ -719,16 +727,34 @@ def _det_hpreal(matrix):
 
 
 def mat_inverse_exact(matrix):
-    """Inverse of a square matrix by Gauss-Jordan, exact over the exact
-    fields (an int matrix gives Fractions)."""
+    """Inverse of a square matrix, exact over the exact fields; every
+    entry of the inverse of a rational matrix is a Fraction.
+
+    Over the rationals A = diag(L)·M is an int matrix (L_i the lcm of the
+    denominators of row i); fraction-free Gauss-Jordan on [A | I] divides
+    exactly and ends at [D | D·A^-1] with D diagonal, so M^-1[i][j] =
+    X[i][n+j]·L_j / X[i][i].  QRat and mpf matrices run Gauss-Jordan."""
     n = len(matrix)
+    if all(isinstance(x, (int, Fraction)) for row in matrix for x in row):
+        rows = [int_form(row) for row in matrix]
+        lcds = [lcd for _, lcd in rows]
+        m = [list(z) + [int(i == j) for j in range(n)]
+             for i, (z, _) in enumerate(rows)]
+        prev = 1
+        for k in range(n):
+            _swap_pivot(m, k)
+            p = m[k][k]
+            for i in range(n):
+                if i != k:
+                    f = m[i][k]
+                    m[i] = [(a * p - f * b) // prev for a, b in zip(m[i], m[k])]
+            prev = p
+        return [[Fraction(x * lcd, row[i]) for x, lcd in zip(row[n:], lcds)]
+                for i, row in enumerate(m)]
     m = [list(row) + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(matrix)]
     for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[k], m[piv] = m[piv], m[k]
+        _swap_pivot(m, k)
         d = recip(m[k][k])
         m[k] = [x * d for x in m[k]]
         for i in range(n):
@@ -736,6 +762,14 @@ def mat_inverse_exact(matrix):
                 f = m[i][k]
                 m[i] = [a - f * b for a, b in zip(m[i], m[k])]
     return [row[n:] for row in m]
+
+
+def _swap_pivot(m, k):
+    """Swap into row k the first row r >= k with m[r][k] nonzero."""
+    piv = next((r for r in range(k, len(m)) if m[r][k]), None)
+    if piv is None:
+        raise ZeroDivisionError("singular matrix")
+    m[k], m[piv] = m[piv], m[k]
 
 
 # ----------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 against.  Each is independent of the code it checks:
 
 * `det_cofactor`      -- cofactor expansion, the reference for `det_exact`;
+* `det_leibniz`       -- the sum over permutations, the reference for the
+                         rational `det_exact` at n <= 5;
 * `schur_bialternant` -- the ratio of alternants, the reference for
                          `schur_eval` at distinct points;
 * `average_bruteforce`, `schur_avg_bruteforce`, `schur_pair_avg_bruteforce`
@@ -17,8 +19,9 @@ against.  Each is independent of the code it checks:
                          tables, the reference for `khat_double` on Ginibre.
 """
 
+import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, OrthoSystem, moment,
@@ -42,6 +45,18 @@ def det_cofactor(matrix):
         minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
         term = matrix[0][j] * det_cofactor(minor)
         total = total - term if j % 2 else total + term
+    return total
+
+
+def det_leibniz(matrix):
+    """Leibniz formula: sum over permutations p of sign(p) prod_i m[i][p(i)],
+    the sign counted by inversions; n! terms, so for small n only."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += math.prod((matrix[i][p] for i, p in enumerate(perm)),
+                           start=(-1) ** inversions)
     return total
 
 

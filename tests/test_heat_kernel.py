@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from schurkernels.heat_kernel import (auto_terms, heat_kernel_closed,
                                       heat_kernel_sum, schur_doubling_check)
-from schurkernels.scalars import hp_close
+from schurkernels.scalars import hp_close, to_mpf
 
 F = Fraction
 
@@ -70,6 +70,32 @@ class TestPartialSum:
                         c = heat_kernel_closed(q, xi, eta)
                         assert abs(s - c) <= tol
 
+    @pytest.mark.parametrize("dps, digits", [(50, 49), (30, 29)])
+    def test_correct_digits(self, dps, digits):
+        # reference: the same mpf inputs and term count, summed at 150 dps
+        points = ("-2", "-1.9", "-1.5", "-1", "0", "0.37", "0.5", "1", "2")
+        worst = mpmath.inf
+        for qs in ("0.2", "0.5", "0.8", "0.95"):
+            with mpmath.workdps(dps):
+                q = to_mpf(qs)
+                terms = auto_terms(q)
+                zs = [to_mpf(z) for z in points]
+                sums = {(xi, eta): heat_kernel_sum(q, xi, eta)
+                        for xi in zs for eta in zs}
+            with mpmath.workdps(150):
+                u = {}
+                for z in zs:
+                    us = [mpmath.mpf(1), z]
+                    while len(us) < terms:
+                        us.append(z * us[-1] - us[-2])
+                    u[z] = us[:terms]
+                qpow = [q ** j for j in range(terms)]
+                for (xi, eta), s in sums.items():
+                    ref = mpmath.fdot([a * b for a, b in zip(qpow, u[xi])], u[eta])
+                    err = abs(s - ref) / ref
+                    worst = min(worst, -mpmath.log10(err) if err else mpmath.inf)
+        assert worst >= digits
+
     def test_auto_terms_scales_with_q(self):
         assert auto_terms(F(1, 10)) < auto_terms(F(1, 2)) < auto_terms(F(9, 10))
 
@@ -80,6 +106,8 @@ class TestPartialSum:
     def test_domain_check(self):
         with pytest.raises(ValueError):
             heat_kernel_sum("0.5", "2.5", 0)
+        with pytest.raises(ValueError):
+            heat_kernel_sum("0.5", 0, mpmath.nan)
 
 
 class TestSchurDoubling:

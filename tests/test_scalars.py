@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import det_cofactor, qfactorial_floor, qnum_floor, qnum_symmetric
+from oracles import (det_cofactor, det_leibniz, qfactorial_floor, qnum_floor,
+                     qnum_symmetric)
 from schurkernels.scalars import (Poly, QRat, _zexquo, _zgcd, _zpack, _zprim,
                                   _zunpack, barnes_g_int, binom, det_exact,
                                   double_factorial, frac_str, gamma_real,
-                                  hp_close, parse_number, poch, qgamma_real,
-                                  qratio, rational_sqrt)
+                                  hp_close, mat_inverse_exact, parse_number,
+                                  poch, qgamma_real, qratio, rational_sqrt)
 
 F = Fraction
 
@@ -23,7 +24,6 @@ class TestDetExact:
         assert det_exact([[F(1)]]) == 1
 
     def test_plain_ints_stay_exact(self):
-        from schurkernels.scalars import mat_inverse_exact
         from schurkernels.symfun import schur_eval
         d = det_exact([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
         assert type(d) is int and d == 4
@@ -36,6 +36,15 @@ class TestDetExact:
         inv = mat_inverse_exact([[2, 1], [1, 3]])
         assert inv == [[F(3, 5), F(-1, 5)], [F(-1, 5), F(2, 5)]]
         assert all(isinstance(c, (int, F)) for row in inv for c in row)
+
+    def test_mixed_int_fraction_stays_exact(self):
+        # Bareiss divided two ints with / at a step k >= 1 and gave a float
+        m1 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, F(1, 3)]]
+        m2 = [[-1, -2, -3, 0], [-3, 3, 1, 1], [-1, 1, -2, F(3, 7)],
+              [0, F(8), -1, F(1, 2)]]
+        for m, want in ((m1, F(2, 3)), (m2, F(-233, 14))):
+            d = det_exact(m)
+            assert type(d) is F and d == want
 
     def test_gue_moment_2x2(self):
         # cofactor by hand: m0 m2 - m1^2 with moments (1, 0, 1)
@@ -87,6 +96,48 @@ class TestDetExact:
         with mpmath.workdps(50):
             m = [[mpmath.mpf(2), mpmath.mpf(-1)], [mpmath.mpf(-1), mpmath.mpf(2)]]
             assert hp_close(det_exact(m), F(3))
+
+
+@st.composite
+def rational_matrices(draw):
+    """An n x n matrix, n <= 5, of ints, of Fractions or of both; about
+    half of those with n >= 2 are made singular (last row = c row_0 +
+    row_{n-2})."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    ints = st.integers(min_value=-9, max_value=9)
+    fracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    entry = draw(st.sampled_from([ints, fracs, ints | fracs]))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        c = draw(entry)
+        m[-1] = [c * a + b for a, b in zip(m[0], m[-2])]
+    return m
+
+
+class TestRationalElimination:
+    @given(rational_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_det_matches_leibniz(self, m):
+        d = det_exact(m)
+        assert d == det_leibniz(m)
+        if all(type(x) is int for row in m for x in row):
+            assert type(d) is int
+        else:
+            assert type(d) is F
+
+    @given(rational_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_times_matrix_is_identity(self, m):
+        n = len(m)
+        if det_leibniz(m) == 0:
+            with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
+                mat_inverse_exact(m)
+            return
+        inv = mat_inverse_exact(m)
+        assert all(type(x) is F for row in inv for x in row)
+        prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 class TestQRat:
