@@ -375,44 +375,35 @@ def _row_product(mu, m: int, step):
     return r
 
 
+def _row_step(m: int, alpha, beta=None):
+    """(up, down), linear in p, with up(p) / down(p) the LUE row step alpha+p
+    (beta None) or the JUE one (alpha+p)/(alpha+beta+m+p): ints at exact
+    parameters, reals if either is real (Fraction / mpf is undefined).  Read
+    by the LUE and JUE averages and the expansion-table walk."""
+    if isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
+        a = to_mpf(alpha)
+        u, v = (a, 1), (1, 0) if beta is None else (a + to_mpf(beta) + m, 1)
+    else:
+        (a, b), (c, d) = alpha.as_integer_ratio(), (beta or 0).as_integer_ratio()
+        u = (a * d, b * d)
+        v = (b, 0) if beta is None else (a * d + b * c + b * d * m, b * d)
+    return (lambda p: u[0] + u[1] * p), (lambda p: v[0] + v[1] * p)
+
+
+def _row_ratio(mu, m: int, alpha, beta=None):
+    """s_mu(1^m) times the row products of `_row_step`, one division."""
+    mu = pt.canonical(mu)
+    if len(mu) > m:
+        return Fraction(0)
+    up, down = _row_step(m, alpha, beta)
+    return schur_principal(mu, m) * _row_product(mu, m, up) / _row_product(mu, m, down)
+
+
 def schur_avg_lue(mu, m: int, alpha):
     """LUE: s_mu(1^m) prod_j Gamma(alpha+mu_j+m+1-j)/Gamma(alpha+m+1-j),
     the row product of alpha+p: exact for any exact alpha and a
     high-precision real otherwise."""
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return Fraction(0)
-    return schur_principal(mu, m) * _row_product(mu, m, lambda p: alpha + p)
-
-
-def schur_avg_lue_int_form(mu, m: int, alpha: int):
-    """Integer-alpha LUE variant: s_mu(1^(m+alpha)) prod_j poch(m+1-j, mu_j)."""
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return Fraction(0)
-    r = schur_principal(mu, m + alpha)
-    for j in range(1, m + 1):
-        r = r * poch(m + 1 - j, pt.part(mu, j))
-    return r
-
-
-def lue_alpha_shift_pair(mu, m: int, alpha: int):
-    """Both sides of the alpha-shift identity
-
-        <s_mu>_{LUE,alpha} = <s_{mu+(alpha^m)}>_{LUE,0} / <s_{(alpha^m)}>_{LUE,0},
-
-    obtained by absorbing z^alpha of the weight into the Schur polynomial.
-    The mu-independent coefficient is 1/<s_{(alpha^m)}>_{LUE,0}
-    = prod_j Gamma(m+1-j)/Gamma(alpha+m+1-j); the often-quoted shortcut
-    prod_j (alpha+m-j)^-j agrees with it only for m <= 2.
-    """
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        raise ValueError("alpha-shift identity needs l(mu) <= m")
-    lhs = schur_avg_lue(mu, m, alpha)
-    shifted = pt.canonical(tuple(pt.part(mu, j) + alpha for j in range(1, m + 1)))
-    rhs = schur_avg_lue(shifted, m, 0) / schur_avg_lue((alpha,) * m, m, 0)
-    return lhs, rhs
+    return _row_ratio(mu, m, alpha)
 
 
 def schur_avg_jue(mu, m: int, alpha, beta):
@@ -421,14 +412,7 @@ def schur_avg_jue(mu, m: int, alpha, beta):
     a+p and a+b+m+p.  At integer parameters it is the dimension ratio
     s_mu(1^m) s_mu(1^(a+m)) / s_mu(1^(a+b+2m)); it is exact at every
     rational a, b and a high-precision real otherwise."""
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return Fraction(0)
-    if isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
-        # Fraction / mpf is undefined: one real parameter makes both real.
-        alpha, beta = to_mpf(alpha), to_mpf(beta)
-    return (schur_principal(mu, m) * _row_product(mu, m, lambda p: alpha + p)
-            / _row_product(mu, m, lambda p: alpha + beta + m + p))
+    return _row_ratio(mu, m, alpha, beta)
 
 
 def schur_avg_jue_tilde(mu, m: int, alpha: int, beta: int):

@@ -23,8 +23,8 @@ from types import MappingProxyType
 import mpmath
 
 from . import partitions as pt
-from .ensembles import (EnsembleSpec, OrthoSystem, field_key, moment,
-                        ortho_system, pair_cofactors, schur_average,
+from .ensembles import (EnsembleSpec, OrthoSystem, _row_step, field_key,
+                        moment, ortho_system, pair_cofactors, schur_average,
                         schur_avg_jue)
 from .scalars import (at_precision, binom, det_exact, factorial, gamma_real,
                       int_form, mat_inverse_exact, over, rational_sqrt, recip,
@@ -116,10 +116,32 @@ def expansion_table(spec: EnsembleSpec, n_rank: int, n_pairs: int,
 def _table_cached(spec: EnsembleSpec, n_rank: int, n_pairs: int, method: str,
                   dps: int) -> KernelExpansion:
     m = n_rank - n_pairs
-    coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method)
-              for lam in pt.enumerate_bounded(2 * n_pairs, m)}
+    parts = pt.enumerate_bounded(2 * n_pairs, m)
+    if spec.kind in ("lue", "jue") and method == "closed":
+        coeffs = _walk_table(parts, m, *_row_step(m, spec.alpha, spec.beta))
+    else:
+        coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method) for lam in parts}
     return KernelExpansion(2 * n_pairs, m, MappingProxyType(coeffs),
                            int_form(list(coeffs.values())))
+
+
+def _walk_table(parts, m: int, up, down) -> dict:
+    """<s_lam'> for every lam of parts (graded, from ()) out of its parent:
+    with mu = lam', r = l(mu), y = mu_r + m - r and l_k = mu_k + m - k, the
+    Weyl dimension ratio of mu over nu = mu - e_r (Macdonald I.3 Ex. 1)
+    times the row step of `_row_step`, one Fraction of ints on exact fields:
+        c_mu = c_nu y/mu_r prod_{k<r} (l_k - y)/(l_k - y + 1) up(y)/down(y)."""
+    by_mu, out = {(): Fraction(1)}, {(): Fraction(1)}
+    for lam in parts[1:]:
+        mu = pt.conjugate(lam)
+        last, y = mu[-1], mu[-1] + m - len(mu)
+        num, den = y, last
+        for k, part in enumerate(mu[:-1], 1):
+            l = part + m - k - y
+            num, den = num * l, den * (l + 1)
+        nu = mu[:-1] + (last - 1,) if last > 1 else mu[:-1]
+        out[lam] = by_mu[mu] = by_mu[nu] * over(num * up(y), den * down(y))
+    return out
 
 
 def khat_schur(query: KernelQuery, dps: int | None = None):
@@ -207,17 +229,6 @@ def _cd_sum(osys: OrthoSystem, x, y):
     total = sum(wj * sum(map(operator.mul, c, mx)) * sum(map(operator.mul, c, my))
                 for c, wj in zip(polys, w))
     return over(total, den * (fx[1] * fy[1]) ** k)
-
-
-def kernel_cd_formula(spec: EnsembleSpec, n_rank: int, x, y):
-    """The Christoffel-Darboux formula form
-    (P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)) / (h_{N-1} (x - y)); x != y."""
-    if x == y:
-        raise ValueError("CD formula form needs x != y")
-    osys = ortho_system(spec, n_rank)
-    pn, pm = osys.polys[n_rank], osys.polys[n_rank - 1]
-    return (pn(x) * pm(y) - pm(x) * pn(y)) \
-        * recip(osys.norms[n_rank - 1] * (x - y))
 
 
 def khat_cd(query: KernelQuery, dps: int | None = None):

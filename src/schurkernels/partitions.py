@@ -29,9 +29,13 @@ def part(p: Partition, j: int) -> int:
 
 
 def conjugate(p: Partition) -> Partition:
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
+    """p'_j = #{i : p_i >= j}, by one pass up the weakly decreasing parts."""
+    out, i = [], len(p)
+    for j in range(1, p[0] + 1 if p else 1):
+        while p[i - 1] < j:
+            i -= 1
+        out.append(i)
+    return tuple(out)
 
 
 def enumerate_bounded(rows: int, cols: int) -> list[Partition]:

@@ -636,8 +636,9 @@ def det_exact(matrix):
     is first scaled by the lcm L_i of its denominators, so Bareiss runs on
     ints with // and det = det(int rows) / prod L_i: an all-int matrix gives
     an int, any Fraction entry a Fraction.  Over QRat it runs on big
-    integers, see _det_qrat; partial-pivot Gaussian elimination for
-    high-precision reals.  Mixing fields is an error.
+    integers, see _det_qrat; over Polys on Polys, a rational entry taken as
+    a constant Poly so that no two ints meet in `/`; partial-pivot Gaussian
+    elimination for high-precision reals.  Mixing fields is an error.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -655,7 +656,7 @@ def det_exact(matrix):
     if n == 1:
         return matrix[0][0]
     if kinds == {"poly"}:
-        return _bareiss([list(row) for row in matrix], operator.truediv)
+        return _bareiss([[Poly._coerce(x) for x in row] for row in matrix], operator.truediv)
     rows = [int_form(row) for row in matrix]
     d = _bareiss([list(z) for z, _ in rows], operator.floordiv)
     if all(isinstance(x, int) for row in matrix for x in row):

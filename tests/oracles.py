@@ -16,7 +16,12 @@ against.  Each is independent of the code it checks:
                          `qnum_floor` and `qfactorial_floor` it rebuilds the
                          q-products that `scalars.qratio` forms in one pass;
 * `ginibre_khat_schur` -- the Ginibre single sum term by term over Schur
-                         tables, the reference for `khat_double` on Ginibre.
+                         tables, the reference for `khat_double` on Ginibre;
+* `schur_avg_lue_int_form`, `lue_alpha_shift_pair` -- the integer-alpha LUE
+                         dimension form and the alpha-shift identity, the
+                         references for `schur_avg_lue`;
+* `kernel_cd_formula` -- the two-term Christoffel-Darboux formula, the
+                         reference for the sum `kernel_cd`.
 """
 
 import math
@@ -25,10 +30,11 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, OrthoSystem, moment,
+                                    ortho_system, schur_avg_lue,
                                     schur_pair_avg_ginibre)
 from schurkernels.kernels import _exactify
-from schurkernels.scalars import Poly, QRat, det_exact, int_form, recip
-from schurkernels.symfun import schur_table
+from schurkernels.scalars import Poly, QRat, det_exact, int_form, poch, recip
+from schurkernels.symfun import schur_principal, schur_table
 
 
 def det_cofactor(matrix):
@@ -282,3 +288,44 @@ def schur_avg_bruteforce(spec: EnsembleSpec, mu, m: int):
 def schur_pair_avg_bruteforce(spec: EnsembleSpec, lam, mu, m: int):
     return average_bruteforce(spec, _mv_mul(_mv_schur(lam, m), _mv_schur(mu, m)),
                               m)
+
+
+def schur_avg_lue_int_form(mu, m: int, alpha: int):
+    """Integer-alpha LUE variant: s_mu(1^(m+alpha)) prod_j poch(m+1-j, mu_j)."""
+    mu = pt.canonical(mu)
+    if len(mu) > m:
+        return Fraction(0)
+    r = schur_principal(mu, m + alpha)
+    for j in range(1, m + 1):
+        r = r * poch(m + 1 - j, pt.part(mu, j))
+    return r
+
+
+def lue_alpha_shift_pair(mu, m: int, alpha: int):
+    """Both sides of the alpha-shift identity
+
+        <s_mu>_{LUE,alpha} = <s_{mu+(alpha^m)}>_{LUE,0} / <s_{(alpha^m)}>_{LUE,0},
+
+    obtained by absorbing z^alpha of the weight into the Schur polynomial.
+    The mu-independent coefficient is 1/<s_{(alpha^m)}>_{LUE,0}
+    = prod_j Gamma(m+1-j)/Gamma(alpha+m+1-j); the often-quoted shortcut
+    prod_j (alpha+m-j)^-j agrees with it only for m <= 2.
+    """
+    mu = pt.canonical(mu)
+    if len(mu) > m:
+        raise ValueError("alpha-shift identity needs l(mu) <= m")
+    lhs = schur_avg_lue(mu, m, alpha)
+    shifted = pt.canonical(tuple(pt.part(mu, j) + alpha for j in range(1, m + 1)))
+    rhs = schur_avg_lue(shifted, m, 0) / schur_avg_lue((alpha,) * m, m, 0)
+    return lhs, rhs
+
+
+def kernel_cd_formula(spec: EnsembleSpec, n_rank: int, x, y):
+    """The Christoffel-Darboux formula form
+    (P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)) / (h_{N-1} (x - y)); x != y."""
+    if x == y:
+        raise ValueError("CD formula form needs x != y")
+    osys = ortho_system(spec, n_rank)
+    pn, pm = osys.polys[n_rank], osys.polys[n_rank - 1]
+    return (pn(x) * pm(y) - pm(x) * pn(y)) \
+        * recip(osys.norms[n_rank - 1] * (x - y))

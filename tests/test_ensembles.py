@@ -7,18 +7,18 @@ from types import MappingProxyType
 import mpmath
 import pytest
 
-from oracles import (ortho_gram_schmidt, qnum_floor, schur_avg_bruteforce,
+from oracles import (lue_alpha_shift_pair, ortho_gram_schmidt, qnum_floor,
+                     schur_avg_bruteforce, schur_avg_lue_int_form,
                      schur_pair_avg_bruteforce)
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
-                                    hankel_det,
-                                    jack_avg_jacobi_coeff, lue_alpha_shift_pair,
+                                    hankel_det, jack_avg_jacobi_coeff,
                                     moment, ortho_system, schur_average,
                                     schur_avg_gue, schur_avg_jue,
                                     schur_avg_jue_tilde, schur_avg_lue,
-                                    schur_avg_lue_int_form, schur_avg_lue_tilde,
-                                    schur_avg_oracle, schur_avg_qlue,
-                                    schur_avg_sw, schur_pair_avg_ginibre,
+                                    schur_avg_lue_tilde, schur_avg_oracle,
+                                    schur_avg_qlue, schur_avg_sw,
+                                    schur_pair_avg_ginibre,
                                     schur_pair_avg_oracle)
 from schurkernels.scalars import QRat, gamma_real, hp_close, qgamma_real
 from schurkernels.symfun import schur_principal

@@ -6,16 +6,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from oracles import ginibre_khat_schur
+from oracles import ginibre_khat_schur, kernel_cd_formula
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, hankel_det, ortho_system,
-                                    pair_cofactors)
+                                    pair_cofactors, schur_average)
 from schurkernels.kernels import (KernelQuery, _cd_sum, df_chiral_closed_n1,
                                   df_chiral_kernel, df_khat_double,
                                   df_kernel_factorized, df_partition,
                                   expansion_table, ginibre_kernel,
                                   hankel_inverse_gen,
-                                  k2_chebyshev, kernel_cd, kernel_cd_formula,
+                                  k2_chebyshev, kernel_cd,
                                   khat_cd, khat_double, khat_schur,
                                   random_rationals, real_ginibre_kernel,
                                   selberg_je_partition)
@@ -58,6 +58,55 @@ class TestExpansionTable:
         t1 = expansion_table(LUE0, 4, 2)
         t2 = expansion_table(LUE0, 4, 2, method="oracle")
         assert t1.coeffs == t2.coeffs
+
+
+WALK_SPECS = ([EnsembleSpec("lue", alpha=a) for a in (0, 1, 2, F(1, 2), F(7, 10))]
+              + [EnsembleSpec("jue", alpha=a, beta=b)
+                 for a, b in ((0, 0), (1, 1), (0, 2), (F(7, 10), F(13, 10)))])
+
+
+def _per_lam(spec, nr, n):
+    return {lam: schur_average(spec, pt.conjugate(lam), nr - n)
+            for lam in pt.enumerate_bounded(2 * n, nr - n)}
+
+
+class TestTableWalk:
+    """The LUE/JUE tables, built coefficient by coefficient from the parent
+    mu - e_r, equal the per-partition closed forms."""
+
+    @pytest.mark.parametrize("spec", WALK_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.alpha}-{s.beta}")
+    def test_exact_tables_equal_closed_forms(self, spec):
+        sizes = [(nr, n) for n in (1, 2, 3) for nr in range(n + 1, n + 10)]
+        for nr, n in sizes + [(24, 1)]:
+            coeffs = expansion_table(spec, nr, n).coeffs
+            ref = _per_lam(spec, nr, n)
+            assert list(coeffs) == list(ref)
+            for lam, c in coeffs.items():
+                assert c == ref[lam] and type(c) is type(ref[lam]), (nr, n, lam)
+
+    @pytest.mark.parametrize("params", [{"alpha": "0.5"},
+                                        {"alpha": "0.7", "beta": "1.3"}], ids=str)
+    def test_real_tables_keep_49_digits(self, params):
+        def spec(dps):
+            with mpmath.workdps(dps):
+                kind = "jue" if "beta" in params else "lue"
+                return EnsembleSpec(kind, **{k: mpmath.mpf(v) for k, v in params.items()})
+        for nr, n in ((24, 1), (12, 1), (10, 2), (8, 3)):
+            with mpmath.workdps(50):
+                coeffs = expansion_table(spec(50), nr, n).coeffs
+            with mpmath.workdps(120):
+                ref = _per_lam(spec(120), nr, n)
+                assert coeffs[()] == 1 and type(coeffs[()]) is F
+                for lam in list(coeffs)[1:]:
+                    assert abs(coeffs[lam] - ref[lam]) <= abs(ref[lam]) * mpmath.mpf(10) ** -49
+
+    def test_one_real_jacobi_parameter(self):
+        with mpmath.workdps(30):
+            spec = EnsembleSpec("jue", alpha=F(1, 3), beta=mpmath.mpf("0.5"))
+            coeffs, ref = expansion_table(spec, 7, 2).coeffs, _per_lam(spec, 7, 2)
+            assert all(hp_close(coeffs[lam], ref[lam], F(1, 10**28)) for lam in ref)
+            assert type(coeffs[(1,)]) is mpmath.mpf
 
 
 class TestSchurExpansion:

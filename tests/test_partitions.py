@@ -54,6 +54,14 @@ class TestConjugate:
     def test_size_preserved(self, p):
         assert sum(pt.conjugate(p)) == sum(p)
 
+    @given(partition_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_column_counts(self, p):
+        """p'_j is the number of parts >= j, for j = 1..p_1."""
+        width = p[0] if p else 0
+        assert pt.conjugate(p) == tuple(sum(1 for x in p if x >= j)
+                                        for j in range(1, width + 1))
+
 
 class TestEnumerateBounded:
     def test_degenerate(self):

@@ -318,6 +318,27 @@ class TestPoly:
         m = [[x, x * x], [Poly([1]), x]]
         assert det_exact(m) == Poly([])
 
+    def test_poly_det_with_an_int_block(self):
+        """An int block of a Poly matrix stays exact past the first
+        elimination step (it used to divide two ints with / and fail)."""
+        m = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, Poly([0, 1])]]
+        assert det_exact(m) == Poly([0, 6])
+
+    def test_mixed_int_fraction_poly_matches_leibniz(self):
+        """Rational entries with Polys in the last column: the rational block
+        is eliminated past step 0 before a Poly meets it."""
+        import random
+        rng = random.Random(17)
+        scalars = (lambda: rng.randint(-4, 4),
+                   lambda: F(rng.randint(-4, 4), rng.randint(1, 4)))
+        for n in (2, 3, 4, 5):
+            for trial in range(10):
+                block = scalars[:1] if trial % 2 else scalars  # ints only, or mixed
+                m = [[rng.choice(block)() for _ in range(n - 1)]
+                     + [Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])]
+                     for _ in range(n)]
+                assert det_exact(m) == det_leibniz(m)
+
 
 class TestSpecialFunctions:
     def test_gamma_small_ints(self):
