@@ -8,7 +8,9 @@ and M = N - n,
 
     Khat_N^(n)(x; y) = sum_{lam in Y_{2n,M}} s_lam(t) <s_lam'>_w ,
 
-where Khat = [prod_{j=M}^{N-1} h_j / prod_i (x_i y_i)^M] K_N^(n).
+where Khat = [prod_{j=M}^{N-1} h_j / prod_i (x_i y_i)^M] K_N^(n).  One cached
+<s_lam'>_w table per rows x M rectangle also serves <det(x + Z)^k>
+(`char_poly_schur`: Painleve f_2n, the SW fermion sum) and the chiral DF kernel.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ import mpmath
 
 from . import partitions as pt
 from .ensembles import (EnsembleSpec, OrthoSystem, _row_step, field_key,
-                        moment, ortho_system, pair_cofactors, schur_average,
-                        schur_avg_jue)
-from .scalars import (at_precision, binom, det_exact, factorial, gamma_real,
-                      int_form, mat_inverse_exact, over, rational_sqrt, recip,
-                      to_mpf)
+                        moment, ortho_system, pair_cofactors, schur_average)
+from .scalars import (Poly, at_precision, binom, det_exact, factorial,
+                      gamma_real, int_form, mat_inverse_exact, over,
+                      rational_sqrt, recip, to_mpf)
 from .symfun import chebyshev_u_all, schur_table, schur_values
 
 
@@ -73,7 +74,7 @@ def _exactify(v):
 
 @dataclass(frozen=True)
 class KernelExpansion:
-    """Read-only coefficient map of the Schur expansion over the 2n x (N-n)
+    """Read-only coefficient map of the Schur expansion over the rows x cols
     rectangle (a cached table is shared by every caller) and its `int_form`
     (c, e), in the order of the map: ints over their lcm at rational
     coefficients, the QRat or mpf coefficients over e = 1 otherwise."""
@@ -107,21 +108,22 @@ def _horner_dot(sizes, a, b, d):
 
 def expansion_table(spec: EnsembleSpec, n_rank: int, n_pairs: int,
                     method: str = "closed") -> KernelExpansion:
-    """Coefficients <s_lam'>_w for all lam in Y_{2n, N-n}; cached, bounded,
-    with the key of `moment`."""
-    return _table_cached(spec, n_rank, n_pairs, method, field_key(spec))
+    """Coefficients <s_lam'>_w for all lam in Y_{2n, N-n}: the table of the
+    2n x (N-n) rectangle."""
+    return _table_cached(spec, 2 * n_pairs, n_rank - n_pairs, method, field_key(spec))
 
 
 @lru_cache(maxsize=128)
-def _table_cached(spec: EnsembleSpec, n_rank: int, n_pairs: int, method: str,
+def _table_cached(spec: EnsembleSpec, rows: int, m: int, method: str,
                   dps: int) -> KernelExpansion:
-    m = n_rank - n_pairs
-    parts = pt.enumerate_bounded(2 * n_pairs, m)
+    """<s_lam'>_w for all lam in Y_{rows, m}: one table per rectangle for every
+    sum that reads it; bounded, with the key of `moment`."""
+    parts = pt.enumerate_bounded(rows, m)
     if spec.kind in ("lue", "jue") and method == "closed":
         coeffs = _walk_table(parts, m, *_row_step(m, spec.alpha, spec.beta))
     else:
         coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method) for lam in parts}
-    return KernelExpansion(2 * n_pairs, m, MappingProxyType(coeffs),
+    return KernelExpansion(rows, m, MappingProxyType(coeffs),
                            int_form(list(coeffs.values())))
 
 
@@ -142,6 +144,18 @@ def _walk_table(parts, m: int, up, down) -> dict:
         nu = mu[:-1] + (last - 1,) if last > 1 else mu[:-1]
         out[lam] = by_mu[mu] = by_mu[nu] * over(num * up(y), den * down(y))
     return out
+
+
+def char_poly_schur(spec: EnsembleSpec, m: int, k: int) -> Poly:
+    """<det(x + Z)^k> over M = m variables, a polynomial in x: by the dual
+    Cauchy identity (Macdonald I.4) sum_{lam in Y_{k,M}} x^(kM-|lam|)
+    s_lam(1^k) <s_lam'>, from the k x M table and one branching pass."""
+    table = _table_cached(spec, k, m, "closed", field_key(spec))
+    parts, s = schur_values(k, m, [1] * k)
+    coeffs = [0] * (k * m + 1)
+    for lam, v, c in zip(parts, s, table.coeffs.values()):
+        coeffs[k * m - sum(lam)] += v * c
+    return Poly(coeffs)
 
 
 def khat_schur(query: KernelQuery, dps: int | None = None):
@@ -301,19 +315,16 @@ def df_chiral_kernel(n_rank: int, n_pairs: int, xs, alpha, beta, gamma=1):
     K_N^(n)(x) = sum_{lam in Y_{n,M}} s_lam(x^v) <s_lam'>_{JE,gamma}.
 
     gamma = 1 is the Schur-coefficient regime (<.>_{JE,1} is the JUE
-    average); general gamma would need Jack averages and is out of scope
-    beyond the explicit n = 1 product formula.
+    average: the n x M JUE table at x^v = (-1/x_i)); general gamma would
+    need Jack averages and is out of scope beyond the n = 1 product formula.
     """
     if gamma != 1:
         if n_pairs == 1:
             return df_chiral_closed_n1(n_rank, _exactify(xs[0]), alpha, beta, gamma)
         raise ValueError("df_chiral_kernel supports gamma != 1 only at n = 1")
-    m = n_rank - n_pairs
-    sx = schur_table(n_pairs, m, [-1 / _exactify(v) for v in xs])
-    total = 0
-    for lam, s in sx.items():
-        total = total + s * schur_avg_jue(pt.conjugate(lam), m, alpha, beta)
-    return total
+    spec = EnsembleSpec("jue", alpha=alpha, beta=beta)
+    table = _table_cached(spec, n_pairs, n_rank - n_pairs, "closed", field_key(spec))
+    return table.evaluate(tuple(-1 / _exactify(v) for v in xs))
 
 
 def df_chiral_closed_n1(n_rank: int, z, alpha, beta, gamma=1):

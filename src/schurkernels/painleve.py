@@ -1,7 +1,9 @@
 """Laguerre-Wronskian series: the function f_2n(x) = poly(x) e^(-Mx/2) via
 two independent routes (a Wronskian of generalized Laguerre polynomials and
-a terminating Schur-expansion), its Taylor data b_1, b_2, f_2n(0), and the
+a terminating Schur expansion), its Taylor data b_1, b_2, f_2n(0), and the
 Stieltjes-Wigert fermion partition-function identity.
+The Schur sides are the averages <det(x + Z)^2n> of `kernels.char_poly_schur`
+(LUE(2n) for f_2n, SW for the fermion sum), read from the kernel table.
 """
 
 from __future__ import annotations
@@ -9,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import partitions as pt
 from .ensembles import (EnsembleSpec, char_poly_moment_det,
                         char_poly_moment_oracle, hankel_det)
+from .kernels import char_poly_schur
 from .scalars import (Poly, QRat, barnes_g_int, binom, det_exact, factorial,
                       qratio)
-from .symfun import qdim, schur_principal
+from .symfun import schur_principal
 
 
 def laguerre_poly(k: int, alpha: int) -> Poly:
@@ -77,20 +79,16 @@ def f2n_schur(n: int, m: int) -> ExpSeries:
         G(2n+1)/G(M+2n+1) * sum_{lam in Y_{2n,M}} x^(2Mn-|lam|)
             s_lam(1^2n) s_lam'(1^(M+2n)) prod_j Gamma(lam'_j - j + M + 1),
 
-    iterated via the 180-degree rectangle complement lam = (M^2n) \\ mu.
+    and s_lam'(1^(M+2n)) prod_j (lam'_j - j + M)! = G(M+1) <s_lam'>_{LUE(2n),M}
+    (each row of the hook-content product telescopes), so the sum is
+    G(M+1) <det(x + Z)^2n>_{LUE(2n),M}.
     """
     if n < 1 or m < 1:
         raise ValueError("f2n needs n, m >= 1")
-    g = Fraction(barnes_g_int(2 * n + 1), barnes_g_int(m + 2 * n + 1))
-    coeffs = [Fraction(0)] * (2 * m * n + 1)
-    for mu in pt.enumerate_bounded(2 * n, m):
-        lam = pt.rectangle_complement(mu, 2 * n, m)
-        lamc = pt.conjugate(lam)
-        term = schur_principal(lam, 2 * n) * schur_principal(lamc, m + 2 * n)
-        for j in range(1, m + 1):
-            term *= factorial(pt.part(lamc, j) - j + m)
-        coeffs[2 * m * n - sum(lam)] += g * term
-    return ExpSeries(rate=Fraction(-m, 2), poly=Poly(coeffs))
+    g = Fraction(barnes_g_int(2 * n + 1) * barnes_g_int(m + 1),
+                 barnes_g_int(m + 2 * n + 1))
+    lue = EnsembleSpec("lue", alpha=2 * n)
+    return ExpSeries(Fraction(-m, 2), g * char_poly_schur(lue, m, 2 * n))
 
 
 def f2n_zero(n: int, m: int) -> Fraction:
@@ -144,24 +142,15 @@ def sw_fermion_partition(m: int, n: int) -> Poly:
     """Character-expansion side of the fermion partition function, as an
     exact polynomial in x over QRat:
 
-        Z_M^SW * sum_{lam in Y_{2n,M}} x^(2nM-|lam|)
-            q^(-(3M+1)|lam|/2 + sum_j (-lam'_j^2/2 + j lam'_j))
-            dim(lam) dim_q(lam'),
+        Z_M^SW * sum_{lam in Y_{2n,M}} x^(2nM-|lam|) s_lam(1^2n) <s_lam'>_SW
+            = Z_M^SW <det(x + Z)^2n>_SW,
 
-    with Z_M^SW taken from the moment Hankel determinant (the unambiguous
-    normalization; the q-factorial product formula differs by the pure
-    power reported by `sw_zm_ratio`).
+    <s_lam'>_SW = q^(-(3M+1)|lam|/2 + sum_j (-lam'_j^2/2 + j lam'_j)) dim_q(lam'),
+    with Z_M^SW the moment Hankel determinant (the q-factorial product
+    formula differs by the pure power reported by `sw_zm_ratio`).
     """
-    zm = hankel_det(EnsembleSpec("sw"), m)
-    coeffs = [QRat.const(0)] * (2 * n * m + 1)
-    for lam in pt.enumerate_bounded(2 * n, m):
-        lamc = pt.conjugate(lam)
-        ue = -(3 * m + 1) * sum(lam)
-        for j in range(1, m + 1):
-            cj = pt.part(lamc, j)
-            ue += -cj * cj + 2 * j * cj
-        coeffs[2 * n * m - sum(lam)] += qdim(lamc, m, offset=ue) * schur_principal(lam, 2 * n)
-    return Poly([zm * c for c in coeffs])
+    sw = EnsembleSpec("sw")
+    return hankel_det(sw, m) * char_poly_schur(sw, m, 2 * n)
 
 
 def sw_fermion_oracle(m: int, n: int) -> Poly:

@@ -11,10 +11,9 @@ against.  Each is independent of the code it checks:
   reference for the Andreief oracles of `schurkernels.ensembles`;
 * `ortho_gram_schmidt` -- Gram-Schmidt on the moment bilinear form, the
                          reference for `ortho_system` (Chebyshev algorithm);
-* `qdim_weyl`         -- the Weyl product of symmetric q-numbers, the
-                         reference for the hook-content `qdim`; with
-                         `qnum_floor` and `qfactorial_floor` it rebuilds the
-                         q-products that `scalars.qratio` forms in one pass;
+* `qnum_symmetric`, `qnum_floor`, `qfactorial_floor` -- q-numbers and
+                         q-factorials, which rebuild the q-products that
+                         `scalars.qratio` forms in one pass;
 * `ginibre_khat_schur` -- the Ginibre single sum term by term over Schur
                          tables, the reference for `khat_double` on Ginibre;
 * `schur_avg_lue_int_form`, `lue_alpha_shift_pair` -- the integer-alpha LUE
@@ -154,25 +153,6 @@ def qfactorial_floor(n: int) -> QRat:
     for i in range(1, n + 1):
         r = r * qnum_floor(i)
     return r
-
-
-def qdim_weyl(mu, m: int) -> QRat:
-    """q-dimension of the U(m) representation mu.
-
-    prod_{1<=j<k<=m} [mu_j - j - mu_k + k]_q / [k - j]_q.  The denominator
-    uses the positive argument k - j, which normalizes dim_q(empty) = 1 and
-    matches the q -> 1 limit s_mu(1^m); the opposite convention [j - k]_q
-    would rescale everything by (-1)^(m(m-1)/2).  It is 0 when l(mu) > m.
-    """
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return QRat.const(0)
-    num = den = QRat.const(1)
-    for j in range(1, m + 1):
-        for k in range(j + 1, m + 1):
-            num = num * qnum_symmetric(pt.part(mu, j) - j - pt.part(mu, k) + k)
-            den = den * qnum_symmetric(k - j)
-    return num / den
 
 
 # ----------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -387,3 +388,32 @@ def test_rank_must_exceed_pairs(runner, args):
     r = runner.invoke(main, args)
     assert r.exit_code == 2
     assert "--N must be greater than --n" in r.output
+
+
+def readme_examples():
+    """(arguments, stated JSON) for each README CLI example followed by a
+    `# -> ` line; the stated JSON ends where its value ends."""
+    out, command = [], None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("schurkernels "):
+            command = line
+        elif line.startswith("# -> "):
+            text = line[len("# -> "):]
+            out.append((shlex.split(command)[1:],
+                        text[:json.JSONDecoder().raw_decode(text)[1]]))
+    return out
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_states_two_outputs():
+    assert [args[0] for args, _ in README_EXAMPLES] == ["schur-avg", "painleve"]
+
+
+@pytest.mark.parametrize("args, stated", README_EXAMPLES,
+                         ids=[args[0] for args, _ in README_EXAMPLES])
+def test_readme_example_output(runner, args, stated):
+    """The output the README states for an example, byte for byte."""
+    r = invoke(runner, args)
+    assert r.exit_code == 0 and r.output == stated + "\n"

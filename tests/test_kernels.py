@@ -8,9 +8,11 @@ import pytest
 
 from oracles import ginibre_khat_schur, kernel_cd_formula
 from schurkernels import partitions as pt
-from schurkernels.ensembles import (EnsembleSpec, hankel_det, ortho_system,
-                                    pair_cofactors, schur_average)
-from schurkernels.kernels import (KernelQuery, _cd_sum, df_chiral_closed_n1,
+from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
+                                    hankel_det, ortho_system, pair_cofactors,
+                                    schur_average)
+from schurkernels.kernels import (KernelQuery, _cd_sum, char_poly_schur,
+                                  df_chiral_closed_n1,
                                   df_chiral_kernel, df_khat_double,
                                   df_kernel_factorized, df_partition,
                                   expansion_table, ginibre_kernel,
@@ -258,6 +260,22 @@ class TestGinibre:
         assert khat_double(q) == ginibre_khat_schur(4, 1, (F(3, 2),), (F(-2, 5),))
 
 
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec("gue"), EnsembleSpec("lue", alpha=1), EnsembleSpec("lue", alpha=F(1, 2)),
+    EnsembleSpec("jue", alpha=F(7, 10), beta=F(13, 10)), EnsembleSpec("sw"),
+    EnsembleSpec("qlue", alpha=1)], ids=["gue", "lue1", "lue1/2", "jue", "sw", "qlue1"])
+def test_char_poly_schur_equals_andreief(spec):
+    """<det(x + Z)^k> from the coefficient table against the Andreief
+    determinant of modified moments, which reads no table: odd k reaches
+    tables with rows != 2n."""
+    for m in range(1, 4):
+        for k in range(1, 5):
+            poly = char_poly_schur(spec, m, k)
+            for x in (F(3, 2), F(-5, 7)):
+                assert (poly(x) * (-1) ** (k * m)
+                        == char_poly_moment_oracle(spec, m, k, -x)), (m, k, x)
+
+
 class TestDotsenkoFateev:
     def test_k0_term(self):
         # at N = 1 only the k = 0 term C(N-1,0) = 1 survives, for any params
@@ -271,10 +289,16 @@ class TestDotsenkoFateev:
                     == df_chiral_closed_n1(nr, z, a, b, 1)
 
     def test_factorized_equals_double(self):
-        for nr in (2, 3, 4):
-            f = df_kernel_factorized(nr, 1, (F(2),), (F(3, 2),), 1, 1, 1)
-            d = df_khat_double(nr, 1, (F(2),), (F(3, 2),), 1, 1)
-            assert f == d
+        for nr, n in ((2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (5, 3)):
+            xs, ys = (F(2), F(-3, 5), F(7, 4))[:n], (F(3, 2), F(5, 9), F(-4))[:n]
+            f = df_kernel_factorized(nr, n, xs, ys, 1, 1, 1)
+            d = df_khat_double(nr, n, xs, ys, 1, 1)
+            assert f == d, (nr, n)
+
+    @pytest.mark.parametrize("a,b", [(-1, 0), (0, F(-3, 2))])
+    def test_parameters_at_or_below_minus_one_fail(self, a, b):
+        with pytest.raises(ValueError, match="^jue needs alpha, beta > -1$"):
+            df_chiral_kernel(3, 1, (F(2),), a, b, 1)
 
     def test_general_gamma_needs_n1(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Unit tests for symmetric-function evaluation."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from schurkernels import partitions as pt
 from schurkernels.kernels import random_rationals
 from schurkernels.scalars import QRat, hp_close
-from oracles import qdim_weyl, qnum_symmetric, schur_bialternant
+from oracles import qnum_symmetric, schur_bialternant
 from schurkernels.symfun import (chebyshev_u_all, complete_h_all, dual_cauchy_check,
                                  qdim, schur_eval, schur_principal, schur_table)
 
@@ -139,9 +141,30 @@ class TestQDim:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_hook_content_equals_weyl(self, m):
+        """The Weyl product prod_{j<k} [z_jk]_q / [k - j]_q, z_jk = mu_j - j -
+        mu_k + k > 0, with [z]_q = u^(1-z) P_z(u), P_z = 1 + u^2 + ... +
+        u^(2z-2), cross-multiplied: qdim = u^e num(u) exactly when
+        e = sum (k - j - z_jk) and num(u) prod P_(k-j)(u) = prod P_z(u).  Both
+        sides have integer coefficients in [0, X) at X = 2^b above their
+        values at u = 1, so they are equal when their values at u = X are
+        (equal base-X digit strings): one integer identity per mu."""
+        pairs = [(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)]
+        d = [k - j for j, k in pairs]
+        b = math.prod(5 + a for a in d).bit_length()  # z_jk <= 5 + k - j
+        p = [((1 << 2 * b * a) - 1) // ((1 << 2 * b) - 1) for a in range(5 + m)]
         for mu in pt.enumerate_bounded(m, 5):
-            a, b = qdim(mu, m), qdim_weyl(mu, m)
-            assert (a.offset, a.num, a.den) == (b.offset, b.num, b.den), mu
+            z = [pt.part(mu, j) - j - pt.part(mu, k) + k for j, k in pairs]
+            got = qdim(mu, m)
+            assert got.den == [1] and min(got.num) >= 0, mu
+            assert sum(got.num) * math.prod(d) < 1 << b, mu
+            assert got.offset == sum(d) - sum(z), mu
+            num = 0
+            for c in reversed(got.num):
+                num = (num << b) + c
+            # the factors common to both sides cancel
+            up, down = Counter(z) - Counter(d), Counter(d) - Counter(z)
+            assert (num * math.prod(p[a] for a in down.elements())
+                    == math.prod(p[a] for a in up.elements())), mu
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hook_content_equals_weyl_at_m23(self, seed):
