@@ -110,21 +110,23 @@ def expansion_table(spec: EnsembleSpec, n_rank: int, n_pairs: int,
                     method: str = "closed") -> KernelExpansion:
     """Coefficients <s_lam'>_w for all lam in Y_{2n, N-n}: the table of the
     2n x (N-n) rectangle."""
-    return _table_cached(spec, 2 * n_pairs, n_rank - n_pairs, method, field_key(spec))
+    return _table(spec, 2 * n_pairs, n_rank - n_pairs, method)
+
+
+def _table(spec: EnsembleSpec, rows: int, m: int, method: str = "closed") -> KernelExpansion:
+    """<s_lam'>_w for all lam in Y_{rows, m}: one table per rectangle for every
+    sum that reads it; cached, bounded, with the key of `moment`."""
+    return _table_cached(spec, rows, m, method, field_key(spec))
 
 
 @lru_cache(maxsize=128)
-def _table_cached(spec: EnsembleSpec, rows: int, m: int, method: str,
-                  dps: int) -> KernelExpansion:
-    """<s_lam'>_w for all lam in Y_{rows, m}: one table per rectangle for every
-    sum that reads it; bounded, with the key of `moment`."""
+def _table_cached(spec, rows: int, m: int, method: str, dps: int) -> KernelExpansion:
     parts = pt.enumerate_bounded(rows, m)
     if spec.kind in ("lue", "jue") and method == "closed":
         coeffs = _walk_table(parts, m, *_row_step(m, spec.alpha, spec.beta))
     else:
         coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method) for lam in parts}
-    return KernelExpansion(rows, m, MappingProxyType(coeffs),
-                           int_form(list(coeffs.values())))
+    return KernelExpansion(rows, m, MappingProxyType(coeffs), int_form(list(coeffs.values())))
 
 
 def _walk_table(parts, m: int, up, down) -> dict:
@@ -150,10 +152,9 @@ def char_poly_schur(spec: EnsembleSpec, m: int, k: int) -> Poly:
     """<det(x + Z)^k> over M = m variables, a polynomial in x: by the dual
     Cauchy identity (Macdonald I.4) sum_{lam in Y_{k,M}} x^(kM-|lam|)
     s_lam(1^k) <s_lam'>, from the k x M table and one branching pass."""
-    table = _table_cached(spec, k, m, "closed", field_key(spec))
     parts, s = schur_values(k, m, [1] * k)
     coeffs = [0] * (k * m + 1)
-    for lam, v, c in zip(parts, s, table.coeffs.values()):
+    for lam, v, c in zip(parts, s, _table(spec, k, m).coeffs.values()):
         coeffs[k * m - sum(lam)] += v * c
     return Poly(coeffs)
 
@@ -322,8 +323,7 @@ def df_chiral_kernel(n_rank: int, n_pairs: int, xs, alpha, beta, gamma=1):
         if n_pairs == 1:
             return df_chiral_closed_n1(n_rank, _exactify(xs[0]), alpha, beta, gamma)
         raise ValueError("df_chiral_kernel supports gamma != 1 only at n = 1")
-    spec = EnsembleSpec("jue", alpha=alpha, beta=beta)
-    table = _table_cached(spec, n_pairs, n_rank - n_pairs, "closed", field_key(spec))
+    table = _table(EnsembleSpec("jue", alpha=alpha, beta=beta), n_pairs, n_rank - n_pairs)
     return table.evaluate(tuple(-1 / _exactify(v) for v in xs))
 
 

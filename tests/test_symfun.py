@@ -147,7 +147,10 @@ class TestQDim:
         e = sum (k - j - z_jk) and num(u) prod P_(k-j)(u) = prod P_z(u).  Both
         sides have integer coefficients in [0, X) at X = 2^b above their
         values at u = 1, so they are equal when their values at u = X are
-        (equal base-X digit strings): one integer identity per mu."""
+        (equal base-X digit strings): one integer identity per mu.  P_z has
+        first and last coefficient 1, so the canonical QRat that the Weyl
+        product builds has den = [1] and num[0] = num[-1] = 1; checking both
+        ends pins the length of num, which QRat equality compares."""
         pairs = [(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)]
         d = [k - j for j, k in pairs]
         b = math.prod(5 + a for a in d).bit_length()  # z_jk <= 5 + k - j
@@ -155,7 +158,8 @@ class TestQDim:
         for mu in pt.enumerate_bounded(m, 5):
             z = [pt.part(mu, j) - j - pt.part(mu, k) + k for j, k in pairs]
             got = qdim(mu, m)
-            assert got.den == [1] and min(got.num) >= 0, mu
+            assert got.den == [1] and got.num[0] == got.num[-1] == 1, mu
+            assert min(got.num) >= 0, mu
             assert sum(got.num) * math.prod(d) < 1 << b, mu
             assert got.offset == sum(d) - sum(z), mu
             num = 0
