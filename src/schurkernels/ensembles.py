@@ -30,8 +30,8 @@ import mpmath
 
 from . import partitions as pt
 from .scalars import (Poly, QRat, at_precision, binom, det_exact,
-                      double_factorial, factorial, int_form, mat_inverse_exact,
-                      poch, qratio, recip, to_mpf)
+                      double_factorial, factorial, int_adjugate, int_form,
+                      mat_inverse_exact, poch, qratio, recip, to_mpf)
 from .symfun import qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -152,10 +152,18 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
             step = lambda s: (qv ** -(av + s) - 1) / (1 - qv)
     else:
         raise ValueError(f"moments not defined for kind {kind!r}")
-    r = mass
-    for s in range(1, p + 1):
-        r = r * step(s)
-    return r
+    # m_p = m_{p-1} step(p) from the last moment made so far: the product
+    # order of m_0 prod_{s<=p} step(s), without recursion
+    chain = _moment_chain(spec, dps)
+    for s in range(len(chain), p + 1):
+        chain.append(chain[-1] * step(s) if s else mass)
+    return chain[p]
+
+
+@lru_cache(maxsize=128)
+def _moment_chain(spec: EnsembleSpec, dps: int) -> list:
+    """m_0, m_1, ... as far as `_moment_cached` made them; it extends the list."""
+    return []
 
 
 def hankel_det(spec: EnsembleSpec, m: int):
@@ -192,8 +200,9 @@ class OrthoSystem:
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
     """P_0..P_K and h_0..h_K of the moment form <z^a, z^b> = m_{a+b} by the
-    Chebyshev algorithm (Gautschi 1982), O(K^2) operations in any scalar field;
-    Gram-Schmidt is its test oracle.  Cached, bounded, keyed as `moment`."""
+    Chebyshev algorithm (Gautschi 1982), O(K^2) operations: fraction-free on
+    ints at rational moments, in the field otherwise; Gram-Schmidt is its test
+    oracle.  Cached, bounded, keyed as `moment`."""
     return _ortho_cached(spec, kmax, field_key(spec))
 
 
@@ -204,26 +213,54 @@ def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
     # sig_{k+1,l} = sig_{k,l+1} - a_k sig_{k,l} - b_k sig_{k-1,l} and
     # P_{k+1} = (z - a_k) P_k - b_k P_{k-1}; inv = 1/h_{k-1} starts at 0, so b_0 = 0
     sig = prev = [moment(spec, p) for p in range(2 * kmax + 1)]
-    pk, pprev = Poly([1]), Poly()
-    polys, norms = [pk], []
-    ratio = inv = 0
-    for k in range(kmax + 1):
-        h = sig[k]
-        if not h:
-            raise ValueError(f"degenerate measure: zero norm at degree {k}")
-        norms.append(h)
-        if k == kmax:
-            break
-        b, inv = h * inv, recip(h)
-        r = sig[k + 1] * inv
-        a, ratio = r - ratio, r
-        prev, sig = sig, [0] * (k + 1) + [sig[l + 1] - a * sig[l] - b * prev[l]
-                                          for l in range(k + 1, 2 * kmax - k)]
-        pk, pprev = Poly([0] + pk.coeffs) - pk * a - pprev * b, pk
-        polys.append(pk)
+    if all(isinstance(v, (int, Fraction)) for v in sig):
+        polys, norms = _chebyshev_ints(*int_form(sig), kmax)
+    else:
+        pk, pprev = Poly([1]), Poly()
+        polys, norms = [pk], []
+        ratio = inv = 0
+        for k in range(kmax + 1):
+            h = sig[k]
+            if not h:
+                raise ValueError(f"degenerate measure: zero norm at degree {k}")
+            norms.append(h)
+            if k == kmax:
+                break
+            b, inv = h * inv, recip(h)
+            r = sig[k + 1] * inv
+            a, ratio = r - ratio, r
+            prev, sig = sig, [0] * (k + 1) + [sig[l + 1] - a * sig[l] - b * prev[l]
+                                              for l in range(k + 1, 2 * kmax - k)]
+            pk, pprev = Poly([0] + pk.coeffs) - pk * a - pprev * b, pk
+            polys.append(pk)
     forms = [int_form(p.coeffs) for p in polys]
     w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
     return OrthoSystem(tuple(polys), tuple(norms), (tuple(c for c, _ in forms), *w))
+
+
+def _chebyshev_ints(mu, d: int, kmax: int):
+    """The step above fraction-free (Gautschi 2004, 2.1.7) on the int moments
+    mu = d m: Q_k = D_k P_k and tau_l = <Q_k, z^l> are ints, D_k = det[mu_(i+j)]_(i,j<k)
+    = tau_(k-1,k-1), and with t' the tau of Q_(k-1) and D = D_k the division in
+    D^2 tau_(k+1,l) = D tau_k tau_(l+1) - (D tau_(k+1) - tau_k t'_k) tau_l - tau_k^2 t'_l
+    is exact, as is Q_(k+1)'s with z Q_k for tau_(l+1); h_k = tau_k / (D_k d)."""
+    tau, prev, q, qprev, delta = list(mu), [0] * len(mu), [1], [], 1
+    polys, norms = [], []
+    for k in range(kmax + 1):
+        t = tau[k]
+        if not t:
+            raise ValueError(f"degenerate measure: zero norm at degree {k}")
+        polys.append(Poly([Fraction(c, delta) if c else 0 for c in q[:-1]] + [1]))
+        norms.append(Fraction(t, delta * d))
+        if k == kmax:
+            break
+        a, b, c, dd = delta * t, delta * tau[k + 1] - t * prev[k], t * t, delta * delta
+        prev, tau = tau, [0] * (k + 1) + [(a * tau[l + 1] - b * tau[l] - c * prev[l]) // dd
+                                          for l in range(k + 1, 2 * kmax - k)]
+        q, qprev = [(a * x - b * y - c * z) // dd
+                    for x, y, z in zip([0] + q, q + [0], qprev + [0, 0])], q
+        delta = t
+    return polys, norms
 
 
 # ----------------------------------------------------------------------------
@@ -280,13 +317,30 @@ def _cofactors_cached(spec: EnsembleSpec, n: int, m: int, dps: int):
     else:
         size = m + n
         mom = [moment(spec, p) for p in range(2 * size - 1)]
-        h = [[mom[j + k] for k in range(size)] for j in range(size)]
-        det_h = det_exact(h)
-        adj = [[det_h * x for x in row] for row in mat_inverse_exact(h)]
         comp = [[m - 1 + i - pt.part(lam, i) for i in range(1, n + 1)] for lam in parts]
-        nums = [(-1) ** (sum(a) + sum(b)) * det_exact([[adj[j][k] for k in a] for j in b])
-                for a in comp for b in comp]
-        den = hankel_det(spec, m) * det_h ** (n - 1)
+        if all(isinstance(v, (int, Fraction)) for v in mom):
+            # Z = diag(L) H on ints (L_j the lcm of row j) obeys Jacobi's identity,
+            # and H[A, B] prod_j L_j = Z[A, B] prod_(j not in A) L_j is symmetric in
+            # A, B: each unordered pair once.  () x () (the first) is the
+            # denominator, and the common factor goes
+            rows, k = [int_form(mom[j:j + size]) for j in range(size)], len(parts)
+            det_z, adj = int_adjugate([list(z) for z, _ in rows])
+            nums = [0] * (k * k)
+            for i, a in enumerate(comp):
+                scale = (-1) ** sum(a) * math.prod(rows[r][1] for r in a)
+                for j, b in enumerate(comp[i:], i):
+                    x = (-1) ** sum(b) * scale * det_exact([[adj[r][c] for c in a] for r in b])
+                    nums[i * k + j] = nums[j * k + i] = x // det_z ** (n - 1)
+            g = math.gcd(*nums)
+            nums = [x // g for x in nums]
+            den = nums[0]
+        else:
+            h = [[mom[j + k] for k in range(size)] for j in range(size)]
+            det_h = det_exact(h)
+            adj = [[det_h * x for x in row] for row in mat_inverse_exact(h)]
+            nums = [(-1) ** (sum(a) + sum(b)) * det_exact([[adj[j][k] for k in a] for j in b])
+                    for a in comp for b in comp]
+            den = hankel_det(spec, m) * det_h ** (n - 1)
     flat, _ = int_form(nums + [den])
     k = len(parts)
     return tuple(flat[i:i + k] for i in range(0, k * k, k)), flat[-1]
@@ -298,11 +352,8 @@ def char_poly_moment_det(spec: EnsembleSpec, m: int, n2: int, x):
     mom = [moment(spec, p) for p in range(2 * m - 1 + n2)]
 
     def modified(e):
-        r = 0
-        for l in range(n2 + 1):
-            term = Fraction((-1) ** l * binom(n2, l)) * x ** (n2 - l) * mom[e + l]
-            r = r + term
-        return r
+        return sum(Fraction((-1) ** l * binom(n2, l)) * x ** (n2 - l) * mom[e + l]
+                   for l in range(n2 + 1))
 
     return det_exact([[modified(j + k) for k in range(m)] for j in range(m)])
 
@@ -368,11 +419,8 @@ def _row_product(mu, m: int, step):
     This is prod_j f(mu_j+m-j)/f(m-j) for any f with f(p) = step(p) f(p-1),
     telescoped so that f itself is never evaluated.
     """
-    r = 1
-    for j in range(1, m + 1):
-        for p in range(m - j + 1, pt.part(mu, j) + m - j + 1):
-            r = r * step(p)
-    return r
+    return math.prod(step(p) for j in range(1, m + 1)
+                     for p in range(m - j + 1, pt.part(mu, j) + m - j + 1))
 
 
 def _row_step(m: int, alpha, beta=None):
@@ -454,9 +502,8 @@ def schur_avg_lue_tilde(nu, m: int, alpha_tilde):
     if not (abase - ell > -1):
         raise ValueError("lue_tilde average diverges: alpha_tilde too small")
     nustar = pt.rectangle_complement(nu, m, ell)
-    pref = Fraction(1)
-    for j in range(1, m + 1):
-        pref = pref * recip(poch(abase - ell + j, ell))
+    pref = math.prod((recip(poch(abase - ell + j, ell)) for j in range(1, m + 1)),
+                     start=Fraction(1))
     return pref * schur_avg_lue(nustar, m, abase - ell)
 
 
@@ -520,27 +567,18 @@ def jack_avg_jacobi_coeff(nu, m: int, alpha, beta, gamma, n: int):
         raise ValueError("jack coefficient needs nu_1 <= 2n")
     if len(nu) > m:
         raise ValueError("jack coefficient needs l(nu) <= m")
-    lam1 = len(nu)
-    r = Fraction(1)
-    for j in range(1, 2 * n + 1):
-        nj = pt.part(nu, j)
-        den = poch(alpha + beta + 2 + gamma * (2 * m - j - 1), nj)
+    lam1, part, r = len(nu), lambda j: pt.part(nu, j), Fraction(1)
+    # (a, b, k): the factor poch(a, k) / poch(b, k), in the order of the product
+    factors = [(alpha + 1 + gamma * (m - j), alpha + beta + 2 + gamma * (2 * m - j - 1), part(j))
+               for j in range(1, 2 * n + 1)]
+    factors += [(gamma * (k - j + 1), gamma * (k - j), part(j) - part(k))
+                for j in range(1, lam1 + 1) for k in range(j + 1, lam1 + 1)]
+    factors += [(gamma * (m - j + 1), gamma * (lam1 - j + 1), part(j)) for j in range(1, lam1 + 1)]
+    for a, b, k in factors:
+        den = poch(b, k)
         if not den:
             raise ValueError("singular Pochhammer in jack coefficient")
-        r = r * poch(alpha + 1 + gamma * (m - j), nj) / den
-    for j in range(1, lam1 + 1):
-        for k in range(j + 1, lam1 + 1):
-            d = pt.part(nu, j) - pt.part(nu, k)
-            den = poch(gamma * (k - j), d)
-            if not den:
-                raise ValueError("singular Pochhammer in jack coefficient")
-            r = r * poch(gamma * (k - j + 1), d) / den
-    for j in range(1, lam1 + 1):
-        nj = pt.part(nu, j)
-        den = poch(gamma * (lam1 - j + 1), nj)
-        if not den:
-            raise ValueError("singular Pochhammer in jack coefficient")
-        r = r * poch(gamma * (m - j + 1), nj) / den
+        r = r * poch(a, k) / den
     return r
 
 

@@ -15,6 +15,7 @@ where Khat = [prod_{j=M}^{N-1} h_j / prod_i (x_i y_i)^M] K_N^(n).  One cached
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -124,6 +125,8 @@ def _table_cached(spec, rows: int, m: int, method: str, dps: int) -> KernelExpan
     parts = pt.enumerate_bounded(rows, m)
     if spec.kind in ("lue", "jue") and method == "closed":
         coeffs = _walk_table(parts, m, *_row_step(m, spec.alpha, spec.beta))
+    elif spec.kind == "gue" and method == "closed":
+        coeffs = _gue_table(parts, m)
     else:
         coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method) for lam in parts}
     return KernelExpansion(rows, m, MappingProxyType(coeffs), int_form(list(coeffs.values())))
@@ -145,6 +148,33 @@ def _walk_table(parts, m: int, up, down) -> dict:
             num, den = num * l, den * (l + 1)
         nu = mu[:-1] + (last - 1,) if last > 1 else mu[:-1]
         out[lam] = by_mu[mu] = by_mu[nu] * over(num * up(y), den * down(y))
+    return out
+
+
+def _gue_table(parts, m: int) -> dict:
+    """The GUE <s_lam'> by a domino walk on the beads l_j = mu_j + m - j,
+    j <= m, of mu = lam': 0 unless they have the parity counts of the beads
+    of () (an empty 2-core); else a bead x has x - 2 free, nu = mu minus that
+    domino, and the parity-block coefficients and Weyl dimensions of
+    `schur_avg_gue` give, over the beads y != x of the parity of x,
+        <s_mu> = <s_nu> (-1)^[x-1 a bead] (x - 1 + x % 2) prod (x - y)/(x - 2 - y)."""
+    base = tuple(range(m - 1, -1, -1))
+    odd = sum(x % 2 for x in base)
+    by_l, out = {base: Fraction(1)}, {(): Fraction(1)}
+    for lam in parts[1:]:
+        mu = pt.conjugate(lam)
+        l = tuple(p + m - j for j, p in enumerate(mu + (0,) * (m - len(mu)), 1))
+        if sum(x % 2 for x in l) != odd:
+            out[lam] = Fraction(0)
+            continue
+        beads = set(l)
+        x = next(x for x in l if x >= 2 and x - 2 not in beads)
+        num, den = x - 1 + x % 2, 1
+        for y in l:
+            if y != x and (x - y) % 2 == 0:
+                num, den = num * (x - y), den * (x - 2 - y)
+        parent = tuple(sorted(beads - {x} | {x - 2}, reverse=True))
+        out[lam] = by_l[l] = by_l[parent] * Fraction(-num if x - 1 in beads else num, den)
     return out
 
 
@@ -260,17 +290,11 @@ def khat_cd(query: KernelQuery, dps: int | None = None):
         spec, nr = query.spec, query.n_rank
         osys = ortho_system(spec, nr - 1)
         det = det_exact([[_cd_sum(osys, xi, yj) for yj in query.y] for xi in query.x])
-        vand = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                vand = vand * (query.x[i] - query.x[j]) * (query.y[i] - query.y[j])
-        kn = det * recip(vand)
-        pref = 1
-        for j in range(nr - n, nr):
-            pref = pref * osys.norms[j]
-        for xi, yi in zip(query.x, query.y):
-            pref = pref * recip((xi * yi) ** (nr - n))
-        return pref * kn
+        vand = math.prod(d for i in range(n) for j in range(i + 1, n)
+                         for d in (query.x[i] - query.x[j], query.y[i] - query.y[j]))
+        scale = (recip((xi * yi) ** (nr - n)) for xi, yi in zip(query.x, query.y))
+        pref = math.prod([*osys.norms[nr - n:], *scale])
+        return pref * (det * recip(vand))
 
 
 def hankel_inverse_gen(spec: EnsembleSpec, n_rank: int, x, y):
@@ -279,11 +303,7 @@ def hankel_inverse_gen(spec: EnsembleSpec, n_rank: int, x, y):
     mom = [moment(spec, p) for p in range(2 * n_rank - 1)]
     h = [[mom[j + k] for k in range(n_rank)] for j in range(n_rank)]
     hinv = mat_inverse_exact(h)
-    total = 0
-    for j in range(n_rank):
-        for k in range(n_rank):
-            total = total + x ** j * y ** k * hinv[j][k]
-    return total
+    return sum(x ** j * y ** k * hinv[j][k] for j in range(n_rank) for k in range(n_rank))
 
 
 # ----------------------------------------------------------------------------
@@ -296,18 +316,14 @@ def ginibre_kernel(n_rank: int, x, ybar):
     xy = _exactify(x) * _exactify(ybar)
     if not xy:
         raise ValueError("ginibre kernel needs x*ybar != 0")
-    total = 0
-    for j in range(n_rank):
-        total = total + xy ** (j - n_rank + 1) * Fraction(1, factorial(j))
+    total = sum(xy ** (j - n_rank + 1) * Fraction(1, factorial(j)) for j in range(n_rank))
     return factorial(n_rank - 1) * total
 
 
 def real_ginibre_kernel(n_rank: int, x, y):
     """Real Ginibre: K_N(x,y) = (x-y) (N-1)! sum_j (xy)^j / j!."""
     x, y = _exactify(x), _exactify(y)
-    total = 0
-    for j in range(n_rank):
-        total = total + (x * y) ** j * Fraction(1, factorial(j))
+    total = sum((x * y) ** j * Fraction(1, factorial(j)) for j in range(n_rank))
     return (x - y) * factorial(n_rank - 1) * total
 
 
@@ -319,6 +335,8 @@ def df_chiral_kernel(n_rank: int, n_pairs: int, xs, alpha, beta, gamma=1):
     average: the n x M JUE table at x^v = (-1/x_i)); general gamma would
     need Jack averages and is out of scope beyond the n = 1 product formula.
     """
+    if len(xs) != n_pairs:
+        raise ValueError("need n points")
     if gamma != 1:
         if n_pairs == 1:
             return df_chiral_closed_n1(n_rank, _exactify(xs[0]), alpha, beta, gamma)
@@ -358,6 +376,8 @@ def df_khat_double(n_rank: int, n_pairs: int, xs, ybars, alpha, beta):
     <s_lam' sbar_mu'>_DF = <s_lam'>_JUE <s_mu'>_JUE, each JUE factor
     computed by the Andreief oracle (independent of the closed forms)."""
     from .ensembles import schur_avg_oracle
+    if len(xs) != n_pairs or len(ybars) != n_pairs:
+        raise ValueError("need n x-points and n ybar-points")
     spec = EnsembleSpec("jue", alpha=alpha, beta=beta)
     m = n_rank - n_pairs
     sx = schur_table(n_pairs, m, [-1 / _exactify(v) for v in xs])

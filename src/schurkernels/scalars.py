@@ -94,31 +94,21 @@ def double_factorial(n: int) -> int:
     """n!! for n >= -1, with (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError(f"double factorial not defined here for {n}")
-    r = 1
-    while n > 1:
-        r *= n
-        n -= 2
-    return r
+    return math.prod(range(n, 1, -2))
 
 
 def poch(x, k: int):
     """Rising factorial x(x+1)...(x+k-1); exact when x is exact."""
     if k < 0:
         raise ValueError("poch needs k >= 0")
-    r = 1
-    for i in range(k):
-        r = r * (x + i)
-    return r
+    return math.prod(x + i for i in range(k))
 
 
 def barnes_g_int(n: int) -> int:
     """Barnes G at a positive integer: G(n) = prod_{k=1}^{n-2} k!."""
     if n <= 0:
         raise ValueError("barnes_g_int needs n >= 1")
-    r = 1
-    for k in range(1, n - 1):
-        r *= math.factorial(k)
-    return r
+    return math.prod(math.factorial(k) for k in range(1, n - 1))
 
 
 def recip(v):
@@ -732,26 +722,13 @@ def mat_inverse_exact(matrix):
     entry of the inverse of a rational matrix is a Fraction.
 
     Over the rationals A = diag(L)·M is an int matrix (L_i the lcm of the
-    denominators of row i); fraction-free Gauss-Jordan on [A | I] divides
-    exactly and ends at [D | D·A^-1] with D diagonal, so M^-1[i][j] =
-    X[i][n+j]·L_j / X[i][i].  QRat and mpf matrices run Gauss-Jordan."""
+    denominators of row i) and M^-1[i][j] = adj(A)[i][j]·L_j / det A, from
+    `int_adjugate`.  QRat and mpf matrices run Gauss-Jordan."""
     n = len(matrix)
     if all(isinstance(x, (int, Fraction)) for row in matrix for x in row):
         rows = [int_form(row) for row in matrix]
-        lcds = [lcd for _, lcd in rows]
-        m = [list(z) + [int(i == j) for j in range(n)]
-             for i, (z, _) in enumerate(rows)]
-        prev = 1
-        for k in range(n):
-            _swap_pivot(m, k)
-            p = m[k][k]
-            for i in range(n):
-                if i != k:
-                    f = m[i][k]
-                    m[i] = [(a * p - f * b) // prev for a, b in zip(m[i], m[k])]
-            prev = p
-        return [[Fraction(x * lcd, row[i]) for x, lcd in zip(row[n:], lcds)]
-                for i, row in enumerate(m)]
+        det, adj = int_adjugate([list(z) for z, _ in rows])
+        return [[Fraction(x * lcd, det) for x, (_, lcd) in zip(row, rows)] for row in adj]
     m = [list(row) + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(matrix)]
     for k in range(n):
@@ -765,12 +742,32 @@ def mat_inverse_exact(matrix):
     return [row[n:] for row in m]
 
 
-def _swap_pivot(m, k):
-    """Swap into row k the first row r >= k with m[r][k] nonzero."""
+def int_adjugate(a):
+    """(det A, adj A) of a square int matrix by fraction-free Gauss-Jordan
+    on [A | I] (Bareiss, Math. Comp. 22, 1968): every division is exact and
+    the elimination ends at [d·I | d·A^-1], d = ±det A by the row swaps."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev, sign = 1, 1
+    for k in range(n):
+        if _swap_pivot(m, k):
+            sign = -sign
+        p = m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], m[k])]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+
+
+def _swap_pivot(m, k) -> bool:
+    """Swap into row k the first row r >= k with m[r][k] nonzero; True if r != k."""
     piv = next((r for r in range(k, len(m)) if m[r][k]), None)
     if piv is None:
         raise ZeroDivisionError("singular matrix")
     m[k], m[piv] = m[piv], m[k]
+    return piv != k
 
 
 # ----------------------------------------------------------------------------

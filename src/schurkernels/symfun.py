@@ -70,8 +70,9 @@ def _branching(rows: int, cols: int):
     that interlace nu in rows >= i, so one pass over all rows adds x."""
     parts = pt.enumerate_bounded(rows, cols)
     index = {p: k for k, p in enumerate(parts)}
+    # nu - e_i by slicing: a row of one box is the last row, and goes
     return tuple(parts), tuple(
-        tuple((k, index[pt.canonical(p[:i - 1] + (p[i - 1] - 1,) + p[i:])])
+        tuple((k, index[p[:i - 1] + (p[i - 1] - 1,) + p[i:] if p[i - 1] > 1 else p[:i - 1]])
               for k, p in enumerate(parts) if pt.part(p, i) > pt.part(p, i + 1))
         for i in range(rows, 0, -1))
 

@@ -62,12 +62,9 @@ def toeplitz_inverse_closed(gamma: int, delta: int, m: int):
     for j in range(1, m + 1):
         for k in range(1, m + 1):
             pref = Fraction(poch(j, gamma) * poch(k, delta))
-            s = Fraction(0)
-            for r in range(max(j, k), m + 1):
-                s += Fraction(factorial(r - 1),
-                              factorial(gamma + delta + r - 1)) \
-                    * binom(gamma + r - k - 1, r - k) \
-                    * binom(delta + r - j - 1, r - j)
+            s = sum((Fraction(factorial(r - 1), factorial(gamma + delta + r - 1))
+                     * binom(gamma + r - k - 1, r - k) * binom(delta + r - j - 1, r - j)
+                     for r in range(max(j, k), m + 1)), Fraction(0))
             out[j - 1][k - 1] = pref * s
     return out
 
@@ -110,11 +107,8 @@ def fh_kernel_generating(gamma: int, delta: int, n_rank: int, x, ybar):
     [T_N^-1]_{jk} (0-based indexing)."""
     x, ybar = Fraction(x), Fraction(ybar)
     tinv = toeplitz_inverse_exact(gamma, delta, n_rank)
-    total = Fraction(0)
-    for j in range(n_rank):
-        for k in range(n_rank):
-            total += x ** (n_rank - j - 1) * ybar ** (n_rank - k - 1) * tinv[j][k]
-    return total
+    return sum((x ** (n_rank - j - 1) * ybar ** (n_rank - k - 1) * tinv[j][k]
+                for j in range(n_rank) for k in range(n_rank)), Fraction(0))
 
 
 def fh_pair_elementary_avg(gamma: int, delta: int, a: int, b: int, m: int):

@@ -1,5 +1,6 @@
 """CLI surface tests: grammar, JSON determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -92,6 +93,19 @@ class TestSchurAvg:
         assert json.loads(r.output) == {"value": "0/1"}
 
 
+# The (N, n, methods) groups of the exact kernel benchmark, on its ensembles
+# and on JUE 7/10, 13/10, whose moment Hankel rows have different lcms.  At
+# n = 1 the product xy = (21/10)^2 has an exact square root (chebyshev).
+PINNED_ENSEMBLES = ("--ensemble gue", "--ensemble lue --alpha 0", "--ensemble lue --alpha 1",
+                    "--ensemble jue --alpha 1 --beta 1",
+                    "--ensemble jue --alpha 7/10 --beta 13/10")
+PINNED_GROUPS = [(24, 1, ("schur", "cd", "chebyshev")), (12, 1, ("double",)),
+                 (10, 2, ("schur", "cd")), (8, 3, ("schur", "cd")), (6, 2, ("double",))]
+PINNED_POINTS = {1: ("7/5", "63/20"), 2: ("7/5,-11/13", "5/7,13/11"),
+                 3: ("7/5,-11/13,2/3", "5/7,13/11,-3/2")}
+PINNED_DIGEST = "92a6e0d5851dcb2543cb8ebb56cd30443fab4b2b79c9598fbd0b453e7aadb53a"
+
+
 class TestKernelCommands:
     def test_eval_spec_example(self, runner):
         r = invoke(runner, ["kernel", "eval", "--ensemble", "lue", "--alpha",
@@ -108,6 +122,20 @@ class TestKernelCommands:
             val = json.loads(r.output)["khat"]
             base = base or val
             assert val == base
+
+    def test_exact_eval_outputs_are_pinned(self, runner):
+        """Every exact kernel route prints the bytes it printed when this
+        digest was recorded, before the integer cold path."""
+        digest = hashlib.sha256()
+        for ens in PINNED_ENSEMBLES:
+            for nr, n, methods in PINNED_GROUPS:
+                x, y = PINNED_POINTS[n]
+                for method in methods:
+                    r = invoke(runner, ["kernel", "eval", *ens.split(), "--N", str(nr),
+                                        "--n", str(n), "--x", x, "--y", y, "--method", method])
+                    assert r.exit_code == 0, r.output
+                    digest.update(r.output.encode())
+        assert digest.hexdigest() == PINNED_DIGEST
 
     def test_expand_deterministic(self, runner):
         args = ["kernel", "expand", "--ensemble", "lue", "--alpha", "1",

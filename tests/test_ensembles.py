@@ -28,6 +28,14 @@ F = Fraction
 GUE = EnsembleSpec("gue")
 LUE0 = EnsembleSpec("lue", alpha=0)
 SW = EnsembleSpec("sw")
+# the first five rational, then the two q kinds, then the rational tilde kinds
+# (their 2K moments converge up to K = 23)
+ORTHO_SPECS = (GUE, LUE0, EnsembleSpec("lue", alpha=1), EnsembleSpec("jue", alpha=1, beta=1),
+               EnsembleSpec("jue", alpha=F(7, 10), beta=F(13, 10)),
+               SW, EnsembleSpec("qlue", alpha=1),
+               EnsembleSpec("lue_tilde", alpha_tilde=60),
+               EnsembleSpec("lue_tilde", alpha_tilde=F(121, 2)),
+               EnsembleSpec("jue_tilde", alpha=1, beta=60, m=5))
 
 
 class TestSpec:
@@ -84,10 +92,11 @@ class TestMoments:
 
     def test_cache_is_bounded(self):
         from schurkernels.ensembles import (_cofactors_cached, _hankel_cached,
-                                            _moment_cached, _ortho_cached)
+                                            _moment_chain, _moment_cached,
+                                            _ortho_cached)
         from schurkernels.kernels import _table_cached
-        for cache in (_moment_cached, _ortho_cached, _table_cached, _cofactors_cached,
-                      _hankel_cached):
+        for cache in (_moment_cached, _moment_chain, _ortho_cached, _table_cached,
+                      _cofactors_cached, _hankel_cached):
             assert cache.cache_parameters()["maxsize"] is not None
 
     def test_lue(self):
@@ -204,6 +213,25 @@ class TestMoments:
     def test_deep_moment_needs_no_recursion(self):
         assert moment(EnsembleSpec("lue", alpha=F(1, 2)), 1500) > 0
 
+    def test_moments_out_of_order_equal_the_full_product(self):
+        """m_p is taken from the last moment made, in any request order, and
+        equals m_0 prod_(s<=p) step(s) multiplied in that order: bit for bit
+        on the reals, where the order of the products matters."""
+        with mpmath.workdps(50):
+            a, b, q, h = mpmath.mpf("0.7"), mpmath.mpf("1.3"), mpmath.mpf(1) / 3, mpmath.mpf("0.5")
+            cases = [(EnsembleSpec("jue", alpha=a, beta=b), mpmath.mpf(1),
+                      lambda s: (a + s) * (1 / (a + b + 1 + s))),
+                     (EnsembleSpec("qlue", alpha=h, q=q), mpmath.mpf(1),
+                      lambda s: (q ** -(h + s) - 1) / (1 - q)),
+                     (EnsembleSpec("jue", alpha=F(7, 10), beta=F(13, 10)), F(1),
+                      lambda s: (F(7, 10) + s) / (F(3) + s))]
+            for spec, want0, step in cases:
+                for p in (9, 3, 17, 0, 12):
+                    want = want0
+                    for s in range(1, p + 1):
+                        want = want * step(s)
+                    assert moment(spec, p) == want and type(moment(spec, p)) is type(want)
+
 
 class TestHankelAndOrtho:
     def test_hankel_m1(self):
@@ -239,18 +267,19 @@ class TestHankelAndOrtho:
                 assert osys.norms[j] == ratio
 
     @pytest.mark.parametrize("spec,kmax", [
-        *((spec, kmax) for spec in (GUE, LUE0, EnsembleSpec("lue", alpha=1),
-                                    EnsembleSpec("jue", alpha=1, beta=1),
-                                    EnsembleSpec("jue", alpha=F(7, 10), beta=F(13, 10)))
-          for kmax in (7, 9, 23)),
-        (SW, 7), (EnsembleSpec("qlue", alpha=1), 7)])
+        *((spec, kmax) for spec in ORTHO_SPECS[:5] for kmax in (7, 9, 23)),
+        (SW, 7), (EnsembleSpec("qlue", alpha=1), 7),
+        *((spec, kmax) for spec in ORTHO_SPECS[7:] for kmax in (7, 23)),
+        *((spec, kmax) for spec in ORTHO_SPECS for kmax in (0, 1))])
     def test_chebyshev_algorithm_equals_gram_schmidt(self, spec, kmax):
         """The recurrence from the moments gives the Gram-Schmidt polynomials,
-        norms and integer forms exactly, in every exact field."""
+        norms and integer forms exactly, with the same types, in every exact
+        field: fraction-free at rational moments, in the field otherwise."""
         osys, oracle = ortho_system(spec, kmax), ortho_gram_schmidt(spec, kmax)
         assert osys.polys == oracle.polys
         assert osys.norms == oracle.norms
         assert osys.ints == oracle.ints
+        assert _types(osys) == _types(oracle)
 
     def test_orthogonality(self):
         osys = ortho_system(GUE, 3)
@@ -263,6 +292,12 @@ class TestHankelAndOrtho:
         for j in range(4):
             for k in range(j):
                 assert inner(osys.polys[j], osys.polys[k]) == 0
+
+
+def _types(osys):
+    return ([[type(c) for c in p.coeffs] for p in osys.polys], [type(h) for h in osys.norms],
+            [[type(c) for c in p] for p in osys.ints[0]], [type(w) for w in osys.ints[1]],
+            type(osys.ints[2]))
 
 
 class TestOracle:

@@ -64,7 +64,8 @@ class TestExpansionTable:
 
 WALK_SPECS = ([EnsembleSpec("lue", alpha=a) for a in (0, 1, 2, F(1, 2), F(7, 10))]
               + [EnsembleSpec("jue", alpha=a, beta=b)
-                 for a, b in ((0, 0), (1, 1), (0, 2), (F(7, 10), F(13, 10)))])
+                 for a, b in ((0, 0), (1, 1), (0, 2), (F(7, 10), F(13, 10)))]
+              + [GUE])
 
 
 def _per_lam(spec, nr, n):
@@ -74,7 +75,22 @@ def _per_lam(spec, nr, n):
 
 class TestTableWalk:
     """The LUE/JUE tables, built coefficient by coefficient from the parent
-    mu - e_r, equal the per-partition closed forms."""
+    mu - e_r, and the GUE table, from the parent mu minus a domino, equal the
+    per-partition closed forms."""
+
+    def test_gue_table_makes_no_per_partition_average(self, monkeypatch):
+        from schurkernels import ensembles, kernels
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return schur_average(*args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "schur_average", counted)
+        monkeypatch.setattr(kernels, "schur_average", counted)
+        # the uncached builder: a table cached by an earlier test makes no call
+        table = kernels._table_cached.__wrapped__(GUE, 2, 23, "closed", 0)
+        assert len(table.coeffs) == 300 and calls == []
 
     @pytest.mark.parametrize("spec", WALK_SPECS,
                              ids=lambda s: f"{s.kind}-{s.alpha}-{s.beta}")
@@ -299,6 +315,17 @@ class TestDotsenkoFateev:
     def test_parameters_at_or_below_minus_one_fail(self, a, b):
         with pytest.raises(ValueError, match="^jue needs alpha, beta > -1$"):
             df_chiral_kernel(3, 1, (F(2),), a, b, 1)
+
+    def test_point_count_must_match_n(self):
+        """A rectangle that does not match the points is an error, as in
+        `KernelQuery`, not a sum over the wrong rectangle."""
+        for call in (lambda: df_chiral_kernel(4, 2, (F(2),), 1, 1),
+                     lambda: df_chiral_kernel(4, 1, (F(2), F(3)), 1, 1),
+                     lambda: df_kernel_factorized(4, 1, (F(2),), (F(2), F(3)), 1, 1),
+                     lambda: df_khat_double(4, 1, (F(2),), (F(2), F(3)), 1, 1),
+                     lambda: df_khat_double(4, 2, (F(2),), (F(2), F(3)), 1, 1)):
+            with pytest.raises(ValueError, match="^need n "):
+                call()
 
     def test_general_gamma_needs_n1(self):
         with pytest.raises(ValueError):

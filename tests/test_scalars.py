@@ -13,7 +13,8 @@ from oracles import (det_cofactor, det_leibniz, qfactorial_floor, qnum_floor,
 from schurkernels.scalars import (Poly, QRat, _zexquo, _zgcd, _zpack, _zprim,
                                   _zunpack, barnes_g_int, binom, det_exact,
                                   double_factorial, frac_str, gamma_real,
-                                  hp_close, mat_inverse_exact, parse_number,
+                                  hp_close, int_adjugate, int_form,
+                                  mat_inverse_exact, parse_number,
                                   poch, qgamma_real, qratio, rational_sqrt)
 
 F = Fraction
@@ -138,6 +139,29 @@ class TestRationalElimination:
         prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)]
         assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+    @given(rational_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_int_adjugate_is_det_times_inverse(self, m):
+        """The fraction-free Gauss-Jordan behind `mat_inverse_exact` and
+        `pair_cofactors` gives det A with its sign under row swaps, and
+        A adj(A) = det(A) I."""
+        a = [list(int_form(row)[0]) for row in m]
+        n = len(a)
+        if det_leibniz(a) == 0:
+            with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
+                int_adjugate(a)
+            return
+        det, adj = int_adjugate(a)
+        assert det == det_leibniz(a) and all(type(x) is int for row in adj for x in row)
+        assert [[sum(a[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+    def test_int_adjugate_sign_after_pivot_swaps(self):
+        assert int_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert int_adjugate([[0, 2, 1], [1, 0, 3], [4, 1, 0]]) == (
+            25, [[-3, 1, 6], [12, -4, 1], [1, 8, -2]])
 
 
 class TestQRat:
