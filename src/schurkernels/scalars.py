@@ -15,8 +15,8 @@ Working in u = q^(1/2) (instead of q) keeps Stieltjes-Wigert moments
 q^(-(p+1)^2/2) and symmetric q-numbers exact Laurent objects.  ``QRat``
 keeps integer coefficient lists (the ``_z*`` helpers): a list c is read as
 the one integer c(2^(8w)) (Kronecker substitution), so a product, an exact
-quotient, a heuristic gcd or a whole Bareiss determinant over Z[u] is
-big-integer arithmetic.  ``Poly`` over Fractions, QRats or mpfs uses the
+quotient, a heuristic gcd or a whole determinant over Z[u] is big-integer
+arithmetic.  ``Poly`` over Fractions, QRats or mpfs uses the
 generic dense-list helpers (``_p*``).  ``parse_number`` is the one parser
 of numeric strings and ``to_mpf`` the one scalar-to-real conversion.
 """
@@ -282,22 +282,32 @@ def _zprim(c: list) -> list:
 
 
 def _zgcd(a: list, b: list) -> list:
-    """Primitive gcd of nonzero a, b in Z[u].  Heuristic gcd (Char, Geddes
-    and Gonnet, J. Symb. Comp. 7, 1989): at xi = 2^(8w) >= 2 max|a_i, b_i|
-    + 2, the symmetric xi-adic digits of gcd(a(xi), b(xi)) are the gcd once
-    their primitive part divides both; otherwise primitive Euclid decides."""
+    """Primitive gcd of nonzero a, b in Z[u]."""
+    return _zexquo(a, _zcancel(a, b)[0])
+
+
+def _zcancel(a: list, b: list) -> tuple[list, list]:
+    """a and b over their primitive gcd g, for nonzero a, b in Z[u].
+    Heuristic gcd (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989): at xi =
+    2^(8w) >= 2 max|a_i, b_i| + 2 of the primitive parts, the symmetric
+    xi-adic digits of gcd(a(xi), b(xi)) are g once their primitive part
+    divides both, and the two exact quotients are the answer; otherwise
+    primitive Euclid finds g."""
     if len(a) == 1 or len(b) == 1:
-        return [1]
-    a, b = _zprim(a), _zprim(b)
-    w = max(map(abs, a + b)).bit_length() // 8 + 1
-    g = _zprim(_zunpack(math.gcd(_zpack(a, w), _zpack(b, w)), w))
-    if len(g) == 1 or (_zexquo(a, g) and _zexquo(b, g)):
-        return g
-    while b:  # each remainder over Q scaled to a primitive integer list
-        r = _pdivmod([Fraction(x) for x in a], b)[1]
+        return a, b
+    pa, pb = _zprim(a), _zprim(b)
+    w = max(map(abs, pa + pb)).bit_length() // 8 + 1
+    g = _zprim(_zunpack(math.gcd(_zpack(pa, w), _zpack(pb, w)), w))
+    if len(g) == 1:
+        return a, b
+    qa = _zexquo(a, g)
+    if qa and (qb := _zexquo(b, g)):
+        return qa, qb
+    while pb:  # each remainder over Q scaled to a primitive integer list
+        r = _pdivmod([Fraction(x) for x in pa], pb)[1]
         lcd = math.lcm(*(x.denominator for x in r))
-        a, b = b, r and _zprim([int(x * lcd) for x in r])
-    return a
+        pa, pb = pb, r and _zprim([int(x * lcd) for x in r])
+    return (_zexquo(a, pa), _zexquo(b, pa)) if len(pa) > 1 else (a, b)
 
 
 # ----------------------------------------------------------------------------
@@ -369,8 +379,8 @@ class QRat:
         if not o.num:
             return self
         k = min(self.offset, o.offset)
-        a = _zmul(_ushift(self.num, self.offset - k), o.den)
-        b = _zmul(_ushift(o.num, o.offset - k), self.den)
+        a = _zmul([0] * (self.offset - k) + self.num, o.den)
+        b = _zmul([0] * (o.offset - k) + o.num, self.den)
         return QRat._raw(k, _padd(a, b), _zmul(self.den, o.den))
 
     __radd__ = __add__
@@ -457,16 +467,6 @@ class QRat:
             return "QRat(0)"
         num, den = self._monic()
         return f"QRat(u^{self.offset} * ({_pstr(num, 'u')}) / ({_pstr(den, 'u')}))"
-
-
-def _ushift(c: list, k: int) -> list:
-    return [0] * k + c if k and c else c
-
-
-def _zcancel(a: list, b: list) -> tuple[list, list]:
-    """a and b over their gcd."""
-    g = _zgcd(a, b)
-    return (_zexquo(a, g), _zexquo(b, g)) if len(g) > 1 else (a, b)
 
 
 def _qr_canonical(offset, num, den, coprime=False):
@@ -621,14 +621,14 @@ def _scalar_kind(x) -> str:
 def det_exact(matrix):
     """Determinant of a square matrix over one scalar field.
 
-    Fraction-free Bareiss elimination for the exact fields (every division
-    is exact, which tames intermediate growth).  Over the rationals row i
-    is first scaled by the lcm L_i of its denominators, so Bareiss runs on
-    ints with // and det = det(int rows) / prod L_i: an all-int matrix gives
-    an int, any Fraction entry a Fraction.  Over QRat it runs on big
-    integers, see _det_qrat; over Polys on Polys, a rational entry taken as
-    a constant Poly so that no two ints meet in `/`; partial-pivot Gaussian
-    elimination for high-precision reals.  Mixing fields is an error.
+    Fraction-free Bareiss elimination over the rationals and Polys (every
+    division is exact, which tames intermediate growth).  Rational row i is
+    first scaled by the lcm L_i of its denominators, so Bareiss runs on ints
+    with // and det = det(int rows) / prod L_i: an all-int matrix gives an
+    int, any Fraction entry a Fraction.  A rational entry of a Poly matrix is
+    a constant Poly, so that no two ints meet in `/`.  QRat: see _det_qrat;
+    high-precision reals: partial-pivot Gaussian elimination.  Mixing fields
+    is an error.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -677,11 +677,16 @@ def _bareiss(m, div):
     return -d if sign < 0 else d
 
 
+#: the largest QRat determinant for `_laplace`, whose 2^n minors hold 0.2 GB at 12
+_LAPLACE_MAX_N = 12
+
+
 def _det_qrat(matrix):
     """Row i times u^-k_i L_i (L_i the product of its denominators) is a row
-    of Z over Z[u]; det = u^(sum k_i) det Z / prod L_i.  Bareiss runs on Z at
-    u = 2^(8w), a ring map, so its divisions stay exact; 2^(8w-1) exceeds
-    prod_i sum_j ||Z_ij||_1, which bounds the coefficients of every minor."""
+    of Z over Z[u]; det = u^(sum k_i) det Z / prod L_i, with det Z taken on
+    the integers at u = 2^(8w) (a ring map): each distinct entry packed once
+    and shifted by its power of u.  2^(8w-1) exceeds prod_i sum_j ||Z_ij||_1,
+    which bounds the coefficients of every minor."""
     rows, offset, den, bound = [], 0, [1], 1
     for row in matrix:
         row = [QRat._coerce(x) for x in row]
@@ -689,13 +694,33 @@ def _det_qrat(matrix):
             return QRat.const(0)
         k = min(x.offset for x in row if x)
         lcd = functools.reduce(_zmul, {tuple(x.den) for x in row}, [1])
-        rows.append([_zmul(_ushift(x.num, x.offset - k),
-                           lcd if x.den == [1] else _zexquo(lcd, x.den)) for x in row])
+        rows.append([(x.offset - k if x else 0, tuple(
+            _zmul(x.num, lcd if x.den == [1] else _zexquo(lcd, x.den)))) for x in row])
         offset, den = offset + k, _zmul(den, lcd)
-        bound *= sum(abs(c) for e in rows[-1] for c in e)
+        bound *= sum(sum(map(abs, e)) for _, e in rows[-1])
     w = bound.bit_length() // 8 + 1
-    d = _bareiss([[_zpack(e, w) for e in z] for z in rows], operator.floordiv)
+    packed = {e: _zpack(e, w) for e in {e for z in rows for _, e in z}}
+    m = [[packed[e] << 8 * w * s for s, e in z] for z in rows]
+    d = _laplace(m) if len(m) <= _LAPLACE_MAX_N else _bareiss(m, operator.floordiv)
     return QRat._raw(offset, _zunpack(d, w), den)
+
+
+def _laplace(m) -> int:
+    """Determinant of a square int matrix by Laplace expansion along each row
+    in turn, smallest first, keeping each minor of the rows so far once per
+    column set (a bit mask): n 2^(n-1) products and no division."""
+    order = sorted(range(len(m)), key=lambda i: sum(map(int.bit_length, m[i])))
+    minors = {0: (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])}
+    for row in map(m.__getitem__, order):
+        nxt = {}
+        for cols, d in minors.items():
+            for j, x in enumerate(row):
+                if x and not cols >> j & 1:
+                    t = -x * d if (cols >> j).bit_count() & 1 else x * d
+                    c = cols | 1 << j
+                    nxt[c] = nxt.get(c, 0) + t
+        minors = nxt
+    return minors.get((1 << len(m)) - 1, 0)
 
 
 def _det_hpreal(matrix):

@@ -255,7 +255,8 @@ def qrats(draw):
 
 
 class TestIntegerLaurentCore:
-    """QRat keeps integer coefficient lists; det_exact runs Bareiss over Z[u]."""
+    """QRat keeps integer coefficient lists; det_exact takes its determinant
+    over Z[u] on packed big integers."""
 
     @given(st.integers(1, 4).flatmap(
         lambda n: st.lists(st.lists(qrats(), min_size=n, max_size=n),
@@ -304,6 +305,34 @@ class TestIntegerLaurentCore:
         assert candidate == [-17, 1, -17, 1]
         assert _zexquo(pa, candidate) is None
         assert _zgcd(a, b) == [1, 0, 1]
+
+    def test_cancel_fallback(self):
+        # the pair of test_gcd_fallback: the product cancels (1 + u^2) found
+        # by primitive Euclid, then takes out the content 3 and the sign
+        a = [-63, -33, 39, -99, 102, -66]
+        b = [-96, 90, -96, 90]
+        x = QRat(0, a, [1]) * QRat(0, [1], b)
+        assert (x.offset, x.num, x.den) == (0, [-21, -11, 34, -22], [-32, 30])
+
+    @pytest.mark.parametrize("n", [5, 8, 12, 13])
+    def test_det_commutes_with_evaluation(self, n):
+        # evaluation at a rational u is a ring map, so det and evaluation
+        # commute; n = 12 and 13 lie on either side of the size at which
+        # det_exact changes its integer determinant
+        u = QRat.u_power
+        m = [[QRat.const(0)] * n for _ in range(n)]
+        for i in range(n):
+            # offsets -1 to 2: every nonzero entry of a row i = 2 mod 3
+            # has a positive offset, its zero entries have offset 0
+            m[i][i] = u(i % 3 - 1) * (1 + u(1))
+            m[i][(i + 1) % n] = u(i % 3) / (i + 2)
+            m[i][(3 * i + 2) % n] += u(i % 3) / (1 + u(2))
+        singular = m[:-1] + [[x * (1 - u(1)) for x in m[1]]]
+        for mat in (m, singular):
+            d = det_exact(mat)
+            for v in (F(2, 3), F(-5, 7), F(3, 2)):
+                assert d.eval_u(v) == det_exact([[x.eval_u(v) for x in row] for row in mat])
+        assert d == 0 and det_exact(m) != 0
 
     def test_exact_quotient(self):
         assert _zexquo([-1, 0, 1], [1, 1]) == [-1, 1]
