@@ -30,8 +30,8 @@ import mpmath
 
 from . import partitions as pt
 from .scalars import (Poly, QRat, at_precision, binom, det_exact,
-                      double_factorial, factorial, int_adjugate, int_form,
-                      mat_inverse_exact, poch, qratio, recip, to_mpf)
+                      double_factorial, factorial, int_form, poch, qratio,
+                      recip, to_mpf)
 from .symfun import qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -168,10 +168,10 @@ def _moment_chain(spec: EnsembleSpec, dps: int) -> list:
 
 def hankel_det(spec: EnsembleSpec, m: int):
     """det[m_{j+k}], 0 <= j,k <= m-1: the partition function of the weight
-    with the mass m_0 of `moment` (its true mass at integer parameters).
-    Eliminated in the row order M-1..0 of the oracle numerators, so a real
-    Andreief ratio rounds both of its determinants alike.  Cached, bounded,
-    keyed as `moment`."""
+    with the mass m_0 of `moment` (its true mass at integer parameters), for
+    the Andreief oracles and `painleve`.  Eliminated in the row order M-1..0
+    of the oracle numerators, so a real Andreief ratio rounds both of its
+    determinants alike.  Cached, bounded, keyed as `moment`."""
     return _hankel_cached(spec, m, field_key(spec)) if m else 1
 
 
@@ -190,8 +190,9 @@ def _moment_det(spec: EnsembleSpec, rows, cols):
 class OrthoSystem:
     """Monic orthogonal polynomials P_0..P_K, their norms h_0..h_K and
     ints = (p, w, W) with P_j(x) P_j(y) / h_j = w_j p_j(x) p_j(y) / W, from
-    `int_form`: at rational moments p_j = e_j P_j has integer coefficients
-    and w, W are ints; otherwise p_j = P_j, w_j = 1 / h_j and W = 1."""
+    `int_form`: p_j = e_j P_j and w_j are ints at rational moments and
+    Laurent polynomials at QRat ones; on the reals p_j = P_j, w_j = 1 / h_j
+    and W = 1.  `khat_cd` sums them and `pair_cofactors` reads W H^-1."""
 
     polys: tuple
     norms: tuple
@@ -293,16 +294,18 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
 
 def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
     """(rows, den) with <s_lam' s_mu'> = rows[i][j] / den, lam and mu the
-    i-th and j-th of `enumerate_bounded(n, m)`, over one denominator by
-    `int_form`: ints at rational moments, the QRats or mpfs otherwise.
-    Ginibre's diagonal comes from `pair_average`.  Cached, bounded, with
-    the key of `moment`.
+    i-th and j-th of `enumerate_bounded(n, m)`: ints in lowest terms at
+    rational moments, QRats or mpfs otherwise.  Ginibre's diagonal comes
+    from `pair_average`.  Cached, bounded, with the key of `moment`.
 
     The numerator in `schur_pair_avg_oracle` is the minor H[A, B] of the
-    (M+n)-square moment Hankel matrix; A^c = {M-1+i-lam_i}.  By Jacobi's
-    complementary-minor identity it is (-1)^(sum A + sum B)
-    det adj(H)[B^c, A^c] / det(H)^(n-1): one adj(H) = det(H) H^-1 for all.
-    sum A + sum B has the parity of sum A^c + sum B^c.
+    (M+n)-square moment Hankel matrix; A^c = {M-1+i-lam_i}.  The
+    `OrthoSystem.ints` of `khat_cd` give G = W H^-1 = sum_k w_k p_k p_k^T
+    (ints or Laurent polynomials), and by Jacobi's complementary-minor
+    identity H[A, B] / det H_M = (-1)^(sum A + sum B) h_M ... h_(M+n-1)
+    det G[B^c, A^c] / W^n, with sum A + sum B of the parity of
+    sum A^c + sum B^c.  The pair () x () (the first) is 1, so its minor of
+    G is the denominator: one n x n determinant per unordered pair.
     """
     return _cofactors_cached(spec, n, m, field_key(spec))
 
@@ -310,40 +313,28 @@ def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
 @lru_cache(maxsize=128)
 def _cofactors_cached(spec: EnsembleSpec, n: int, m: int, dps: int):
     parts = pt.enumerate_bounded(n, m)
+    k = len(parts)
     if spec.kind == "ginibre":
         nums = [pair_average(spec, pt.conjugate(lam), pt.conjugate(mu), m)
                 for lam in parts for mu in parts]
-        den = 1
     else:
-        size = m + n
-        mom = [moment(spec, p) for p in range(2 * size - 1)]
+        p, w, _ = ortho_system(spec, m + n - 1).ints
         comp = [[m - 1 + i - pt.part(lam, i) for i in range(1, n + 1)] for lam in parts]
-        if all(isinstance(v, (int, Fraction)) for v in mom):
-            # Z = diag(L) H on ints (L_j the lcm of row j) obeys Jacobi's identity,
-            # and H[A, B] prod_j L_j = Z[A, B] prod_(j not in A) L_j is symmetric in
-            # A, B: each unordered pair once.  () x () (the first) is the
-            # denominator, and the common factor goes
-            rows, k = [int_form(mom[j:j + size]) for j in range(size)], len(parts)
-            det_z, adj = int_adjugate([list(z) for z, _ in rows])
-            nums = [0] * (k * k)
-            for i, a in enumerate(comp):
-                scale = (-1) ** sum(a) * math.prod(rows[r][1] for r in a)
-                for j, b in enumerate(comp[i:], i):
-                    x = (-1) ** sum(b) * scale * det_exact([[adj[r][c] for c in a] for r in b])
-                    nums[i * k + j] = nums[j * k + i] = x // det_z ** (n - 1)
-            g = math.gcd(*nums)
-            nums = [x // g for x in nums]
-            den = nums[0]
-        else:
-            h = [[mom[j + k] for k in range(size)] for j in range(size)]
-            det_h = det_exact(h)
-            adj = [[det_h * x for x in row] for row in mat_inverse_exact(h)]
-            nums = [(-1) ** (sum(a) + sum(b)) * det_exact([[adj[j][k] for k in a] for j in b])
-                    for a in comp for b in comp]
-            den = hankel_det(spec, m) * det_h ** (n - 1)
-    flat, _ = int_form(nums + [den])
-    k = len(parts)
-    return tuple(flat[i:i + k] for i in range(0, k * k, k)), flat[-1]
+        nums = [0] * (k * k)
+
+        @lru_cache(maxsize=None)
+        def entry(r, c):  # G[r][c] = G[c][r] at r <= c, once a complement set reads it
+            return sum(w[j] * p[j][r] * p[j][c] for j in range(c, m + n))
+
+        for i, a in enumerate(comp):
+            for j, b in enumerate(comp[i:], i):
+                nums[i * k + j] = nums[j * k + i] = (-1) ** (sum(a) + sum(b)) * det_exact(
+                    [[entry(min(r, c), max(r, c)) for c in a] for r in b])
+    flat = int_form(nums)[0]
+    if isinstance(flat[0], int):  # the rational field, in lowest terms
+        g = math.gcd(*flat)
+        flat = tuple(x // g for x in flat)
+    return tuple(flat[i:i + k] for i in range(0, k * k, k)), flat[0]
 
 
 def char_poly_moment_det(spec: EnsembleSpec, m: int, n2: int, x):

@@ -78,7 +78,7 @@ class KernelExpansion:
     """Read-only coefficient map of the Schur expansion over the rows x cols
     rectangle (a cached table is shared by every caller) and its `int_form`
     (c, e), in the order of the map: ints over their lcm at rational
-    coefficients, the QRat or mpf coefficients over e = 1 otherwise."""
+    coefficients, Laurent polynomials at q ones, mpfs over e = 1."""
 
     rows: int
     cols: int

@@ -120,13 +120,19 @@ def recip(v):
 
 def int_form(values):
     """(nums, d) with values[i] = nums[i] / d, for a sum over a common
-    denominator that divides once (`over`): at ints and Fractions the ints
-    over the lcm d of the denominators, in any other field (QRat, mpf) the
-    values themselves over d = 1."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
+    denominator that divides once (`over`): ints over the lcm d of the
+    denominators at ints and Fractions, Laurent polynomials over the lcm d
+    in Z[u] of the denominators at QRats (over 1 if all are Laurent), and
+    the values themselves over d = 1 in any other field (mpf)."""
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        d = math.lcm(*(v.denominator for v in values))
+        return tuple(v.numerator * (d // v.denominator) for v in values), d
+    q = [QRat._coerce(v) for v in values]
+    if None in q or all(x.den == [1] for x in q):
         return tuple(values), 1
-    d = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (d // v.denominator) for v in values), d
+    d = functools.reduce(_zlcm, map(list, {tuple(x.den) for x in q}), [1])
+    return tuple(QRat._raw(x.offset, _zmul(x.num, d if x.den == [1] else _zexquo(d, x.den)),
+                           [1], True) for x in q), QRat._raw(0, d, [1], True)
 
 
 def over(n, d):
@@ -284,6 +290,12 @@ def _zprim(c: list) -> list:
 def _zgcd(a: list, b: list) -> list:
     """Primitive gcd of nonzero a, b in Z[u]."""
     return _zexquo(a, _zcancel(a, b)[0])
+
+
+def _zlcm(a: list, b: list) -> list:
+    """lcm in Z[u] of nonzero a, b with positive leading coefficients."""
+    c = math.gcd(math.gcd(*a), math.gcd(*b))
+    return [x // c for x in _zmul(a, _zcancel(a, b)[1])]
 
 
 def _zcancel(a: list, b: list) -> tuple[list, list]:
@@ -677,7 +689,7 @@ def _bareiss(m, div):
     return -d if sign < 0 else d
 
 
-#: the largest QRat determinant for `_laplace`, whose 2^n minors hold 0.2 GB at 12
+#: the largest non-monomial QRat determinant for `_laplace` (2^n minors, 0.2 GB at 12)
 _LAPLACE_MAX_N = 12
 
 
@@ -701,7 +713,9 @@ def _det_qrat(matrix):
     w = bound.bit_length() // 8 + 1
     packed = {e: _zpack(e, w) for e in {e for z in rows for _, e in z}}
     m = [[packed[e] << 8 * w * s for s, e in z] for z in rows]
-    d = _laplace(m) if len(m) <= _LAPLACE_MAX_N else _bareiss(m, operator.floordiv)
+    # monomial entries, as in every Stieltjes-Wigert moment matrix: Bareiss is faster
+    small = len(m) <= _LAPLACE_MAX_N and any(len(e) > 1 for e in packed)
+    d = _laplace(m) if small else _bareiss(m, operator.floordiv)
     return QRat._raw(offset, _zunpack(d, w), den)
 
 
@@ -743,40 +757,28 @@ def _det_hpreal(matrix):
 
 
 def mat_inverse_exact(matrix):
-    """Inverse of a square matrix, exact over the exact fields; every
-    entry of the inverse of a rational matrix is a Fraction.
-
-    Over the rationals A = diag(L)·M is an int matrix (L_i the lcm of the
-    denominators of row i) and M^-1[i][j] = adj(A)[i][j]·L_j / det A, from
-    `int_adjugate`.  QRat and mpf matrices run Gauss-Jordan."""
-    n = len(matrix)
-    if all(isinstance(x, (int, Fraction)) for row in matrix for x in row):
-        rows = [int_form(row) for row in matrix]
-        det, adj = int_adjugate([list(z) for z, _ in rows])
-        return [[Fraction(x * lcd, det) for x, (_, lcd) in zip(row, rows)] for row in adj]
-    m = [list(row) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for k in range(n):
-        _swap_pivot(m, k)
-        d = recip(m[k][k])
-        m[k] = [x * d for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return [row[n:] for row in m]
+    """Inverse of a square rational matrix; every entry is a Fraction.
+    A = diag(L)·M is an int matrix (L_i the lcm of the denominators of row
+    i) and M^-1[i][j] = adj(A)[i][j]·L_j / det A, from `int_adjugate`."""
+    rows = [int_form(row) for row in matrix]
+    det, adj = int_adjugate([list(z) for z, _ in rows])
+    return [[Fraction(x * lcd, det) for x, (_, lcd) in zip(row, rows)] for row in adj]
 
 
 def int_adjugate(a):
-    """(det A, adj A) of a square int matrix by fraction-free Gauss-Jordan
-    on [A | I] (Bareiss, Math. Comp. 22, 1968): every division is exact and
-    the elimination ends at [d·I | d·A^-1], d = ±det A by the row swaps."""
+    """(det A, adj A) of a square int matrix, for `mat_inverse_exact`, by
+    fraction-free Gauss-Jordan on [A | I] (Bareiss, Math. Comp. 22, 1968):
+    every division is exact and the elimination ends at [d·I | d·A^-1],
+    d = ±det A by the row swaps."""
     n = len(a)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     prev, sign = 1, 1
     for k in range(n):
-        if _swap_pivot(m, k):
-            sign = -sign
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
         p = m[k][k]
         for i in range(n):
             if i != k:
@@ -784,15 +786,6 @@ def int_adjugate(a):
                 m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], m[k])]
         prev = p
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
-
-
-def _swap_pivot(m, k) -> bool:
-    """Swap into row k the first row r >= k with m[r][k] nonzero; True if r != k."""
-    piv = next((r for r in range(k, len(m)) if m[r][k]), None)
-    if piv is None:
-        raise ZeroDivisionError("singular matrix")
-    m[k], m[piv] = m[piv], m[k]
-    return piv != k
 
 
 # ----------------------------------------------------------------------------

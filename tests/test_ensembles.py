@@ -1,6 +1,7 @@
 """Unit tests for ensemble data: moments, orthogonal polynomials, the
 Andreief oracle and every closed-form Schur average."""
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -589,13 +590,26 @@ def _nested_tuples(v) -> bool:
 PAIR_SPECS = {"gue": GUE, "lue1": EnsembleSpec("lue", alpha=1),
               "jue11": EnsembleSpec("jue", alpha=1, beta=1),
               "jue_half": EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2)),
-              "sw": SW, "qlue1": EnsembleSpec("qlue", alpha=1)}
-# (M, n): every pair of Y_{n,M}.  qLUE runs smaller sizes: its per-pair
-# oracle determinant costs about 1.7 s at M = 8 and 40 ms at M = 6.
+              "sw": SW, "qlue1": EnsembleSpec("qlue", alpha=1),
+              "lue_half_real": EnsembleSpec("lue", alpha=mpmath.mpf("0.5")),
+              "qlue_half_real": EnsembleSpec("qlue", alpha=mpmath.mpf("0.5"), q=F(1, 3))}
+# (M, n): every pair of Y_{n,M}.  qLUE and the reals run smaller sizes: the
+# exact qLUE per-pair oracle determinant costs about 1.7 s at M = 8 and 40 ms
+# at M = 6, and the real oracle is itself a real determinant
+SMALL_PAIRS = ("qlue1", "lue_half_real", "qlue_half_real")
 PAIR_SIZES = [(name, size) for name in PAIR_SPECS
-              for size in ((5, 1), (4, 2), (2, 3)) if name == "qlue1"] + \
-             [(name, size) for name in PAIR_SPECS if name != "qlue1"
+              for size in ((5, 1), (4, 2), (2, 3)) if name in SMALL_PAIRS] + \
+             [(name, size) for name in PAIR_SPECS if name not in SMALL_PAIRS
               for size in ((8, 1), (6, 2), (4, 3))]
+
+
+class TestPairCofactorForm:
+    def test_rational_rows_in_lowest_terms(self):
+        """The ints keep no common factor, and () x () is the denominator."""
+        from schurkernels.ensembles import pair_cofactors
+        for spec in (PAIR_SPECS["lue1"], PAIR_SPECS["jue_half"]):
+            rows, den = pair_cofactors(spec, 2, 4)
+            assert den == rows[0][0] > 0 and math.gcd(*(c for row in rows for c in row)) == 1
 
 
 class TestPairCofactors:
@@ -614,6 +628,10 @@ class TestPairCofactors:
                 # H is symmetric, so the oracle is symmetric in (lam, mu): one
                 # oracle call covers both orders once the numerators agree
                 assert rows[i][j] == rows[j][i], (lam, mu)
-                if lam <= mu:
+                if lam <= mu and isinstance(den, mpmath.mpf):
+                    # the same body on the reals, at 50 digits
+                    assert hp_close(rows[i][j] * inv, schur_pair_avg_oracle(
+                        spec, pt.conjugate(lam), pt.conjugate(mu), m)), (lam, mu)
+                elif lam <= mu:
                     assert rows[i][j] * inv == schur_pair_avg_oracle(
                         spec, pt.conjugate(lam), pt.conjugate(mu), m), (lam, mu)

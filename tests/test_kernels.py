@@ -371,13 +371,20 @@ def _same(got, want) -> bool:
 
 
 def _keeps_its_field(spec):
-    """Off the rationals every cached form is the field's own values over
-    the denominator 1."""
+    """Off the rationals the table and the pair averages stay in the field;
+    the orthogonal polynomials are the reals themselves over 1, and Laurent
+    polynomials over one QRat in u."""
     table, osys = expansion_table(spec, 4, 1), ortho_system(spec, 3)
     rows, den = pair_cofactors(spec, 1, 3)
     assert table.ints == (tuple(table.coeffs.values()), 1)
-    assert osys.ints == (tuple(tuple(p.coeffs) for p in osys.polys),
-                         tuple(recip(h) for h in osys.norms), 1)
+    if isinstance(den, QRat):
+        polys, w, big_w = osys.ints
+        laurent = [c for p in polys for c in p] + list(w)
+        assert all(type(c) is int or type(c) is QRat and c.den == [1] for c in laurent)
+        assert isinstance(big_w, QRat) and big_w != 1
+    else:
+        assert osys.ints == (tuple(tuple(p.coeffs) for p in osys.polys),
+                             tuple(recip(h) for h in osys.norms), 1)
     assert not isinstance(den, (int, F))
     assert all(type(c) is type(den) for row in rows for c in row)
 
@@ -385,7 +392,7 @@ def _keeps_its_field(spec):
 class TestIntegerEvaluation:
     """The common-denominator sums of evaluate, _cd_sum and khat_double
     against the plain field sums they replace, written out here: on ints at
-    rational inputs, on the QRats or mpfs themselves over 1 otherwise."""
+    rational inputs, on Laurent polynomials at q inputs, on mpfs over 1."""
 
     @staticmethod
     def points(rng, count):
@@ -480,8 +487,9 @@ class TestRealParameterKernels:
             assert hp_close(a, b) and hp_close(a, c) and hp_close(a, ch)
 
     def test_double_route_digits_at_real_alpha(self):
-        """The Hankel-adjugate double route keeps 35 of 50 digits on
-        LUE alpha=0.5, N=12, n=1 (against a 120-digit khat_schur)."""
+        """The double route, on the orthogonal polynomials of khat_cd, keeps
+        35 of 50 digits on LUE alpha=0.5, N=12, n=1 (against a 120-digit
+        khat_schur)."""
         def query(dps):
             with mpmath.workdps(dps):
                 spec = EnsembleSpec("lue", alpha=mpmath.mpf("0.5"))
@@ -515,6 +523,21 @@ class TestRealParameterKernels:
         ref = khat_cd(query(120), dps=120)
         value = khat_schur(query(50), dps=50)
         with mpmath.workdps(120):
+            assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -45
+
+    @pytest.mark.parametrize("nr", [16, 24])
+    def test_qlue_real_alpha_double_digits(self, nr):
+        """khat_double on qLUE alpha=0.5 q=1/3 at 50 dps keeps 45 digits
+        against khat_schur at 150 dps.  Taking the pair averages from the
+        Hankel adjugate kept 0.6 digits at N=16, and at N=24 its value was
+        off by a factor of about 10^297."""
+        def query(dps):
+            with mpmath.workdps(dps):
+                spec = EnsembleSpec("qlue", alpha=mpmath.mpf("0.5"), q=F(1, 3))
+                return KernelQuery(spec, nr, 1, (F(3, 7),), (F(-5, 11),))
+        ref = khat_schur(query(150), dps=150)
+        value = khat_double(query(50), dps=50)
+        with mpmath.workdps(150):
             assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -45
 
     def test_qlue_real_alpha_routes_agree(self):

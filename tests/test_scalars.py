@@ -14,7 +14,7 @@ from schurkernels.scalars import (Poly, QRat, _zexquo, _zgcd, _zpack, _zprim,
                                   _zunpack, barnes_g_int, binom, det_exact,
                                   double_factorial, frac_str, gamma_real,
                                   hp_close, int_adjugate, int_form,
-                                  mat_inverse_exact, parse_number,
+                                  mat_inverse_exact, over, parse_number,
                                   poch, qgamma_real, qratio, rational_sqrt)
 
 F = Fraction
@@ -144,8 +144,8 @@ class TestRationalElimination:
     @given(rational_matrices())
     @settings(max_examples=200, deadline=None)
     def test_int_adjugate_is_det_times_inverse(self, m):
-        """The fraction-free Gauss-Jordan behind `mat_inverse_exact` and
-        `pair_cofactors` gives det A with its sign under row swaps, and
+        """The fraction-free Gauss-Jordan behind the rational
+        `mat_inverse_exact` gives det A with its sign under row swaps, and
         A adj(A) = det(A) I."""
         a = [list(int_form(row)[0]) for row in m]
         n = len(a)
@@ -258,6 +258,27 @@ class TestIntegerLaurentCore:
     """QRat keeps integer coefficient lists; det_exact takes its determinant
     over Z[u] on packed big integers."""
 
+    def test_int_form_of_qrats(self):
+        """QRats (ints and Fractions among them) come out as Laurent
+        polynomials over the lcm in Z[u] of their denominators, and `over`
+        gives the values back; Laurent polynomials come out over 1."""
+        u = QRat.u_power
+        values = [u(-3) / (2 - 2 * u(1)), u(2) / (1 - u(2)), F(1, 2), QRat.const(0), 1 + u(1)]
+        nums, d = int_form(values)
+        # 2 (u^2 - 1), not the product 4 (u - 1) (u^2 - 1)
+        assert d == 2 * (u(2) - 1)
+        assert all(isinstance(x, QRat) and x.den == [1] for x in nums)
+        assert [over(x, d) for x in nums] == values
+        laurent = [u(-2) * (1 + u(3)), 3, F(5), QRat.const(0)]
+        assert int_form(laurent) == (tuple(laurent), 1)
+
+    @given(st.lists(qrats(), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_int_form_over_gives_the_values_back(self, values):
+        nums, d = int_form(values)
+        assert all(x.den == [1] for x in nums)
+        assert tuple(over(x, d) for x in nums) == tuple(values)
+
     @given(st.integers(1, 4).flatmap(
         lambda n: st.lists(st.lists(qrats(), min_size=n, max_size=n),
                            min_size=n, max_size=n)))
@@ -328,11 +349,24 @@ class TestIntegerLaurentCore:
             m[i][(i + 1) % n] = u(i % 3) / (i + 2)
             m[i][(3 * i + 2) % n] += u(i % 3) / (1 + u(2))
         singular = m[:-1] + [[x * (1 - u(1)) for x in m[1]]]
-        for mat in (m, singular):
+        # monomial entries, as in every Stieltjes-Wigert moment matrix, take
+        # Bareiss below 12 rows too (evaluating them at 13 rows takes seconds)
+        mono = [[u(-(i + j + 1) ** 2) * (1 + i * j % 3) for j in range(n)] for i in range(n)]
+        for mat in [m, singular] + [mono] * (n < 12):
             d = det_exact(mat)
             for v in (F(2, 3), F(-5, 7), F(3, 2)):
                 assert d.eval_u(v) == det_exact([[x.eval_u(v) for x in row] for row in mat])
-        assert d == 0 and det_exact(m) != 0
+        assert det_exact(singular) == 0 and det_exact(m) != 0
+
+    def test_monomial_matrix_takes_bareiss(self, monkeypatch):
+        """Bareiss multiplies and divides packed monomials (small multiples
+        of powers of two) faster than the Laplace expansion, at every size."""
+        from schurkernels import scalars
+        monkeypatch.setattr(scalars, "_laplace", None)
+        u = QRat.u_power
+        m = [[u(-(i + j + 1) ** 2) * (1 + i * j % 3) for j in range(5)] for i in range(5)]
+        assert det_exact(m).eval_u(F(2, 3)) == det_exact([[x.eval_u(F(2, 3)) for x in row]
+                                                         for row in m])
 
     def test_exact_quotient(self):
         assert _zexquo([-1, 0, 1], [1, 1]) == [-1, 1]
