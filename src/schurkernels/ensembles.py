@@ -201,9 +201,11 @@ class OrthoSystem:
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
     """P_0..P_K and h_0..h_K of the moment form <z^a, z^b> = m_{a+b} by the
-    Chebyshev algorithm (Gautschi 1982), O(K^2) operations: fraction-free on
-    ints at rational moments, in the field otherwise; Gram-Schmidt is its test
-    oracle.  Cached, bounded, keyed as `moment`."""
+    Chebyshev algorithm (Gautschi 1982), O(K^2) operations in the moments'
+    own field (Fraction, QRat or mpf); Gram-Schmidt is its test oracle.
+    Cached, bounded, keyed as `moment`."""
+    if kmax < 0:
+        raise ValueError("ortho_system needs kmax >= 0")
     return _ortho_cached(spec, kmax, field_key(spec))
 
 
@@ -212,56 +214,35 @@ def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
     # step k: sig[l] = <P_k, z^l> (k <= l <= 2K - k) gives h_k = sig_{k,k},
     # a_k = sig_{k,k+1}/h_k - sig_{k-1,k}/h_{k-1} and b_k = h_k/h_{k-1}, then
     # sig_{k+1,l} = sig_{k,l+1} - a_k sig_{k,l} - b_k sig_{k-1,l} and
-    # P_{k+1} = (z - a_k) P_k - b_k P_{k-1}; inv = 1/h_{k-1} starts at 0, so b_0 = 0
+    # P_{k+1} = (z - a_k) P_k - b_k P_{k-1}; inv = 1/h_{k-1} starts at 0, so b_0 = 0.
+    # Skipping zero terms as `_pmul` does keeps Poly's coefficient types and mpf bits
     sig = prev = [moment(spec, p) for p in range(2 * kmax + 1)]
-    if all(isinstance(v, (int, Fraction)) for v in sig):
-        polys, norms = _chebyshev_ints(*int_form(sig), kmax)
-    else:
-        pk, pprev = Poly([1]), Poly()
-        polys, norms = [pk], []
-        ratio = inv = 0
-        for k in range(kmax + 1):
-            h = sig[k]
-            if not h:
-                raise ValueError(f"degenerate measure: zero norm at degree {k}")
-            norms.append(h)
-            if k == kmax:
-                break
-            b, inv = h * inv, recip(h)
-            r = sig[k + 1] * inv
-            a, ratio = r - ratio, r
-            prev, sig = sig, [0] * (k + 1) + [sig[l + 1] - a * sig[l] - b * prev[l]
-                                              for l in range(k + 1, 2 * kmax - k)]
-            pk, pprev = Poly([0] + pk.coeffs) - pk * a - pprev * b, pk
-            polys.append(pk)
+    pk, pprev = [1], []
+    polys, norms = [Poly(pk)], []
+    ratio = inv = 0
+    for k in range(kmax + 1):
+        h = sig[k]
+        if not h:
+            raise ValueError(f"degenerate measure: zero norm at degree {k}")
+        norms.append(h)
+        if k == kmax:
+            break
+        b, inv = h * inv, recip(h)
+        r = sig[k + 1] * inv
+        a, ratio = r - ratio, r
+        prev, sig = sig, [0] * (k + 1) + [sig[l + 1] - a * sig[l] - b * prev[l]
+                                          for l in range(k + 1, 2 * kmax - k)]
+        nxt = [0] + pk
+        for c, p in ((a, pk), (b, pprev)):
+            if c:
+                for i, x in enumerate(p):
+                    if x:
+                        nxt[i] -= x * c
+        pk, pprev = nxt, pk
+        polys.append(Poly(pk))
     forms = [int_form(p.coeffs) for p in polys]
     w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
     return OrthoSystem(tuple(polys), tuple(norms), (tuple(c for c, _ in forms), *w))
-
-
-def _chebyshev_ints(mu, d: int, kmax: int):
-    """The step above fraction-free (Gautschi 2004, 2.1.7) on the int moments
-    mu = d m: Q_k = D_k P_k and tau_l = <Q_k, z^l> are ints, D_k = det[mu_(i+j)]_(i,j<k)
-    = tau_(k-1,k-1), and with t' the tau of Q_(k-1) and D = D_k the division in
-    D^2 tau_(k+1,l) = D tau_k tau_(l+1) - (D tau_(k+1) - tau_k t'_k) tau_l - tau_k^2 t'_l
-    is exact, as is Q_(k+1)'s with z Q_k for tau_(l+1); h_k = tau_k / (D_k d)."""
-    tau, prev, q, qprev, delta = list(mu), [0] * len(mu), [1], [], 1
-    polys, norms = [], []
-    for k in range(kmax + 1):
-        t = tau[k]
-        if not t:
-            raise ValueError(f"degenerate measure: zero norm at degree {k}")
-        polys.append(Poly([Fraction(c, delta) if c else 0 for c in q[:-1]] + [1]))
-        norms.append(Fraction(t, delta * d))
-        if k == kmax:
-            break
-        a, b, c, dd = delta * t, delta * tau[k + 1] - t * prev[k], t * t, delta * delta
-        prev, tau = tau, [0] * (k + 1) + [(a * tau[l + 1] - b * tau[l] - c * prev[l]) // dd
-                                          for l in range(k + 1, 2 * kmax - k)]
-        q, qprev = [(a * x - b * y - c * z) // dd
-                    for x, y, z in zip([0] + q, q + [0], qprev + [0, 0])], q
-        delta = t
-    return polys, norms
 
 
 # ----------------------------------------------------------------------------

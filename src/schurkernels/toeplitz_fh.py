@@ -35,7 +35,7 @@ def toeplitz_det(gamma: int, delta: int, m: int) -> Fraction:
 
 
 def toeplitz_inverse_exact(gamma: int, delta: int, m: int):
-    """Exact inverse of T_M by Gauss-Jordan elimination over Fractions."""
+    """Exact inverse of T_M by fraction-free Gauss-Jordan on its int rows."""
     return mat_inverse_exact(toeplitz_matrix(gamma, delta, m))
 
 

@@ -104,6 +104,13 @@ PINNED_GROUPS = [(24, 1, ("schur", "cd", "chebyshev")), (12, 1, ("double",)),
 PINNED_POINTS = {1: ("7/5", "63/20"), 2: ("7/5,-11/13", "5/7,13/11"),
                  3: ("7/5,-11/13,2/3", "5/7,13/11,-3/2")}
 PINNED_DIGEST = "92a6e0d5851dcb2543cb8ebb56cd30443fab4b2b79c9598fbd0b453e7aadb53a"
+# The real routes that read ortho_system: (ensemble, N, n) for cd and double
+# at 50 digits; a change in the builder's mpf rounding changes these bytes.
+REAL_PINNED_CASES = [*((ens, nr, n) for ens in ("--ensemble lue --alpha 0.5",
+                                                "--ensemble jue --alpha 0.7 --beta 1.3")
+                       for nr, n in ((12, 1), (24, 1), (10, 2))),
+                     ("--ensemble qlue --alpha 0.5 --q 1/3", 8, 1)]
+REAL_PINNED_DIGEST = "3ed7370fd0ade1266f81e0739d0a023c0d72e999b746cb5acbb1d4c471295a86"
 
 
 class TestKernelCommands:
@@ -136,6 +143,20 @@ class TestKernelCommands:
                     assert r.exit_code == 0, r.output
                     digest.update(r.output.encode())
         assert digest.hexdigest() == PINNED_DIGEST
+
+    def test_real_eval_outputs_are_pinned(self, runner):
+        """The real routes that read ortho_system print, at 50 digits, the
+        bytes they printed when this digest was recorded."""
+        digest = hashlib.sha256()
+        for ens, nr, n in REAL_PINNED_CASES:
+            x, y = PINNED_POINTS[n]
+            for method in ("cd", "double"):
+                r = invoke(runner, ["--precision", "50", "kernel", "eval", *ens.split(),
+                                    "--N", str(nr), "--n", str(n), "--x", x, "--y", y,
+                                    "--method", method])
+                assert r.exit_code == 0, r.output
+                digest.update(r.output.encode())
+        assert digest.hexdigest() == REAL_PINNED_DIGEST
 
     def test_expand_deterministic(self, runner):
         args = ["kernel", "expand", "--ensemble", "lue", "--alpha", "1",

@@ -21,6 +21,7 @@ from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     schur_avg_qlue, schur_avg_sw,
                                     schur_pair_avg_ginibre,
                                     schur_pair_avg_oracle)
+from schurkernels.kernels import kernel_cd
 from schurkernels.scalars import QRat, gamma_real, hp_close, qgamma_real
 from schurkernels.symfun import schur_principal
 
@@ -37,6 +38,8 @@ ORTHO_SPECS = (GUE, LUE0, EnsembleSpec("lue", alpha=1), EnsembleSpec("jue", alph
                EnsembleSpec("lue_tilde", alpha_tilde=60),
                EnsembleSpec("lue_tilde", alpha_tilde=F(121, 2)),
                EnsembleSpec("jue_tilde", alpha=1, beta=60, m=5))
+JUE_LONG = EnsembleSpec("jue", alpha=F("0.123456789012345678901234567891"),
+                        beta=F("1.31415926535897932384626433832"))
 
 
 class TestSpec:
@@ -271,16 +274,27 @@ class TestHankelAndOrtho:
         *((spec, kmax) for spec in ORTHO_SPECS[:5] for kmax in (7, 9, 23)),
         (SW, 7), (EnsembleSpec("qlue", alpha=1), 7),
         *((spec, kmax) for spec in ORTHO_SPECS[7:] for kmax in (7, 23)),
-        *((spec, kmax) for spec in ORTHO_SPECS for kmax in (0, 1))])
+        *((spec, kmax) for spec in ORTHO_SPECS for kmax in (0, 1)),
+        *((JUE_LONG, kmax) for kmax in (7, 11))])
     def test_chebyshev_algorithm_equals_gram_schmidt(self, spec, kmax):
         """The recurrence from the moments gives the Gram-Schmidt polynomials,
         norms and integer forms exactly, with the same types, in every exact
-        field: fraction-free at rational moments, in the field otherwise."""
+        field, Fraction and QRat alike; JUE_LONG has 30-digit rational
+        parameters, whose moments' integers grow fastest."""
         osys, oracle = ortho_system(spec, kmax), ortho_gram_schmidt(spec, kmax)
         assert osys.polys == oracle.polys
         assert osys.norms == oracle.norms
         assert osys.ints == oracle.ints
         assert _types(osys) == _types(oracle)
+
+    @pytest.mark.parametrize("spec", [GUE, JUE_LONG, SW, EnsembleSpec("qlue", alpha=1),
+                                      EnsembleSpec("lue", alpha=mpmath.mpf("0.5"))])
+    def test_negative_kmax_is_an_error(self, spec):
+        """As moment(spec, -1) is: no field caches a system for kmax < 0, and
+        kernel_cd at N = 0 reaches the same error."""
+        for call in (lambda: ortho_system(spec, -1), lambda: kernel_cd(spec, 0, 1, 1)):
+            with pytest.raises(ValueError, match="ortho_system needs kmax >= 0"):
+                call()
 
     def test_orthogonality(self):
         osys = ortho_system(GUE, 3)
