@@ -19,8 +19,9 @@ from schurkernels.scalars import DEFAULT_DPS, parse_number, rational_sqrt
 
 
 def number(s: str):
-    """An int, a "p/q" Fraction or a decimal real, as the CLI parses it."""
-    return parse_number(s, DEFAULT_DPS)
+    """An int, a "p/q" Fraction or a decimal real at the working precision,
+    as the CLI parses it."""
+    return parse_number(s)
 
 
 def main():

@@ -34,7 +34,7 @@ def parse_numbers(values) -> tuple:
     """parse_number at the working precision over each string, a parse
     failure as a usage error."""
     try:
-        return tuple(parse_number(v, mpmath.mp.dps) for v in values)
+        return tuple(map(parse_number, values))
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -80,7 +80,7 @@ def _flatten(obj, prefix=""):
 def build_spec(ensemble, alpha, beta, alpha_tilde, q, m) -> EnsembleSpec:
     kind = ensemble.replace("-", "_").lower()
     try:
-        kwargs = {key: parse_number(v, mpmath.mp.dps) for key, v in
+        kwargs = {key: parse_number(v) for key, v in
                   (("alpha", alpha), ("beta", beta), ("alpha_tilde", alpha_tilde),
                    ("q", q)) if v is not None}
         if kind == "jue_tilde":

@@ -8,8 +8,9 @@ Every other module is generic over these three scalar fields:
 * high-precision reals     -- mpmath ``mpf`` at the caller's working precision.
 
 Library code never sets the precision itself: like mpmath's own functions
-it runs at ``mpmath.mp.dps``.  The CLI root group, ``verify.run_suite`` and
-the ``dps`` argument of the query functions (``at_precision``) set it.
+it runs at ``mpmath.mp.dps``, and so does ``parse_number``.  The CLI root
+group, ``verify.run_suite`` and the ``dps`` argument of the query functions
+(``at_precision``) set it.
 
 Working in u = q^(1/2) (instead of q) keeps Stieltjes-Wigert moments
 q^(-(p+1)^2/2) and symmetric q-numbers exact Laurent objects.  ``QRat``
@@ -44,9 +45,10 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_number(s: str, dps: int):
-    """An exact int, an exact "p/q" Fraction, or a finite decimal mpf at dps
-    digits -- never a binary float.  Anything else raises ValueError."""
+def parse_number(s: str):
+    """An exact int, an exact "p/q" Fraction, or a finite decimal mpf at the
+    working precision -- never a binary float.  Anything else raises
+    ValueError."""
     s = s.strip()
     try:
         return int(s)
@@ -57,11 +59,10 @@ def parse_number(s: str, dps: int):
             return Fraction(s)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {s!r}") from None
-    with mpmath.workdps(dps):
-        try:
-            v = mpmath.mpf(s)
-        except ValueError:
-            raise ValueError(f"cannot parse number {s!r}") from None
+    try:
+        v = mpmath.mpf(s)
+    except ValueError:
+        raise ValueError(f"cannot parse number {s!r}") from None
     if not mpmath.isfinite(v):
         raise ValueError(f"number {s!r} is not finite")
     return v
@@ -631,7 +632,8 @@ def _scalar_kind(x) -> str:
 
 
 def det_exact(matrix):
-    """Determinant of a square matrix over one scalar field.
+    """Determinant of a square matrix over one scalar field; a 1x1 matrix
+    gives its entry, in every field.
 
     Fraction-free Bareiss elimination over the rationals and Polys (every
     division is exact, which tames intermediate growth).  Rational row i is
@@ -651,12 +653,12 @@ def det_exact(matrix):
     kinds.discard("rational")  # ints/Fractions embed in every exact field
     if len(kinds) > 1:
         raise ValueError(f"mixed scalar fields in matrix: {sorted(kinds)}")
+    if n == 1:
+        return matrix[0][0]
     if kinds == {"hpreal"}:
         return _det_hpreal(matrix)
     if kinds == {"qrat"}:
         return _det_qrat(matrix)
-    if n == 1:
-        return matrix[0][0]
     if kinds == {"poly"}:
         return _bareiss([[Poly._coerce(x) for x in row] for row in matrix], operator.truediv)
     rows = [int_form(row) for row in matrix]
@@ -805,36 +807,19 @@ def gamma_real(z):
 
 
 def qgamma_real(z, q):
-    """Gamma_q(z) = (1-q)^(1-z) prod_{k>=0} (1-q^(k+1))/(1-q^(k+z)).
-
-    The product is truncated once the running factor differs from 1 by
-    less than 10^-(dps+5); the tail is geometric in q, so this bounds the
-    truncation error below the working precision.  The product runs with
-    10 guard digits.
+    """Gamma_q(z) = (1-q)^(1-z) prod_{k>=0} (1-q^(k+1))/(1-q^(k+z)) for
+    0 < q < 1, by mpmath.qgamma at the working precision.  A pole, or a
+    product that mpmath cannot converge (q close to 1), raises ValueError.
     """
-    dps = mpmath.mp.dps
-    with mpmath.extradps(10):
-        z, q = to_mpf(z), to_mpf(q)
-        if not (0 < q < 1):
-            raise ValueError("qgamma_real needs 0 < q < 1")
-        if z <= 0 and abs(z - mpmath.nint(z)) < mpmath.mpf(10) ** (-(dps - 5)):
-            raise ValueError(f"qgamma_real pole at z = {z}")
-        eps = mpmath.mpf(10) ** (-(dps + 5))
-        prod = mpmath.mpf(1)
-        k = 0
-        while True:
-            denom = 1 - q ** (k + z)
-            if denom == 0:
-                raise ValueError(f"qgamma_real pole at z = {z}")
-            factor = (1 - q ** (k + 1)) / denom
-            prod *= factor
-            if abs(factor - 1) < eps and k > 2:
-                break
-            k += 1
-            if k > 100 * (dps + 10):
-                raise ValueError("qgamma_real product failed to converge")
-        result = (1 - q) ** (1 - z) * prod
-    return +result
+    z, q = to_mpf(z), to_mpf(q)
+    if not (0 < q < 1):
+        raise ValueError("qgamma_real needs 0 < q < 1")
+    if z <= 0 and abs(z - mpmath.nint(z)) < mpmath.mpf(10) ** (5 - mpmath.mp.dps):
+        raise ValueError(f"qgamma_real pole at z = {z}")
+    try:
+        return mpmath.qgamma(z, q)
+    except mpmath.mp.NoConvergence:
+        raise ValueError("qgamma_real product failed to converge") from None
 
 
 def hp_close(a, b, tol=DEFAULT_TOL) -> bool:

@@ -98,6 +98,20 @@ class TestDetExact:
             m = [[mpmath.mpf(2), mpmath.mpf(-1)], [mpmath.mpf(-1), mpmath.mpf(2)]]
             assert hp_close(det_exact(m), F(3))
 
+    def test_1x1_returns_its_entry_in_every_field(self, monkeypatch):
+        """A 1x1 determinant is its entry: no field packs, scales or
+        eliminates it."""
+        from schurkernels import scalars
+
+        def fail(matrix):
+            raise AssertionError("1x1 matrix reached a field elimination")
+        monkeypatch.setattr(scalars, "_det_qrat", fail)
+        monkeypatch.setattr(scalars, "_det_hpreal", fail)
+        with mpmath.workdps(50):
+            for x in (1 / (1 - QRat.u_power(3)), mpmath.mpf(2) / 3,
+                      Poly([F(1, 2), 3]), F(-5, 7), 4):
+                assert det_exact([[x]]) is x
+
 
 @st.composite
 def rational_matrices(draw):
@@ -466,11 +480,30 @@ class TestSpecialFunctions:
                 assert hp_close(lhs, floor_q * qgamma_real(z, q))
 
     def test_qgamma_matches_mpmath_qp(self):
+        """Pins the convention Gamma_q(z) = (1-q)^(1-z) (q;q)_inf / (q^z;q)_inf;
+        qgamma_real calls mpmath.qgamma, so this checks no independent
+        product.  The functional equation and the q-factorial tests are the
+        independent checks."""
         with mpmath.workdps(50):
             q = mpmath.mpf("0.37")
             z = mpmath.mpf("1.8")
             ref = (1 - q) ** (1 - z) * mpmath.qp(q, q) / mpmath.qp(q ** z, q)
             assert hp_close(qgamma_real(z, q), ref)
+
+    def test_qgamma_pinned_values(self):
+        with mpmath.workdps(50):
+            mpf = mpmath.mpf
+            for z, q, want in (
+                    (mpf("2.5"), mpf("0.9"), "1.3039396133920590516368060241416798595040495478823"),
+                    (mpf("-3.5"), F(1, 2), "0.0027010469412646921043478577626970310950726277642536"),
+                    (7, F(1, 2), "18.774261474609375"),
+                    (mpf("-0.5"), F(1, 3), "-1.3467738519614828072737283054648377031870866972386")):
+                assert mpmath.nstr(qgamma_real(z, q), 50) == want
+
+    def test_qgamma_no_convergence_is_value_error(self):
+        with mpmath.workdps(50):
+            with pytest.raises(ValueError, match="converge"):
+                qgamma_real(mpmath.mpf("0.3"), mpmath.mpf("0.999"))
 
     def test_qgamma_pole(self):
         with pytest.raises(ValueError):
@@ -523,20 +556,24 @@ class TestSpecialFunctions:
 
 class TestParseNumber:
     def test_examples(self):
-        assert parse_number(" 12 ", 20) == 12 and isinstance(parse_number("12", 20), int)
-        assert parse_number("-3/6", 20) == F(-1, 2)
         with mpmath.workdps(20):
-            assert parse_number("0.5", 20) == mpmath.mpf("0.5")
-        for bad in ("1/x", "1/0", "inf", "nan", "", "abc", "1.5/2"):
-            with pytest.raises(ValueError):
-                parse_number(bad, 20)
+            assert parse_number(" 12 ") == 12 and isinstance(parse_number("12"), int)
+            assert parse_number("-3/6") == F(-1, 2)
+            assert parse_number("0.5") == mpmath.mpf("0.5")
+            for bad in ("1/x", "1/0", "inf", "nan", "", "abc", "1.5/2"):
+                with pytest.raises(ValueError):
+                    parse_number(bad)
+            v20 = parse_number("0.1")
+        with mpmath.workdps(50):
+            assert parse_number("0.1") != v20  # parsed at the working precision
 
     @given(st.one_of(st.text(), st.from_regex(r"\A[-+ ]?[0-9./e_]{0,8}\Z"),
                      st.sampled_from(["inf", "-inf", "nan", "1e400000", "0x1p3"])))
     @settings(max_examples=300, deadline=None)
     def test_int_fraction_finite_mpf_or_value_error(self, s):
         try:
-            v = parse_number(s, 20)
+            with mpmath.workdps(20):
+                v = parse_number(s)
         except ValueError:
             return
         assert (type(v) in (int, Fraction)
