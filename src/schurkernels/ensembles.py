@@ -192,7 +192,9 @@ class OrthoSystem:
     ints = (p, w, W) with P_j(x) P_j(y) / h_j = w_j p_j(x) p_j(y) / W, from
     `int_form`: p_j = e_j P_j and w_j are ints at rational moments and
     Laurent polynomials at QRat ones; on the reals p_j = P_j, w_j = 1 / h_j
-    and W = 1.  `khat_cd` sums them and `pair_cofactors` reads W H^-1."""
+    and W = 1.  The P_j, h_j and p_j of a smaller K are the first entries of
+    a larger K's, and W is the lcm over its own K.  `khat_cd` sums them and
+    `pair_cofactors` reads W H^-1."""
 
     polys: tuple
     norms: tuple
@@ -200,10 +202,13 @@ class OrthoSystem:
 
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
-    """P_0..P_K and h_0..h_K of the moment form <z^a, z^b> = m_{a+b} by the
-    Chebyshev algorithm (Gautschi 1982), O(K^2) operations in the moments'
-    own field (Fraction, QRat or mpf); Gram-Schmidt is its test oracle.
-    Cached, bounded, keyed as `moment`."""
+    """P_0..P_K and h_0..h_K of the moment form <z^a, z^b> = m_{a+b}, by the
+    monic recurrence P_(k+1) = (z - a_k) P_k - b_k P_(k-1), h_0 = m_0 and
+    h_k = h_(k-1) b_k, in the moments' own field (Fraction, QRat or mpf), with
+    (a_k, b_k) in closed form on GUE, LUE and JUE and from the moments on
+    every other kind (`_recurrence`); Gram-Schmidt is the test oracle.  One
+    system per spec and field grows in place, and a smaller K reads its
+    prefix.  Cached, bounded, keyed as `moment`."""
     if kmax < 0:
         raise ValueError("ortho_system needs kmax >= 0")
     return _ortho_cached(spec, kmax, field_key(spec))
@@ -211,38 +216,78 @@ def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
 
 @lru_cache(maxsize=128)
 def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
-    # step k: sig[l] = <P_k, z^l> (k <= l <= 2K - k) gives h_k = sig_{k,k},
-    # a_k = sig_{k,k+1}/h_k - sig_{k-1,k}/h_{k-1} and b_k = h_k/h_{k-1}, then
-    # sig_{k+1,l} = sig_{k,l+1} - a_k sig_{k,l} - b_k sig_{k-1,l} and
-    # P_{k+1} = (z - a_k) P_k - b_k P_{k-1}; inv = 1/h_{k-1} starts at 0, so b_0 = 0.
-    # Skipping zero terms as `_pmul` does keeps Poly's coefficient types and mpf bits
+    # P_(k+1) on plain lists, skipping zero terms as `_pmul` does: zero
+    # coefficients stay int 0, the leading one int 1, mpf bits are Poly's, and
+    # int lists (GUE, LUE at integer alpha) turn the rest into Fractions once
+    polys, norms, forms, pk, pprev = chain = _ortho_chain(spec, dps)
+    if len(norms) <= kmax:
+        a, b = _recurrence(spec, kmax, dps)
+        for k in range(len(norms) - 1, kmax):
+            nxt = [0] + pk
+            for c, p in ((a[k], pk), (b[k], pprev)):
+                if c:
+                    for i, x in enumerate(p):
+                        if x:
+                            nxt[i] -= x * c
+            pk, pprev = nxt, pk
+            polys.append(Poly([Fraction(x) if x and i <= k and type(x) is int else x
+                               for i, x in enumerate(pk)]))
+            forms.append(int_form(pk))
+            norms.append(norms[-1] * b[k + 1])
+            chain[3:] = pk, pprev
+    forms, norms = forms[:kmax + 1], norms[:kmax + 1]
+    w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
+    return OrthoSystem(tuple(polys[:kmax + 1]), tuple(norms), (tuple(c for c, _ in forms), *w))
+
+
+@lru_cache(maxsize=128)
+def _ortho_chain(spec: EnsembleSpec, dps: int) -> list:
+    """[P_0.., h_0.., their int forms, the last two coefficient lists] as far
+    as `_ortho_cached` grew them; it extends them."""
+    return [[Poly([1])], [moment(spec, 0)], [int_form([1])], [1], []]
+
+
+def _recurrence(spec: EnsembleSpec, kmax: int, dps: int):
+    """(a_0..a_(K-1), b_0..b_K), b_0 = 0, in closed form on GUE, LUE and JUE
+    (Koekoek, Lesky and Swarttouw 2010, sections 9.15, 9.12 and 9.8): ints
+    on GUE and on LUE at integer alpha.  JUE is Jacobi at (a, b) = (beta,
+    alpha) moved to [0, 1], a_k = (1 + A_k)/2 and b_k = B_k/4, with the 0/0
+    of A_0 at a + b = 0 and of B_1 at a + b = -1 cancelled."""
+    ks, al = range(1, kmax + 1), spec.alpha
+    if spec.kind == "gue":
+        return [0] * kmax, [0, *ks]
+    if spec.kind == "lue":
+        return [2 * k + al + 1 for k in range(kmax)], [0, *(k * (k + al) for k in ks)]
+    if spec.kind != "jue":
+        return _chebyshev(spec, kmax)
+    a, b = (to_mpf(v) if dps else Fraction(v) for v in (spec.beta, al))
+    s = a + b
+    return ([(1 + (b - a) * (s / (2 * k + s) if k else 1) / (2 * k + s + 2)) / 2
+             for k in range(kmax)],
+            [0, *(k * (k + a) * (k + b) * ((k + s) / (2 * k + s - 1) if k > 1 else 1)
+                  / ((2 * k + s) ** 2 * (2 * k + s + 1)) for k in ks)])
+
+
+def _chebyshev(spec: EnsembleSpec, kmax: int):
+    """The (a, b) of `_recurrence` from the moments (Gautschi 1982):
+    sig_(k,l) = <P_k, z^l> gives h_k = sig_(k,k), b_k = h_k/h_(k-1) and
+    a_k = sig_(k,k+1)/h_k - sig_(k-1,k)/h_(k-1), then sig_(k+1,l) =
+    sig_(k,l+1) - a_k sig_(k,l) - b_k sig_(k-1,l)."""
     sig = prev = [moment(spec, p) for p in range(2 * kmax + 1)]
-    pk, pprev = [1], []
-    polys, norms = [Poly(pk)], []
-    ratio = inv = 0
+    a, b, ratio, inv = [], [], 0, 0
     for k in range(kmax + 1):
         h = sig[k]
         if not h:
             raise ValueError(f"degenerate measure: zero norm at degree {k}")
-        norms.append(h)
+        b.append(h * inv)
         if k == kmax:
             break
-        b, inv = h * inv, recip(h)
-        r = sig[k + 1] * inv
-        a, ratio = r - ratio, r
-        prev, sig = sig, [0] * (k + 1) + [sig[l + 1] - a * sig[l] - b * prev[l]
+        r = sig[k + 1] * (inv := recip(h))
+        a.append(r - ratio)
+        ratio = r
+        prev, sig = sig, [0] * (k + 1) + [sig[l + 1] - a[k] * sig[l] - b[k] * prev[l]
                                           for l in range(k + 1, 2 * kmax - k)]
-        nxt = [0] + pk
-        for c, p in ((a, pk), (b, pprev)):
-            if c:
-                for i, x in enumerate(p):
-                    if x:
-                        nxt[i] -= x * c
-        pk, pprev = nxt, pk
-        polys.append(Poly(pk))
-    forms = [int_form(p.coeffs) for p in polys]
-    w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
-    return OrthoSystem(tuple(polys), tuple(norms), (tuple(c for c, _ in forms), *w))
+    return a, b
 
 
 # ----------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .ensembles import (EnsembleSpec, OrthoSystem, _row_step, field_key,
 from .scalars import (Poly, at_precision, binom, det_exact, factorial,
                       gamma_real, int_form, mat_inverse_exact, over,
                       rational_sqrt, recip, to_mpf)
-from .symfun import chebyshev_u_all, schur_table, schur_values
+from .symfun import _branching, chebyshev_u_all, schur_table, schur_values
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def _table(spec: EnsembleSpec, rows: int, m: int, method: str = "closed") -> Ker
 
 @lru_cache(maxsize=128)
 def _table_cached(spec, rows: int, m: int, method: str, dps: int) -> KernelExpansion:
-    parts = pt.enumerate_bounded(rows, m)
+    parts = _branching(rows, m)[0]
     if spec.kind in ("lue", "jue") and method == "closed":
         coeffs = _walk_table(parts, m, *_row_step(m, spec.alpha, spec.beta))
     elif spec.kind == "gue" and method == "closed":
@@ -133,21 +133,25 @@ def _table_cached(spec, rows: int, m: int, method: str, dps: int) -> KernelExpan
 
 
 def _walk_table(parts, m: int, up, down) -> dict:
-    """<s_lam'> for every lam of parts (graded, from ()) out of its parent:
-    with mu = lam', r = l(mu), y = mu_r + m - r and l_k = mu_k + m - k, the
-    Weyl dimension ratio of mu over nu = mu - e_r (Macdonald I.3 Ex. 1)
-    times the row step of `_row_step`, one Fraction of ints on exact fields:
-        c_mu = c_nu y/mu_r prod_{k<r} (l_k - y)/(l_k - y + 1) up(y)/down(y)."""
-    by_mu, out = {(): Fraction(1)}, {(): Fraction(1)}
+    """<s_lam'> for every lam of parts (graded, from ()) out of its parent
+    lam - e_t, t the multiplicity of r = lam_1: with mu = lam', y = t + m - r
+    and l_k = mu_k + m - k, the Weyl dimension ratio of mu over mu - e_r
+    (Macdonald I.3 Ex. 1) times the row step of `_row_step`,
+        c_mu = c_nu y/t prod_{k<r} (l_k - y)/(l_k - y + 1) up(y)/down(y).
+    The product telescopes over each run mu_k = c (lam_(c+1) < k <= lam_c)
+    to prod_{c>=t} (d_c - lam_c)/(d_c - lam_(c+1)), d_c = c - t + r, with
+    lam_t read as r - 1 and lam_(l+1) = 0: O(l(lam)) integer factors on
+    lam's own rows.  On exact fields each lam makes one Fraction."""
+    out = {(): Fraction(1)}
     for lam in parts[1:]:
-        mu = pt.conjugate(lam)
-        last, y = mu[-1], mu[-1] + m - len(mu)
-        num, den = y, last
-        for k, part in enumerate(mu[:-1], 1):
-            l = part + m - k - y
-            num, den = num * l, den * (l + 1)
-        nu = mu[:-1] + (last - 1,) if last > 1 else mu[:-1]
-        out[lam] = by_mu[mu] = by_mu[nu] * over(num * up(y), den * down(y))
+        r, t = lam[0], lam.count(lam[0])
+        row, y = (0, *lam[:t - 1], r - 1, *lam[t:], 0), t + m - r
+        num, den = y * up(y), t * down(y)
+        for c in range(t, len(lam) + 1):
+            num, den = num * (c - t + r - row[c]), den * (c - t + r - row[c + 1])
+        p = out[row[1:-1] if r > 1 else lam[:-1]]
+        out[lam] = (Fraction(p.numerator * num, p.denominator * den) if isinstance(num, int)
+                    else p * num / den)
     return out
 
 

@@ -110,7 +110,7 @@ REAL_PINNED_CASES = [*((ens, nr, n) for ens in ("--ensemble lue --alpha 0.5",
                                                 "--ensemble jue --alpha 0.7 --beta 1.3")
                        for nr, n in ((12, 1), (24, 1), (10, 2))),
                      ("--ensemble qlue --alpha 0.5 --q 1/3", 8, 1)]
-REAL_PINNED_DIGEST = "3ed7370fd0ade1266f81e0739d0a023c0d72e999b746cb5acbb1d4c471295a86"
+REAL_PINNED_DIGEST = "1f8952bed9fe569ab0de08f591350170c835768436a95098419fd0c9a8f336ab"
 
 
 class TestKernelCommands:

@@ -11,6 +11,7 @@ import pytest
 from oracles import (lue_alpha_shift_pair, ortho_gram_schmidt, qnum_floor,
                      schur_avg_bruteforce, schur_avg_lue_int_form,
                      schur_pair_avg_bruteforce)
+from schurkernels import ensembles
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     hankel_det, jack_avg_jacobi_coeff,
@@ -40,6 +41,9 @@ ORTHO_SPECS = (GUE, LUE0, EnsembleSpec("lue", alpha=1), EnsembleSpec("jue", alph
                EnsembleSpec("jue_tilde", alpha=1, beta=60, m=5))
 JUE_LONG = EnsembleSpec("jue", alpha=F("0.123456789012345678901234567891"),
                         beta=F("1.31415926535897932384626433832"))
+JUE_7_13 = ORTHO_SPECS[4]
+JUE_HALF = EnsembleSpec("jue", alpha=F(-1, 2), beta=F(-1, 2))
+JUE_MIXED = EnsembleSpec("jue", alpha=F(-1, 2), beta=F(1, 2))
 
 
 class TestSpec:
@@ -97,10 +101,10 @@ class TestMoments:
     def test_cache_is_bounded(self):
         from schurkernels.ensembles import (_cofactors_cached, _hankel_cached,
                                             _moment_chain, _moment_cached,
-                                            _ortho_cached)
+                                            _ortho_cached, _ortho_chain)
         from schurkernels.kernels import _table_cached
-        for cache in (_moment_cached, _moment_chain, _ortho_cached, _table_cached,
-                      _cofactors_cached, _hankel_cached):
+        for cache in (_moment_cached, _moment_chain, _ortho_cached, _ortho_chain,
+                      _table_cached, _cofactors_cached, _hankel_cached):
             assert cache.cache_parameters()["maxsize"] is not None
 
     def test_lue(self):
@@ -275,12 +279,16 @@ class TestHankelAndOrtho:
         (SW, 7), (EnsembleSpec("qlue", alpha=1), 7),
         *((spec, kmax) for spec in ORTHO_SPECS[7:] for kmax in (7, 23)),
         *((spec, kmax) for spec in ORTHO_SPECS for kmax in (0, 1)),
-        *((JUE_LONG, kmax) for kmax in (7, 11))])
+        *((JUE_LONG, kmax) for kmax in (7, 11)),
+        *((spec, kmax) for spec in (EnsembleSpec("lue", alpha=F(1, 2)), JUE_HALF, JUE_MIXED)
+          for kmax in (0, 1, 7, 23))])
     def test_chebyshev_algorithm_equals_gram_schmidt(self, spec, kmax):
-        """The recurrence from the moments gives the Gram-Schmidt polynomials,
-        norms and integer forms exactly, with the same types, in every exact
-        field, Fraction and QRat alike; JUE_LONG has 30-digit rational
-        parameters, whose moments' integers grow fastest."""
+        """The recurrence, on closed-form coefficients (GUE, LUE, JUE) or on
+        the Chebyshev algorithm's, gives the Gram-Schmidt polynomials, norms
+        and integer forms exactly, with the same types, in every exact field,
+        Fraction and QRat alike; JUE_LONG has 30-digit rational parameters,
+        whose moments' integers grow fastest, and JUE_HALF and JUE_MIXED have
+        alpha + beta = -1 and 0, where the closed forms cancel a 0/0."""
         osys, oracle = ortho_system(spec, kmax), ortho_gram_schmidt(spec, kmax)
         assert osys.polys == oracle.polys
         assert osys.norms == oracle.norms
@@ -307,6 +315,46 @@ class TestHankelAndOrtho:
         for j in range(4):
             for k in range(j):
                 assert inner(osys.polys[j], osys.polys[k]) == 0
+
+    @pytest.mark.parametrize("spec", [GUE, EnsembleSpec("lue", alpha=1), JUE_7_13],
+                             ids=lambda s: f"{s.kind}-{s.alpha}-{s.beta}")
+    def test_closed_forms_equal_the_chebyshev_source(self, spec, fresh_ortho, monkeypatch):
+        """At K=95 the closed-form recurrence coefficients give the system
+        that the Chebyshev algorithm gives, under == and in type: GUE and LUE
+        at integer alpha run on ints and turn into Fractions once."""
+        closed = ortho_system(spec, 95)
+        fresh_ortho()
+        monkeypatch.setattr(ensembles, "_recurrence", lambda s, k, dps: ensembles._chebyshev(s, k))
+        chebyshev = ortho_system(spec, 95)
+        assert closed == chebyshev and _types(closed) == _types(chebyshev)
+
+    @pytest.mark.parametrize("spec,big", [(GUE, 23), (EnsembleSpec("lue", alpha=1), 23),
+                                          (JUE_7_13, 23), (SW, 9),
+                                          (EnsembleSpec("lue", alpha=mpmath.mpf("0.5")), 23)],
+                             ids=lambda v: getattr(v, "kind", v))
+    @pytest.mark.parametrize("grown", [True, False], ids=["small-then-big", "big-then-small"])
+    def test_grown_system_equals_a_fresh_build(self, spec, big, grown, fresh_ortho):
+        """One system per spec grows in place: K=5 after K=big reads a prefix
+        (its ints weights over the prefix's own W), K=big after K=5 extends
+        the chain, and each equals a build from empty caches."""
+        first, then = (5, big) if grown else (big, 5)
+        fresh = ortho_system(spec, then)
+        fresh_ortho()
+        ortho_system(spec, first)
+        again = ortho_system(spec, then)
+        assert again == fresh and _types(again) == _types(fresh)
+
+
+@pytest.fixture
+def fresh_ortho():
+    """Empties the orthogonal-system caches before and after a test, and
+    gives the test the function that empties them."""
+    def clear():
+        ensembles._ortho_cached.cache_clear()
+        ensembles._ortho_chain.cache_clear()
+    clear()
+    yield clear
+    clear()
 
 
 def _types(osys):

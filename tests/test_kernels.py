@@ -11,7 +11,7 @@ from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     hankel_det, ortho_system, pair_cofactors,
                                     schur_average)
-from schurkernels.kernels import (KernelQuery, _cd_sum, char_poly_schur,
+from schurkernels.kernels import (KernelQuery, _cd_sum, _table, char_poly_schur,
                                   df_chiral_closed_n1,
                                   df_chiral_kernel, df_khat_double,
                                   df_kernel_factorized, df_partition,
@@ -118,6 +118,28 @@ class TestTableWalk:
                 assert coeffs[()] == 1 and type(coeffs[()]) is F
                 for lam in list(coeffs)[1:]:
                     assert abs(coeffs[lam] - ref[lam]) <= abs(ref[lam]) * mpmath.mpf(10) ** -49
+
+    @pytest.mark.parametrize("spec", [
+        *(EnsembleSpec("lue", alpha=a) for a in (0, 1, F(1, 2))),
+        *(EnsembleSpec("jue", alpha=a, beta=b) for a, b in ((1, 1), (F(7, 10), F(13, 10)),
+                                                            (F(-1, 2), F(-1, 2)))),
+        EnsembleSpec("lue", alpha=mpmath.mpf("0.5")),
+        EnsembleSpec("jue", alpha=mpmath.mpf("0.7"), beta=mpmath.mpf("1.3"))],
+        ids=lambda s: f"{s.kind}-{s.alpha}-{s.beta}")
+    @pytest.mark.parametrize("rows,m", [(2, 30), (3, 12), (4, 8), (6, 5)])
+    def test_walk_on_rows_where_the_first_part_repeats(self, spec, rows, m):
+        """The walk takes lam from lam - e_t, t the multiplicity of lam_1, and
+        telescopes the Weyl ratio over each run of equal parts; it equals
+        the per-lam closed forms under == and in type, and to 45 digits at
+        mpf parameters (both at 50 digits)."""
+        coeffs = _table(spec, rows, m).coeffs
+        assert list(coeffs) == pt.enumerate_bounded(rows, m)
+        for lam in list(coeffs)[1:]:
+            c, ref = coeffs[lam], schur_average(spec, pt.conjugate(lam), m)
+            if isinstance(ref, F):
+                assert c == ref and type(c) is F, lam
+            else:
+                assert abs(c - ref) <= abs(ref) * mpmath.mpf(10) ** -45, lam
 
     def test_one_real_jacobi_parameter(self):
         with mpmath.workdps(30):
@@ -477,6 +499,12 @@ def _plain_double(spec, m, x, y):
                for j, mu in enumerate(parts)) * recip(den)
 
 
+def _binary(v) -> F:
+    """The exact rational value of the mpf v."""
+    man, exp = v.man_exp
+    return F(man) * F(2) ** exp
+
+
 class TestRealParameterKernels:
     def test_three_routes_agree_at_50_digits(self):
         with mpmath.workdps(50):
@@ -500,9 +528,9 @@ class TestRealParameterKernels:
             assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -35
 
     def test_cd_route_digits_at_real_jacobi(self):
-        """The Chebyshev-algorithm khat_cd keeps 20 of 50 digits on JUE
-        alpha=0.7 beta=1.3, N=24, n=1 (Gram-Schmidt kept 18.8), against
-        khat_schur at the exact 7/10 and 13/10."""
+        """khat_cd keeps 20 of 50 digits on JUE alpha=0.7 beta=1.3, N=24,
+        n=1, against khat_schur at the exact 7/10 and 13/10 (Gram-Schmidt
+        kept 18.8, the Chebyshev algorithm 20.6, the closed forms 34.4)."""
         x, y = (F(-7, 5),), (F(11, 13),)
         exact = EnsembleSpec("jue", alpha=F(7, 10), beta=F(13, 10))
         ref = khat_schur(KernelQuery(exact, 24, 1, x, y))
@@ -512,6 +540,28 @@ class TestRealParameterKernels:
             value = khat_cd(KernelQuery(real, 24, 1, x, y))
         with mpmath.workdps(120):
             assert abs(value - to_mpf(ref)) <= abs(to_mpf(ref)) * mpmath.mpf(10) ** -20
+
+    @pytest.mark.parametrize("params,nr,n,digits", [
+        *(({"alpha": "0.5"}, nr, n, 44) for nr, n in ((24, 1), (48, 1), (10, 2))),
+        *(({"alpha": "0.7", "beta": "1.3"}, nr, n, d)
+          for nr, n, d in ((24, 1, 32), (10, 2, 37), (48, 1, 15)))],
+        ids=lambda v: "-".join(v.values()) if isinstance(v, dict) else str(v))
+    def test_cd_and_double_digits_at_binary_parameters(self, params, nr, n, digits):
+        """Real cd and double at 50 digits against the exact route at the
+        mpf's own binary parameters.  With the recurrence coefficients from
+        the moments LUE (48,1) kept 7.7 digits and JUE (48,1) printed the
+        wrong sign; the closed forms keep 45.6 and 17.1."""
+        kind = "jue" if "beta" in params else "lue"
+        real = EnsembleSpec(kind, **{k: mpmath.mpf(v) for k, v in params.items()})
+        exact = EnsembleSpec(kind, **{k: _binary(getattr(real, k)) for k in params})
+        x, y = (((F(-7, 5),), (F(11, 13),)) if n == 1
+                else ((F(7, 5), F(-11, 13)), (F(5, 7), F(13, 11))))
+        ref = khat_schur(KernelQuery(exact, nr, n, x, y))
+        for route in (khat_cd, khat_double):
+            value = route(KernelQuery(real, nr, n, x, y))
+            with mpmath.workdps(200):
+                err = abs(value - to_mpf(ref))
+                assert err <= abs(to_mpf(ref)) * mpmath.mpf(10) ** -digits, route
 
     def test_qlue_real_alpha_schur_digits_at_kernel_size(self):
         """khat_schur on qLUE alpha=0.5 q=1/3, N=12, n=1 at 50 dps keeps 45
