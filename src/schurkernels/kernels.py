@@ -20,7 +20,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
 
 import mpmath
@@ -28,9 +28,9 @@ import mpmath
 from . import partitions as pt
 from .ensembles import (EnsembleSpec, OrthoSystem, _row_step, field_key,
                         moment, ortho_system, pair_cofactors, schur_average)
-from .scalars import (Poly, at_precision, binom, det_exact, factorial,
-                      gamma_real, int_form, mat_inverse_exact, over,
-                      rational_sqrt, recip, to_mpf)
+from .scalars import (Poly, binom, det_exact, factorial, gamma_real,
+                      int_form, mat_inverse_exact, over, rational_sqrt, recip,
+                      to_mpf)
 from .symfun import _branching, chebyshev_u_all, schur_table, schur_values
 
 
@@ -193,32 +193,49 @@ def char_poly_schur(spec: EnsembleSpec, m: int, k: int) -> Poly:
     return Poly(coeffs)
 
 
-def khat_schur(query: KernelQuery, dps: int | None = None):
-    """Khat via the single-sum Schur expansion (Theorem path), at dps digits
-    (None: the working precision, as for every query function below)."""
-    with at_precision(dps):
-        table = expansion_table(query.spec, query.n_rank, query.n_pairs)
-        return table.evaluate(query.t)
+def _guarded(route):
+    """route(query) as route(query, dps=None): a real query works n (N - n)
+    + 10 digits above dps (None: the working precision), as each route's
+    sum cancels up to about a digit per degree of each point pair on a
+    weight on [0, 1], and is rounded to dps; an exact one runs as it is."""
+    @wraps(route)
+    def run(query: KernelQuery, dps: int | None = None):
+        if not (field_key(query.spec)
+                or any(isinstance(v, mpmath.mpf) for v in query.x + query.y)):
+            return route(query)
+        with mpmath.workdps(dps or mpmath.mp.dps):
+            with mpmath.extradps(query.n_pairs * query.m_size + 10):
+                value = route(query)
+            return +value
+    return run
 
 
-def khat_double(query: KernelQuery, dps: int | None = None):
+@_guarded
+def khat_schur(query: KernelQuery):
+    """Khat via the single-sum Schur expansion (Theorem path)."""
+    table = expansion_table(query.spec, query.n_rank, query.n_pairs)
+    return table.evaluate(query.t)
+
+
+@_guarded
+def khat_double(query: KernelQuery):
     """Khat via the double expansion sum over lam, mu in Y_{n,M} of
     s_lam(x^v) s_mu(y^v) <s_lam' s_mu'>, the pair averages read from
     `pair_cofactors` (one denominator).  On Ginibre the pair averages are
     diagonal and this is the single sum of s_lam(x^v) s_lam(ybar^v)
     <s_lam' sbar_lam'>.  s_lam and s_mu are taken at the `int_form` of each
     point set; the sum runs by Horner in each denominator and divides once."""
-    with at_precision(dps):
-        m, n = query.m_size, query.n_pairs
-        c, e = pair_cofactors(query.spec, n, m)
-        (zx, dx), (zy, dy) = (int_form([-1 / v for v in pts]) for pts in (query.x, query.y))
-        parts, sx = schur_values(n, m, zx)
-        sy, sizes = schur_values(n, m, zy)[1], [sum(p) for p in parts]
-        inner = [_horner_dot(sizes, row, sy, dy) for row in c]
-        return over(_horner_dot(sizes, sx, inner, dx), e * (dx * dy) ** (n * m))
+    m, n = query.m_size, query.n_pairs
+    c, e = pair_cofactors(query.spec, n, m)
+    (zx, dx), (zy, dy) = (int_form([-1 / v for v in pts]) for pts in (query.x, query.y))
+    parts, sx = schur_values(n, m, zx)
+    sy, sizes = schur_values(n, m, zy)[1], [sum(p) for p in parts]
+    inner = [_horner_dot(sizes, row, sy, dy) for row in c]
+    return over(_horner_dot(sizes, sx, inner, dx), e * (dx * dy) ** (n * m))
 
 
-def k2_chebyshev(query: KernelQuery, dps: int | None = None):
+@_guarded
+def k2_chebyshev(query: KernelQuery):
     """2-point Khat via the Chebyshev form
     sum_{lam1 >= lam2} <s_lam'> (xy)^(-|lam|/2) U_{lam1-lam2}(-(x+y)/(2 sqrt(xy))),
     with the coefficients <s_lam'> read from `expansion_table(spec, N, 1)`:
@@ -229,31 +246,30 @@ def k2_chebyshev(query: KernelQuery, dps: int | None = None):
     Schur expansion, without which the equality with khat_schur fails.
     Needs xy > 0; exact mode requires xy to be a perfect rational square.
     """
-    with at_precision(dps):
-        if query.n_pairs != 1:
-            raise ValueError("k2_chebyshev is the 2-point (n = 1) form")
-        x, y = query.x[0], query.y[0]
-        xy = x * y
-        if xy < 0:
-            raise ValueError("the Chebyshev form needs x*y > 0")
-        m = query.m_size
-        coeffs = expansion_table(query.spec, query.n_rank, 1).coeffs
-        if isinstance(xy, Fraction):
-            s = rational_sqrt(xy)
-            if s is None:
-                # an exact q-ensemble takes no decimal points (__post_init__)
-                hint = "use --method schur" if query.q_exact else "give decimal points"
-                raise ValueError(f"xy has no exact square root; {hint}")
-        else:
-            s = mpmath.sqrt(xy)
-        u = chebyshev_u_all(m, -(x + y) / (2 * s))
-        r, inv_s, total = recip(xy), recip(s), 0
-        for j in range(m, -1, -1):
-            b = 0  # sum over lam2 = i of <s_(i+j, i)'> (xy)^-i
-            for i in range(m - j, -1, -1):
-                b = b * r + coeffs[pt.canonical((i + j, i))]
-            total = total * inv_s + u[j] * b
-        return total
+    if query.n_pairs != 1:
+        raise ValueError("k2_chebyshev is the 2-point (n = 1) form")
+    x, y = query.x[0], query.y[0]
+    xy = x * y
+    if xy < 0:
+        raise ValueError("the Chebyshev form needs x*y > 0")
+    m = query.m_size
+    coeffs = expansion_table(query.spec, query.n_rank, 1).coeffs
+    if isinstance(xy, Fraction):
+        s = rational_sqrt(xy)
+        if s is None:
+            # an exact q-ensemble takes no decimal points (__post_init__)
+            hint = "use --method schur" if query.q_exact else "give decimal points"
+            raise ValueError(f"xy has no exact square root; {hint}")
+    else:
+        s = mpmath.sqrt(xy)
+    u = chebyshev_u_all(m, -(x + y) / (2 * s))
+    r, inv_s, total = recip(xy), recip(s), 0
+    for j in range(m, -1, -1):
+        b = 0  # sum over lam2 = i of <s_(i+j, i)'> (xy)^-i
+        for i in range(m - j, -1, -1):
+            b = b * r + coeffs[pt.canonical((i + j, i))]
+        total = total * inv_s + u[j] * b
+    return total
 
 
 # ----------------------------------------------------------------------------
@@ -280,25 +296,25 @@ def _cd_sum(osys: OrthoSystem, x, y):
     return over(total, den * (fx[1] * fy[1]) ** k)
 
 
-def khat_cd(query: KernelQuery, dps: int | None = None):
+@_guarded
+def khat_cd(query: KernelQuery):
     """Khat via the determinant of 2-point CD kernels (the oracle route).
 
     K_N^(n) = det[K_N(x_i, y_j)] / (Delta_n(x) Delta_n(y)), then
     Khat = prod_{j=N-n}^{N-1} h_j / prod_i (x_i y_i)^(N-n) * K_N^(n).
     Multi-point evaluation needs distinct x_i and distinct y_i.
     """
-    with at_precision(dps):
-        n = query.n_pairs
-        if len(set(query.x)) < n or len(set(query.y)) < n:
-            raise ValueError("multi-point CD kernel needs distinct coordinates")
-        spec, nr = query.spec, query.n_rank
-        osys = ortho_system(spec, nr - 1)
-        det = det_exact([[_cd_sum(osys, xi, yj) for yj in query.y] for xi in query.x])
-        vand = math.prod(d for i in range(n) for j in range(i + 1, n)
-                         for d in (query.x[i] - query.x[j], query.y[i] - query.y[j]))
-        scale = (recip((xi * yi) ** (nr - n)) for xi, yi in zip(query.x, query.y))
-        pref = math.prod([*osys.norms[nr - n:], *scale])
-        return pref * (det * recip(vand))
+    n = query.n_pairs
+    if len(set(query.x)) < n or len(set(query.y)) < n:
+        raise ValueError("multi-point CD kernel needs distinct coordinates")
+    spec, nr = query.spec, query.n_rank
+    osys = ortho_system(spec, nr - 1)
+    det = det_exact([[_cd_sum(osys, xi, yj) for yj in query.y] for xi in query.x])
+    vand = math.prod(d for i in range(n) for j in range(i + 1, n)
+                     for d in (query.x[i] - query.x[j], query.y[i] - query.y[j]))
+    scale = (recip((xi * yi) ** (nr - n)) for xi, yi in zip(query.x, query.y))
+    pref = math.prod([*osys.norms[nr - n:], *scale])
+    return pref * (det * recip(vand))
 
 
 def hankel_inverse_gen(spec: EnsembleSpec, n_rank: int, x, y):

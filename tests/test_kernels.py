@@ -550,7 +550,8 @@ class TestRealParameterKernels:
         """Real cd and double at 50 digits against the exact route at the
         mpf's own binary parameters.  With the recurrence coefficients from
         the moments LUE (48,1) kept 7.7 digits and JUE (48,1) printed the
-        wrong sign; the closed forms keep 45.6 and 17.1."""
+        wrong sign; the closed forms kept 45.6 and 17.1 at 50 working
+        digits, and with the guard digits of the routes they keep 51."""
         kind = "jue" if "beta" in params else "lue"
         real = EnsembleSpec(kind, **{k: mpmath.mpf(v) for k, v in params.items()})
         exact = EnsembleSpec(kind, **{k: _binary(getattr(real, k)) for k in params})
@@ -562,6 +563,28 @@ class TestRealParameterKernels:
             with mpmath.workdps(200):
                 err = abs(value - to_mpf(ref))
                 assert err <= abs(to_mpf(ref)) * mpmath.mpf(10) ** -digits, route
+
+    @pytest.mark.parametrize("nr,n,x,y", [
+        (12, 1, (F(5, 7),), (F(11, 13),)), (24, 1, (F(5, 7),), (F(11, 13),)),
+        (24, 1, (F(7, 11),), (F(-5, 13),)), (24, 1, (F(-7, 5),), (F(11, 13),)),
+        (10, 2, (F(7, 5), F(-11, 13)), (F(5, 7), F(13, 11)))],
+        ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_real_routes_keep_every_digit_wherever_the_points_lie(self, nr, n, x, y):
+        """schur, cd and double on JUE alpha=0.7 beta=1.3 at 50 digits keep
+        49 against the exact route at the mpf's own binary parameters, and
+        return values rounded to 50 digits.  Working at 50 digits they kept
+        20.1-45.3 digits, fewest with both points inside [0, 1]."""
+        with mpmath.workdps(50):
+            real = EnsembleSpec("jue", alpha=mpmath.mpf("0.7"), beta=mpmath.mpf("1.3"))
+        exact = EnsembleSpec("jue", alpha=_binary(real.alpha), beta=_binary(real.beta))
+        ref = khat_schur(KernelQuery(exact, nr, n, x, y))
+        for route in (khat_schur, khat_cd, khat_double):
+            with mpmath.workdps(50):
+                value = route(KernelQuery(real, nr, n, x, y))
+                assert +value == value, route
+            with mpmath.workdps(200):
+                err = abs(value - to_mpf(ref))
+                assert err <= abs(to_mpf(ref)) * mpmath.mpf(10) ** -49, route
 
     def test_qlue_real_alpha_schur_digits_at_kernel_size(self):
         """khat_schur on qLUE alpha=0.5 q=1/3, N=12, n=1 at 50 dps keeps 45
