@@ -29,10 +29,9 @@ from functools import lru_cache
 import mpmath
 
 from . import partitions as pt
-from .scalars import (Poly, QRat, at_precision, binom, det_exact,
-                      double_factorial, factorial, int_form, poch, qratio,
-                      recip, to_mpf)
-from .symfun import qdim, schur_principal
+from .scalars import (QRat, binom, det_exact, double_factorial, factorial,
+                      guarded, int_form, poch, qratio, recip, to_mpf)
+from .symfun import _branching, qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
 PARAMS = {"gue": (), "lue": ("alpha",), "jue": ("alpha", "beta"),
@@ -188,27 +187,26 @@ def _moment_det(spec: EnsembleSpec, rows, cols):
 
 @dataclass(frozen=True)
 class OrthoSystem:
-    """Monic orthogonal polynomials P_0..P_K, their norms h_0..h_K and
+    """The norms h_0..h_K of the monic orthogonal polynomials P_0..P_K and
     ints = (p, w, W) with P_j(x) P_j(y) / h_j = w_j p_j(x) p_j(y) / W, from
     `int_form`: p_j = e_j P_j and w_j are ints at rational moments and
     Laurent polynomials at QRat ones; on the reals p_j = P_j, w_j = 1 / h_j
-    and W = 1.  The P_j, h_j and p_j of a smaller K are the first entries of
-    a larger K's, and W is the lcm over its own K.  `khat_cd` sums them and
-    `pair_cofactors` reads W H^-1."""
+    and W = 1.  So P_j = p_j / lead(p_j).  The h_j and p_j of a smaller K
+    are the first entries of a larger K's, and W is the lcm over its own K.
+    `khat_cd` sums them and `pair_cofactors` reads W H^-1."""
 
-    polys: tuple
     norms: tuple
     ints: tuple
 
 
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
-    """P_0..P_K and h_0..h_K of the moment form <z^a, z^b> = m_{a+b}, by the
+    """h_0..h_K and P_0..P_K of the moment form <z^a, z^b> = m_{a+b}, by the
     monic recurrence P_(k+1) = (z - a_k) P_k - b_k P_(k-1), h_0 = m_0 and
-    h_k = h_(k-1) b_k, in the moments' own field (Fraction, QRat or mpf), with
-    (a_k, b_k) in closed form on GUE, LUE and JUE and from the moments on
-    every other kind (`_recurrence`); Gram-Schmidt is the test oracle.  One
-    system per spec and field grows in place, and a smaller K reads its
-    prefix.  Cached, bounded, keyed as `moment`."""
+    h_k = h_(k-1) b_k, in the moments' own field (Fraction, QRat or mpf),
+    with the closed-form (a_k, b_k) of `_recurrence`; Gram-Schmidt and the
+    Chebyshev algorithm are the test oracles.  One system per spec and field
+    grows in place, and a smaller K reads its prefix.  Cached, bounded,
+    keyed as `moment`."""
     if kmax < 0:
         raise ValueError("ortho_system needs kmax >= 0")
     return _ortho_cached(spec, kmax, field_key(spec))
@@ -217,9 +215,8 @@ def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
 @lru_cache(maxsize=128)
 def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
     # P_(k+1) on plain lists, skipping zero terms as `_pmul` does: zero
-    # coefficients stay int 0, the leading one int 1, mpf bits are Poly's, and
-    # int lists (GUE, LUE at integer alpha) turn the rest into Fractions once
-    polys, norms, forms, pk, pprev = chain = _ortho_chain(spec, dps)
+    # coefficients stay int 0 and the leading one int 1
+    norms, forms, pk, pprev = chain = _ortho_chain(spec, dps)
     if len(norms) <= kmax:
         a, b = _recurrence(spec, kmax, dps)
         for k in range(len(norms) - 1, kmax):
@@ -230,64 +227,57 @@ def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
                         if x:
                             nxt[i] -= x * c
             pk, pprev = nxt, pk
-            polys.append(Poly([Fraction(x) if x and i <= k and type(x) is int else x
-                               for i, x in enumerate(pk)]))
             forms.append(int_form(pk))
             norms.append(norms[-1] * b[k + 1])
-            chain[3:] = pk, pprev
+        chain[2:] = pk, pprev
     forms, norms = forms[:kmax + 1], norms[:kmax + 1]
     w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
-    return OrthoSystem(tuple(polys[:kmax + 1]), tuple(norms), (tuple(c for c, _ in forms), *w))
+    return OrthoSystem(tuple(norms), (tuple(c for c, _ in forms), *w))
 
 
 @lru_cache(maxsize=128)
 def _ortho_chain(spec: EnsembleSpec, dps: int) -> list:
-    """[P_0.., h_0.., their int forms, the last two coefficient lists] as far
-    as `_ortho_cached` grew them; it extends them."""
-    return [[Poly([1])], [moment(spec, 0)], [int_form([1])], [1], []]
+    """[h_0.., the int forms of P_0.., the last two coefficient lists] as
+    far as `_ortho_cached` grew them; it extends them."""
+    return [[moment(spec, 0)], [int_form([1])], [1], []]
 
 
 def _recurrence(spec: EnsembleSpec, kmax: int, dps: int):
-    """(a_0..a_(K-1), b_0..b_K), b_0 = 0, in closed form on GUE, LUE and JUE
-    (Koekoek, Lesky and Swarttouw 2010, sections 9.15, 9.12 and 9.8): ints
-    on GUE and on LUE at integer alpha.  JUE is Jacobi at (a, b) = (beta,
-    alpha) moved to [0, 1], a_k = (1 + A_k)/2 and b_k = B_k/4, with the 0/0
-    of A_0 at a + b = 0 and of B_1 at a + b = -1 cancelled."""
-    ks, al = range(1, kmax + 1), spec.alpha
-    if spec.kind == "gue":
-        return [0] * kmax, [0, *ks]
-    if spec.kind == "lue":
-        return [2 * k + al + 1 for k in range(kmax)], [0, *(k * (k + al) for k in ks)]
-    if spec.kind != "jue":
-        return _chebyshev(spec, kmax)
-    a, b = (to_mpf(v) if dps else Fraction(v) for v in (spec.beta, al))
-    s = a + b
-    return ([(1 + (b - a) * (s / (2 * k + s) if k else 1) / (2 * k + s + 2)) / 2
-             for k in range(kmax)],
-            [0, *(k * (k + a) * (k + b) * ((k + s) / (2 * k + s - 1) if k > 1 else 1)
-                  / ((2 * k + s) ** 2 * (2 * k + s + 1)) for k in ks)])
-
-
-def _chebyshev(spec: EnsembleSpec, kmax: int):
-    """The (a, b) of `_recurrence` from the moments (Gautschi 1982):
-    sig_(k,l) = <P_k, z^l> gives h_k = sig_(k,k), b_k = h_k/h_(k-1) and
-    a_k = sig_(k,k+1)/h_k - sig_(k-1,k)/h_(k-1), then sig_(k+1,l) =
-    sig_(k,l+1) - a_k sig_(k,l) - b_k sig_(k-1,l)."""
-    sig = prev = [moment(spec, p) for p in range(2 * kmax + 1)]
-    a, b, ratio, inv = [], [], 0, 0
-    for k in range(kmax + 1):
-        h = sig[k]
-        if not h:
-            raise ValueError(f"degenerate measure: zero norm at degree {k}")
-        b.append(h * inv)
-        if k == kmax:
-            break
-        r = sig[k + 1] * (inv := recip(h))
-        a.append(r - ratio)
-        ratio = r
-        prev, sig = sig, [0] * (k + 1) + [sig[l + 1] - a[k] * sig[l] - b[k] * prev[l]
-                                          for l in range(k + 1, 2 * kmax - k)]
-    return a, b
+    """(a_0..a_(K-1), b_0..b_K), b_0 = 0, in closed form (Koekoek, Lesky and
+    Swarttouw 2010, sections 9.15, 9.12, 9.8, 14.21 and 14.27): ints on GUE
+    and LUE at integer alpha, QRats on SW and exact qLUE (q = u^2).  JUE is
+    Jacobi at (x, y) = (beta, alpha) moved to [0, 1], a_k = (1 + A_k)/2 and
+    b_k = B_k/4, with the 0/0 of A_0 at x + y = 0 and of B_1 at x + y = -1
+    cancelled; jue_tilde is JUE at beta -> -(M + beta) reflected by z -> -z
+    (a_k -> -a_k); lue_tilde is the Bessel family.  The tilde kinds read
+    m_0..m_2K in order first, so a divergent moment raises as `moment` does."""
+    kind, al, num = spec.kind, spec.alpha, to_mpf if dps else Fraction
+    if kind.endswith("_tilde"):
+        for p in range(2 * kmax + 1):
+            moment(spec, p)
+    if kind == "gue":
+        a, b = (lambda k: 0), (lambda k: k)
+    elif kind == "lue":
+        a, b = (lambda k: 2 * k + al + 1), (lambda k: k * (k + al))
+    elif kind == "sw":
+        u = QRat.u_power(1)
+        a = lambda k: u ** -(4 * k + 3) * (1 + u ** 2 - u ** (2 * k + 2))
+        b = lambda k: u ** (-8 * k) * (1 - u ** (2 * k))
+    elif kind == "qlue":
+        q = to_mpf(spec.q) if dps else QRat.q_power(1)
+        a = lambda k: (1 - q ** (k + al + 1) + q - q ** (k + 1)) / (q ** (2 * k + al + 1) * (1 - q))
+        b = lambda k: (1 - q ** k) * (1 - q ** (k + al)) / (q ** (4 * k + 2 * al - 1) * (1 - q) ** 2)
+    elif kind == "lue_tilde":
+        c = num(spec.alpha_tilde)
+        a = lambda k: c / ((2 * k + 2 - c) * (2 * k - c))
+        b = lambda k: k * (c - k) / ((2 * k - 1 - c) * (2 * k - c) ** 2 * (2 * k + 1 - c))
+    else:
+        x, y = num(spec.beta if kind == "jue" else -(spec.m + spec.beta)), num(al)
+        s, sign = x + y, 1 if kind == "jue" else -1
+        a = lambda k: sign * (1 + (y - x) * (s / (2 * k + s) if k else 1) / (2 * k + s + 2)) / 2
+        b = lambda k: (k * (k + x) * (k + y) * ((k + s) / (2 * k + s - 1) if k > 1 else 1)
+                       / ((2 * k + s) ** 2 * (2 * k + s + 1)))
+    return [a(k) for k in range(kmax)], [0, *map(b, range(1, kmax + 1))]
 
 
 # ----------------------------------------------------------------------------
@@ -338,7 +328,7 @@ def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
 
 @lru_cache(maxsize=128)
 def _cofactors_cached(spec: EnsembleSpec, n: int, m: int, dps: int):
-    parts = pt.enumerate_bounded(n, m)
+    parts = _branching(n, m)[0]
     k = len(parts)
     if spec.kind == "ginibre":
         nums = [pair_average(spec, pt.conjugate(lam), pt.conjugate(mu), m)
@@ -620,32 +610,28 @@ def askey_limit_check(mu, m: int, alpha, q):
 def schur_average(spec: EnsembleSpec, mu, m: int, method: str = "closed",
                   dps: int | None = None):
     """<s_mu> in the given ensemble via the closed form or the oracle, at dps
-    digits (None: the working precision)."""
-    with at_precision(dps):
-        kind = spec.kind
-        if kind == "ginibre":
-            raise ValueError("ginibre has no single-Schur average (no moments)")
-        if method == "oracle":
-            return schur_avg_oracle(spec, mu, m)
-        if method != "closed":
-            raise ValueError(f"unknown method {method!r}")
-        if kind == "gue":
-            return schur_avg_gue(mu, m)
-        if kind == "lue":
-            return schur_avg_lue(mu, m, spec.alpha)
-        if kind == "jue":
-            return schur_avg_jue(mu, m, spec.alpha, spec.beta)
-        if kind == "jue_tilde":
-            if spec.m != m:
-                raise ValueError("jue_tilde average needs m equal to spec.m")
-            return schur_avg_jue_tilde(mu, m, spec.alpha, spec.beta)
-        if kind == "lue_tilde":
-            return schur_avg_lue_tilde(mu, m, spec.alpha_tilde)
-        if kind == "sw":
-            return schur_avg_sw(mu, m)
-        if kind == "qlue":
-            return schur_avg_qlue(mu, m, spec.alpha, spec.q)
-        raise ValueError(f"no single-Schur closed form for {kind!r}")
+    digits (None: the working precision).  A real spec works 2M + 5 digits
+    above them and is rounded once (`guarded`): the Andreief determinants
+    lose about 1.2 digits per variable (JUE 0.7, 1.3: 11.7 at M = 10)."""
+    return guarded(field_key(spec), dps, 2 * m + 5, lambda: _schur_average(spec, mu, m, method))
+
+
+def _schur_average(spec: EnsembleSpec, mu, m: int, method: str):
+    kind, a, b = spec.kind, spec.alpha, spec.beta
+    if kind == "ginibre":
+        raise ValueError("ginibre has no single-Schur average (no moments)")
+    if method == "oracle":
+        return schur_avg_oracle(spec, mu, m)
+    if method != "closed":
+        raise ValueError(f"unknown method {method!r}")
+    if kind == "jue_tilde" and spec.m != m:
+        raise ValueError("jue_tilde average needs m equal to spec.m")
+    return {"gue": lambda: schur_avg_gue(mu, m), "lue": lambda: schur_avg_lue(mu, m, a),
+            "jue": lambda: schur_avg_jue(mu, m, a, b),
+            "jue_tilde": lambda: schur_avg_jue_tilde(mu, m, a, b),
+            "lue_tilde": lambda: schur_avg_lue_tilde(mu, m, spec.alpha_tilde),
+            "sw": lambda: schur_avg_sw(mu, m),
+            "qlue": lambda: schur_avg_qlue(mu, m, a, spec.q)}[kind]()
 
 
 def pair_average(spec: EnsembleSpec, lam, mu, m: int):

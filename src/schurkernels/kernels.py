@@ -28,7 +28,7 @@ import mpmath
 from . import partitions as pt
 from .ensembles import (EnsembleSpec, OrthoSystem, _row_step, field_key,
                         moment, ortho_system, pair_cofactors, schur_average)
-from .scalars import (Poly, binom, det_exact, factorial, gamma_real,
+from .scalars import (Poly, binom, det_exact, factorial, gamma_real, guarded,
                       int_form, mat_inverse_exact, over, rational_sqrt, recip,
                       to_mpf)
 from .symfun import _branching, chebyshev_u_all, schur_table, schur_values
@@ -194,19 +194,13 @@ def char_poly_schur(spec: EnsembleSpec, m: int, k: int) -> Poly:
 
 
 def _guarded(route):
-    """route(query) as route(query, dps=None): a real query works n (N - n)
-    + 10 digits above dps (None: the working precision), as each route's
-    sum cancels up to about a digit per degree of each point pair on a
-    weight on [0, 1], and is rounded to dps; an exact one runs as it is."""
+    """route(query) as route(query, dps=None) under `guarded`, n (N - n) + 10
+    guard digits: each route's sum cancels up to about a digit per degree of
+    each point pair on a weight on [0, 1]."""
     @wraps(route)
     def run(query: KernelQuery, dps: int | None = None):
-        if not (field_key(query.spec)
-                or any(isinstance(v, mpmath.mpf) for v in query.x + query.y)):
-            return route(query)
-        with mpmath.workdps(dps or mpmath.mp.dps):
-            with mpmath.extradps(query.n_pairs * query.m_size + 10):
-                value = route(query)
-            return +value
+        real = field_key(query.spec) or any(isinstance(v, mpmath.mpf) for v in query.x + query.y)
+        return guarded(real, dps, query.n_pairs * query.m_size + 10, lambda: route(query))
     return run
 
 

@@ -10,7 +10,7 @@ Every other module is generic over these three scalar fields:
 Library code never sets the precision itself: like mpmath's own functions
 it runs at ``mpmath.mp.dps``, and so does ``parse_number``.  The CLI root
 group, ``verify.run_suite`` and the ``dps`` argument of the query functions
-(``at_precision``) set it.
+(``guarded``, which also adds guard digits and rounds once) set it.
 
 Working in u = q^(1/2) (instead of q) keeps Stieltjes-Wigert moments
 q^(-(p+1)^2/2) and symmetric q-numbers exact Laurent objects.  ``QRat``
@@ -28,7 +28,6 @@ import functools
 import math
 import operator
 from collections import Counter
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import accumulate
 
@@ -144,10 +143,16 @@ def over(n, d):
     return n if d == 1 else n / d
 
 
-def at_precision(dps: int | None):
-    """mpmath.workdps(dps) for a query function's `dps` argument; None keeps
-    the caller's working precision."""
-    return nullcontext() if dps is None else mpmath.workdps(dps)
+def guarded(real, dps: int | None, extra: int, compute):
+    """compute() for a query function's `dps` argument: a real query works
+    `extra` digits above dps (None: the working precision) and is rounded
+    once to it; an exact one runs as it is, with no precision context."""
+    if not real:
+        return compute()
+    with mpmath.workdps(dps or mpmath.mp.dps):
+        with mpmath.extradps(extra):
+            value = compute()
+        return +value
 
 
 def rational_sqrt(x) -> Fraction | None:

@@ -10,7 +10,11 @@ against.  Each is independent of the code it checks:
   -- term-wise integration of explicit polynomials in the eigenvalues, the
   reference for the Andreief oracles of `schurkernels.ensembles`;
 * `ortho_gram_schmidt` -- Gram-Schmidt on the moment bilinear form, the
-                         reference for `ortho_system` (Chebyshev algorithm);
+                         reference for `ortho_system`, and `monic_polys`,
+                         the P_j that `OrthoSystem.ints` holds;
+* `chebyshev_algorithm` -- the recurrence coefficients from the moments,
+                         the reference for the closed forms of
+                         `ensembles._recurrence`;
 * `qnum_symmetric`, `qnum_floor`, `qfactorial_floor` -- q-numbers and
                          q-factorials, which rebuild the q-products that
                          `scalars.qratio` forms in one pass;
@@ -107,7 +111,35 @@ def ortho_gram_schmidt(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
         norms.append(h)
     forms = [int_form(p.coeffs) for p in polys]
     w = int_form([recip(e * e * h) for (_, e), h in zip(forms, norms)])
-    return OrthoSystem(tuple(polys), tuple(norms), (tuple(c for c, _ in forms), *w))
+    return OrthoSystem(tuple(norms), (tuple(c for c, _ in forms), *w))
+
+
+def monic_polys(osys: OrthoSystem) -> list:
+    """The monic P_j = p_j / lead(p_j) of `OrthoSystem.ints`."""
+    return [Poly([c * recip(p[-1]) for c in p]) for p in osys.ints[0]]
+
+
+def chebyshev_algorithm(spec: EnsembleSpec, kmax: int):
+    """(a_0..a_(K-1), b_0..b_K) of the monic recurrence from the moments
+    (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982), in O(K^2) field
+    operations: sig_(k,l) = <P_k, z^l> gives h_k = sig_(k,k), b_k =
+    h_k/h_(k-1) and a_k = sig_(k,k+1)/h_k - sig_(k-1,k)/h_(k-1), then
+    sig_(k+1,l) = sig_(k,l+1) - a_k sig_(k,l) - b_k sig_(k-1,l)."""
+    sig = prev = [moment(spec, p) for p in range(2 * kmax + 1)]
+    a, b, ratio, inv = [], [], 0, 0
+    for k in range(kmax + 1):
+        h = sig[k]
+        if not h:
+            raise ValueError(f"degenerate measure: zero norm at degree {k}")
+        b.append(h * inv)
+        if k == kmax:
+            break
+        r = sig[k + 1] * (inv := recip(h))
+        a.append(r - ratio)
+        ratio = r
+        prev, sig = sig, [0] * (k + 1) + [sig[l + 1] - a[k] * sig[l] - b[k] * prev[l]
+                                          for l in range(k + 1, 2 * kmax - k)]
+    return a, b
 
 
 def ginibre_khat_schur(n_rank: int, n_pairs: int, xs, ybars):
@@ -306,6 +338,6 @@ def kernel_cd_formula(spec: EnsembleSpec, n_rank: int, x, y):
     if x == y:
         raise ValueError("CD formula form needs x != y")
     osys = ortho_system(spec, n_rank)
-    pn, pm = osys.polys[n_rank], osys.polys[n_rank - 1]
+    pm, pn = monic_polys(osys)[n_rank - 1:]
     return (pn(x) * pm(y) - pm(x) * pn(y)) \
         * recip(osys.norms[n_rank - 1] * (x - y))

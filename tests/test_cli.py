@@ -159,6 +159,16 @@ class TestKernelCommands:
                 digest.update(r.output.encode())
         assert digest.hexdigest() == REAL_PINNED_DIGEST
 
+    def test_divergent_tilde_moment_is_named_in_order(self, runner):
+        """The recurrence of a tilde kind reads m_0..m_2K in order before its
+        closed form (whose denominators vanish past the divergence), so cd
+        at N = 12 names the first divergent moment, m_19 at alpha_tilde 20."""
+        r = runner.invoke(main, ["kernel", "eval", "--ensemble", "lue-tilde", "--alpha-tilde",
+                                 "20", "--N", "12", "--n", "1", "--x", "3/7", "--y", "-5/11",
+                                 "--method", "cd"])
+        assert r.exit_code == 1
+        assert r.output.splitlines() == ["Error: lue_tilde moment diverges at p = 19"]
+
     def test_expand_deterministic(self, runner):
         args = ["kernel", "expand", "--ensemble", "lue", "--alpha", "1",
                 "--N", "4", "--n", "1"]

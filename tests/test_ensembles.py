@@ -8,9 +8,9 @@ from types import MappingProxyType
 import mpmath
 import pytest
 
-from oracles import (lue_alpha_shift_pair, ortho_gram_schmidt, qnum_floor,
-                     schur_avg_bruteforce, schur_avg_lue_int_form,
-                     schur_pair_avg_bruteforce)
+from oracles import (chebyshev_algorithm, lue_alpha_shift_pair, monic_polys,
+                     ortho_gram_schmidt, qnum_floor, schur_avg_bruteforce,
+                     schur_avg_lue_int_form, schur_pair_avg_bruteforce)
 from schurkernels import ensembles
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
@@ -23,7 +23,7 @@ from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     schur_pair_avg_ginibre,
                                     schur_pair_avg_oracle)
 from schurkernels.kernels import kernel_cd
-from schurkernels.scalars import QRat, gamma_real, hp_close, qgamma_real
+from schurkernels.scalars import QRat, gamma_real, hp_close, qgamma_real, to_mpf
 from schurkernels.symfun import schur_principal
 
 F = Fraction
@@ -203,7 +203,7 @@ class TestMoments:
                 table = expansion_table(spec, 4, 1)
                 rows, den = pair_cofactors(spec, 2, 2)
                 assert all(isinstance(h, kind) for h in osys.norms)
-                assert all(isinstance(c, kind) for p in osys.polys for c in p.coeffs[:-1])
+                assert all(isinstance(c, kind) for p in monic_polys(osys) for c in p.coeffs[:-1])
                 # <s_()> = 1 is exact in every field
                 assert all(isinstance(c, kind) for lam, c in table.coeffs.items() if lam)
                 # the exact field sums on ints; the real field on its own
@@ -215,7 +215,7 @@ class TestMoments:
                 assert all(isinstance(c, num) for c in osys.ints[1])
                 if kind is mpmath.mpf:
                     assert table.ints == (tuple(table.coeffs.values()), 1)
-                    assert osys.ints[0] == tuple(tuple(p.coeffs) for p in osys.polys)
+                    assert all(p[-1] == 1 for p in osys.ints[0])  # p_j = P_j
                     assert osys.ints[2] == 1
 
     def test_deep_moment_needs_no_recursion(self):
@@ -253,18 +253,18 @@ class TestHankelAndOrtho:
 
     def test_gue_ortho(self):
         osys = ortho_system(GUE, 2)
-        assert osys.polys[2].coeffs == [F(-1), F(0), F(1)]  # z^2 - 1
+        assert monic_polys(osys)[2].coeffs == [F(-1), F(0), F(1)]  # z^2 - 1
         assert osys.norms[2] == 2
 
     def test_lue_ortho(self):
         osys = ortho_system(LUE0, 1)
-        assert osys.polys[1].coeffs == [F(-1), F(1)]  # z - 1
+        assert monic_polys(osys)[1].coeffs == [F(-1), F(1)]  # z - 1
         assert osys.norms[1] == 1
 
     def test_p0_h0(self):
         for spec in (GUE, LUE0, SW):
             osys = ortho_system(spec, 0)
-            assert osys.polys[0].coeffs == [1]
+            assert monic_polys(osys)[0].coeffs == [1]
             assert osys.norms[0] == moment(spec, 0)
 
     def test_norms_equal_hankel_ratios(self):
@@ -283,14 +283,13 @@ class TestHankelAndOrtho:
         *((spec, kmax) for spec in (EnsembleSpec("lue", alpha=F(1, 2)), JUE_HALF, JUE_MIXED)
           for kmax in (0, 1, 7, 23))])
     def test_chebyshev_algorithm_equals_gram_schmidt(self, spec, kmax):
-        """The recurrence, on closed-form coefficients (GUE, LUE, JUE) or on
-        the Chebyshev algorithm's, gives the Gram-Schmidt polynomials, norms
-        and integer forms exactly, with the same types, in every exact field,
-        Fraction and QRat alike; JUE_LONG has 30-digit rational parameters,
+        """The recurrence, on the closed-form coefficients of every kind,
+        gives the Gram-Schmidt norms and integer forms (so the polynomials
+        P_j = p_j / lead(p_j)) exactly, with the same types, in every exact
+        field, Fraction and QRat alike; JUE_LONG has 30-digit rational parameters,
         whose moments' integers grow fastest, and JUE_HALF and JUE_MIXED have
         alpha + beta = -1 and 0, where the closed forms cancel a 0/0."""
         osys, oracle = ortho_system(spec, kmax), ortho_gram_schmidt(spec, kmax)
-        assert osys.polys == oracle.polys
         assert osys.norms == oracle.norms
         assert osys.ints == oracle.ints
         assert _types(osys) == _types(oracle)
@@ -312,21 +311,45 @@ class TestHankelAndOrtho:
                        for i, ca in enumerate(pa.coeffs) if ca
                        for j, cb in enumerate(pb.coeffs) if cb)
 
+        polys = monic_polys(osys)
         for j in range(4):
             for k in range(j):
-                assert inner(osys.polys[j], osys.polys[k]) == 0
+                assert inner(polys[j], polys[k]) == 0
 
-    @pytest.mark.parametrize("spec", [GUE, EnsembleSpec("lue", alpha=1), JUE_7_13],
+    @pytest.mark.parametrize("spec", [GUE, EnsembleSpec("lue", alpha=1), JUE_7_13, SW,
+                                      EnsembleSpec("qlue", alpha=0), EnsembleSpec("qlue", alpha=1),
+                                      ORTHO_SPECS[7], ORTHO_SPECS[9]],
                              ids=lambda s: f"{s.kind}-{s.alpha}-{s.beta}")
     def test_closed_forms_equal_the_chebyshev_source(self, spec, fresh_ortho, monkeypatch):
-        """At K=95 the closed-form recurrence coefficients give the system
-        that the Chebyshev algorithm gives, under == and in type: GUE and LUE
-        at integer alpha run on ints and turn into Fractions once."""
-        closed = ortho_system(spec, 95)
+        """The closed-form recurrence coefficients give the system that the
+        Chebyshev algorithm's give, under == and in type: at K=95 on GUE,
+        LUE and JUE, at K=23 on the tilde kinds (as far as their moments
+        converge) and on SW, and at K=11 on qLUE."""
+        kmax = {"gue": 95, "lue": 95, "jue": 95, "qlue": 11}.get(spec.kind, 23)
+        closed = ortho_system(spec, kmax)
         fresh_ortho()
-        monkeypatch.setattr(ensembles, "_recurrence", lambda s, k, dps: ensembles._chebyshev(s, k))
-        chebyshev = ortho_system(spec, 95)
+        monkeypatch.setattr(ensembles, "_recurrence", lambda s, k, dps: chebyshev_algorithm(s, k))
+        chebyshev = ortho_system(spec, kmax)
         assert closed == chebyshev and _types(closed) == _types(chebyshev)
+
+    @pytest.mark.parametrize("kind,params,kmax", [
+        ("lue", {"alpha": "0.5"}, 12), ("jue", {"alpha": "0.7", "beta": "1.3"}, 12),
+        ("qlue", {"alpha": "0.5", "q": "1/3"}, 12), ("lue_tilde", {"alpha_tilde": "10.5"}, 4),
+        ("jue_tilde", {"alpha": "0.5", "beta": "12.5", "m": 2}, 6)],
+        ids=["lue", "jue", "qlue", "lue_tilde", "jue_tilde"])
+    def test_closed_forms_equal_the_chebyshev_source_in_mpf(self, kind, params, kmax):
+        """At 50 digits the closed forms agree with the Chebyshev algorithm,
+        run at 100 digits on the same binary parameters, to 1e-45 relative;
+        the tilde kinds as far as their moments converge (m_2K)."""
+        with mpmath.workdps(50):
+            spec = EnsembleSpec(kind, **{k: v if k == "m" else to_mpf(F(v))
+                                         for k, v in params.items()})
+            closed = ensembles._recurrence(spec, kmax, mpmath.mp.dps)
+            with mpmath.workdps(100):
+                reference = chebyshev_algorithm(spec, kmax)
+        got, want = [*closed[0], *closed[1][1:]], [*reference[0], *reference[1][1:]]
+        assert len(got) == 2 * kmax and all(isinstance(x, mpmath.mpf) for x in got)
+        assert all(abs(x - y) <= abs(y) * mpmath.mpf(10) ** -45 for x, y in zip(got, want))
 
     @pytest.mark.parametrize("spec,big", [(GUE, 23), (EnsembleSpec("lue", alpha=1), 23),
                                           (JUE_7_13, 23), (SW, 9),
@@ -358,9 +381,8 @@ def fresh_ortho():
 
 
 def _types(osys):
-    return ([[type(c) for c in p.coeffs] for p in osys.polys], [type(h) for h in osys.norms],
-            [[type(c) for c in p] for p in osys.ints[0]], [type(w) for w in osys.ints[1]],
-            type(osys.ints[2]))
+    return ([type(h) for h in osys.norms], [[type(c) for c in p] for p in osys.ints[0]],
+            [type(w) for w in osys.ints[1]], type(osys.ints[2]))
 
 
 class TestOracle:
@@ -582,6 +604,33 @@ class TestRealParameterPaths:
                 devs.append(abs(got - mpmath.mpf(target.numerator) / target.denominator))
             assert devs[0] > devs[1] > devs[2]
 
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    @pytest.mark.parametrize("m,mu", [(4, (3, 3, 2)), (6, (3, 2, 2, 1)), (8, (3,) * 7)],
+                             ids=["4", "6", "8"])
+    def test_real_average_keeps_every_digit(self, m, mu, method):
+        """A real average works 2M + 5 digits above the precision and is
+        rounded once to it: JUE alpha=0.7 beta=1.3 at 50 digits keeps 49
+        against the exact closed form at the mpf's own binary parameters.
+        Working at 50 digits the oracle kept 47.5 at M = 4, 43.6 at M = 6
+        and 40.9 at M = 8."""
+        with mpmath.workdps(50):
+            spec = EnsembleSpec("jue", alpha=mpmath.mpf("0.7"), beta=mpmath.mpf("1.3"))
+            value = schur_average(spec, mu, m, method)
+            assert +value == value
+        exact = schur_avg_jue(mu, m, *(F(man) * F(2) ** exp
+                                       for man, exp in (spec.alpha.man_exp, spec.beta.man_exp)))
+        with mpmath.workdps(200):
+            ref = mpmath.mpf(exact.numerator) / exact.denominator
+            assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -49
+
+    def test_exact_average_takes_no_precision_context(self, monkeypatch):
+        """An exact spec runs as it is, dps or not: no mpmath context."""
+        monkeypatch.setattr(mpmath, "workdps", None)
+        monkeypatch.setattr(mpmath, "extradps", None)
+        for method in ("closed", "oracle"):
+            for dps in (None, 120):
+                assert schur_average(LUE0, (1,), 2, method, dps) == 4
+
     def test_dps_argument_sets_the_precision(self):
         """schur_average(..., dps=120) computes at 120 digits whatever the
         caller's precision (here 50), on the closed route too."""
@@ -617,7 +666,7 @@ class TestCachedValuesAreImmutable:
 
     def test_ortho_system(self):
         osys = ortho_system(LUE0, 3)
-        assert isinstance(osys.polys, tuple) and isinstance(osys.norms, tuple)
+        assert isinstance(osys.ints, tuple) and isinstance(osys.norms, tuple)
         with pytest.raises(AttributeError):
             osys.norms = ()
         assert ortho_system(LUE0, 3) is osys
