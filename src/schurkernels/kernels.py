@@ -31,7 +31,7 @@ from .ensembles import (EnsembleSpec, OrthoSystem, _row_step, field_key,
 from .scalars import (Poly, binom, det_exact, factorial, gamma_real, guarded,
                       int_form, mat_inverse_exact, over, rational_sqrt, recip,
                       to_mpf)
-from .symfun import _branching, chebyshev_u_all, schur_table, schur_values
+from .symfun import _branching, schur_table, schur_values
 
 
 @dataclass(frozen=True)
@@ -156,29 +156,37 @@ def _walk_table(parts, m: int, up, down) -> dict:
 
 
 def _gue_table(parts, m: int) -> dict:
-    """The GUE <s_lam'> by a domino walk on the beads l_j = mu_j + m - j,
-    j <= m, of mu = lam': 0 unless they have the parity counts of the beads
-    of () (an empty 2-core); else a bead x has x - 2 free, nu = mu minus that
-    domino, and the parity-block coefficients and Weyl dimensions of
-    `schur_avg_gue` give, over the beads y != x of the parity of x,
-        <s_mu> = <s_nu> (-1)^[x-1 a bead] (x - 1 + x % 2) prod (x - y)/(x - 2 - y)."""
-    base = tuple(range(m - 1, -1, -1))
-    odd = sum(x % 2 for x in base)
-    by_l, out = {base: Fraction(1)}, {(): Fraction(1)}
+    """The GUE <s_lam'> by a domino walk on lam's own rows.  The holes
+    g_i = m - 1 + i - lam_i, i <= l = l(lam), are the complement in [0, T],
+    T = m + l - 1, of the beads mu_j + m - j, j <= m, of mu = lam'.  <s_mu>
+    is 0 unless the beads have the parity counts of those of () (an empty
+    2-core); else the largest bead x with x - 2 a hole gives nu = mu minus
+    that domino (lam minus a domino in row i, or in rows i and i + 1 when
+    x - 1 is a hole), and the parity-block coefficients and Weyl dimensions
+    of `schur_avg_gue` give, over the beads y != x of the parity of x,
+        <s_mu> = <s_nu> (-1)^[x-1 a bead] (x - 1 + x % 2) prod (x - y)/(x - 2 - y).
+    Over all y of that parity in [0, T] the product is x // 2 / ((T - x) // 2 + 1),
+    so only the holes are divided out: O(l) factors, one Fraction per lam."""
+    out = {(): Fraction(1)}
     for lam in parts[1:]:
-        mu = pt.conjugate(lam)
-        l = tuple(p + m - j for j, p in enumerate(mu + (0,) * (m - len(mu)), 1))
-        if sum(x % 2 for x in l) != odd:
+        l = len(lam)
+        g = [m - 1 + i - p for i, p in enumerate(lam, 1)]
+        if (m + l) // 2 - sum(v % 2 for v in g) != m // 2:
             out[lam] = Fraction(0)
             continue
-        beads = set(l)
-        x = next(x for x in l if x >= 2 and x - 2 not in beads)
-        num, den = x - 1 + x % 2, 1
-        for y in l:
-            if y != x and (x - y) % 2 == 0:
-                num, den = num * (x - y), den * (x - 2 - y)
-        parent = tuple(sorted(beads - {x} | {x - 2}, reverse=True))
-        out[lam] = by_l[l] = by_l[parent] * Fraction(-num if x - 1 in beads else num, den)
+        g += (m + l, m + l + 1)  # the holes of two empty rows end the scan for x
+        i = next(i for i in range(l - 1, -1, -1) if g[i] + 2 not in g[i + 1:i + 3])
+        x, two_rows = g[i] + 2, g[i + 1] == g[i] + 1
+        num, den = x * (x - 1) // 2, (m + l - 1 - x) // 2 + 1
+        for v in g[:l]:
+            if v != x - 2 and (x - v) % 2 == 0:
+                num, den = num * (x - 2 - v), den * (x - v)
+        p = [*lam, 0]
+        p[i] -= 1 if two_rows else 2
+        p[i + 1] -= two_rows
+        c = out[tuple(filter(None, p))]
+        out[lam] = Fraction(c.numerator * num if two_rows else -c.numerator * num,
+                            c.denominator * den)
     return out
 
 
@@ -231,10 +239,13 @@ def khat_double(query: KernelQuery):
 @_guarded
 def k2_chebyshev(query: KernelQuery):
     """2-point Khat via the Chebyshev form
-    sum_{lam1 >= lam2} <s_lam'> (xy)^(-|lam|/2) U_{lam1-lam2}(-(x+y)/(2 sqrt(xy))),
-    with the coefficients <s_lam'> read from `expansion_table(spec, N, 1)`:
-    U_0..U_M from one recurrence, then Horner in 1/(xy) over lam2 and in
-    1/sqrt(xy) over lam1 - lam2.
+    sum_{lam1 >= lam2} <s_lam'> s^(-|lam|) U_{lam1-lam2}(w),  s = sqrt(xy),
+    w = -(x+y)/(2s), with the coefficients read from the `int_form` (c, e)
+    of `expansion_table(spec, N, 1)` in the table's order.  At the
+    `int_form`s w = a/b and 1/s = z/d, V_j = U_j(a/b) b^j comes from
+    V_(j+1) = 2a V_j - b^2 V_(j-1), and
+        Khat = sum_lam c_lam V_j b^(M-j) z^|lam| d^(2M-|lam|) / (e b^M d^(2M)),
+    j = lam1 - lam2, by Horner in d over the sizes, divided once.
 
     lam1 runs to N-1 (= M for n = 1): this is the full rectangle of the
     Schur expansion, without which the equality with khat_schur fails.
@@ -247,7 +258,7 @@ def k2_chebyshev(query: KernelQuery):
     if xy < 0:
         raise ValueError("the Chebyshev form needs x*y > 0")
     m = query.m_size
-    coeffs = expansion_table(query.spec, query.n_rank, 1).coeffs
+    table = expansion_table(query.spec, query.n_rank, 1)
     if isinstance(xy, Fraction):
         s = rational_sqrt(xy)
         if s is None:
@@ -256,14 +267,16 @@ def k2_chebyshev(query: KernelQuery):
             raise ValueError(f"xy has no exact square root; {hint}")
     else:
         s = mpmath.sqrt(xy)
-    u = chebyshev_u_all(m, -(x + y) / (2 * s))
-    r, inv_s, total = recip(xy), recip(s), 0
-    for j in range(m, -1, -1):
-        b = 0  # sum over lam2 = i of <s_(i+j, i)'> (xy)^-i
-        for i in range(m - j, -1, -1):
-            b = b * r + coeffs[pt.canonical((i + j, i))]
-        total = total * inv_s + u[j] * b
-    return total
+    ((a,), b), ((z,), d) = int_form([-(x + y) / (2 * s)]), int_form([recip(s)])
+    v = [1, 2 * a]
+    for _ in range(m - 1):
+        v.append(2 * a * v[-1] - b * b * v[-2])
+    vb, zk = [v[j] * b ** (m - j) for j in range(m + 1)], [z ** k for k in range(2 * m + 1)]
+    lams, (c, e) = table.coeffs, table.ints
+    sizes = [sum(lam) for lam in lams]
+    # lam1 - lam2 = 2 lam1 - |lam|
+    terms = (vb[2 * lam[0] - k if lam else 0] * zk[k] for lam, k in zip(lams, sizes))
+    return over(_horner_dot(sizes, c, terms, d), e * b ** m * d ** (2 * m))
 
 
 # ----------------------------------------------------------------------------

@@ -293,11 +293,6 @@ def _zprim(c: list) -> list:
     return [x // g for x in c]
 
 
-def _zgcd(a: list, b: list) -> list:
-    """Primitive gcd of nonzero a, b in Z[u]."""
-    return _zexquo(a, _zcancel(a, b)[0])
-
-
 def _zlcm(a: list, b: list) -> list:
     """lcm in Z[u] of nonzero a, b with positive leading coefficients."""
     c = math.gcd(math.gcd(*a), math.gcd(*b))
@@ -500,7 +495,8 @@ def _qr_canonical(offset, num, den, coprime=False):
     num, den = num[i:], den[j:]
     if not coprime:
         num, den = _zcancel(num, den)
-    c = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
+    # den first: at den = [1], math.gcd reaches 1 at once and skips num
+    c = math.gcd(*den, *num) * (1 if den[-1] > 0 else -1)
     if c != 1:
         num, den = [x // c for x in num], [x // c for x in den]
     return offset, num, den

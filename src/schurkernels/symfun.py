@@ -1,6 +1,6 @@
 """Symmetric-function evaluation: complete homogeneous and Schur
-polynomials, principal specializations, q-dimensions, the dual Cauchy
-identity and the Chebyshev bridge.
+polynomials, principal specializations, q-dimensions and the dual Cauchy
+identity.
 
 `schur_table` gives every s_lam of a rectangle in one division-free
 branching pass, exact in any scalar field and valid at repeated points; the
@@ -73,7 +73,7 @@ def _branching(rows: int, cols: int):
     # nu - e_i by slicing: a row of one box is the last row, and goes
     return tuple(parts), tuple(
         tuple((k, index[p[:i - 1] + (p[i - 1] - 1,) + p[i:] if p[i - 1] > 1 else p[:i - 1]])
-              for k, p in enumerate(parts) if pt.part(p, i) > pt.part(p, i + 1))
+              for k, p in enumerate(parts) if len(p) == i or (len(p) > i and p[i - 1] > p[i]))
         for i in range(rows, 0, -1))
 
 
@@ -121,12 +121,3 @@ def dual_cauchy_check(t: list, z: list):
         rhs = rhs + s * sz[pt.conjugate(lam)]
     return lhs, rhs
 
-
-def chebyshev_u_all(kmax: int, w) -> list:
-    """Chebyshev U_0(w)..U_kmax(w) via U_{k+1}(w) = 2w U_k(w) - U_{k-1}(w)."""
-    if kmax < 0:
-        raise ValueError("chebyshev_u_all needs kmax >= 0")
-    u = [1, 2 * w]
-    for _ in range(kmax - 1):
-        u.append(2 * w * u[-1] - u[-2])
-    return u[:kmax + 1]

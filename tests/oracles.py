@@ -24,7 +24,11 @@ against.  Each is independent of the code it checks:
                          dimension form and the alpha-shift identity, the
                          references for `schur_avg_lue`;
 * `kernel_cd_formula` -- the two-term Christoffel-Darboux formula, the
-                         reference for the sum `kernel_cd`.
+                         reference for the sum `kernel_cd`;
+* `chebyshev_u_all`   -- U_0..U_k by their recurrence, the reference for the
+                         Schur-Chebyshev bridge s_(k+j,k)(x, 1/x) = U_j;
+* `zgcd`              -- the primitive gcd in Z[u] of two coefficient lists,
+                         which the canonical-form tests of `QRat` read.
 """
 
 import math
@@ -36,7 +40,8 @@ from schurkernels.ensembles import (EnsembleSpec, OrthoSystem, moment,
                                     ortho_system, schur_avg_lue,
                                     schur_pair_avg_ginibre)
 from schurkernels.kernels import _exactify
-from schurkernels.scalars import Poly, QRat, det_exact, int_form, poch, recip
+from schurkernels.scalars import (Poly, QRat, _zcancel, _zexquo, det_exact,
+                                  int_form, poch, recip)
 from schurkernels.symfun import schur_principal, schur_table
 
 
@@ -341,3 +346,18 @@ def kernel_cd_formula(spec: EnsembleSpec, n_rank: int, x, y):
     pm, pn = monic_polys(osys)[n_rank - 1:]
     return (pn(x) * pm(y) - pm(x) * pn(y)) \
         * recip(osys.norms[n_rank - 1] * (x - y))
+
+
+def zgcd(a: list, b: list) -> list:
+    """Primitive gcd of nonzero a, b in Z[u]: a over its cofactor."""
+    return _zexquo(a, _zcancel(a, b)[0])
+
+
+def chebyshev_u_all(kmax: int, w) -> list:
+    """Chebyshev U_0(w)..U_kmax(w) via U_{k+1}(w) = 2w U_k(w) - U_{k-1}(w)."""
+    if kmax < 0:
+        raise ValueError("chebyshev_u_all needs kmax >= 0")
+    u = [1, 2 * w]
+    for _ in range(kmax - 1):
+        u.append(2 * w * u[-1] - u[-2])
+    return u[:kmax + 1]

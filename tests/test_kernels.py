@@ -10,7 +10,7 @@ from oracles import ginibre_khat_schur, kernel_cd_formula, monic_polys
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     hankel_det, ortho_system, pair_cofactors,
-                                    schur_average)
+                                    schur_average, schur_avg_oracle)
 from schurkernels.kernels import (KernelQuery, _cd_sum, _table, char_poly_schur,
                                   df_chiral_closed_n1,
                                   df_chiral_kernel, df_khat_double,
@@ -91,6 +91,17 @@ class TestTableWalk:
         # the uncached builder: a table cached by an earlier test makes no call
         table = kernels._table_cached.__wrapped__(GUE, 2, 23, "closed", 0)
         assert len(table.coeffs) == 300 and calls == []
+
+    @pytest.mark.parametrize("rows,m", [(2, 11), (4, 6), (6, 4)])
+    def test_gue_table_equals_the_andreief_oracle(self, rows, m):
+        """The domino walk on lam's rows against the Andreief determinant
+        of each mu = lam', zeros (an odd 2-core) included."""
+        from schurkernels import kernels
+        coeffs = kernels._table_cached.__wrapped__(GUE, rows, m, "closed", 0).coeffs
+        assert list(coeffs) == pt.enumerate_bounded(rows, m)
+        for lam, c in coeffs.items():
+            ref = schur_avg_oracle(GUE, pt.conjugate(lam), m)
+            assert c == ref and type(c) is F, lam
 
     @pytest.mark.parametrize("spec", WALK_SPECS,
                              ids=lambda s: f"{s.kind}-{s.alpha}-{s.beta}")
@@ -184,6 +195,10 @@ class TestSchurExpansion:
         assert khat_schur(q) == khat_cd(q) == khat_double(q) == F(-17, 192)
 
 
+# xy = (14/15)^2, (6/7)^2 and x = y, where w = -(x+y)/(2 sqrt(xy)) = -1
+CHEBYSHEV_POINTS = [(F(-7, 5), F(-28, 45)), (F(3, 7), F(12, 7)), (F(5, 3), F(5, 3))]
+
+
 class TestFourWayEquality:
     @pytest.mark.parametrize("spec", [GUE, LUE0, EnsembleSpec("lue", alpha=2),
                                       EnsembleSpec("jue", alpha=1, beta=1)])
@@ -210,6 +225,28 @@ class TestFourWayEquality:
         # x = y makes U_k(-1) = (-1)^k (k+1)
         q = KernelQuery(LUE0, 4, 1, (F(5, 3),), (F(5, 3),))
         assert k2_chebyshev(q) == khat_schur(q)
+
+    @pytest.mark.parametrize("spec", [GUE, EnsembleSpec("lue", alpha=1),
+                                      EnsembleSpec("lue", alpha=F(1, 2)),
+                                      EnsembleSpec("jue", alpha=F(7, 10), beta=F(13, 10))],
+                             ids=lambda s: f"{s.kind}-{s.alpha}-{s.beta}")
+    @pytest.mark.parametrize("nr", [24, 48, 96])
+    def test_chebyshev_integer_sum_at_kernel_size(self, spec, nr):
+        """The integer sum over the table's ints equals khat_schur in value
+        and type, at points of either sign and at x = y."""
+        for x, y in CHEBYSHEV_POINTS:
+            q = KernelQuery(spec, nr, 1, (x,), (y,))
+            a, b = k2_chebyshev(q), khat_schur(q)
+            assert a == b and type(a) is type(b) is F, (x, y)
+
+    @pytest.mark.parametrize("spec,nr", [(EnsembleSpec("sw"), 24),
+                                         (EnsembleSpec("qlue", alpha=1), 8)],
+                             ids=["sw-24", "qlue1-8"])
+    def test_chebyshev_integer_sum_on_laurent_tables(self, spec, nr):
+        for x, y in CHEBYSHEV_POINTS:
+            q = KernelQuery(spec, nr, 1, (x,), (y,))
+            a, b = k2_chebyshev(q), khat_schur(q)
+            assert a == b and type(a) is type(b) is QRat, (x, y)
 
     def test_chebyshev_rejects_nonsquare(self):
         q = KernelQuery(LUE0, 3, 1, (F(2),), (F(1),))
@@ -585,6 +622,25 @@ class TestRealParameterKernels:
             with mpmath.workdps(200):
                 err = abs(value - to_mpf(ref))
                 assert err <= abs(to_mpf(ref)) * mpmath.mpf(10) ** -49, route
+
+    @pytest.mark.parametrize("nr,x,y", [
+        (12, F(4, 9), F(9, 16)), (24, F(4, 9), F(9, 16)), (24, F(-7, 5), F(-28, 45)),
+        (24, F(5, 7), F(5, 7)), (48, F(7, 11), F(28, 11))],
+        ids=lambda v: str(v))
+    def test_real_chebyshev_keeps_every_digit_where_xy_is_positive(self, nr, x, y):
+        """k2_chebyshev on JUE alpha=0.7 beta=1.3 at 50 digits keeps 49
+        against the exact route at the mpf's own binary parameters, and
+        returns a value rounded to 50 digits, inside [0, 1], at x = y and
+        with both points negative."""
+        with mpmath.workdps(50):
+            real = EnsembleSpec("jue", alpha=mpmath.mpf("0.7"), beta=mpmath.mpf("1.3"))
+        exact = EnsembleSpec("jue", alpha=_binary(real.alpha), beta=_binary(real.beta))
+        ref = khat_schur(KernelQuery(exact, nr, 1, (x,), (y,)))
+        with mpmath.workdps(50):
+            value = k2_chebyshev(KernelQuery(real, nr, 1, (x,), (y,)))
+            assert type(value) is mpmath.mpf and +value == value
+        with mpmath.workdps(200):
+            assert abs(value - to_mpf(ref)) <= abs(to_mpf(ref)) * mpmath.mpf(10) ** -49
 
     def test_qlue_real_alpha_schur_digits_at_kernel_size(self):
         """khat_schur on qLUE alpha=0.5 q=1/3, N=12, n=1 at 50 dps keeps 45

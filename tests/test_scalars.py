@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (det_cofactor, det_leibniz, qfactorial_floor, qnum_floor,
-                     qnum_symmetric)
-from schurkernels.scalars import (Poly, QRat, _zexquo, _zgcd, _zpack, _zprim,
+                     qnum_symmetric, zgcd)
+from schurkernels.scalars import (Poly, QRat, _zexquo, _zpack, _zprim,
                                   _zunpack, barnes_g_int, binom, det_exact,
                                   double_factorial, frac_str, gamma_real,
                                   hp_close, int_adjugate, int_form,
@@ -319,7 +319,7 @@ class TestIntegerLaurentCore:
         assert all(isinstance(c, int) for c in x.num + x.den)
         assert x.den[-1] > 0 and math.gcd(*x.num, *x.den) == 1
         if x:
-            assert x.num[0] and x.den[0] and _zgcd(x.num, x.den) == [1]
+            assert x.num[0] and x.den[0] and zgcd(x.num, x.den) == [1]
 
     def test_fraction_and_integer_coefficients_agree(self):
         a = QRat(-2, [F(1, 2), F(0), F(-2, 3)], [F(3, 4), F(1, 6)])
@@ -339,7 +339,7 @@ class TestIntegerLaurentCore:
         candidate = _zunpack(math.gcd(_zpack(pa, 1), _zpack(pb, 1)), 1)
         assert candidate == [-17, 1, -17, 1]
         assert _zexquo(pa, candidate) is None
-        assert _zgcd(a, b) == [1, 0, 1]
+        assert zgcd(a, b) == [1, 0, 1]
 
     def test_cancel_fallback(self):
         # the pair of test_gcd_fallback: the product cancels (1 + u^2) found

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from schurkernels import partitions as pt
 from schurkernels.kernels import random_rationals
 from schurkernels.scalars import QRat, hp_close
-from oracles import qnum_symmetric, schur_bialternant
-from schurkernels.symfun import (chebyshev_u_all, complete_h_all, dual_cauchy_check,
+from oracles import chebyshev_u_all, qnum_symmetric, schur_bialternant
+from schurkernels.symfun import (_branching, complete_h_all, dual_cauchy_check,
                                  qdim, schur_eval, schur_principal, schur_table)
 
 F = Fraction
@@ -102,6 +102,27 @@ class TestSchurTable:
     def test_empty_point_list(self):
         assert schur_table(2, 3, []) == {lam: (1 if not lam else 0)
                                          for lam in pt.enumerate_bounded(2, 3)}
+
+
+class TestBranchingPairs:
+    @pytest.mark.parametrize("rows", range(7))
+    def test_pairs_equal_removing_a_box(self, rows):
+        """For rows i = rows..1, the pairs (nu, nu - e_i) of every nu whose
+        row i has a removable box, in the order of the enumeration."""
+        for cols in range(9):
+            parts = pt.enumerate_bounded(rows, cols)
+            index = {p: k for k, p in enumerate(parts)}
+            want = []
+            for i in range(rows, 0, -1):
+                step = []
+                for k, p in enumerate(parts):
+                    nu = list(p) + [0] * (rows - len(p))
+                    nu[i - 1] -= 1
+                    if nu[i - 1] >= 0 and (i == rows or nu[i - 1] >= nu[i]):
+                        step.append((k, index[tuple(v for v in nu if v)]))
+                want.append(tuple(step))
+            got = _branching.__wrapped__(rows, cols)
+            assert got == (tuple(parts), tuple(want)), cols
 
 
 class TestSchurPrincipal:
