@@ -4,10 +4,13 @@ the Gaussian, Laguerre, Jacobi, inverse-Jacobi, inverse-Laguerre,
 Stieltjes-Wigert, q-Laguerre and Ginibre ensembles.
 
 The LUE, JUE, qLUE and Ginibre closed forms are products of Gamma (or
-Gamma_q) ratios; each telescopes, under Gamma(z+1) = z Gamma(z) and
-Gamma_q(z+1) = |z|_q Gamma_q(z), to one finite row product
-(`_row_product`), so no Gamma is evaluated: the value is exact at every
-rational parameter (for qLUE, at every integer alpha).
+Gamma_q) ratios, which telescope under Gamma(z+1) = z Gamma(z) and
+Gamma_q(z+1) = |z|_q Gamma_q(z), so no Gamma is evaluated: the value is
+exact at every rational parameter (for qLUE, at every integer alpha).  The
+GUE, LUE and JUE averages take one `walk` down a chain of smaller
+partitions, a Weyl dimension ratio times a row step per box (a domino for
+GUE); the kernel tables take the same walk over a whole rectangle.  Real-alpha
+qLUE and Ginibre take the finite row product `_row_product`.
 
 The moments evaluate no Gamma either: each moment sequence is generated by
 the weight's own ratio m_p/m_{p-1} (`moment`), so the Andreief oracles, the
@@ -29,8 +32,8 @@ from functools import lru_cache
 import mpmath
 
 from . import partitions as pt
-from .scalars import (QRat, binom, det_exact, double_factorial, factorial,
-                      guarded, int_form, poch, qratio, recip, to_mpf)
+from .scalars import (QRat, binom, det_exact, double_factorial, guarded,
+                      int_form, poch, qratio, recip, to_mpf)
 from .symfun import _branching, qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -121,25 +124,25 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
     mass = mpmath.mpf(1) if dps else Fraction(1)
     if kind == "lue":
         if integer:
-            mass = Fraction(factorial(a))
+            mass = Fraction(math.factorial(a))
         step = lambda s: a + s
     elif kind == "jue":
         if integer:
-            mass = Fraction(factorial(a) * factorial(b), factorial(a + b + 1))
+            mass = Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1))
         step = lambda s: (a + s) * recip(a + b + 1 + s)
     elif kind == "jue_tilde":
         if not (m - p - a + b - 1 > 0):
             raise ValueError(f"jue_tilde moment diverges at p = {p}")
         if integer:
-            mass = Fraction(factorial(a) * factorial(m - a + b - 2),
-                            factorial(m + b - 1))
+            mass = Fraction(math.factorial(a) * math.factorial(m - a + b - 2),
+                            math.factorial(m + b - 1))
         step = lambda s: (a + s) * recip(m - s - a + b - 1)
     elif kind == "lue_tilde":
         at = spec.alpha_tilde
         if not (at - p - 1 > 0):
             raise ValueError(f"lue_tilde moment diverges at p = {p}")
         if integer:
-            mass = Fraction(factorial(at - 2))
+            mass = Fraction(math.factorial(at - 2))
         step = lambda s: recip(at - s - 1)
     elif kind == "qlue":
         if integer:
@@ -374,50 +377,68 @@ def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
 # closed-form Schur averages
 # ----------------------------------------------------------------------------
 
-def schur_avg_gue(mu, m: int) -> Fraction:
-    """GUE Schur average, via the parity-block evaluation of the moment
-    determinant (Di Francesco-Itzykson type formula).
+def walk(lams, step) -> dict:
+    """<s_lam'> for each lam of lams, {(): 1} and those lams as a dict.
+    step(lam) is None when <s_lam'> is 0, else (nu, num, den) with
+    <s_lam'> = <s_nu'> num / den for a smaller nu; each lam steps down until
+    it reaches a nu already made, multiplies num and den along that chain
+    and makes one Fraction (on the reals, one product).  A graded list from
+    () takes one step per lam; a single lam walks down to ()."""
+    out = {(): Fraction(1)}
+    for lam in lams:
+        nu, num, den = lam, 1, 1
+        while nu not in out:
+            s = step(nu)
+            if s is None:
+                out[lam] = Fraction(0)
+                break
+            nu, num, den = s[0], num * s[1], den * s[2]
+        else:
+            p = out[nu]
+            out[lam] = (Fraction(p.numerator * num, p.denominator * den)
+                        if isinstance(num, int) else p * num / den)
+    return out
 
-    With L = l(mu) padded to even length and l_j = mu_j + L - j, the average
-    is c(mu) * s_mu(1^m) where c(mu) collects double factorials of the l_j,
-    plain products of cross-parity differences, and the explicit signs of
-    the row/column permutations that split the determinant into its even
-    and odd moment blocks.  Vanishes when |mu| is odd or the parity counts
-    of the l_j are unbalanced.
-    """
+
+def _walk_average(mu, m: int, step):
+    """<s_mu> by `walk` on lam = mu' alone; 0 when l(mu) > m."""
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
-    if sum(mu) % 2:
-        return Fraction(0)
-    big_l = len(mu) + (len(mu) % 2)
-    if big_l == 0:
-        return Fraction(1)
-    l = [pt.part(mu, j) + big_l - j for j in range(1, big_l + 1)]
-    l0 = [big_l - j for j in range(1, big_l + 1)]
-    c_mu = _gue_block_coeff(l)
-    c_0 = _gue_block_coeff(l0)
-    if c_mu is None or c_0 is None:
-        return Fraction(0)
-    return (c_mu / c_0) * schur_principal(mu, m)
+    lam = pt.conjugate(mu)
+    return walk([lam], step)[lam]
 
 
-def _gue_block_coeff(l: list) -> Fraction | None:
-    if 2 * sum(x % 2 for x in l) != len(l):
-        return None
-    # sign of moving even-l rows in front of odd-l rows, order preserved
-    inv = 0
-    seen_odd = 0
-    for x in l:
-        if x % 2:
-            seen_odd += 1
-        else:
-            inv += seen_odd
-    sign = -1 if inv % 2 else 1
-    # (x)!! at odd x, (x - 1)!! at even x; the cross-parity differences
-    num = math.prod(double_factorial(x - 1 + x % 2) for x in l)
-    cross = math.prod(a - b for i, a in enumerate(l) for b in l[i + 1:] if (a - b) % 2)
-    return Fraction(sign * num, cross)
+def _gue_step(m: int):
+    """The GUE `walk` step: lam minus a domino.  The holes
+    g_i = m - 1 + i - lam_i, i <= l = l(lam), are the complement in [0, T],
+    T = m + l - 1, of the beads mu_j + m - j, j <= m, of mu = lam'.  <s_mu>
+    is 0 unless the beads have the parity counts of those of () (an empty
+    2-core); else the largest bead x with x - 2 a hole gives nu = mu minus
+    that domino (lam minus a domino in row i, or in rows i and i + 1 when
+    x - 1 is a hole), and the parity-block evaluation of the moment
+    determinant (Di Francesco-Itzykson) and the Weyl dimensions give, over
+    the beads y != x of the parity of x,
+        <s_mu> = <s_nu> (-1)^[x-1 a bead] (x - 1 + x % 2) prod (x - y)/(x - 2 - y).
+    Over all y of that parity in [0, T] the product is x // 2 / ((T - x) // 2 + 1),
+    so only the holes are divided out: O(l) integer factors."""
+    def step(lam):
+        l = len(lam)
+        g = [m - 1 + i - p for i, p in enumerate(lam, 1)]
+        if (m + l) // 2 - sum(v % 2 for v in g) != m // 2:
+            return None
+        g += (m + l, m + l + 1)  # the holes of two empty rows end the scan for x
+        i = next(i for i in range(l - 1, -1, -1) if g[i] + 2 not in g[i + 1:i + 3])
+        x, two_rows = g[i] + 2, g[i + 1] == g[i] + 1
+        num, den = x * (x - 1) // 2, (m + l - 1 - x) // 2 + 1
+        for v in g[:l]:
+            if v != x - 2 and (x - v) % 2 == 0:
+                num, den = num * (x - 2 - v), den * (x - v)
+        p = [*lam, 0]
+        p[i] -= 1 if two_rows else 2
+        p[i + 1] -= two_rows
+        return tuple(filter(None, p)), num if two_rows else -num, den
+    return step
 
 
 def _row_product(mu, m: int, step):
@@ -431,10 +452,16 @@ def _row_product(mu, m: int, step):
 
 
 def _row_step(m: int, alpha, beta=None):
-    """(up, down), linear in p, with up(p) / down(p) the LUE row step alpha+p
-    (beta None) or the JUE one (alpha+p)/(alpha+beta+m+p): ints at exact
-    parameters, reals if either is real (Fraction / mpf is undefined).  Read
-    by the LUE and JUE averages and the expansion-table walk."""
+    """The LUE (beta None) or JUE `walk` step: lam - e_t, t the multiplicity
+    of r = lam_1.  With mu = lam', y = t + m - r and l_k = mu_k + m - k, the
+    Weyl dimension ratio of mu over mu - e_r (Macdonald I.3 Ex. 1) times the
+    row step up(y)/down(y), alpha + y or (alpha + y)/(alpha + beta + m + y),
+        <s_mu> = <s_nu> y/t prod_{k<r} (l_k - y)/(l_k - y + 1) up(y)/down(y).
+    The product telescopes over each run mu_k = c (lam_(c+1) < k <= lam_c)
+    to prod_{c>=t} (d_c - lam_c)/(d_c - lam_(c+1)), d_c = c - t + r, with
+    lam_t read as r - 1 and lam_(l+1) = 0: O(l(lam)) integer factors on
+    lam's own rows, times up(y) and down(y) last: ints at exact parameters,
+    reals if either is real (Fraction / mpf is undefined)."""
     if isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
         a = to_mpf(alpha)
         u, v = (a, 1), (1, 0) if beta is None else (a + to_mpf(beta) + m, 1)
@@ -442,32 +469,38 @@ def _row_step(m: int, alpha, beta=None):
         (a, b), (c, d) = alpha.as_integer_ratio(), (beta or 0).as_integer_ratio()
         u = (a * d, b * d)
         v = (b, 0) if beta is None else (a * d + b * c + b * d * m, b * d)
-    return (lambda p: u[0] + u[1] * p), (lambda p: v[0] + v[1] * p)
+
+    def step(lam):
+        r, t = lam[0], lam.count(lam[0])
+        row, y = (0, *lam[:t - 1], r - 1, *lam[t:], 0), t + m - r
+        num, den = y, t
+        for c in range(t, len(lam) + 1):
+            num, den = num * (c - t + r - row[c]), den * (c - t + r - row[c + 1])
+        return (row[1:-1] if r > 1 else lam[:-1], num * (u[0] + u[1] * y),
+                den * (v[0] + v[1] * y))
+    return step
 
 
-def _row_ratio(mu, m: int, alpha, beta=None):
-    """s_mu(1^m) times the row products of `_row_step`, one division."""
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return Fraction(0)
-    up, down = _row_step(m, alpha, beta)
-    return schur_principal(mu, m) * _row_product(mu, m, up) / _row_product(mu, m, down)
+def schur_avg_gue(mu, m: int) -> Fraction:
+    """GUE Schur average by the domino `walk` of `_gue_step`: 0 when |mu| is
+    odd or the 2-core of mu is not empty."""
+    return _walk_average(mu, m, _gue_step(m))
 
 
 def schur_avg_lue(mu, m: int, alpha):
     """LUE: s_mu(1^m) prod_j Gamma(alpha+mu_j+m+1-j)/Gamma(alpha+m+1-j),
-    the row product of alpha+p: exact for any exact alpha and a
-    high-precision real otherwise."""
-    return _row_ratio(mu, m, alpha)
+    by the one-box `walk` of `_row_step` (row step alpha+p): exact for any
+    exact alpha and a high-precision real otherwise."""
+    return _walk_average(mu, m, _row_step(m, alpha))
 
 
 def schur_avg_jue(mu, m: int, alpha, beta):
     """JUE: s_mu(1^m) prod_j G(mu_j-j+a+m+1) G(a+b+2m+1-j)
-    / (G(mu_j-j+a+b+2m+1) G(a+m+1-j)), the ratio of the row products of
-    a+p and a+b+m+p.  At integer parameters it is the dimension ratio
-    s_mu(1^m) s_mu(1^(a+m)) / s_mu(1^(a+b+2m)); it is exact at every
+    / (G(mu_j-j+a+b+2m+1) G(a+m+1-j)), by the one-box `walk` of `_row_step`
+    (row step (a+p)/(a+b+m+p)).  At integer parameters it is the dimension
+    ratio s_mu(1^m) s_mu(1^(a+m)) / s_mu(1^(a+b+2m)); it is exact at every
     rational a, b and a high-precision real otherwise."""
-    return _row_ratio(mu, m, alpha, beta)
+    return _walk_average(mu, m, _row_step(m, alpha, beta))
 
 
 def schur_avg_jue_tilde(mu, m: int, alpha: int, beta: int):

@@ -26,11 +26,11 @@ from types import MappingProxyType
 import mpmath
 
 from . import partitions as pt
-from .ensembles import (EnsembleSpec, OrthoSystem, _row_step, field_key,
-                        moment, ortho_system, pair_cofactors, schur_average)
-from .scalars import (Poly, binom, det_exact, factorial, gamma_real, guarded,
-                      int_form, mat_inverse_exact, over, rational_sqrt, recip,
-                      to_mpf)
+from .ensembles import (EnsembleSpec, OrthoSystem, _gue_step, _row_step,
+                        field_key, moment, ortho_system, pair_cofactors,
+                        schur_average, walk)
+from .scalars import (Poly, binom, det_exact, gamma_real, guarded, int_form,
+                      mat_inverse_exact, over, rational_sqrt, recip, to_mpf)
 from .symfun import _branching, schur_table, schur_values
 
 
@@ -123,71 +123,13 @@ def _table(spec: EnsembleSpec, rows: int, m: int, method: str = "closed") -> Ker
 @lru_cache(maxsize=128)
 def _table_cached(spec, rows: int, m: int, method: str, dps: int) -> KernelExpansion:
     parts = _branching(rows, m)[0]
-    if spec.kind in ("lue", "jue") and method == "closed":
-        coeffs = _walk_table(parts, m, *_row_step(m, spec.alpha, spec.beta))
-    elif spec.kind == "gue" and method == "closed":
-        coeffs = _gue_table(parts, m)
+    if spec.kind in ("gue", "lue", "jue") and method == "closed":
+        # the graded rectangle: each lam takes one step from its parent
+        coeffs = walk(parts, _gue_step(m) if spec.kind == "gue"
+                      else _row_step(m, spec.alpha, spec.beta))
     else:
         coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method) for lam in parts}
     return KernelExpansion(rows, m, MappingProxyType(coeffs), int_form(list(coeffs.values())))
-
-
-def _walk_table(parts, m: int, up, down) -> dict:
-    """<s_lam'> for every lam of parts (graded, from ()) out of its parent
-    lam - e_t, t the multiplicity of r = lam_1: with mu = lam', y = t + m - r
-    and l_k = mu_k + m - k, the Weyl dimension ratio of mu over mu - e_r
-    (Macdonald I.3 Ex. 1) times the row step of `_row_step`,
-        c_mu = c_nu y/t prod_{k<r} (l_k - y)/(l_k - y + 1) up(y)/down(y).
-    The product telescopes over each run mu_k = c (lam_(c+1) < k <= lam_c)
-    to prod_{c>=t} (d_c - lam_c)/(d_c - lam_(c+1)), d_c = c - t + r, with
-    lam_t read as r - 1 and lam_(l+1) = 0: O(l(lam)) integer factors on
-    lam's own rows.  On exact fields each lam makes one Fraction."""
-    out = {(): Fraction(1)}
-    for lam in parts[1:]:
-        r, t = lam[0], lam.count(lam[0])
-        row, y = (0, *lam[:t - 1], r - 1, *lam[t:], 0), t + m - r
-        num, den = y * up(y), t * down(y)
-        for c in range(t, len(lam) + 1):
-            num, den = num * (c - t + r - row[c]), den * (c - t + r - row[c + 1])
-        p = out[row[1:-1] if r > 1 else lam[:-1]]
-        out[lam] = (Fraction(p.numerator * num, p.denominator * den) if isinstance(num, int)
-                    else p * num / den)
-    return out
-
-
-def _gue_table(parts, m: int) -> dict:
-    """The GUE <s_lam'> by a domino walk on lam's own rows.  The holes
-    g_i = m - 1 + i - lam_i, i <= l = l(lam), are the complement in [0, T],
-    T = m + l - 1, of the beads mu_j + m - j, j <= m, of mu = lam'.  <s_mu>
-    is 0 unless the beads have the parity counts of those of () (an empty
-    2-core); else the largest bead x with x - 2 a hole gives nu = mu minus
-    that domino (lam minus a domino in row i, or in rows i and i + 1 when
-    x - 1 is a hole), and the parity-block coefficients and Weyl dimensions
-    of `schur_avg_gue` give, over the beads y != x of the parity of x,
-        <s_mu> = <s_nu> (-1)^[x-1 a bead] (x - 1 + x % 2) prod (x - y)/(x - 2 - y).
-    Over all y of that parity in [0, T] the product is x // 2 / ((T - x) // 2 + 1),
-    so only the holes are divided out: O(l) factors, one Fraction per lam."""
-    out = {(): Fraction(1)}
-    for lam in parts[1:]:
-        l = len(lam)
-        g = [m - 1 + i - p for i, p in enumerate(lam, 1)]
-        if (m + l) // 2 - sum(v % 2 for v in g) != m // 2:
-            out[lam] = Fraction(0)
-            continue
-        g += (m + l, m + l + 1)  # the holes of two empty rows end the scan for x
-        i = next(i for i in range(l - 1, -1, -1) if g[i] + 2 not in g[i + 1:i + 3])
-        x, two_rows = g[i] + 2, g[i + 1] == g[i] + 1
-        num, den = x * (x - 1) // 2, (m + l - 1 - x) // 2 + 1
-        for v in g[:l]:
-            if v != x - 2 and (x - v) % 2 == 0:
-                num, den = num * (x - 2 - v), den * (x - v)
-        p = [*lam, 0]
-        p[i] -= 1 if two_rows else 2
-        p[i + 1] -= two_rows
-        c = out[tuple(filter(None, p))]
-        out[lam] = Fraction(c.numerator * num if two_rows else -c.numerator * num,
-                            c.denominator * den)
-    return out
 
 
 def char_poly_schur(spec: EnsembleSpec, m: int, k: int) -> Poly:
@@ -343,15 +285,15 @@ def ginibre_kernel(n_rank: int, x, ybar):
     xy = _exactify(x) * _exactify(ybar)
     if not xy:
         raise ValueError("ginibre kernel needs x*ybar != 0")
-    total = sum(xy ** (j - n_rank + 1) * Fraction(1, factorial(j)) for j in range(n_rank))
-    return factorial(n_rank - 1) * total
+    total = sum(xy ** (j - n_rank + 1) * Fraction(1, math.factorial(j)) for j in range(n_rank))
+    return math.factorial(n_rank - 1) * total
 
 
 def real_ginibre_kernel(n_rank: int, x, y):
     """Real Ginibre: K_N(x,y) = (x-y) (N-1)! sum_j (xy)^j / j!."""
     x, y = _exactify(x), _exactify(y)
-    total = sum((x * y) ** j * Fraction(1, factorial(j)) for j in range(n_rank))
-    return (x - y) * factorial(n_rank - 1) * total
+    total = sum((x * y) ** j * Fraction(1, math.factorial(j)) for j in range(n_rank))
+    return (x - y) * math.factorial(n_rank - 1) * total
 
 
 def df_chiral_kernel(n_rank: int, n_pairs: int, xs, alpha, beta, gamma=1):
@@ -427,7 +369,7 @@ def selberg_je_partition(m: int, alpha, beta, gamma):
                                / [G(a+b+2+(M+j-1)g) G(1+g)] .
     """
     a, b, g = to_mpf(alpha), to_mpf(beta), to_mpf(gamma)
-    zje = mpmath.mpf(1) / factorial(m)
+    zje = mpmath.mpf(1) / math.factorial(m)
     for j in range(m):
         zje *= (gamma_real(a + 1 + g * j) * gamma_real(b + 1 + g * j)
                 * gamma_real(1 + (j + 1) * g)

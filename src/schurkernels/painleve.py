@@ -8,14 +8,14 @@ The Schur sides are the averages <det(x + Z)^2n> of `kernels.char_poly_schur`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ensembles import (EnsembleSpec, char_poly_moment_det,
                         char_poly_moment_oracle, hankel_det)
 from .kernels import char_poly_schur
-from .scalars import (Poly, QRat, barnes_g_int, binom, det_exact, factorial,
-                      qratio)
+from .scalars import Poly, QRat, barnes_g_int, binom, det_exact, qratio
 from .symfun import schur_principal
 
 
@@ -23,7 +23,7 @@ def laguerre_poly(k: int, alpha: int) -> Poly:
     """Generalized Laguerre L_k^(alpha)(x) = sum_i (-1)^i C(k+a, k-i) x^i / i!."""
     if k < 0:
         raise ValueError("laguerre_poly needs k >= 0")
-    coeffs = [Fraction((-1) ** i * binom(k + alpha, k - i), factorial(i))
+    coeffs = [Fraction((-1) ** i * binom(k + alpha, k - i), math.factorial(i))
               for i in range(k + 1)]
     return Poly(coeffs)
 
@@ -49,7 +49,7 @@ class ExpSeries:
         c = Fraction(0)
         for mdeg, pm in enumerate(self.poly.coeffs):
             if pm and mdeg <= k:
-                c += pm * self.rate ** (k - mdeg) / factorial(k - mdeg)
+                c += pm * self.rate ** (k - mdeg) / math.factorial(k - mdeg)
         return c
 
     def __eq__(self, other):

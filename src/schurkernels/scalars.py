@@ -77,10 +77,6 @@ def to_mpf(x):
     return mpmath.mpf(x)
 
 
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def binom(n: int, k: int) -> int:
     if k < 0:
         return 0
@@ -448,6 +444,8 @@ class QRat:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
+        if len(self.num) == len(self.den) == 1:  # u^offset c/d: one object
+            return QRat._raw(self.offset * k, [self.num[0] ** k], [self.den[0] ** k], True)
         return _binpow(self, k, QRat.const(1))
 
     def __eq__(self, other):
@@ -662,11 +660,11 @@ def det_exact(matrix):
         return _det_qrat(matrix)
     if kinds == {"poly"}:
         return _bareiss([[Poly._coerce(x) for x in row] for row in matrix], operator.truediv)
-    rows = [int_form(row) for row in matrix]
-    d = _bareiss([list(z) for z, _ in rows], operator.floordiv)
     if all(isinstance(x, int) for row in matrix for x in row):
-        return d
-    return Fraction(d, math.prod(lcd for _, lcd in rows))
+        return _bareiss([list(row) for row in matrix], operator.floordiv)
+    rows = [int_form(row) for row in matrix]
+    return Fraction(_bareiss([list(z) for z, _ in rows], operator.floordiv),
+                    math.prod(lcd for _, lcd in rows))
 
 
 def _bareiss(m, div):

@@ -8,10 +8,11 @@ gamma, delta nonnegative integers (the exact regime; z_0 = 1).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import binom, det_exact, factorial, mat_inverse_exact, poch
+from .scalars import binom, det_exact, mat_inverse_exact, poch
 
 
 def fh_coeff(gamma: int, delta: int, k: int) -> Fraction:
@@ -62,7 +63,7 @@ def toeplitz_inverse_closed(gamma: int, delta: int, m: int):
     for j in range(1, m + 1):
         for k in range(1, m + 1):
             pref = Fraction(poch(j, gamma) * poch(k, delta))
-            s = sum((Fraction(factorial(r - 1), factorial(gamma + delta + r - 1))
+            s = sum((Fraction(math.factorial(r - 1), math.factorial(gamma + delta + r - 1))
                      * binom(gamma + r - k - 1, r - k) * binom(delta + r - j - 1, r - j)
                      for r in range(max(j, k), m + 1)), Fraction(0))
             out[j - 1][k - 1] = pref * s
@@ -91,7 +92,7 @@ def duduchava_roch_check(gamma: int, delta: int, m: int) -> bool:
 
     dsum = _diag_m(gamma + delta, m)
     dg, dd = _diag_m(gamma, m), _diag_m(delta, m)
-    c = Fraction(factorial(gamma) * factorial(delta), factorial(gamma + delta))
+    c = Fraction(math.factorial(gamma) * math.factorial(delta), math.factorial(gamma + delta))
     for j in range(1, m + 1):
         for k in range(1, m + 1):
             lhs = sum(lower(j, r) * dsum[r - 1] * upper(r, k)

@@ -23,6 +23,9 @@ against.  Each is independent of the code it checks:
 * `schur_avg_lue_int_form`, `lue_alpha_shift_pair` -- the integer-alpha LUE
                          dimension form and the alpha-shift identity, the
                          references for `schur_avg_lue`;
+* `schur_avg_row_products`, `schur_avg_gue_blocks` -- the per-partition
+                         product forms of the LUE/JUE and GUE averages, the
+                         references for the walks of `ensembles.walk`;
 * `kernel_cd_formula` -- the two-term Christoffel-Darboux formula, the
                          reference for the sum `kernel_cd`;
 * `chebyshev_u_all`   -- U_0..U_k by their recurrence, the reference for the
@@ -35,13 +38,16 @@ import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
+import mpmath
+
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, OrthoSystem, moment,
                                     ortho_system, schur_avg_lue,
                                     schur_pair_avg_ginibre)
 from schurkernels.kernels import _exactify
 from schurkernels.scalars import (Poly, QRat, _zcancel, _zexquo, det_exact,
-                                  int_form, poch, recip)
+                                  double_factorial, int_form, poch, recip,
+                                  to_mpf)
 from schurkernels.symfun import schur_principal, schur_table
 
 
@@ -316,6 +322,52 @@ def schur_avg_lue_int_form(mu, m: int, alpha: int):
     for j in range(1, m + 1):
         r = r * poch(m + 1 - j, pt.part(mu, j))
     return r
+
+
+def schur_avg_row_products(mu, m: int, alpha, beta=None):
+    """LUE (beta None) or JUE <s_mu> as the hook-content s_mu(1^m) times the
+    Gamma ratios of the closed forms telescoped row by row:
+    prod_j prod_{p=m-j+1}^{mu_j+m-j} (alpha+p), over the same product of
+    alpha+beta+m+p for JUE, one division.  Reals if either parameter is."""
+    mu = pt.canonical(mu)
+    if len(mu) > m:
+        return Fraction(0)
+    if isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
+        alpha, beta = to_mpf(alpha), None if beta is None else to_mpf(beta)
+    rows = [p for j in range(1, m + 1) for p in range(m - j + 1, pt.part(mu, j) + m - j + 1)]
+    den = 1 if beta is None else math.prod(alpha + beta + m + p for p in rows)
+    return schur_principal(mu, m) * math.prod(alpha + p for p in rows) / den
+
+
+def schur_avg_gue_blocks(mu, m: int) -> Fraction:
+    """GUE <s_mu> by the parity-block evaluation of the moment determinant
+    (Di Francesco-Itzykson type formula).  With L = l(mu) padded to even
+    length and l_j = mu_j + L - j, the average is c(l) / c(l at mu = ())
+    times s_mu(1^m), where c collects double factorials of the l_j, plain
+    products of cross-parity differences, and the sign of the row and column
+    permutations that split the determinant into its even and odd moment
+    blocks.  It vanishes when |mu| is odd or the parity counts of the l_j
+    are unbalanced."""
+    mu = pt.canonical(mu)
+    if len(mu) > m or sum(mu) % 2:
+        return Fraction(0)
+
+    def block_coeff(l):
+        if 2 * sum(x % 2 for x in l) != len(l):
+            return None
+        # sign of moving even-l rows in front of odd-l rows, order preserved
+        inv = sum(sum(y % 2 for y in l[:i]) for i, x in enumerate(l) if x % 2 == 0)
+        # (x)!! at odd x, (x - 1)!! at even x; the cross-parity differences
+        num = math.prod(double_factorial(x - 1 + x % 2) for x in l)
+        cross = math.prod(a - b for i, a in enumerate(l) for b in l[i + 1:] if (a - b) % 2)
+        return Fraction((-1) ** inv * num, cross)
+
+    big_l = len(mu) + len(mu) % 2
+    c_mu = block_coeff([pt.part(mu, j) + big_l - j for j in range(1, big_l + 1)])
+    c_0 = block_coeff(list(range(big_l - 1, -1, -1)))
+    if c_mu is None or c_0 is None:
+        return Fraction(0)
+    return (c_mu / c_0) * schur_principal(mu, m)
 
 
 def lue_alpha_shift_pair(mu, m: int, alpha: int):

@@ -10,7 +10,8 @@ import pytest
 
 from oracles import (chebyshev_algorithm, lue_alpha_shift_pair, monic_polys,
                      ortho_gram_schmidt, qnum_floor, schur_avg_bruteforce,
-                     schur_avg_lue_int_form, schur_pair_avg_bruteforce)
+                     schur_avg_gue_blocks, schur_avg_lue_int_form,
+                     schur_avg_row_products, schur_pair_avg_bruteforce)
 from schurkernels import ensembles
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
@@ -472,6 +473,45 @@ class TestClosedForms:
 
     def test_jue_example(self):
         assert schur_avg_jue((1,), 1, 0, 0) == F(1, 2)
+
+    def test_walks_equal_the_product_forms(self):
+        """The single-partition walks against the per-partition product
+        forms: the GUE parity blocks, and the hook-content dimension times
+        the LUE/JUE row products; == and type Fraction."""
+        lue = (0, 1, F(1, 2), F(9, 4))
+        jue = ((1, 2), (F(7, 10), F(13, 10)), (F(-1, 2), F(15, 4)))
+        for m in range(1, 7):
+            for mu in pt.enumerate_bounded(min(m, 4), 4):
+                pairs = [(schur_avg_gue(mu, m), schur_avg_gue_blocks(mu, m))]
+                pairs += [(schur_avg_lue(mu, m, a), schur_avg_row_products(mu, m, a)) for a in lue]
+                pairs += [(schur_avg_jue(mu, m, a, b), schur_avg_row_products(mu, m, a, b))
+                          for a, b in jue]
+                for v, ref in pairs:
+                    assert v == ref and type(v) is F, (mu, m)
+
+    @pytest.mark.parametrize("mu", [(4, 3, 3, 2), (5, 5, 2, 2, 1, 1)])
+    @pytest.mark.parametrize("spec", [GUE, EnsembleSpec("lue", alpha=F(1, 2)), JUE_7_13],
+                             ids=lambda s: f"{s.kind}-{s.alpha}-{s.beta}")
+    def test_walk_to_the_empty_partition_equals_the_andreief_oracle(self, spec, mu):
+        """One average walks lam = mu' alone down to (), with no table built
+        (mu' = (6, 4, 2, 2, 2) has five rows); at M = 8 it equals the
+        Andreief determinant ratio under ==."""
+        v = schur_average(spec, mu, 8)
+        assert v == schur_avg_oracle(spec, mu, 8) and type(v) is F and v
+
+    @pytest.mark.parametrize("params", [{"alpha": "0.5"}, {"alpha": "0.7", "beta": "1.3"}],
+                             ids=str)
+    def test_real_walk_keeps_every_digit(self, params):
+        """Real LUE/JUE averages at 50 digits are within 1e-48 (relative) of
+        the product form at 120 digits, both at the parameters' own binary
+        values."""
+        kind = "jue" if "beta" in params else "lue"
+        spec = EnsembleSpec(kind, **{k: mpmath.mpf(v) for k, v in params.items()})
+        for m, mu in ((4, (3, 3, 2)), (8, (4, 3, 3, 2)), (8, (5, 5, 2, 2, 1, 1))):
+            v = schur_average(spec, mu, m)
+            with mpmath.workdps(120):
+                ref = schur_avg_row_products(mu, m, spec.alpha, spec.beta)
+                assert abs(v - ref) <= abs(ref) * mpmath.mpf(10) ** -48, (m, mu)
 
     def test_jue_gamma_form_matches_integer(self):
         """At integer parameters the telescoped Gamma form is the dimension

@@ -6,7 +6,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from oracles import ginibre_khat_schur, kernel_cd_formula, monic_polys
+from oracles import (ginibre_khat_schur, kernel_cd_formula, monic_polys,
+                     schur_avg_gue_blocks, schur_avg_row_products)
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     hankel_det, ortho_system, pair_cofactors,
@@ -68,15 +69,23 @@ WALK_SPECS = ([EnsembleSpec("lue", alpha=a) for a in (0, 1, 2, F(1, 2), F(7, 10)
               + [GUE])
 
 
+def _product_form(spec, mu, m):
+    """<s_mu> by the per-partition product form of `oracles`, not the walk."""
+    if spec.kind == "gue":
+        return schur_avg_gue_blocks(mu, m)
+    return schur_avg_row_products(mu, m, spec.alpha, spec.beta)
+
+
 def _per_lam(spec, nr, n):
-    return {lam: schur_average(spec, pt.conjugate(lam), nr - n)
+    return {lam: _product_form(spec, pt.conjugate(lam), nr - n)
             for lam in pt.enumerate_bounded(2 * n, nr - n)}
 
 
 class TestTableWalk:
     """The LUE/JUE tables, built coefficient by coefficient from the parent
     mu - e_r, and the GUE table, from the parent mu minus a domino, equal the
-    per-partition closed forms."""
+    per-partition product forms of `oracles` (hook-content dimension times
+    row products; the GUE parity blocks)."""
 
     def test_gue_table_makes_no_per_partition_average(self, monkeypatch):
         from schurkernels import ensembles, kernels
@@ -141,12 +150,12 @@ class TestTableWalk:
     def test_walk_on_rows_where_the_first_part_repeats(self, spec, rows, m):
         """The walk takes lam from lam - e_t, t the multiplicity of lam_1, and
         telescopes the Weyl ratio over each run of equal parts; it equals
-        the per-lam closed forms under == and in type, and to 45 digits at
+        the per-lam product forms under == and in type, and to 45 digits at
         mpf parameters (both at 50 digits)."""
         coeffs = _table(spec, rows, m).coeffs
         assert list(coeffs) == pt.enumerate_bounded(rows, m)
         for lam in list(coeffs)[1:]:
-            c, ref = coeffs[lam], schur_average(spec, pt.conjugate(lam), m)
+            c, ref = coeffs[lam], _product_form(spec, pt.conjugate(lam), m)
             if isinstance(ref, F):
                 assert c == ref and type(c) is F, lam
             else:
