@@ -19,8 +19,8 @@ from schurkernels.scalars import DEFAULT_DPS, parse_number, rational_sqrt
 
 
 def number(s: str):
-    """An int, a "p/q" Fraction or a decimal real at the working precision,
-    as the CLI parses it."""
+    """An int, or the exact Fraction of a "p/q" or decimal string, as the CLI
+    parses it."""
     return parse_number(s)
 
 

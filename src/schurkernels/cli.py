@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Numeric flags are parsed as exact integers, "p/q" rationals, or decimal
-strings promoted to high-precision reals -- never binary floats.  Output is
-deterministic JSON (rationals as "p/q" strings, q-objects as Laurent data,
-reals as decimal strings with an explicit precision field); `--format csv`
-emits flat key,value rows.  The default precision comes from the
+strings read as their exact rationals -- never binary floats -- so every
+ensemble that is exact at rational parameters runs its exact route at a
+decimal too.  Output is deterministic JSON (rationals as "p/q" strings,
+q-objects as Laurent data, reals as decimal strings with an explicit
+precision field); when any typed number is a decimal, an exact rational
+result is rounded once to the precision and printed as a real.  `--format
+csv` emits flat key,value rows.  The default precision comes from the
 SCHURKERNELS_PRECISION environment variable (50 digits if unset); the root
 group sets it once, as the mpmath working precision of every command.  Bad
 input exits with code 2 (usage) or 1 (no result) and a one-line message.
@@ -25,18 +28,28 @@ from .heat_kernel import auto_terms, heat_kernel_closed, heat_kernel_sum
 from .kernels import (KernelQuery, expansion_table, k2_chebyshev, khat_cd,
                       khat_double, khat_schur)
 from .painleve import b_coeffs, f2n_zero
-from .scalars import DEFAULT_DPS, QRat, frac_str, hpreal_json, parse_number
+from .scalars import (DEFAULT_DPS, QRat, frac_str, hpreal_json, parse_number,
+                      rational_sqrt, to_mpf)
 from .toeplitz_fh import duduchava_roch_check, toeplitz_inverse_exact
 from .verify import SUITES, run_suite
 
 
 def parse_numbers(values) -> tuple:
-    """parse_number at the working precision over each string, a parse
-    failure as a usage error."""
+    """parse_number over each string, a parse failure as a usage error.  A
+    decimal among them marks the command's output to be rounded once
+    (`serialize`)."""
     try:
-        return tuple(map(parse_number, values))
+        out = tuple(map(parse_number, values))
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    if any(map(_is_decimal, values, out)):
+        click.get_current_context().meta["decimal"] = True
+    return out
+
+
+def _is_decimal(s: str, v) -> bool:
+    """s was typed as a decimal: it parsed to a non-int without a "/"."""
+    return "/" not in s and not isinstance(v, int)
 
 
 def parse_partition(s: str):
@@ -50,6 +63,8 @@ def parse_partition(s: str):
 
 def serialize(v):
     if isinstance(v, (int, Fraction)):
+        if click.get_current_context().meta.get("decimal"):
+            return hpreal_json(to_mpf(v))
         return frac_str(v)
     if isinstance(v, QRat):
         return v.to_json()
@@ -79,10 +94,10 @@ def _flatten(obj, prefix=""):
 
 def build_spec(ensemble, alpha, beta, alpha_tilde, q, m) -> EnsembleSpec:
     kind = ensemble.replace("-", "_").lower()
+    given = {key: v for key, v in (("alpha", alpha), ("beta", beta),
+                                   ("alpha_tilde", alpha_tilde), ("q", q)) if v is not None}
+    kwargs = dict(zip(given, parse_numbers(list(given.values()))))
     try:
-        kwargs = {key: parse_number(v) for key, v in
-                  (("alpha", alpha), ("beta", beta), ("alpha_tilde", alpha_tilde),
-                   ("q", q)) if v is not None}
         if kind == "jue_tilde":
             kwargs["m"] = m
         return EnsembleSpec(kind, **kwargs)
@@ -189,7 +204,12 @@ def kernel_eval(ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs, x, y,
         raise click.UsageError("--N must be greater than --n")
     spec = build_spec(ensemble, alpha, beta, alpha_tilde, q, n_rank - n_pairs)
     xs, ys = parse_numbers(x.split(",")), parse_numbers(y.split(","))
+    if (method == "chebyshev" and click.get_current_context().meta.get("decimal")
+            and rational_sqrt(xs[0] * ys[0]) is None):  # sqrt(xy) is irrational: run on reals
+        xs, ys = tuple(map(to_mpf, xs)), tuple(map(to_mpf, ys))
     query = KernelQuery(spec, n_rank, n_pairs, xs, ys)
+    if query.q_exact and any(map(_is_decimal, f"{x},{y}".split(","), xs + ys)):
+        raise ValueError("an exact q-ensemble needs rational points")
     fn = {"schur": khat_schur, "double": khat_double, "cd": khat_cd,
           "chebyshev": k2_chebyshev}[method]
     emit({"khat": serialize(fn(query))}, fmt)

@@ -9,8 +9,9 @@ Gamma_q(z+1) = |z|_q Gamma_q(z), so no Gamma is evaluated: the value is
 exact at every rational parameter (for qLUE, at every integer alpha).  The
 GUE, LUE and JUE averages take one `walk` down a chain of smaller
 partitions, a Weyl dimension ratio times a row step per box (a domino for
-GUE); the kernel tables take the same walk over a whole rectangle.  Real-alpha
-qLUE and Ginibre take the finite row product `_row_product`.
+GUE); the kernel tables take the same walk over a whole rectangle.
+Real-alpha qLUE takes its row factors on integers, times the one real power
+q^-alpha.
 
 The moments evaluate no Gamma either: each moment sequence is generated by
 the weight's own ratio m_p/m_{p-1} (`moment`), so the Andreief oracles, the
@@ -33,7 +34,7 @@ import mpmath
 
 from . import partitions as pt
 from .scalars import (QRat, binom, det_exact, double_factorial, guarded,
-                      int_form, poch, qratio, recip, to_mpf)
+                      int_form, over, poch, qratio, recip, to_mpf)
 from .symfun import _branching, qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -441,16 +442,6 @@ def _gue_step(m: int):
     return step
 
 
-def _row_product(mu, m: int, step):
-    """prod_j prod_{p=m-j+1}^{mu_j+m-j} step(p).
-
-    This is prod_j f(mu_j+m-j)/f(m-j) for any f with f(p) = step(p) f(p-1),
-    telescoped so that f itself is never evaluated.
-    """
-    return math.prod(step(p) for j in range(1, m + 1)
-                     for p in range(m - j + 1, pt.part(mu, j) + m - j + 1))
-
-
 def _row_step(m: int, alpha, beta=None):
     """The LUE (beta None) or JUE `walk` step: lam - e_t, t the multiplicity
     of r = lam_1.  With mu = lam', y = t + m - r and l_k = mu_k + m - k, the
@@ -570,21 +561,31 @@ def schur_avg_qlue(mu, m: int, alpha, q=None):
     times q^(-(m-1)|mu|/2) dim_q(mu), with no singular factor evaluated.
     At integer alpha a ratio is q^(-(alpha+p)) (1 - q^(alpha+p))/(1 - q), so
     the average is one exact `qdim` quotient; any other alpha needs the
-    numeric q and gives a real, with the factor (q^(-(alpha+p)) - 1)/(1 - q).
+    numeric q and gives a real, with the factor (q^(-(alpha+p)) - 1)/(1 - q),
+    on integers at a rational q but for the one power q^-alpha.
     """
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
     e = (m - 1) * sum(mu)
+    rows = [p for j in range(1, m + 1) for p in range(m - j + 1, pt.part(mu, j) + m - j + 1)]
     if isinstance(alpha, int):
-        rows = [alpha + p for j in range(1, m + 1)
-                for p in range(m - j + 1, pt.part(mu, j) + m - j + 1)]
-        return qdim(mu, m, rows, [1] * len(rows), -e - 2 * sum(rows))
+        ups = [alpha + p for p in rows]
+        return qdim(mu, m, ups, [1] * len(ups), -e - 2 * sum(ups))
     if q is None:
         raise ValueError("real-alpha qlue average needs a numeric q")
-    a, qv = to_mpf(alpha), to_mpf(q)
-    return (qdim(mu, m, offset=-e).eval_u(mpmath.sqrt(qv))
-            * _row_product(mu, m, lambda p: (qv ** -(a + p) - 1) / (1 - qv)))
+    # at q = a/b, dim_q mu = q^-k sum_i c_i q^i (k >= 0) is b^k h / (a^k b^K), h by Horner
+    # on ints; the one real power q^-alpha is exactly n / 2^s, so a row factor is
+    # (n b^p - 2^s a^p) b / (2^s a^p (b - a)) and the quotient is rounded once
+    d, (a,), b = qdim(mu, m, offset=-e), *int_form([q])
+    h, bk, k = 0, 1, -d.offset // 2
+    for c in reversed(d.num[::2]):
+        h, bk = h * a + c * bk, bk * b
+    man, exp = (to_mpf(q) ** -to_mpf(alpha)).man_exp
+    n, s = man << max(exp, 0), max(-exp, 0)
+    num = math.prod((n * b ** p - (1 << s) * a ** p for p in rows), start=h * b ** (k + len(rows)))
+    den = math.prod((a ** p * (b - a) for p in rows), start=a ** k * (bk // b))
+    return mpmath.ldexp(to_mpf(over(num, den)), -s * len(rows))
 
 
 def schur_pair_avg_ginibre(lam, mu, m: int):
@@ -593,7 +594,8 @@ def schur_pair_avg_ginibre(lam, mu, m: int):
     lam, mu = pt.canonical(lam), pt.canonical(mu)
     if lam != mu or len(lam) > m:
         return Fraction(0)
-    return Fraction(_row_product(lam, m, lambda p: p))
+    return Fraction(math.prod(math.factorial(pt.part(lam, j) + m - j) // math.factorial(m - j)
+                              for j in range(1, m + 1)))
 
 
 def jack_avg_jacobi_coeff(nu, m: int, alpha, beta, gamma, n: int):

@@ -8,7 +8,7 @@ Every other module is generic over these three scalar fields:
 * high-precision reals     -- mpmath ``mpf`` at the caller's working precision.
 
 Library code never sets the precision itself: like mpmath's own functions
-it runs at ``mpmath.mp.dps``, and so does ``parse_number``.  The CLI root
+it runs at ``mpmath.mp.dps``, and so does ``to_mpf``.  The CLI root
 group, ``verify.run_suite`` and the ``dps`` argument of the query functions
 (``guarded``, which also adds guard digits and rounds once) set it.
 
@@ -27,11 +27,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 DEFAULT_DPS = 50
 #: default comparison tolerance for high-precision reals
@@ -45,35 +47,35 @@ def frac_str(x) -> str:
 
 
 def parse_number(s: str):
-    """An exact int, an exact "p/q" Fraction, or a finite decimal mpf at the
-    working precision -- never a binary float.  Anything else raises
-    ValueError."""
+    """An exact int, or the exact Fraction of a "p/q" or finite decimal string
+    (never a binary float).  Anything else raises ValueError, as does a decimal
+    whose exponent would build an int wider than `sys.get_int_max_str_digits()`."""
     s = s.strip()
     try:
         return int(s)
     except ValueError:
         pass
-    if "/" in s:
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {s!r}") from None
+    mant, _, exp = s.lower().partition("e")
+    exp, limit = exp.lstrip("+-").replace("_", ""), sys.get_int_max_str_digits()
+    if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp) + len(mant) > limit):
+        raise ValueError(f"number {s!r} has more than {limit} digits")
     try:
-        v = mpmath.mpf(s)
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
     except ValueError:
         raise ValueError(f"cannot parse number {s!r}") from None
-    if not mpmath.isfinite(v):
-        raise ValueError(f"number {s!r} is not finite")
-    return v
 
 
 def to_mpf(x):
-    """x as an mpf at the working precision; a Fraction is its numerator
-    divided by its denominator, an mpf is returned as it is."""
+    """x as an mpf at the working precision, rounded once: a Fraction is its
+    correctly rounded value (not its numerator rounded, then divided), an
+    mpf is returned as it is."""
     if isinstance(x, mpmath.mpf):
         return x
     if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
+        return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator,
+                                                mpmath.mp.prec, round_nearest))
     return mpmath.mpf(x)
 
 

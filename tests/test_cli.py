@@ -6,8 +6,10 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 
 import schurkernels
 from schurkernels.cli import main
+from schurkernels.ensembles import EnsembleSpec, schur_average
+from schurkernels.kernels import KernelQuery, khat_cd, khat_double
+from schurkernels.scalars import hpreal_json, to_mpf
 
 
 @pytest.fixture
@@ -86,11 +91,13 @@ class TestSchurAvg:
     ], ids=" ".join)
     def test_more_rows_than_variables_is_zero(self, runner, ensemble, method):
         """s_mu with l(mu) > M is the zero polynomial: every kind that takes
-        a single average answers an exact 0 by both methods."""
+        a single average answers an exact 0 by both methods, printed as a
+        real when a parameter was typed as a decimal."""
         r = invoke(runner, ["schur-avg", "--ensemble", *ensemble, "--m", "1",
                             "--partition", "1,1", "--method", method])
         assert r.exit_code == 0
-        assert json.loads(r.output) == {"value": "0/1"}
+        zero = {"precision": 50, "value": "0.0"} if "0.5" in ensemble else "0/1"
+        assert json.loads(r.output) == {"value": zero}
 
 
 # The (N, n, methods) groups of the exact kernel benchmark, on its ensembles
@@ -112,6 +119,10 @@ REAL_PINNED_CASES = [*((ens, nr, n) for ens in ("--ensemble lue --alpha 0.5",
                        for nr, n in ((12, 1), (24, 1), (10, 2))),
                      ("--ensemble qlue --alpha 0.5 --q 1/3", 8, 1)]
 REAL_PINNED_DIGEST = "84c6a79f8a5fbeeb33954c7ca6e7daa2f3f2956e48664db30d31f711d64455ec"
+# The same cases through the library at mpf parameters, the guarded mpf
+# routes of a library caller.  Recorded when the CLI still parsed decimals to
+# mpfs and took these routes, so it is the CLI digest of that time.
+REAL_LIBRARY_PINNED_DIGEST = "84c6a79f8a5fbeeb33954c7ca6e7daa2f3f2956e48664db30d31f711d64455ec"
 
 
 class TestKernelCommands:
@@ -159,6 +170,22 @@ class TestKernelCommands:
                 digest.update(r.output.encode())
         assert digest.hexdigest() == REAL_PINNED_DIGEST
 
+    def test_real_library_routes_are_pinned(self):
+        """khat_cd and khat_double at mpf parameters print, at 50 digits, the
+        bytes they printed when this digest was recorded."""
+        digest = hashlib.sha256()
+        with mpmath.workdps(50):
+            for ens, nr, n in REAL_PINNED_CASES:
+                kind, *flags = ens.split()[1:]
+                spec = EnsembleSpec(kind, **{k[2:]: Fraction(v) if "/" in v else mpmath.mpf(v)
+                                             for k, v in zip(flags[::2], flags[1::2])})
+                x, y = (tuple(map(Fraction, p.split(","))) for p in PINNED_POINTS[n])
+                for route in (khat_cd, khat_double):
+                    out = {"khat": hpreal_json(route(KernelQuery(spec, nr, n, x, y), dps=50))}
+                    digest.update(json.dumps(out, sort_keys=True, separators=(",", ":")).encode()
+                                  + b"\n")
+        assert digest.hexdigest() == REAL_LIBRARY_PINNED_DIGEST
+
     def test_divergent_tilde_moment_is_named_in_order(self, runner):
         """The recurrence of a tilde kind reads m_0..m_2K in order before its
         closed form (whose denominators vanish past the divergence), so cd
@@ -183,6 +210,116 @@ class TestKernelCommands:
         r = invoke(runner, ["kernel", "expand", "--ensemble", "gue", "--N",
                             "3", "--n", "1", "--format", "csv"])
         assert "rectangle.rows,2" in r.output
+
+
+def _rounded(obj):
+    """obj with every exact "p/q" leaf rounded once to 50 digits, as a real."""
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v) for v in obj]
+    if isinstance(obj, str):
+        with mpmath.workdps(50):
+            return hpreal_json(to_mpf(Fraction(obj)))
+    return obj
+
+
+# (decimal, its exact twin): each kind at decimal parameters with rational
+# points, and at rational parameters with decimal points
+DECIMAL_TWINS = [
+    ("--ensemble lue --alpha 0.5", "--ensemble lue --alpha 1/2"),
+    ("--ensemble jue --alpha 0.7 --beta 1.3", "--ensemble jue --alpha 7/10 --beta 13/10"),
+]
+DECIMAL_POINTS = [(("1.4", "3.15"), ("7/5", "63/20")),
+                  (("1.4,-0.5", "0.25,2.2"), ("7/5,-1/2", "1/4,11/5"))]
+
+
+class TestDecimalInput:
+    """A decimal is its exact rational: the output is the exact output at the
+    typed rational, rounded once to the precision."""
+
+    def check(self, runner, decimal, exact):
+        d, e = invoke(runner, decimal.split()), invoke(runner, exact.split())
+        assert d.exit_code == e.exit_code == 0, d.output + e.output
+        assert json.loads(d.output) == _rounded(json.loads(e.output))
+
+    @pytest.mark.parametrize("dec, twin", DECIMAL_TWINS, ids=["lue", "jue"])
+    def test_kernel_eval(self, runner, dec, twin):
+        for (dx, dy), (x, y) in DECIMAL_POINTS:
+            n = len(x.split(","))
+            methods = ("schur", "cd", "double") + (("chebyshev",) if n == 1 else ())
+            for method in methods:
+                tail = f"--N 12 --n {n} --method {method}"
+                self.check(runner, f"kernel eval {dec} {tail} --x {x} --y {y}",
+                           f"kernel eval {twin} {tail} --x {x} --y {y}")
+                self.check(runner, f"kernel eval {twin} {tail} --x {dx} --y {dy}",
+                           f"kernel eval {twin} {tail} --x {x} --y {y}")
+
+    @pytest.mark.parametrize("dec, twin", DECIMAL_TWINS, ids=["lue", "jue"])
+    def test_kernel_expand_and_averages(self, runner, dec, twin):
+        self.check(runner, f"kernel expand {dec} --N 6 --n 2", f"kernel expand {twin} --N 6 --n 2")
+        for method in ("closed", "oracle"):
+            for mu in ("2,1", "3,3,1"):
+                tail = f"--m 4 --partition {mu} --method {method}"
+                self.check(runner, f"schur-avg {dec} {tail}", f"schur-avg {twin} {tail}")
+
+    def test_jue_tilde_at_a_decimal_alpha_is_the_rational_average_rounded(self, runner):
+        """The inverse-Jacobi closed form needs rational parameters, and a
+        decimal is one: --alpha 0.5 prints the rounding of 1/2's 10/9."""
+        tail = "--beta 7 --m 2 --partition 1"
+        self.check(runner, f"schur-avg --ensemble jue-tilde --alpha 0.5 {tail}",
+                   f"schur-avg --ensemble jue-tilde --alpha 1/2 {tail}")
+        r = invoke(runner, f"schur-avg --ensemble jue-tilde --alpha 1/2 {tail}".split())
+        assert json.loads(r.output) == {"value": "10/9"}
+
+    def test_irrational_chebyshev_root_runs_on_the_reals(self, runner):
+        """At decimal points whose product has no rational square root the
+        Chebyshev form takes the real route, and agrees with schur."""
+        args = "kernel eval --ensemble lue --alpha 0.5 --N 8 --n 1 --x 0.3 --y 2.5".split()
+        cheb, schur = (json.loads(invoke(runner, args + ["--method", m]).output)["khat"]
+                       for m in ("chebyshev", "schur"))
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(cheb["value"]), mpmath.mpf(schur["value"])
+            assert abs(a - b) <= abs(b) * mpmath.mpf(10) ** -45
+
+    @pytest.mark.parametrize("spec", ["sw", "qlue --alpha 1"])
+    def test_decimal_points_on_an_exact_q_ensemble_fail(self, runner, spec):
+        for x, y in (("0.5", "2"), ("1/2", "2.0")):
+            r = runner.invoke(main, ["kernel", "eval", "--ensemble", *spec.split(), "--N", "3",
+                                     "--n", "1", "--x", x, "--y", y])
+            assert r.exit_code == 1
+            assert r.output.splitlines() == ["Error: an exact q-ensemble needs rational points"]
+
+    def test_huge_exponent_is_a_usage_error(self, runner):
+        r = runner.invoke(main, ["schur-avg", "--ensemble", "lue", "--alpha", "1e4000000",
+                                 "--m", "2", "--partition", "1"])
+        assert r.exit_code == 2 and "Traceback" not in r.output
+        errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "digits" in errors[0]
+
+    @pytest.mark.parametrize("q", ["1/3", "0.9"])
+    def test_real_alpha_qlue_keeps_the_typed_digits(self, runner, q):
+        """Real-alpha qLUE holds alpha and q exactly, so at 50 digits every
+        output keeps 49 against a 150-digit reference at the typed decimals."""
+        spec = EnsembleSpec("qlue", alpha=Fraction(1, 2), q=Fraction(q))
+        outs = [(mu, m, method) for mu in ("1", "2,1", "3,3", "3,2,1")
+                for m in (3, 4) for method in ("closed", "oracle")]
+        for mu, m, method in outs:
+            r = invoke(runner, ["schur-avg", "--ensemble", "qlue", "--alpha", "0.5", "--q", q,
+                                "--m", str(m), "--partition", mu, "--method", method])
+            ref = schur_average(spec, tuple(map(int, mu.split(","))), m, "oracle", dps=150)
+            with mpmath.workdps(150):
+                value = mpmath.mpf(json.loads(r.output)["value"]["value"])
+                assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -49, (mu, m, method)
+        for method in ("schur", "cd", "double"):
+            r = invoke(runner, ["kernel", "eval", "--ensemble", "qlue", "--alpha", "0.5",
+                                "--q", q, "--N", "8", "--n", "1", "--x", "1.4", "--y", "-0.3",
+                                "--method", method])
+            query = KernelQuery(spec, 8, 1, (Fraction(7, 5),), (Fraction(-3, 10),))
+            ref = khat_cd(query, dps=150)
+            with mpmath.workdps(150):
+                value = mpmath.mpf(json.loads(r.output)["khat"]["value"])
+                assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -49, method
 
 
 class TestPainleveToeplitzHeat:
@@ -284,8 +421,6 @@ EVAL = ["kernel", "eval", "--ensemble", "gue", "--N", "3", "--n", "1"]
       "--y", "2"], None),
     (["painleve", "coeffs", "--n", "-1", "--m-size", "2"], None),
     (["painleve", "coeffs", "--n", "1", "--m-size", "2", "--order", "-1"], None),
-    (["schur-avg", "--ensemble", "jue-tilde", "--alpha", "0.5", "--beta", "7",
-      "--m", "2", "--partition", "1"], None),
     (["kernel", "eval", "--ensemble", "sw", "--N", "3", "--n", "1", "--x", "0.5",
       "--y", "2"], None),
     (["schur-avg", "--ensemble", "qlue", "--alpha", "-3", "--m", "2",

@@ -632,6 +632,29 @@ class TestRealParameterPaths:
                 c = schur_avg_qlue(mu, 3, a, q)
                 assert hp_close(c, schur_avg_oracle(spec, mu, 3))
 
+    @pytest.mark.parametrize("alpha,q", [(F(1, 2), F(1, 3)), (F(1, 2), F(9, 10)),
+                                         (F(9, 4), F(7, 10)), (mpmath.mpf("0.5"), F(1, 3)),
+                                         (F(1, 2), mpmath.mpf(1) / 3)], ids=str)
+    def test_real_alpha_qlue_keeps_every_digit(self, alpha, q):
+        """Real-alpha qLUE evaluates dim_q on integers at q = a/b with the
+        one real power q^-alpha: at 50 digits it keeps 49 against the
+        Andreief oracle at 150, whose moments take one power per factor."""
+        spec = EnsembleSpec("qlue", alpha=alpha, q=q)
+        for m in (3, 4, 6):
+            for mu in pt.enumerate_bounded(3, 3):
+                value = schur_average(spec, mu, m, "closed", dps=50)
+                with mpmath.workdps(150):
+                    ref = schur_average(spec, mu, m, "oracle")
+                    assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -49, (m, mu)
+
+    def test_jue_tilde_closed_form_needs_rational_parameters(self):
+        """The inverse-Jacobi closed form is a ratio of principal
+        specializations, defined here at rational parameters: a real alpha
+        is one clean error."""
+        spec = EnsembleSpec("jue_tilde", alpha=mpmath.mpf("0.5"), beta=7, m=2)
+        with pytest.raises(ValueError, match="needs rational alpha and beta"):
+            schur_average(spec, (1,), 2)
+
     def test_qlue_approaches_lue_as_q_to_1(self):
         """qLUE -> LUE: deviation shrinks as 1 - q does."""
         with mpmath.workdps(50):

@@ -1,12 +1,14 @@
 """Unit tests for scalars: QRat arithmetic, determinants, special functions."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from oracles import (det_cofactor, det_leibniz, qfactorial_floor, qnum_floor,
                      qnum_symmetric, zgcd)
@@ -15,9 +17,29 @@ from schurkernels.scalars import (Poly, QRat, _zexquo, _zpack, _zprim,
                                   double_factorial, frac_str, gamma_real,
                                   hp_close, int_adjugate, int_form,
                                   mat_inverse_exact, over, parse_number,
-                                  poch, qgamma_real, qratio, rational_sqrt)
+                                  poch, qgamma_real, qratio, rational_sqrt,
+                                  to_mpf)
 
 F = Fraction
+
+
+class TestToMpf:
+    @given(st.integers(-10 ** 90, 10 ** 90), st.integers(1, 10 ** 90),
+           st.sampled_from([15, 30, 50, 77]))
+    @settings(max_examples=300, deadline=None)
+    def test_fraction_is_rounded_once(self, n, d, dps):
+        """A Fraction is its correctly rounded value, not its numerator
+        rounded and then divided."""
+        with mpmath.workdps(dps):
+            want = from_rational(n, d, mpmath.mp.prec, round_nearest)
+            assert to_mpf(F(n, d))._mpf_ == want
+
+    @given(st.from_regex(r"\A-?[0-9]{1,45}\.[0-9]{1,45}(e-?[0-9]{1,2})?\Z"),
+           st.sampled_from([15, 30, 50, 77]))
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_rounds_as_mpmath_parses_it(self, s, dps):
+        with mpmath.workdps(dps):
+            assert to_mpf(parse_number(s)) == mpmath.mpf(s)
 
 
 class TestDetExact:
@@ -556,16 +578,27 @@ class TestSpecialFunctions:
 
 class TestParseNumber:
     def test_examples(self):
+        assert parse_number(" 12 ") == 12 and isinstance(parse_number("12"), int)
+        assert parse_number("-3/6") == F(-1, 2)
+        assert parse_number("0.5") == F(1, 2) and parse_number("-1.5e-3") == F(-3, 2000)
+        for bad in ("1/x", "1/0", "inf", "nan", "", "abc", "1.5/2"):
+            with pytest.raises(ValueError):
+                parse_number(bad)
         with mpmath.workdps(20):
-            assert parse_number(" 12 ") == 12 and isinstance(parse_number("12"), int)
-            assert parse_number("-3/6") == F(-1, 2)
-            assert parse_number("0.5") == mpmath.mpf("0.5")
-            for bad in ("1/x", "1/0", "inf", "nan", "", "abc", "1.5/2"):
-                with pytest.raises(ValueError):
-                    parse_number(bad)
             v20 = parse_number("0.1")
         with mpmath.workdps(50):
-            assert parse_number("0.1") != v20  # parsed at the working precision
+            assert parse_number("0.1") == v20 == F(1, 10)  # exact at every precision
+
+    def test_exponent_past_the_int_digit_limit_raises(self):
+        """A decimal whose exponent would build an int wider than Python's
+        int-string digit limit raises at once instead of building it."""
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the int-string digit limit is switched off")
+        assert parse_number(f"1e{limit - 1}") == 10 ** (limit - 1)
+        for s in ("1e4000000", "-2.5e-4000000", f"1e{limit}"):
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                parse_number(s)
 
     @given(st.one_of(st.text(), st.from_regex(r"\A[-+ ]?[0-9./e_]{0,8}\Z"),
                      st.sampled_from(["inf", "-inf", "nan", "1e400000", "0x1p3"])))
