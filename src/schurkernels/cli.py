@@ -204,12 +204,13 @@ def kernel_eval(ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs, x, y,
         raise click.UsageError("--N must be greater than --n")
     spec = build_spec(ensemble, alpha, beta, alpha_tilde, q, n_rank - n_pairs)
     xs, ys = parse_numbers(x.split(",")), parse_numbers(y.split(","))
-    if (method == "chebyshev" and click.get_current_context().meta.get("decimal")
-            and rational_sqrt(xs[0] * ys[0]) is None):  # sqrt(xy) is irrational: run on reals
-        xs, ys = tuple(map(to_mpf, xs)), tuple(map(to_mpf, ys))
     query = KernelQuery(spec, n_rank, n_pairs, xs, ys)
     if query.q_exact and any(map(_is_decimal, f"{x},{y}".split(","), xs + ys)):
         raise ValueError("an exact q-ensemble needs rational points")
+    if (method == "chebyshev" and click.get_current_context().meta.get("decimal")
+            and rational_sqrt(xs[0] * ys[0]) is None):  # sqrt(xy) is irrational: run on reals
+        with mpmath.extradps(query.guard):  # the points at the precision the route works at
+            query = KernelQuery(spec, n_rank, n_pairs, *(tuple(map(to_mpf, v)) for v in (xs, ys)))
     fn = {"schur": khat_schur, "double": khat_double, "cd": khat_cd,
           "chebyshev": k2_chebyshev}[method]
     emit({"khat": serialize(fn(query))}, fmt)

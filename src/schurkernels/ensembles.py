@@ -33,8 +33,8 @@ from functools import lru_cache
 import mpmath
 
 from . import partitions as pt
-from .scalars import (QRat, binom, det_exact, double_factorial, guarded,
-                      int_form, over, poch, qratio, recip, to_mpf)
+from .scalars import (QRat, _bareiss, binom, det_exact, double_factorial,
+                      guarded, int_form, over, poch, qratio, recip, to_mpf)
 from .symfun import _branching, qdim, schur_principal
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -51,7 +51,8 @@ class EnsembleSpec:
     `m` is required for jue_tilde, whose weight (1+z)^-(M+beta) depends on
     the number of variables.  `q` is the numeric q of qLUE at non-integer
     alpha; exact SW/qLUE work is symbolic in u = q^(1/2).  A parameter the
-    kind does not take is an error.
+    kind does not take is an error.  The hash and `field_key`'s realness
+    flag are set once: a cache lookup hashes no parameter again.
     """
 
     kind: str
@@ -87,6 +88,12 @@ class EnsembleSpec:
             raise ValueError("jue needs alpha, beta > -1")
         if self.q is not None and not (0 < self.q < 1):
             raise ValueError("q must be in (0, 1)")
+        key = (self.kind, self.alpha, self.beta, self.alpha_tilde, self.q, self.m)
+        real = self.q is not None or any(isinstance(v, mpmath.mpf) for v in key)
+        vars(self).update(_hash=hash(key), _real=real)  # past the frozen __setattr__
+
+    def __hash__(self):
+        return self._hash
 
 
 def moment(spec: EnsembleSpec, p: int):
@@ -107,9 +114,7 @@ def moment(spec: EnsembleSpec, p: int):
 def field_key(spec: EnsembleSpec) -> int:
     """The cache key part that tells a real spec (the working precision) from
     an exact one (0): 1/2 and 0.5 are equal, equally hashed parameters."""
-    params = (spec.alpha, spec.beta, spec.alpha_tilde)
-    real = spec.q is not None or any(isinstance(v, mpmath.mpf) for v in params)
-    return mpmath.mp.dps if real else 0
+    return mpmath.mp.dps if spec._real else 0
 
 
 @lru_cache(maxsize=4096)
@@ -184,9 +189,18 @@ def _hankel_cached(spec: EnsembleSpec, m: int, dps: int):
 
 
 def _moment_det(spec: EnsembleSpec, rows, cols):
-    """det[m_{a+b}] for a in rows (row order) and b in cols (column order)."""
-    mom = [moment(spec, p) for p in range(max(rows) + max(cols) + 1)]
-    return det_exact([[mom[a + b] for b in cols] for a in rows])
+    """det[m_{a+b}] for a in rows (row order) and b in cols (column order); at
+    rational moments Bareiss on the `int_form` (z, d) of m_0..m_top: det[z_{a+b}] / d^M."""
+    z, d = _moment_prefix(spec, max(rows) + max(cols), field_key(spec))
+    mat = [[z[a + b] for b in cols] for a in rows]
+    return det_exact(mat) if d is None else over(_bareiss(mat, int.__floordiv__), d ** len(mat))
+
+
+@lru_cache(maxsize=128)
+def _moment_prefix(spec: EnsembleSpec, top: int, dps: int):
+    """The `int_form` of m_0..m_top at rational moments, else (m_0..m_top, None)."""
+    mom = [moment(spec, p) for p in range(top + 1)]
+    return int_form(mom) if isinstance(mom[0], (int, Fraction)) else (mom, None)
 
 
 @dataclass(frozen=True)
@@ -307,8 +321,7 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
         return Fraction(0)
     if m == 0:
         return Fraction(1)
-    a = [pt.part(lam, j) + m - j for j in range(1, m + 1)]
-    b = [pt.part(mu, k) + m - k for k in range(1, m + 1)]
+    a, b = ([pt.part(p, j) + m - j for j in range(1, m + 1)] for p in (lam, mu))
     return _moment_det(spec, a, b) / hankel_det(spec, m)
 
 

@@ -11,8 +11,8 @@ import mpmath
 from mpmath.libmp import from_man_exp, to_fixed
 
 from . import partitions as pt
-from .scalars import to_mpf
-from .symfun import complete_h_all, schur_table
+from .scalars import int_form, over, to_mpf
+from .symfun import complete_h_all, schur_values
 
 DEFAULT_TAIL_TOL = Fraction(1, 10**30)
 
@@ -80,22 +80,22 @@ def schur_doubling_check(x, y, q, terms: int, k: int = 0):
         sum_j q^j h_j(x, 1/x) h_j(y, 1/y)
 
     over j < terms; the specialization x_2 = 1/x_1 makes them equal term
-    by term for every k.  Returns (schur_form, h_form).
+    by term for every k.  Returns (schur_form, h_form).  At the `int_form`s
+    (w, d) of (x, 1/x), (y, 1/y) and q = a/b, term j is a^j S_j / (b dx dy)^j,
+    S_j the product of the values at wx and wy, over (dx dy)^2k more on the
+    Schur side: each sum runs on integers by Horner in b dx dy, divided once.
     """
     x, y, q = Fraction(x), Fraction(y), Fraction(q)
     if not x or not y:
         raise ValueError("doubling check needs nonzero x, y")
-    zx, zy = [x, 1 / x], [y, 1 / y]
-    hx = complete_h_all(terms - 1, zx)
-    hy = complete_h_all(terms - 1, zy)
-    cols = max(k + terms - 1, 0)
-    sx, sy = schur_table(2, cols, zx), schur_table(2, cols, zy)
-    schur_form = Fraction(0)
-    h_form = Fraction(0)
-    qj = Fraction(1)
+    (wx, dx), (wy, dy) = int_form([x, 1 / x]), int_form([y, 1 / y])
+    (parts, sx), (_, sy) = (schur_values(2, max(k + terms - 1, 0), w) for w in (wx, wy))
+    hx, hy = (complete_h_all(terms - 1, w) for w in (wx, wy))
+    schur_form, h_form, qj, e = 0, 0, 1, q.denominator * dx * dy
     for j in range(terms):
-        lam = pt.canonical((k + j, k))
-        schur_form += qj * sx[lam] * sy[lam]
-        h_form += qj * hx[j] * hy[j]
-        qj *= q
-    return schur_form, h_form
+        i = parts.index(pt.canonical((k + j, k)))
+        schur_form = schur_form * e + qj * sx[i] * sy[i]
+        h_form = h_form * e + qj * hx[j] * hy[j]
+        qj *= q.numerator
+    den = e ** max(terms - 1, 0)
+    return over(schur_form, den * (dx * dy) ** (2 * k)), over(h_form, den)

@@ -64,6 +64,8 @@ class KernelQuery:
     def m_size(self) -> int:
         return self.n_rank - self.n_pairs
 
+    guard = property(lambda self: self.n_pairs * self.m_size + 10)  # the digits of `_guarded`
+
     @property
     def t(self) -> tuple:
         return tuple(-1 / v for v in self.x) + tuple(-1 / v for v in self.y)
@@ -150,7 +152,7 @@ def _guarded(route):
     @wraps(route)
     def run(query: KernelQuery, dps: int | None = None):
         real = field_key(query.spec) or any(isinstance(v, mpmath.mpf) for v in query.x + query.y)
-        return guarded(real, dps, query.n_pairs * query.m_size + 10, lambda: route(query))
+        return guarded(real, dps, query.guard, lambda: route(query))
     return run
 
 

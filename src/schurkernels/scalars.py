@@ -48,8 +48,9 @@ def frac_str(x) -> str:
 
 def parse_number(s: str):
     """An exact int, or the exact Fraction of a "p/q" or finite decimal string
-    (never a binary float).  Anything else raises ValueError, as does a decimal
-    whose exponent would build an int wider than `sys.get_int_max_str_digits()`."""
+    (never a binary float).  Anything else raises ValueError (quoting at most 40
+    characters of s), as does a decimal whose exponent would build an int wider
+    than `sys.get_int_max_str_digits()`."""
     s = s.strip()
     try:
         return int(s)
@@ -57,14 +58,15 @@ def parse_number(s: str):
         pass
     mant, _, exp = s.lower().partition("e")
     exp, limit = exp.lstrip("+-").replace("_", ""), sys.get_int_max_str_digits()
+    quoted = repr(s) if len(s) <= 40 else f"{s[:40]!r}..."
     if limit and exp.isdecimal() and (len(exp) > len(str(limit)) or int(exp) + len(mant) > limit):
-        raise ValueError(f"number {s!r} has more than {limit} digits")
+        raise ValueError(f"number {quoted} has more than {limit} digits")
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        raise ValueError(f"zero denominator in {quoted}") from None
     except ValueError:
-        raise ValueError(f"cannot parse number {s!r}") from None
+        raise ValueError(f"cannot parse number {quoted}") from None
 
 
 def to_mpf(x):

@@ -15,15 +15,14 @@ from functools import lru_cache
 from .scalars import binom, det_exact, mat_inverse_exact, poch
 
 
-def fh_coeff(gamma: int, delta: int, k: int) -> Fraction:
+def fh_coeff(gamma: int, delta: int, k: int) -> int:
     """Laurent coefficient of z^k in (1-z)^gamma (1-1/z)^delta:
-    (-1)^k C(gamma+delta, delta+k) for -delta <= k <= gamma, else 0."""
-    if -delta <= k <= gamma:
-        return Fraction((-1) ** k * binom(gamma + delta, delta + k))
-    return Fraction(0)
+    (-1)^k C(gamma+delta, delta+k), 0 outside -delta <= k <= gamma."""
+    c = binom(gamma + delta, delta + k)
+    return -c if k % 2 else c
 
 
-def toeplitz_matrix(gamma: int, delta: int, m: int) -> list[list[Fraction]]:
+def toeplitz_matrix(gamma: int, delta: int, m: int) -> list[list[int]]:
     """T_M with entries c_{j-k} of the Fisher-Hartwig symbol."""
     return [[fh_coeff(gamma, delta, j - k) for k in range(m)] for j in range(m)]
 
@@ -55,50 +54,37 @@ def toeplitz_inverse_closed(gamma: int, delta: int, m: int):
     (A variant sometimes quoted with an extra (-1)^(j+k) sign, an r-sum
     stopping at M-1 and a bare 1/gamma factor fails already at
     gamma = delta = 1, M = 2; this form is validated against the exact
-    inverse on the full test grid.)
+    inverse on the full test grid.)  The r-sum runs on integers over the one
+    denominator (g+d+M-1)!, and each entry is one Fraction.
     """
     if gamma < 0 or delta < 0:
         raise ValueError("closed inverse needs gamma, delta >= 0")
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for j in range(1, m + 1):
-        for k in range(1, m + 1):
-            pref = Fraction(poch(j, gamma) * poch(k, delta))
-            s = sum((Fraction(math.factorial(r - 1), math.factorial(gamma + delta + r - 1))
-                     * binom(gamma + r - k - 1, r - k) * binom(delta + r - j - 1, r - j)
-                     for r in range(max(j, k), m + 1)), Fraction(0))
-            out[j - 1][k - 1] = pref * s
-    return out
-
-
-def _diag_m(z: int, m: int) -> list[Fraction]:
-    """(M_z)_jj = Gamma(z+j)/(Gamma(j) Gamma(z+1)) = C(z+j-1, j-1), 1-based."""
-    return [Fraction(binom(z + j - 1, j - 1)) for j in range(1, m + 1)]
+    gd = gamma + delta  # Gamma(r)/Gamma(g+d+r) = weight[r] / den
+    den = math.prod(range(1, gd + m))
+    weight = [math.prod(range(1, r)) * math.prod(range(gd + r, gd + m)) for r in range(m + 1)]
+    return [[Fraction(poch(j, gamma) * poch(k, delta) * sum(
+        weight[r] * binom(gamma + r - k - 1, r - k) * binom(delta + r - j - 1, r - j)
+        for r in range(max(j, k), m + 1)), den) for k in range(1, m + 1)]
+        for j in range(1, m + 1)]
 
 
 def duduchava_roch_check(gamma: int, delta: int, m: int) -> bool:
     """Verify T(w_g) M_{g+d} T(w~_d) = C M_d T(w_g w~_d) M_g on the top-left
-    M x M blocks, C = Gamma(1+g)Gamma(1+d)/Gamma(1+g+d).
+    M x M blocks, C = Gamma(1+g)Gamma(1+d)/Gamma(1+g+d), with
+    (M_z)_jj = Gamma(z+j)/(Gamma(j) Gamma(z+1)) = C(z+j-1, j-1), 1-based.
 
     T(w_g) is lower banded and T(w~_d) upper banded, so the product index
-    runs over r <= min(j,k) and the M x M truncation is exact.
+    runs over r <= min(j,k) (binom is 0 off the bands) and the M x M
+    truncation is exact.  Both sides are taken times 1/C = C(g+d, g): integers.
     """
-    def lower(j, r):
-        return Fraction((-1) ** (j - r) * binom(gamma, j - r)) \
-            if 0 <= j - r <= gamma else Fraction(0)
-
-    def upper(r, k):
-        return Fraction((-1) ** (k - r) * binom(delta, k - r)) \
-            if 0 <= k - r <= delta else Fraction(0)
-
-    dsum = _diag_m(gamma + delta, m)
-    dg, dd = _diag_m(gamma, m), _diag_m(delta, m)
-    c = Fraction(math.factorial(gamma) * math.factorial(delta), math.factorial(gamma + delta))
+    dsum, dg, dd = ([binom(z + j - 1, j - 1) for j in range(1, m + 1)]
+                    for z in (gamma + delta, gamma, delta))
+    inv_c = binom(gamma + delta, gamma)
     for j in range(1, m + 1):
         for k in range(1, m + 1):
-            lhs = sum(lower(j, r) * dsum[r - 1] * upper(r, k)
+            lhs = sum((-1) ** (j + k) * binom(gamma, j - r) * dsum[r - 1] * binom(delta, k - r)
                       for r in range(1, min(j, k) + 1))
-            rhs = c * dd[j - 1] * fh_coeff(gamma, delta, j - k) * dg[k - 1]
-            if lhs != rhs:
+            if lhs * inv_c != dd[j - 1] * fh_coeff(gamma, delta, j - k) * dg[k - 1]:
                 return False
     return True
 
@@ -123,10 +109,8 @@ def fh_pair_elementary_avg(gamma: int, delta: int, a: int, b: int, m: int):
     """
     if a > m or b > m:
         return Fraction(0)
-    aexp = [(1 if j <= a else 0) + m - j for j in range(1, m + 1)]
-    bexp = [(1 if k <= b else 0) + m - k for k in range(1, m + 1)]
-    num = det_exact([[fh_coeff(gamma, delta, bk - aj) for bk in bexp]
-                     for aj in aexp])
+    aexp, bexp = ([(j <= c) + m - j for j in range(1, m + 1)] for c in (a, b))
+    num = det_exact([[fh_coeff(gamma, delta, bk - aj) for bk in bexp] for aj in aexp])
     return num / toeplitz_det(gamma, delta, m)
 
 

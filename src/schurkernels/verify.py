@@ -88,7 +88,7 @@ def suite_schur_averages(seed: int = 1) -> SuiteResult:
 
 def _label(spec: EnsembleSpec) -> str:
     """The kind and the set parameters of spec, as a check label."""
-    return " ".join(f"{k}={v}" for k, v in vars(spec).items() if v is not None)
+    return " ".join(f"{k}={v}" for k, v in vars(spec).items() if v is not None and k[0] != "_")
 
 
 _KERNEL_SPECS = (EnsembleSpec("gue"), EnsembleSpec("lue", alpha=0),

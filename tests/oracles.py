@@ -30,6 +30,11 @@ against.  Each is independent of the code it checks:
                          reference for the sum `kernel_cd`;
 * `chebyshev_u_all`   -- U_0..U_k by their recurrence, the reference for the
                          Schur-Chebyshev bridge s_(k+j,k)(x, 1/x) = U_j;
+* `toeplitz_inverse_closed_fractions`, `schur_doubling_fractions` -- the
+                         Duduchava-Roch closed inverse and the two Schur
+                         doubling sums in Fraction arithmetic, term by term:
+                         the references for the integer sums of
+                         `toeplitz_inverse_closed` and `schur_doubling_check`;
 * `zgcd`              -- the primitive gcd in Z[u] of two coefficient lists,
                          which the canonical-form tests of `QRat` read.
 """
@@ -45,10 +50,10 @@ from schurkernels.ensembles import (EnsembleSpec, OrthoSystem, moment,
                                     ortho_system, schur_avg_lue,
                                     schur_pair_avg_ginibre)
 from schurkernels.kernels import _exactify
-from schurkernels.scalars import (Poly, QRat, _zcancel, _zexquo, det_exact,
-                                  double_factorial, int_form, poch, recip,
-                                  to_mpf)
-from schurkernels.symfun import schur_principal, schur_table
+from schurkernels.scalars import (Poly, QRat, _zcancel, _zexquo, binom,
+                                  det_exact, double_factorial, int_form, poch,
+                                  recip, to_mpf)
+from schurkernels.symfun import complete_h_all, schur_principal, schur_table
 
 
 def det_cofactor(matrix):
@@ -413,3 +418,35 @@ def chebyshev_u_all(kmax: int, w) -> list:
     for _ in range(kmax - 1):
         u.append(2 * w * u[-1] - u[-2])
     return u[:kmax + 1]
+
+
+def toeplitz_inverse_closed_fractions(gamma: int, delta: int, m: int):
+    """[T_M^-1]_{jk} = Gamma(g+j) Gamma(d+k) / (Gamma(j) Gamma(k))
+    sum_{r=max(j,k)}^{M} Gamma(r)/Gamma(g+d+r) C(g+r-k-1, r-k) C(d+r-j-1, r-j),
+    1-based, one Fraction per term."""
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for j in range(1, m + 1):
+        for k in range(1, m + 1):
+            pref = Fraction(poch(j, gamma) * poch(k, delta))
+            s = sum((Fraction(math.factorial(r - 1), math.factorial(gamma + delta + r - 1))
+                     * binom(gamma + r - k - 1, r - k) * binom(delta + r - j - 1, r - j)
+                     for r in range(max(j, k), m + 1)), Fraction(0))
+            out[j - 1][k - 1] = pref * s
+    return out
+
+
+def schur_doubling_fractions(x, y, q, terms: int, k: int = 0):
+    """(sum_j q^j s_(k+j,k)(x, 1/x) s_(k+j,k)(y, 1/y), sum_j q^j h_j(x, 1/x)
+    h_j(y, 1/y)) over j < terms, each term a Fraction product of
+    `schur_table` and `complete_h_all` values at the rational points."""
+    x, y, q = Fraction(x), Fraction(y), Fraction(q)
+    zx, zy = [x, 1 / x], [y, 1 / y]
+    hx, hy = complete_h_all(terms - 1, zx), complete_h_all(terms - 1, zy)
+    cols = max(k + terms - 1, 0)
+    sx, sy = schur_table(2, cols, zx), schur_table(2, cols, zy)
+    schur_form = h_form = Fraction(0)
+    for j in range(terms):
+        lam = pt.canonical((k + j, k))
+        schur_form += q ** j * sx[lam] * sy[lam]
+        h_form += q ** j * hx[j] * hy[j]
+    return schur_form, h_form

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import schurkernels
 from schurkernels.cli import main
 from schurkernels.ensembles import EnsembleSpec, schur_average
-from schurkernels.kernels import KernelQuery, khat_cd, khat_double
+from schurkernels.kernels import KernelQuery, khat_cd, khat_double, khat_schur
 from schurkernels.scalars import hpreal_json, to_mpf
 
 
@@ -282,6 +282,21 @@ class TestDecimalInput:
             a, b = mpmath.mpf(cheb["value"]), mpmath.mpf(schur["value"])
             assert abs(a - b) <= abs(b) * mpmath.mpf(10) ** -45
 
+    def test_irrational_chebyshev_root_keeps_the_schur_digits(self, runner):
+        """The real points are taken at the route's guarded precision, not at
+        --precision: at LUE 0.5 (48,1) the Chebyshev form prints schur's bytes
+        and keeps 49 of 50 digits against the value at the exact points."""
+        args = "kernel eval --ensemble lue --alpha 0.5 --N 48 --n 1 --x 2.2 --y 0.35".split()
+        cheb, schur = (invoke(runner, args + ["--method", m]).output
+                       for m in ("chebyshev", "schur"))
+        assert cheb == schur
+        spec = EnsembleSpec("lue", alpha=Fraction(1, 2))
+        ref = khat_schur(KernelQuery(spec, 48, 1, (Fraction(11, 5),), (Fraction(7, 20),)),
+                         dps=150)
+        with mpmath.workdps(150):
+            value = mpmath.mpf(json.loads(cheb)["khat"]["value"])
+            assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -49
+
     @pytest.mark.parametrize("spec", ["sw", "qlue --alpha 1"])
     def test_decimal_points_on_an_exact_q_ensemble_fail(self, runner, spec):
         for x, y in (("0.5", "2"), ("1/2", "2.0")):
@@ -296,6 +311,16 @@ class TestDecimalInput:
         assert r.exit_code == 2 and "Traceback" not in r.output
         errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and "digits" in errors[0]
+
+    def test_a_long_number_is_quoted_short(self, runner):
+        """A 5,000-digit integer is too wide to parse; the one error line
+        quotes its first 40 characters, not the whole input."""
+        r = runner.invoke(main, ["schur-avg", "--ensemble", "lue", "--alpha", "7" * 5000,
+                                 "--m", "2", "--partition", "1"])
+        assert r.exit_code == 2 and "Traceback" not in r.output
+        errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and len(errors[0]) <= 120, errors
+        assert "7" * 40 in errors[0] and "7" * 41 not in errors[0]
 
     @pytest.mark.parametrize("q", ["1/3", "0.9"])
     def test_real_alpha_qlue_keeps_the_typed_digits(self, runner, q):

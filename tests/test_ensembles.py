@@ -24,7 +24,8 @@ from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     schur_pair_avg_ginibre,
                                     schur_pair_avg_oracle)
 from schurkernels.kernels import kernel_cd
-from schurkernels.scalars import QRat, gamma_real, hp_close, qgamma_real, to_mpf
+from schurkernels.scalars import (QRat, det_exact, gamma_real, hp_close,
+                                  qgamma_real, to_mpf)
 from schurkernels.symfun import schur_principal
 
 F = Fraction
@@ -251,6 +252,28 @@ class TestHankelAndOrtho:
 
     def test_hankel_lue2(self):
         assert hankel_det(LUE0, 2) == 1  # 1*2 - 1
+
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec("gue"), EnsembleSpec("lue", alpha=F(1, 2)),
+        EnsembleSpec("jue", alpha=F(7, 10), beta=F(13, 10)),
+        EnsembleSpec("lue_tilde", alpha_tilde=30),
+        EnsembleSpec("jue_tilde", alpha=1, beta=20, m=8)],
+        ids=["gue", "lue-1/2", "jue-7/10-13/10", "lue_tilde-30", "jue_tilde-1-20"])
+    def test_moment_det_equals_det_exact_of_the_fraction_matrix(self, spec):
+        """Bareiss on the integer form of the moment prefix, over d^M, is
+        det_exact of the Fraction moment matrix, in the Hankel row order and
+        at the oracle's exponent sets, for M <= 8."""
+        for m in range(1, 9):
+            hankel = range(m - 1, -1, -1)
+            sets = [(hankel, hankel)] + [
+                ([pt.part(lam, j) + m - j for j in range(1, m + 1)],
+                 [pt.part(mu, j) + m - j for j in range(1, m + 1)])
+                for lam, mu in (((1,), ()), ((2, 1), (1, 1)), ((3, 2, 2), (2,)))
+                if len(lam) <= m and len(mu) <= m]
+            for rows, cols in sets:
+                got = ensembles._moment_det(spec, rows, cols)
+                want = det_exact([[moment(spec, a + b) for b in cols] for a in rows])
+                assert got == want and type(got) is F, (m, rows, cols)
 
     def test_gue_ortho(self):
         osys = ortho_system(GUE, 2)

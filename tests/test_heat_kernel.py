@@ -1,11 +1,13 @@
 """Unit tests for the Chebyshev heat kernel."""
 
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import schur_doubling_fractions
 
 from schurkernels.heat_kernel import (auto_terms, heat_kernel_closed,
                                       heat_kernel_sum, schur_doubling_check)
@@ -137,3 +139,17 @@ class TestSchurDoubling:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             schur_doubling_check(F(0), F(1), F(1, 2), 3)
+
+    def test_integer_sums_equal_the_fraction_sums(self):
+        """Both sides, summed by Horner on integers and divided once, equal
+        the term-by-term Fraction sums at seeded points, q and k, including
+        q of either sign and the empty sum."""
+        rng = random.Random(32)
+        for _ in range(40):
+            x, y = (F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 40))
+                    for _ in range(2))
+            q = F(rng.randint(-9, 9), rng.randint(1, 12))
+            terms, k = rng.randint(0, 12), rng.randint(0, 4)
+            got = schur_doubling_check(x, y, q, terms, k)
+            assert got == schur_doubling_fractions(x, y, q, terms, k)
+            assert all(type(v) is F for v in got)

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from oracles import toeplitz_inverse_closed_fractions
 
+from schurkernels import toeplitz_fh
 from schurkernels.toeplitz_fh import (duduchava_roch_check, fh_coeff,
                                       fh_inverse_via_elementary_oracle,
                                       fh_kernel_generating,
@@ -72,6 +74,16 @@ class TestInverse:
             expected = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
             assert prod == expected
 
+    @pytest.mark.parametrize("g", range(4))
+    @pytest.mark.parametrize("d", range(4))
+    def test_integer_sums_equal_the_fraction_sums(self, g, d):
+        """The sums over the one denominator (g+d+M-1)! equal the term-by-term
+        Fraction sums, entry by entry, and every entry is a Fraction."""
+        for m in range(0, 9):
+            inv = toeplitz_inverse_closed(g, d, m)
+            assert inv == toeplitz_inverse_closed_fractions(g, d, m)
+            assert all(type(v) is F for row in inv for v in row)
+
     def test_closed_handles_gamma_zero_column(self):
         # outside the documented domain but consistent with the exact inverse
         assert toeplitz_inverse_closed(0, 2, 4) == toeplitz_inverse_exact(0, 2, 4)
@@ -86,6 +98,23 @@ class TestDuduchavaRoch:
     def test_grid(self, g, d):
         for m in range(1, 7):
             assert duduchava_roch_check(g, d, m)
+
+    def test_a_perturbed_symbol_fails(self, monkeypatch):
+        """The comparison on integers can still fail: one symbol coefficient
+        off by one breaks the identity on every block that reads it."""
+        exact = toeplitz_fh.fh_coeff
+        monkeypatch.setattr(toeplitz_fh, "fh_coeff",
+                            lambda g, d, k: exact(g, d, k) + (k == 1))
+        for g, d in ((1, 1), (2, 3), (3, 0)):
+            assert not duduchava_roch_check(g, d, 4)
+
+    def test_a_perturbed_diagonal_fails(self, monkeypatch):
+        """One binomial of the diagonal factors M_z off by one fails too."""
+        exact = toeplitz_fh.binom
+        monkeypatch.setattr(toeplitz_fh, "binom",
+                            lambda n, k: exact(n, k) + (n == 6 and k == 3))
+        assert duduchava_roch_check(2, 1, 3)  # no entry reads C(6, 3) yet
+        assert not duduchava_roch_check(2, 1, 4)  # (M_(g+d))_44 = C(6, 3)
 
 
 class TestGeneratingFunction:
