@@ -7,11 +7,11 @@ The LUE, JUE, qLUE and Ginibre closed forms are products of Gamma (or
 Gamma_q) ratios, which telescope under Gamma(z+1) = z Gamma(z) and
 Gamma_q(z+1) = |z|_q Gamma_q(z), so no Gamma is evaluated: the value is
 exact at every rational parameter (for qLUE, at every integer alpha).  The
-GUE, LUE and JUE averages take one `walk` down a chain of smaller
-partitions, a Weyl dimension ratio times a row step per box (a domino for
-GUE); the kernel tables take the same walk over a whole rectangle.
-Real-alpha qLUE takes its row factors on integers, times the one real power
-q^-alpha.
+GUE, LUE, JUE, SW and integer-alpha qLUE averages take one `walk` down a
+chain of smaller partitions, a Weyl dimension ratio (of q-numbers for SW
+and qLUE) times a row factor per box (a domino for GUE); the kernel tables
+take the same walk over a whole rectangle.  Real-alpha qLUE takes its row
+factors on integers, times the one real power q^-alpha.
 
 The moments evaluate no Gamma either: each moment sequence is generated by
 the weight's own ratio m_p/m_{p-1} (`moment`), so the Andreief oracles, the
@@ -391,36 +391,42 @@ def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
 # closed-form Schur averages
 # ----------------------------------------------------------------------------
 
-def walk(lams, step) -> dict:
-    """<s_lam'> for each lam of lams, {(): 1} and those lams as a dict.
-    step(lam) is None when <s_lam'> is 0, else (nu, num, den) with
-    <s_lam'> = <s_nu'> num / den for a smaller nu; each lam steps down until
-    it reaches a nu already made, multiplies num and den along that chain
-    and makes one Fraction (on the reals, one product).  A graded list from
-    () takes one step per lam; a single lam walks down to ()."""
-    out = {(): Fraction(1)}
+def walk(lams, m: int, kind: str, alpha=None, beta=None) -> dict:
+    """<s_lam'> over m variables (GUE, LUE, JUE, SW or integer-alpha qLUE)
+    for each lam of lams, with {(): 1}, as a dict.  step(lam) is None when
+    <s_lam'> is 0, else (nu, ups, downs, shift) for a smaller nu; each lam
+    steps down to a nu already made, and <s_lam'> is <s_nu'> times the ups
+    over the downs of the chain: one Fraction (on the reals, one product), or
+    one `qratio` on <s_nu'>'s list in q, each factor a read as the q-number
+    [a]_q = u^(1-a) (1 - q^a)/(1 - q), times u^shift.  A graded list from ()
+    takes one step per lam; a single lam walks down to ()."""
+    step = _gue_step(m) if kind == "gue" else _row_step(m, kind, alpha, beta)
+    q = kind in ("sw", "qlue")
+    out = {(): QRat.const(1) if q else Fraction(1)}
     for lam in lams:
-        nu, num, den = lam, 1, 1
+        nu, shift, (ups, downs) = lam, 0, ([], []) if q else (1, 1)
         while nu not in out:
             s = step(nu)
             if s is None:
                 out[lam] = Fraction(0)
                 break
-            nu, num, den = s[0], num * s[1], den * s[2]
+            nu, shift = s[0], shift + s[3]
+            ups, downs = ((ups + s[1], downs + s[2]) if q
+                          else (ups * math.prod(s[1]), downs * math.prod(s[2])))
         else:
             p = out[nu]
-            out[lam] = (Fraction(p.numerator * num, p.denominator * den)
-                        if isinstance(num, int) else p * num / den)
+            if q:
+                out[lam] = qratio(ups, downs, p.offset + shift + sum(downs) - sum(ups), p.num[::2])
+            else:
+                out[lam] = (Fraction(p.numerator * ups, p.denominator * downs)
+                            if isinstance(ups, int) else p * ups / downs)
     return out
 
 
-def _walk_average(mu, m: int, step):
-    """<s_mu> by `walk` on lam = mu' alone; 0 when l(mu) > m."""
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return Fraction(0)
-    lam = pt.conjugate(mu)
-    return walk([lam], step)[lam]
+def _walk_average(mu, m: int, kind: str, alpha=None, beta=None):
+    """<s_mu> by `walk` on lam = mu' alone; 0 when l(mu) = lam_1 > m."""
+    lam = pt.conjugate(pt.canonical(mu))
+    return walk([lam], m, kind, alpha, beta)[lam] if lam[:1] <= (m,) else Fraction(0)
 
 
 def _gue_step(m: int):
@@ -451,51 +457,61 @@ def _gue_step(m: int):
         p = [*lam, 0]
         p[i] -= 1 if two_rows else 2
         p[i + 1] -= two_rows
-        return tuple(filter(None, p)), num if two_rows else -num, den
+        return tuple(filter(None, p)), [num if two_rows else -num], [den], 0
     return step
 
 
-def _row_step(m: int, alpha, beta=None):
-    """The LUE (beta None) or JUE `walk` step: lam - e_t, t the multiplicity
-    of r = lam_1.  With mu = lam', y = t + m - r and l_k = mu_k + m - k, the
-    Weyl dimension ratio of mu over mu - e_r (Macdonald I.3 Ex. 1) times the
-    row step up(y)/down(y), alpha + y or (alpha + y)/(alpha + beta + m + y),
-        <s_mu> = <s_nu> y/t prod_{k<r} (l_k - y)/(l_k - y + 1) up(y)/down(y).
+def _row_step(m: int, kind: str, alpha=None, beta=None):
+    """The LUE, JUE, SW and integer-alpha qLUE `walk` step: lam - e_t, t the
+    multiplicity of r = lam_1.  With mu = lam', y = t + m - r and
+    l_k = mu_k + m - k, the Weyl dimension ratio of mu over mu - e_r
+    (Macdonald I.3 Ex. 1) times the kind's row factor f(y) is
+        <s_mu> / <s_nu> = y/t prod_{k<r} (l_k - y)/(l_k - y + 1) f(y).
     The product telescopes over each run mu_k = c (lam_(c+1) < k <= lam_c)
     to prod_{c>=t} (d_c - lam_c)/(d_c - lam_(c+1)), d_c = c - t + r, with
-    lam_t read as r - 1 and lam_(l+1) = 0: O(l(lam)) integer factors on
-    lam's own rows, times up(y) and down(y) last: ints at exact parameters,
-    reals if either is real (Fraction / mpf is undefined)."""
-    if isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
-        a = to_mpf(alpha)
-        u, v = (a, 1), (1, 0) if beta is None else (a + to_mpf(beta) + m, 1)
+    lam_t read as r - 1 (a factor 1 up) and lam_(l+1) = 0: O(l(lam))
+    integer factors on lam's own rows, which read as q-numbers give the
+    q-dimension ratio.  f(y) = u^(s0 + s1 y) (u0 + u1 y)/(v0 + v1 y) is
+    alpha + y (LUE) or (alpha + y)/(alpha + beta + m + y) (JUE), ints at
+    exact parameters and reals if either is real (Fraction / mpf is
+    undefined); u^-(2y + m) (SW); q^(-(m-1)/2) m_y/m_(y-1) =
+    u^-(m + alpha + y) [alpha + y]_q (qLUE)."""
+    (u0, u1), (v0, v1), (s0, s1) = (1, 0), (1, 0), (0, 0)
+    if kind == "sw":
+        s0, s1 = -m, -2
+    elif kind == "qlue":
+        (u0, u1), (s0, s1) = (alpha, 1), (-m - alpha, -1)
+    elif isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
+        u0, u1 = to_mpf(alpha), 1
+        v0, v1 = (1, 0) if beta is None else (u0 + to_mpf(beta) + m, 1)
     else:
         (a, b), (c, d) = alpha.as_integer_ratio(), (beta or 0).as_integer_ratio()
-        u = (a * d, b * d)
-        v = (b, 0) if beta is None else (a * d + b * c + b * d * m, b * d)
+        u0, u1 = a * d, b * d
+        v0, v1 = (b, 0) if beta is None else (a * d + b * c + b * d * m, b * d)
 
     def step(lam):
-        r, t = lam[0], lam.count(lam[0])
-        row, y = (0, *lam[:t - 1], r - 1, *lam[t:], 0), t + m - r
-        num, den = y, t
-        for c in range(t, len(lam) + 1):
-            num, den = num * (c - t + r - row[c]), den * (c - t + r - row[c + 1])
-        return (row[1:-1] if r > 1 else lam[:-1], num * (u[0] + u[1] * y),
-                den * (v[0] + v[1] * y))
+        r, t, l = lam[0], lam.count(lam[0]), len(lam)
+        y, k = t + m - r, r - t  # d_c = c + k
+        ups, downs = [y, u0 + u1 * y, 1], [t, v0 + v1 * y, l + k]  # y/t, f(y), runs c = t, l
+        for i in range(t, l):  # d_c - lam_c up at c = i + 1, d_c - lam_(c+1) down at c = i
+            e = i + k - lam[i]
+            ups.append(e + 1)
+            downs.append(e)
+        return lam[:t - 1] + (r - 1,) + lam[t:] if r > 1 else lam[:-1], ups, downs, s0 + s1 * y
     return step
 
 
 def schur_avg_gue(mu, m: int) -> Fraction:
     """GUE Schur average by the domino `walk` of `_gue_step`: 0 when |mu| is
     odd or the 2-core of mu is not empty."""
-    return _walk_average(mu, m, _gue_step(m))
+    return _walk_average(mu, m, "gue")
 
 
 def schur_avg_lue(mu, m: int, alpha):
     """LUE: s_mu(1^m) prod_j Gamma(alpha+mu_j+m+1-j)/Gamma(alpha+m+1-j),
     by the one-box `walk` of `_row_step` (row step alpha+p): exact for any
     exact alpha and a high-precision real otherwise."""
-    return _walk_average(mu, m, _row_step(m, alpha))
+    return _walk_average(mu, m, "lue", alpha)
 
 
 def schur_avg_jue(mu, m: int, alpha, beta):
@@ -504,7 +520,7 @@ def schur_avg_jue(mu, m: int, alpha, beta):
     (row step (a+p)/(a+b+m+p)).  At integer parameters it is the dimension
     ratio s_mu(1^m) s_mu(1^(a+m)) / s_mu(1^(a+b+2m)); it is exact at every
     rational a, b and a high-precision real otherwise."""
-    return _walk_average(mu, m, _row_step(m, alpha, beta))
+    return _walk_average(mu, m, "jue", alpha, beta)
 
 
 def schur_avg_jue_tilde(mu, m: int, alpha: int, beta: int):
@@ -552,45 +568,30 @@ def schur_avg_lue_tilde(nu, m: int, alpha_tilde):
 
 
 def schur_avg_sw(mu, m: int) -> QRat:
-    """Stieltjes-Wigert: q^(-1/2 sum mu_j (mu_j + 3m + 1 - 2j)) dim_q mu,
-    one hook-content `qdim` quotient: a Laurent polynomial in u."""
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return Fraction(0)
-    e = sum(pt.part(mu, j) * (pt.part(mu, j) + 3 * m + 1 - 2 * j)
-            for j in range(1, m + 1))
-    return qdim(mu, m, offset=-e)
+    """Stieltjes-Wigert: q^(-1/2 sum mu_j (mu_j + 3m + 1 - 2j)) dim_q mu, a
+    Laurent polynomial in u, by the one-box q `walk` of `_row_step`."""
+    return _walk_average(mu, m, "sw")
 
 
 def schur_avg_qlue(mu, m: int, alpha, q=None):
-    """q-Laguerre Schur average.
-
-    The Gamma/Gamma_q ratios of the closed form telescope under
-    Gamma(z+1) = z Gamma(z) and Gamma_q(z+1) = |z|_q Gamma_q(z) into the
-    moment-recursion products
-
-        prod_j m_{mu_j+m-j}/m_{m-j},  m_p/m_{p-1} = -|-(alpha+p)|_q,
-
-    times q^(-(m-1)|mu|/2) dim_q(mu), with no singular factor evaluated.
-    At integer alpha a ratio is q^(-(alpha+p)) (1 - q^(alpha+p))/(1 - q), so
-    the average is one exact `qdim` quotient; any other alpha needs the
-    numeric q and gives a real, with the factor (q^(-(alpha+p)) - 1)/(1 - q),
-    on integers at a rational q but for the one power q^-alpha.
-    """
+    """q-Laguerre: the Gamma/Gamma_q ratios of the closed form telescope into
+    q^(-(m-1)|mu|/2) dim_q(mu) prod_j m_{mu_j+m-j}/m_{m-j}, with no singular
+    factor, m_p/m_{p-1} = -|-(alpha+p)|_q = q^-(alpha+p) |alpha+p|_q.  At
+    integer alpha the average is exact in u, by the one-box q `walk` of
+    `_row_step`; any other alpha needs the numeric q and gives a real, `qdim`
+    times the ratios, on integers at a rational q but for one power q^-alpha."""
+    if isinstance(alpha, int):
+        return _walk_average(mu, m, "qlue", alpha)
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
-    e = (m - 1) * sum(mu)
-    rows = [p for j in range(1, m + 1) for p in range(m - j + 1, pt.part(mu, j) + m - j + 1)]
-    if isinstance(alpha, int):
-        ups = [alpha + p for p in rows]
-        return qdim(mu, m, ups, [1] * len(ups), -e - 2 * sum(ups))
     if q is None:
         raise ValueError("real-alpha qlue average needs a numeric q")
+    rows = [p for j in range(1, m + 1) for p in range(m - j + 1, pt.part(mu, j) + m - j + 1)]
     # at q = a/b, dim_q mu = q^-k sum_i c_i q^i (k >= 0) is b^k h / (a^k b^K), h by Horner
     # on ints; the one real power q^-alpha is exactly n / 2^s, so a row factor is
     # (n b^p - 2^s a^p) b / (2^s a^p (b - a)) and the quotient is rounded once
-    d, (a,), b = qdim(mu, m, offset=-e), *int_form([q])
+    d, (a,), b = qdim(mu, m, offset=-(m - 1) * sum(mu)), *int_form([q])
     h, bk, k = 0, 1, -d.offset // 2
     for c in reversed(d.num[::2]):
         h, bk = h * a + c * bk, bk * b

@@ -26,9 +26,8 @@ from types import MappingProxyType
 import mpmath
 
 from . import partitions as pt
-from .ensembles import (EnsembleSpec, OrthoSystem, _gue_step, _row_step,
-                        field_key, moment, ortho_system, pair_cofactors,
-                        schur_average, walk)
+from .ensembles import (EnsembleSpec, OrthoSystem, field_key, moment,
+                        ortho_system, pair_cofactors, schur_average, walk)
 from .scalars import (Poly, binom, det_exact, gamma_real, guarded, int_form,
                       mat_inverse_exact, over, rational_sqrt, recip, to_mpf)
 from .symfun import _branching, schur_table, schur_values
@@ -125,10 +124,9 @@ def _table(spec: EnsembleSpec, rows: int, m: int, method: str = "closed") -> Ker
 @lru_cache(maxsize=128)
 def _table_cached(spec, rows: int, m: int, method: str, dps: int) -> KernelExpansion:
     parts = _branching(rows, m)[0]
-    if spec.kind in ("gue", "lue", "jue") and method == "closed":
+    if method == "closed" and spec.kind in ("gue", "lue", "jue", "sw", "qlue") and spec.q is None:
         # the graded rectangle: each lam takes one step from its parent
-        coeffs = walk(parts, _gue_step(m) if spec.kind == "gue"
-                      else _row_step(m, spec.alpha, spec.beta))
+        coeffs = walk(parts, m, spec.kind, spec.alpha, spec.beta)
     else:
         coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method) for lam in parts}
     return KernelExpansion(rows, m, MappingProxyType(coeffs), int_form(list(coeffs.values())))

@@ -504,14 +504,15 @@ def _qr_canonical(offset, num, den, coprime=False):
     return offset, num, den
 
 
-def qratio(ups, downs, offset: int = 0) -> QRat:
-    """u^offset prod_a (1 - q^a) / prod_b (1 - q^b) for positive integer
-    exponents, when the quotient is a Laurent polynomial; otherwise
-    ValueError.  Equal exponents cancel, the rest multiply as integer lists
-    in q (c - q^a c), and c / (1 - q^b) is the prefix sum of c along the
-    stride b, whose last b entries are the remainder.  No gcd is taken."""
+def qratio(ups, downs, offset: int = 0, start=(1,)) -> QRat:
+    """u^offset c prod_a (1 - q^a) / prod_b (1 - q^b), c the integer list
+    `start` in q, for positive integer exponents, when the quotient is a
+    Laurent polynomial; otherwise ValueError.  Equal exponents cancel, the
+    rest multiply c as lists (c - q^a c), and c / (1 - q^b) is the prefix
+    sum of c along the stride b, whose last b entries are the remainder.
+    No gcd is taken.  The q `walk` starts at a parent's list."""
     up, down = Counter(ups), Counter(downs)
-    c = [1]
+    c = list(start)
     for a in (up - down).elements():
         ext = c + [0] * a
         c = ext[:a] + [x - y for x, y in zip(ext[a:], c)]

@@ -23,9 +23,12 @@ against.  Each is independent of the code it checks:
 * `schur_avg_lue_int_form`, `lue_alpha_shift_pair` -- the integer-alpha LUE
                          dimension form and the alpha-shift identity, the
                          references for `schur_avg_lue`;
-* `schur_avg_row_products`, `schur_avg_gue_blocks` -- the per-partition
-                         product forms of the LUE/JUE and GUE averages, the
-                         references for the walks of `ensembles.walk`;
+* `schur_avg_row_products`, `schur_avg_gue_blocks`,
+  `schur_avg_sw_hook_content`, `schur_avg_qlue_hook_content` -- the
+                         per-partition product forms of the LUE/JUE, GUE,
+                         SW and integer-alpha qLUE averages (the q ones one
+                         hook-content `qratio` each), the references for
+                         the walks of `ensembles.walk`;
 * `kernel_cd_formula` -- the two-term Christoffel-Darboux formula, the
                          reference for the sum `kernel_cd`;
 * `chebyshev_u_all`   -- U_0..U_k by their recurrence, the reference for the
@@ -52,7 +55,7 @@ from schurkernels.ensembles import (EnsembleSpec, OrthoSystem, moment,
 from schurkernels.kernels import _exactify
 from schurkernels.scalars import (Poly, QRat, _zcancel, _zexquo, binom,
                                   det_exact, double_factorial, int_form, poch,
-                                  recip, to_mpf)
+                                  qratio, recip, to_mpf)
 from schurkernels.symfun import complete_h_all, schur_principal, schur_table
 
 
@@ -373,6 +376,36 @@ def schur_avg_gue_blocks(mu, m: int) -> Fraction:
     if c_mu is None or c_0 is None:
         return Fraction(0)
     return (c_mu / c_0) * schur_principal(mu, m)
+
+
+def _hook_content_qratio(mu, m: int, ups=(), downs=(), offset: int = 0):
+    """u^offset dim_q(mu) prod_a (1 - q^a) / prod_b (1 - q^b) as one
+    `qratio` over the hook-content multiset of mu and the extra factors:
+    dim_q(mu) = prod_boxes [m + c]_q / [h]_q, [z]_q = u^(1-z) (1 - q^z)/(1 - q);
+    0 when l(mu) > m."""
+    mu = pt.canonical(mu)
+    if len(mu) > m:
+        return Fraction(0)
+    data = pt.hook_content_data(mu)
+    up, down = [m + c for _, _, c in data], [h for _, h, _ in data]
+    return qratio(up + list(ups), down + list(downs), offset + sum(down) - sum(up))
+
+
+def schur_avg_sw_hook_content(mu, m: int):
+    """SW <s_mu> = q^(-1/2 sum mu_j (mu_j + 3m + 1 - 2j)) dim_q(mu) per partition."""
+    e = sum(pt.part(mu, j) * (pt.part(mu, j) + 3 * m + 1 - 2 * j) for j in range(1, m + 1))
+    return _hook_content_qratio(mu, m, offset=-e)
+
+
+def schur_avg_qlue_hook_content(mu, m: int, alpha: int):
+    """Integer-alpha qLUE <s_mu> = q^(-(m-1)|mu|/2) dim_q(mu) prod_j
+    m_{mu_j+m-j}/m_{m-j} per partition, each moment ratio
+    q^(-(alpha+p)) (1 - q^(alpha+p))/(1 - q)."""
+    rows = [p for j in range(1, m + 1)
+            for p in range(m - j + 1, pt.part(mu, j) + m - j + 1)]
+    ups = [alpha + p for p in rows]
+    return _hook_content_qratio(mu, m, ups, [1] * len(ups),
+                                -(m - 1) * sum(mu) - 2 * sum(ups))
 
 
 def lue_alpha_shift_pair(mu, m: int, alpha: int):

@@ -123,6 +123,12 @@ REAL_PINNED_DIGEST = "84c6a79f8a5fbeeb33954c7ca6e7daa2f3f2956e48664db30d31f711d6
 # routes of a library caller.  Recorded when the CLI still parsed decimals to
 # mpfs and took these routes, so it is the CLI digest of that time.
 REAL_LIBRARY_PINNED_DIGEST = "84c6a79f8a5fbeeb33954c7ca6e7daa2f3f2956e48664db30d31f711d64455ec"
+# The exact q kinds past the benchmark's sizes: (command, N, n, methods),
+# eval at PINNED_POINTS, on SW and integer-alpha qLUE.
+Q_PINNED_ENSEMBLES = ("--ensemble sw", "--ensemble qlue --alpha 0", "--ensemble qlue --alpha 1")
+Q_PINNED_GROUPS = [("eval", 12, 1, ("schur", "cd", "chebyshev")), ("eval", 8, 2, ("schur", "cd")),
+                   ("expand", 12, 1, (None,)), ("expand", 6, 2, (None,))]
+Q_PINNED_DIGEST = "d9802866950379017a225e23315b6dd69ff4fe5e7a1d374097ba3e7a67075134"
 
 
 class TestKernelCommands:
@@ -169,6 +175,23 @@ class TestKernelCommands:
                 assert r.exit_code == 0, r.output
                 digest.update(r.output.encode())
         assert digest.hexdigest() == REAL_PINNED_DIGEST
+
+    def test_exact_q_outputs_are_pinned(self, runner):
+        """The SW and integer-alpha qLUE routes and expansions print the bytes
+        they printed when this digest was recorded, before their tables
+        walked."""
+        digest = hashlib.sha256()
+        for ens in Q_PINNED_ENSEMBLES:
+            for cmd, nr, n, methods in Q_PINNED_GROUPS:
+                x, y = PINNED_POINTS[n]
+                for method in methods:
+                    args = ["kernel", cmd, *ens.split(), "--N", str(nr), "--n", str(n)]
+                    if method:
+                        args += ["--x", x, "--y", y, "--method", method]
+                    r = invoke(runner, args)
+                    assert r.exit_code == 0, r.output
+                    digest.update(r.output.encode())
+        assert digest.hexdigest() == Q_PINNED_DIGEST
 
     def test_real_library_routes_are_pinned(self):
         """khat_cd and khat_double at mpf parameters print, at 50 digits, the

@@ -11,7 +11,8 @@ import pytest
 from oracles import (chebyshev_algorithm, lue_alpha_shift_pair, monic_polys,
                      ortho_gram_schmidt, qnum_floor, schur_avg_bruteforce,
                      schur_avg_gue_blocks, schur_avg_lue_int_form,
-                     schur_avg_row_products, schur_pair_avg_bruteforce)
+                     schur_avg_qlue_hook_content, schur_avg_row_products,
+                     schur_avg_sw_hook_content, schur_pair_avg_bruteforce)
 from schurkernels import ensembles
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
@@ -500,7 +501,10 @@ class TestClosedForms:
     def test_walks_equal_the_product_forms(self):
         """The single-partition walks against the per-partition product
         forms: the GUE parity blocks, and the hook-content dimension times
-        the LUE/JUE row products; == and type Fraction."""
+        the LUE/JUE row products; == and type Fraction.  SW and qLUE at
+        alpha = 0, 1, 2 over Y(3,3) at M <= 8 against one hook-content
+        `qratio` each: ==, the same type (QRat, or the Fraction 0 at
+        l(mu) > M) and the same offset and coefficient lists."""
         lue = (0, 1, F(1, 2), F(9, 4))
         jue = ((1, 2), (F(7, 10), F(13, 10)), (F(-1, 2), F(15, 4)))
         for m in range(1, 7):
@@ -511,6 +515,15 @@ class TestClosedForms:
                           for a, b in jue]
                 for v, ref in pairs:
                     assert v == ref and type(v) is F, (mu, m)
+        for m in range(1, 9):
+            for mu in pt.enumerate_bounded(3, 3):
+                pairs = [(schur_avg_sw(mu, m), schur_avg_sw_hook_content(mu, m))]
+                pairs += [(schur_avg_qlue(mu, m, a), schur_avg_qlue_hook_content(mu, m, a))
+                          for a in (0, 1, 2)]
+                for v, ref in pairs:
+                    assert v == ref and type(v) is type(ref), (mu, m)
+                    if isinstance(v, QRat):
+                        assert (v.offset, v.num, v.den) == (ref.offset, ref.num, ref.den)
 
     @pytest.mark.parametrize("mu", [(4, 3, 3, 2), (5, 5, 2, 2, 1, 1)])
     @pytest.mark.parametrize("spec", [GUE, EnsembleSpec("lue", alpha=F(1, 2)), JUE_7_13],

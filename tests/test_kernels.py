@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 from oracles import (ginibre_khat_schur, kernel_cd_formula, monic_polys,
-                     schur_avg_gue_blocks, schur_avg_row_products)
+                     schur_avg_gue_blocks, schur_avg_qlue_hook_content,
+                     schur_avg_row_products, schur_avg_sw_hook_content)
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     hankel_det, ortho_system, pair_cofactors,
@@ -66,13 +67,17 @@ class TestExpansionTable:
 WALK_SPECS = ([EnsembleSpec("lue", alpha=a) for a in (0, 1, 2, F(1, 2), F(7, 10))]
               + [EnsembleSpec("jue", alpha=a, beta=b)
                  for a, b in ((0, 0), (1, 1), (0, 2), (F(7, 10), F(13, 10)))]
-              + [GUE])
+              + [GUE, EnsembleSpec("sw"), *(EnsembleSpec("qlue", alpha=a) for a in (0, 1, 2))])
 
 
 def _product_form(spec, mu, m):
     """<s_mu> by the per-partition product form of `oracles`, not the walk."""
     if spec.kind == "gue":
         return schur_avg_gue_blocks(mu, m)
+    if spec.kind == "sw":
+        return schur_avg_sw_hook_content(mu, m)
+    if spec.kind == "qlue":
+        return schur_avg_qlue_hook_content(mu, m, spec.alpha)
     return schur_avg_row_products(mu, m, spec.alpha, spec.beta)
 
 
@@ -82,10 +87,11 @@ def _per_lam(spec, nr, n):
 
 
 class TestTableWalk:
-    """The LUE/JUE tables, built coefficient by coefficient from the parent
-    mu - e_r, and the GUE table, from the parent mu minus a domino, equal the
-    per-partition product forms of `oracles` (hook-content dimension times
-    row products; the GUE parity blocks)."""
+    """The LUE/JUE, SW and integer-alpha qLUE tables, built coefficient by
+    coefficient from the parent mu - e_r, and the GUE table, from the parent
+    mu minus a domino, equal the per-partition product forms of `oracles`
+    (hook-content dimension times row products; one hook-content `qratio`;
+    the GUE parity blocks)."""
 
     def test_gue_table_makes_no_per_partition_average(self, monkeypatch):
         from schurkernels import ensembles, kernels
@@ -115,13 +121,24 @@ class TestTableWalk:
     @pytest.mark.parametrize("spec", WALK_SPECS,
                              ids=lambda s: f"{s.kind}-{s.alpha}-{s.beta}")
     def test_exact_tables_equal_closed_forms(self, spec):
-        sizes = [(nr, n) for n in (1, 2, 3) for nr in range(n + 1, n + 10)]
-        for nr, n in sizes + [(24, 1)]:
-            coeffs = expansion_table(spec, nr, n).coeffs
-            ref = _per_lam(spec, nr, n)
-            assert list(coeffs) == list(ref)
+        """The classical kernel tables at n <= 3 and (24,1); the SW and
+        integer-alpha qLUE tables Y(min(6, 24 // M), M), which hold every
+        Y(r, M) with r <= 6 and rM <= 24 (to rM <= 48 they take about two
+        minutes).  ==, the same type (QRat at ()), and for QRats the same
+        offset and coefficient lists."""
+        if spec.kind in ("sw", "qlue"):
+            tables = [_table(spec, min(6, 24 // m), m) for m in range(1, 25)]
+        else:
+            sizes = [(nr, n) for n in (1, 2, 3) for nr in range(n + 1, n + 10)]
+            tables = [expansion_table(spec, nr, n) for nr, n in sizes + [(24, 1)]]
+        for table in tables:
+            coeffs, m = table.coeffs, table.cols
+            assert list(coeffs) == pt.enumerate_bounded(table.rows, m)
             for lam, c in coeffs.items():
-                assert c == ref[lam] and type(c) is type(ref[lam]), (nr, n, lam)
+                ref = _product_form(spec, pt.conjugate(lam), m)
+                assert c == ref and type(c) is type(ref), (table.rows, m, lam)
+                if isinstance(c, QRat):
+                    assert (c.offset, c.num, c.den) == (ref.offset, ref.num, ref.den)
 
     @pytest.mark.parametrize("params", [{"alpha": "0.5"},
                                         {"alpha": "0.7", "beta": "1.3"}], ids=str)
