@@ -128,7 +128,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, ZeroDivisionError, AssertionError) as exc:
+        except (ValueError, ArithmeticError, AssertionError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import mpmath
 
@@ -51,8 +51,8 @@ class EnsembleSpec:
     `m` is required for jue_tilde, whose weight (1+z)^-(M+beta) depends on
     the number of variables.  `q` is the numeric q of qLUE at non-integer
     alpha; exact SW/qLUE work is symbolic in u = q^(1/2).  A parameter the
-    kind does not take is an error.  The hash and `field_key`'s realness
-    flag are set once: a cache lookup hashes no parameter again.
+    kind does not take is an error.  The hash and the realness flag of
+    `spec_cache`'s key are set once: a lookup hashes no parameter again.
     """
 
     kind: str
@@ -108,18 +108,29 @@ def moment(spec: EnsembleSpec, p: int):
     """
     if p < 0:
         raise ValueError("moment needs p >= 0")
-    return _moment_cached(spec, p, field_key(spec))
+    return _moment_cached(spec, p)
 
 
-def field_key(spec: EnsembleSpec) -> int:
-    """The cache key part that tells a real spec (the working precision) from
-    an exact one (0): 1/2 and 0.5 are equal, equally hashed parameters."""
-    return mpmath.mp.dps if spec._real else 0
+def spec_cache(maxsize: int):
+    """A bounded LRU cache for a builder fn(spec, *args), keyed on its
+    positional arguments and the spec's field: the working precision of a
+    real spec, 0 for an exact one (1/2 and 0.5 are equal, equally hashed
+    parameters).  The wrapper carries the cache's cache_info, cache_clear
+    and cache_parameters, and fn as __wrapped__."""
+    def decorate(fn):
+        cached = lru_cache(maxsize)(lambda dps, spec, *args: fn(spec, *args))
+
+        @wraps(fn)
+        def lookup(spec: EnsembleSpec, *args):
+            return cached(mpmath.mp.dps if spec._real else 0, spec, *args)
+        lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+        lookup.cache_parameters = cached.cache_parameters
+        return lookup
+    return decorate
 
 
-@lru_cache(maxsize=4096)
-def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
-    # dps is the working precision of a real moment, and 0 for an exact one
+@spec_cache(4096)
+def _moment_cached(spec: EnsembleSpec, p: int):
     kind, a, b, m = spec.kind, spec.alpha, spec.beta, spec.m
     if kind == "gue":
         return Fraction(0) if p % 2 else Fraction(double_factorial(p - 1))
@@ -127,7 +138,7 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
         return QRat.u_power(-((p + 1) ** 2))
     integer = all(isinstance(v, int) for v in (a, b, spec.alpha_tilde)
                   if v is not None)
-    mass = mpmath.mpf(1) if dps else Fraction(1)
+    mass = mpmath.mpf(1) if spec._real else Fraction(1)
     if kind == "lue":
         if integer:
             mass = Fraction(math.factorial(a))
@@ -162,42 +173,38 @@ def _moment_cached(spec: EnsembleSpec, p: int, dps: int):
         raise ValueError(f"moments not defined for kind {kind!r}")
     # m_p = m_{p-1} step(p) from the last moment made so far: the product
     # order of m_0 prod_{s<=p} step(s), without recursion
-    chain = _moment_chain(spec, dps)
+    chain = _moment_chain(spec)
     for s in range(len(chain), p + 1):
         chain.append(chain[-1] * step(s) if s else mass)
     return chain[p]
 
 
-@lru_cache(maxsize=128)
-def _moment_chain(spec: EnsembleSpec, dps: int) -> list:
+@spec_cache(128)
+def _moment_chain(spec: EnsembleSpec) -> list:
     """m_0, m_1, ... as far as `_moment_cached` made them; it extends the list."""
     return []
 
 
+@spec_cache(128)
 def hankel_det(spec: EnsembleSpec, m: int):
     """det[m_{j+k}], 0 <= j,k <= m-1: the partition function of the weight
     with the mass m_0 of `moment` (its true mass at integer parameters), for
     the Andreief oracles and `painleve`.  Eliminated in the row order M-1..0
     of the oracle numerators, so a real Andreief ratio rounds both of its
-    determinants alike.  Cached, bounded, keyed as `moment`."""
-    return _hankel_cached(spec, m, field_key(spec)) if m else 1
-
-
-@lru_cache(maxsize=128)
-def _hankel_cached(spec: EnsembleSpec, m: int, dps: int):
-    return _moment_det(spec, range(m - 1, -1, -1), range(m - 1, -1, -1))
+    determinants alike.  Cached by `spec_cache`."""
+    return _moment_det(spec, range(m - 1, -1, -1), range(m - 1, -1, -1)) if m else 1
 
 
 def _moment_det(spec: EnsembleSpec, rows, cols):
     """det[m_{a+b}] for a in rows (row order) and b in cols (column order); at
     rational moments Bareiss on the `int_form` (z, d) of m_0..m_top: det[z_{a+b}] / d^M."""
-    z, d = _moment_prefix(spec, max(rows) + max(cols), field_key(spec))
+    z, d = _moment_prefix(spec, max(rows) + max(cols))
     mat = [[z[a + b] for b in cols] for a in rows]
     return det_exact(mat) if d is None else over(_bareiss(mat, int.__floordiv__), d ** len(mat))
 
 
-@lru_cache(maxsize=128)
-def _moment_prefix(spec: EnsembleSpec, top: int, dps: int):
+@spec_cache(128)
+def _moment_prefix(spec: EnsembleSpec, top: int):
     """The `int_form` of m_0..m_top at rational moments, else (m_0..m_top, None)."""
     mom = [moment(spec, p) for p in range(top + 1)]
     return int_form(mom) if isinstance(mom[0], (int, Fraction)) else (mom, None)
@@ -217,26 +224,22 @@ class OrthoSystem:
     ints: tuple
 
 
+@spec_cache(128)
 def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
     """h_0..h_K and P_0..P_K of the moment form <z^a, z^b> = m_{a+b}, by the
     monic recurrence P_(k+1) = (z - a_k) P_k - b_k P_(k-1), h_0 = m_0 and
     h_k = h_(k-1) b_k, in the moments' own field (Fraction, QRat or mpf),
     with the closed-form (a_k, b_k) of `_recurrence`; Gram-Schmidt and the
     Chebyshev algorithm are the test oracles.  One system per spec and field
-    grows in place, and a smaller K reads its prefix.  Cached, bounded,
-    keyed as `moment`."""
+    grows in place, and a smaller K reads its prefix.  Cached by
+    `spec_cache`."""
     if kmax < 0:
         raise ValueError("ortho_system needs kmax >= 0")
-    return _ortho_cached(spec, kmax, field_key(spec))
-
-
-@lru_cache(maxsize=128)
-def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
     # P_(k+1) on plain lists, skipping zero terms as `_pmul` does: zero
     # coefficients stay int 0 and the leading one int 1
-    norms, forms, pk, pprev = chain = _ortho_chain(spec, dps)
+    norms, forms, pk, pprev = chain = _ortho_chain(spec)
     if len(norms) <= kmax:
-        a, b = _recurrence(spec, kmax, dps)
+        a, b = _recurrence(spec, kmax, spec._real)
         for k in range(len(norms) - 1, kmax):
             nxt = [0] + pk
             for c, p in ((a[k], pk), (b[k], pprev)):
@@ -253,14 +256,14 @@ def _ortho_cached(spec: EnsembleSpec, kmax: int, dps: int) -> OrthoSystem:
     return OrthoSystem(tuple(norms), (tuple(c for c, _ in forms), *w))
 
 
-@lru_cache(maxsize=128)
-def _ortho_chain(spec: EnsembleSpec, dps: int) -> list:
+@spec_cache(128)
+def _ortho_chain(spec: EnsembleSpec) -> list:
     """[h_0.., the int forms of P_0.., the last two coefficient lists] as
-    far as `_ortho_cached` grew them; it extends them."""
+    far as `ortho_system` grew them; it extends them."""
     return [[moment(spec, 0)], [int_form([1])], [1], []]
 
 
-def _recurrence(spec: EnsembleSpec, kmax: int, dps: int):
+def _recurrence(spec: EnsembleSpec, kmax: int, real: bool):
     """(a_0..a_(K-1), b_0..b_K), b_0 = 0, in closed form (Koekoek, Lesky and
     Swarttouw 2010, sections 9.15, 9.12, 9.8, 14.21 and 14.27): ints on GUE
     and LUE at integer alpha, QRats on SW and exact qLUE (q = u^2).  JUE is
@@ -269,7 +272,7 @@ def _recurrence(spec: EnsembleSpec, kmax: int, dps: int):
     cancelled; jue_tilde is JUE at beta -> -(M + beta) reflected by z -> -z
     (a_k -> -a_k); lue_tilde is the Bessel family.  The tilde kinds read
     m_0..m_2K in order first, so a divergent moment raises as `moment` does."""
-    kind, al, num = spec.kind, spec.alpha, to_mpf if dps else Fraction
+    kind, al, num = spec.kind, spec.alpha, to_mpf if real else Fraction
     if kind.endswith("_tilde"):
         for p in range(2 * kmax + 1):
             moment(spec, p)
@@ -282,7 +285,7 @@ def _recurrence(spec: EnsembleSpec, kmax: int, dps: int):
         a = lambda k: u ** -(4 * k + 3) * (1 + u ** 2 - u ** (2 * k + 2))
         b = lambda k: u ** (-8 * k) * (1 - u ** (2 * k))
     elif kind == "qlue":
-        q = to_mpf(spec.q) if dps else QRat.q_power(1)
+        q = to_mpf(spec.q) if real else QRat.q_power(1)
         a = lambda k: (1 - q ** (k + al + 1) + q - q ** (k + 1)) / (q ** (2 * k + al + 1) * (1 - q))
         b = lambda k: (1 - q ** k) * (1 - q ** (k + al)) / (q ** (4 * k + 2 * al - 1) * (1 - q) ** 2)
     elif kind == "lue_tilde":
@@ -325,11 +328,12 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
     return _moment_det(spec, a, b) / hankel_det(spec, m)
 
 
+@spec_cache(128)
 def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
     """(rows, den) with <s_lam' s_mu'> = rows[i][j] / den, lam and mu the
     i-th and j-th of `enumerate_bounded(n, m)`: ints in lowest terms at
     rational moments, QRats or mpfs otherwise.  Ginibre's diagonal comes
-    from `pair_average`.  Cached, bounded, with the key of `moment`.
+    from `pair_average`.  Cached by `spec_cache`.
 
     The numerator in `schur_pair_avg_oracle` is the minor H[A, B] of the
     (M+n)-square moment Hankel matrix; A^c = {M-1+i-lam_i}.  The
@@ -340,11 +344,6 @@ def pair_cofactors(spec: EnsembleSpec, n: int, m: int):
     sum A^c + sum B^c.  The pair () x () (the first) is 1, so its minor of
     G is the denominator: one n x n determinant per unordered pair.
     """
-    return _cofactors_cached(spec, n, m, field_key(spec))
-
-
-@lru_cache(maxsize=128)
-def _cofactors_cached(spec: EnsembleSpec, n: int, m: int, dps: int):
     parts = _branching(n, m)[0]
     k = len(parts)
     if spec.kind == "ginibre":
@@ -662,7 +661,7 @@ def schur_average(spec: EnsembleSpec, mu, m: int, method: str = "closed",
     digits (None: the working precision).  A real spec works 2M + 5 digits
     above them and is rounded once (`guarded`): the Andreief determinants
     lose about 1.2 digits per variable (JUE 0.7, 1.3: 11.7 at M = 10)."""
-    return guarded(field_key(spec), dps, 2 * m + 5, lambda: _schur_average(spec, mu, m, method))
+    return guarded(spec._real, dps, 2 * m + 5, lambda: _schur_average(spec, mu, m, method))
 
 
 def _schur_average(spec: EnsembleSpec, mu, m: int, method: str):

@@ -20,14 +20,14 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from types import MappingProxyType
 
 import mpmath
 
 from . import partitions as pt
-from .ensembles import (EnsembleSpec, OrthoSystem, field_key, moment,
-                        ortho_system, pair_cofactors, schur_average, walk)
+from .ensembles import (EnsembleSpec, OrthoSystem, moment, ortho_system,
+                        pair_cofactors, schur_average, spec_cache, walk)
 from .scalars import (Poly, binom, det_exact, gamma_real, guarded, int_form,
                       mat_inverse_exact, over, rational_sqrt, recip, to_mpf)
 from .symfun import _branching, schur_table, schur_values
@@ -115,14 +115,10 @@ def expansion_table(spec: EnsembleSpec, n_rank: int, n_pairs: int,
     return _table(spec, 2 * n_pairs, n_rank - n_pairs, method)
 
 
-def _table(spec: EnsembleSpec, rows: int, m: int, method: str = "closed") -> KernelExpansion:
+@spec_cache(128)
+def _table(spec: EnsembleSpec, rows: int, m: int, method: str) -> KernelExpansion:
     """<s_lam'>_w for all lam in Y_{rows, m}: one table per rectangle for every
-    sum that reads it; cached, bounded, with the key of `moment`."""
-    return _table_cached(spec, rows, m, method, field_key(spec))
-
-
-@lru_cache(maxsize=128)
-def _table_cached(spec, rows: int, m: int, method: str, dps: int) -> KernelExpansion:
+    sum that reads it; cached by `spec_cache`."""
     parts = _branching(rows, m)[0]
     if method == "closed" and spec.kind in ("gue", "lue", "jue", "sw", "qlue") and spec.q is None:
         # the graded rectangle: each lam takes one step from its parent
@@ -138,7 +134,7 @@ def char_poly_schur(spec: EnsembleSpec, m: int, k: int) -> Poly:
     s_lam(1^k) <s_lam'>, from the k x M table and one branching pass."""
     parts, s = schur_values(k, m, [1] * k)
     coeffs = [0] * (k * m + 1)
-    for lam, v, c in zip(parts, s, _table(spec, k, m).coeffs.values()):
+    for lam, v, c in zip(parts, s, _table(spec, k, m, "closed").coeffs.values()):
         coeffs[k * m - sum(lam)] += v * c
     return Poly(coeffs)
 
@@ -149,7 +145,7 @@ def _guarded(route):
     each point pair on a weight on [0, 1]."""
     @wraps(route)
     def run(query: KernelQuery, dps: int | None = None):
-        real = field_key(query.spec) or any(isinstance(v, mpmath.mpf) for v in query.x + query.y)
+        real = query.spec._real or any(isinstance(v, mpmath.mpf) for v in query.x + query.y)
         return guarded(real, dps, query.guard, lambda: route(query))
     return run
 
@@ -310,7 +306,7 @@ def df_chiral_kernel(n_rank: int, n_pairs: int, xs, alpha, beta, gamma=1):
         if n_pairs == 1:
             return df_chiral_closed_n1(n_rank, _exactify(xs[0]), alpha, beta, gamma)
         raise ValueError("df_chiral_kernel supports gamma != 1 only at n = 1")
-    table = _table(EnsembleSpec("jue", alpha=alpha, beta=beta), n_pairs, n_rank - n_pairs)
+    table = _table(EnsembleSpec("jue", alpha=alpha, beta=beta), n_pairs, n_rank - n_pairs, "closed")
     return table.evaluate(tuple(-1 / _exactify(v) for v in xs))
 
 

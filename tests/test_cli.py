@@ -491,6 +491,10 @@ EVAL = ["kernel", "eval", "--ensemble", "gue", "--N", "3", "--n", "1"]
      None),
     (["schur-avg", "--ensemble", "qlue", "--alpha", "1", "--q", "1/2", "--m", "2",
       "--partition", "1"], None),
+    (["schur-avg", "--ensemble", "qlue", "--alpha", "1e400", "--m", "1",
+      "--partition", "1"], None),
+    (["kernel", "eval", "--ensemble", "lue", "--alpha", "1e400", "--N", "2", "--n", "1",
+      "--x", "1", "--y", "2", "--method", "cd"], None),
 ])
 def test_bad_input_fails_cleanly(runner, args, env):
     if env is None:

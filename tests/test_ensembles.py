@@ -1,7 +1,9 @@
 """Unit tests for ensemble data: moments, orthogonal polynomials, the
 Andreief oracle and every closed-form Schur average."""
 
+import dataclasses
 import math
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -102,12 +104,10 @@ class TestMoments:
         assert [moment(GUE, p) for p in range(6)] == [1, 0, 1, 0, 3, 0]
 
     def test_cache_is_bounded(self):
-        from schurkernels.ensembles import (_cofactors_cached, _hankel_cached,
-                                            _moment_chain, _moment_cached,
-                                            _ortho_cached, _ortho_chain)
-        from schurkernels.kernels import _table_cached
-        for cache in (_moment_cached, _moment_chain, _ortho_cached, _ortho_chain,
-                      _table_cached, _cofactors_cached, _hankel_cached):
+        caches = _module_caches()
+        assert {"ensembles._moment_cached", "ensembles._moment_prefix", "kernels._table",
+                "symfun._branching", "toeplitz_fh.toeplitz_det"} <= caches.keys()
+        for cache in caches.values():
             assert cache.cache_parameters()["maxsize"] is not None
 
     def test_lue(self):
@@ -220,6 +220,38 @@ class TestMoments:
                     assert table.ints == (tuple(table.coeffs.values()), 1)
                     assert all(p[-1] == 1 for p in osys.ints[0])  # p_j = P_j
                     assert osys.ints[2] == 1
+
+    def test_precision_is_part_of_every_key(self):
+        """0.5 is exact in binary, so LUE at alpha = 0.5 is one spec key at
+        30 and at 60 digits: after a 30-digit build, each cached builder at
+        60 digits equals a 60-digit build from empty caches to 1e-55, where
+        the 30-digit values differ from it beyond that."""
+        from schurkernels.ensembles import pair_cofactors
+        from schurkernels.kernels import expansion_table
+        spec = EnsembleSpec("lue", alpha=mpmath.mpf("0.5"))
+        # sizes at which every builder has values that round at 30 digits
+        builds = {"moment": lambda: moment(spec, 35), "hankel_det": lambda: hankel_det(spec, 17),
+                  "ortho_system": lambda: ortho_system(spec, 20),
+                  "pair_cofactors": lambda: pair_cofactors(spec, 2, 2),
+                  "expansion_table": lambda: expansion_table(spec, 24, 1)}
+
+        def build():
+            return {name: list(_reals(f())) for name, f in builds.items()}
+
+        def agree(got, want):
+            tol = mpmath.mpf(10) ** -55
+            return len(got) == len(want) and all(abs(g - w) <= abs(w) * tol
+                                                 for g, w in zip(got, want))
+        _clear_caches()
+        with mpmath.workdps(30):
+            low = build()
+        with mpmath.workdps(60):
+            warm = build()
+            _clear_caches()
+            fresh = build()
+            for name in builds:
+                assert fresh[name] and agree(warm[name], fresh[name]), name
+                assert not agree(low[name], fresh[name]), name
 
     def test_deep_moment_needs_no_recursion(self):
         assert moment(EnsembleSpec("lue", alpha=F(1, 2)), 1500) > 0
@@ -393,12 +425,43 @@ class TestHankelAndOrtho:
         assert again == fresh and _types(again) == _types(fresh)
 
 
+def _module_caches():
+    """Every module-level cache of the package, by module.name: the objects
+    that carry cache_parameters."""
+    import schurkernels.cli  # noqa: F401  (loads every module)
+    return {f"{name.removeprefix('schurkernels.')}.{attr}": obj
+            for name, mod in list(sys.modules.items())
+            if name == "schurkernels" or name.startswith("schurkernels.")
+            for attr, obj in vars(mod).items()
+            if callable(getattr(obj, "cache_parameters", None))}
+
+
+def _clear_caches():
+    for cache in _module_caches().values():
+        cache.cache_clear()
+
+
+def _reals(v):
+    """The mpfs in a cached value, in order: nested tuples, lists, maps and
+    dataclasses."""
+    if isinstance(v, mpmath.mpf):
+        yield v
+    elif isinstance(v, (tuple, list)):
+        for x in v:
+            yield from _reals(x)
+    elif isinstance(v, MappingProxyType):
+        yield from _reals(list(v.values()))
+    elif dataclasses.is_dataclass(v):
+        for f in dataclasses.fields(v):
+            yield from _reals(getattr(v, f.name))
+
+
 @pytest.fixture
 def fresh_ortho():
     """Empties the orthogonal-system caches before and after a test, and
     gives the test the function that empties them."""
     def clear():
-        ensembles._ortho_cached.cache_clear()
+        ensembles.ortho_system.cache_clear()
         ensembles._ortho_chain.cache_clear()
     clear()
     yield clear

@@ -104,7 +104,7 @@ class TestTableWalk:
         monkeypatch.setattr(ensembles, "schur_average", counted)
         monkeypatch.setattr(kernels, "schur_average", counted)
         # the uncached builder: a table cached by an earlier test makes no call
-        table = kernels._table_cached.__wrapped__(GUE, 2, 23, "closed", 0)
+        table = kernels._table.__wrapped__(GUE, 2, 23, "closed")
         assert len(table.coeffs) == 300 and calls == []
 
     @pytest.mark.parametrize("rows,m", [(2, 11), (4, 6), (6, 4)])
@@ -112,7 +112,7 @@ class TestTableWalk:
         """The domino walk on lam's rows against the Andreief determinant
         of each mu = lam', zeros (an odd 2-core) included."""
         from schurkernels import kernels
-        coeffs = kernels._table_cached.__wrapped__(GUE, rows, m, "closed", 0).coeffs
+        coeffs = kernels._table.__wrapped__(GUE, rows, m, "closed").coeffs
         assert list(coeffs) == pt.enumerate_bounded(rows, m)
         for lam, c in coeffs.items():
             ref = schur_avg_oracle(GUE, pt.conjugate(lam), m)
@@ -127,7 +127,7 @@ class TestTableWalk:
         minutes).  ==, the same type (QRat at ()), and for QRats the same
         offset and coefficient lists."""
         if spec.kind in ("sw", "qlue"):
-            tables = [_table(spec, min(6, 24 // m), m) for m in range(1, 25)]
+            tables = [_table(spec, min(6, 24 // m), m, "closed") for m in range(1, 25)]
         else:
             sizes = [(nr, n) for n in (1, 2, 3) for nr in range(n + 1, n + 10)]
             tables = [expansion_table(spec, nr, n) for nr, n in sizes + [(24, 1)]]
@@ -169,7 +169,7 @@ class TestTableWalk:
         telescopes the Weyl ratio over each run of equal parts; it equals
         the per-lam product forms under == and in type, and to 45 digits at
         mpf parameters (both at 50 digits)."""
-        coeffs = _table(spec, rows, m).coeffs
+        coeffs = _table(spec, rows, m, "closed").coeffs
         assert list(coeffs) == pt.enumerate_bounded(rows, m)
         for lam in list(coeffs)[1:]:
             c, ref = coeffs[lam], _product_form(spec, pt.conjugate(lam), m)
