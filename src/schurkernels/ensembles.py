@@ -7,11 +7,12 @@ The LUE, JUE, qLUE and Ginibre closed forms are products of Gamma (or
 Gamma_q) ratios, which telescope under Gamma(z+1) = z Gamma(z) and
 Gamma_q(z+1) = |z|_q Gamma_q(z), so no Gamma is evaluated: the value is
 exact at every rational parameter (for qLUE, at every integer alpha).  The
-GUE, LUE, JUE, SW and integer-alpha qLUE averages take one `walk` down a
-chain of smaller partitions, a Weyl dimension ratio (of q-numbers for SW
-and qLUE) times a row factor per box (a domino for GUE); the kernel tables
-take the same walk over a whole rectangle.  Real-alpha qLUE takes its row
-factors on integers, times the one real power q^-alpha.
+averages of every kind but Ginibre and real-alpha qLUE, the inverse kinds
+included, take one `walk` down a chain of smaller partitions, a Weyl
+dimension ratio (of q-numbers for SW and qLUE) times a row factor per box
+(a domino for GUE); the kernel tables take the same walk over a whole
+rectangle.  Real-alpha qLUE takes its row factors on integers, times the
+one real power q^-alpha.
 
 The moments evaluate no Gamma either: each moment sequence is generated by
 the weight's own ratio m_p/m_{p-1} (`moment`), so the Andreief oracles, the
@@ -35,7 +36,7 @@ import mpmath
 from . import partitions as pt
 from .scalars import (QRat, _bareiss, binom, det_exact, double_factorial,
                       guarded, int_form, over, poch, qratio, recip, to_mpf)
-from .symfun import _branching, qdim, schur_principal
+from .symfun import _branching, qdim
 
 #: the ensemble kinds and the parameters each takes; all but q are required
 PARAMS = {"gue": (), "lue": ("alpha",), "jue": ("alpha", "beta"),
@@ -203,7 +204,7 @@ def _moment_det(spec: EnsembleSpec, rows, cols):
     return det_exact(mat) if d is None else over(_bareiss(mat, int.__floordiv__), d ** len(mat))
 
 
-@spec_cache(128)
+@spec_cache(256)
 def _moment_prefix(spec: EnsembleSpec, top: int):
     """The `int_form` of m_0..m_top at rational moments, else (m_0..m_top, None)."""
     mom = [moment(spec, p) for p in range(top + 1)]
@@ -390,16 +391,21 @@ def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
 # closed-form Schur averages
 # ----------------------------------------------------------------------------
 
-def walk(lams, m: int, kind: str, alpha=None, beta=None) -> dict:
-    """<s_lam'> over m variables (GUE, LUE, JUE, SW or integer-alpha qLUE)
-    for each lam of lams, with {(): 1}, as a dict.  step(lam) is None when
+def walk(lams, m: int, spec: EnsembleSpec) -> dict:
+    """<s_lam'> over m variables for each lam of lams, with {(): 1}, as a
+    dict, in every kind with a single average but real-alpha qLUE, the
+    parameters read from spec.  A tilde kind checks its domain once, at the
+    largest mu_1 = l(lam) of lams (a table's rows).  step(lam) is None when
     <s_lam'> is 0, else (nu, ups, downs, shift) for a smaller nu; each lam
     steps down to a nu already made, and <s_lam'> is <s_nu'> times the ups
     over the downs of the chain: one Fraction (on the reals, one product), or
     one `qratio` on <s_nu'>'s list in q, each factor a read as the q-number
     [a]_q = u^(1-a) (1 - q^a)/(1 - q), times u^shift.  A graded list from ()
     takes one step per lam; a single lam walks down to ()."""
-    step = _gue_step(m) if kind == "gue" else _row_step(m, kind, alpha, beta)
+    kind = spec.kind
+    if kind.endswith("_tilde"):
+        _tilde_domain(spec, m, max(map(len, lams), default=0))
+    step = _gue_step(m) if kind == "gue" else _row_step(m, spec)
     q = kind in ("sw", "qlue")
     out = {(): QRat.const(1) if q else Fraction(1)}
     for lam in lams:
@@ -416,16 +422,36 @@ def walk(lams, m: int, kind: str, alpha=None, beta=None) -> dict:
             p = out[nu]
             if q:
                 out[lam] = qratio(ups, downs, p.offset + shift + sum(downs) - sum(ups), p.num[::2])
-            else:
-                out[lam] = (Fraction(p.numerator * ups, p.denominator * downs)
-                            if isinstance(ups, int) else p * ups / downs)
+            elif isinstance(ups, int) and isinstance(downs, int):
+                out[lam] = Fraction(p.numerator * ups, p.denominator * downs)
+            else:  # on the reals, where p may be the Fraction 1 of ()
+                out[lam] = to_mpf(p) * ups / downs
     return out
 
 
-def _walk_average(mu, m: int, kind: str, alpha=None, beta=None):
+def _walk_average(mu, m: int, spec: EnsembleSpec):
     """<s_mu> by `walk` on lam = mu' alone; 0 when l(mu) = lam_1 > m."""
     lam = pt.conjugate(pt.canonical(mu))
-    return walk([lam], m, kind, alpha, beta)[lam] if lam[:1] <= (m,) else Fraction(0)
+    return walk([lam], m, spec)[lam] if lam[:1] <= (m,) else Fraction(0)
+
+
+def _tilde_domain(spec: EnsembleSpec, m: int, top: int):
+    """Raise unless the tilde average of every mu with mu_1 <= top over m
+    variables is finite: jue_tilde needs spec.m = m, rational parameters and
+    beta_t = beta - alpha - m >= top (else s_mu'(1^beta_t) = 0), lue_tilde
+    alpha_tilde - 2m - top > -1."""
+    if spec.kind == "jue_tilde":
+        if spec.m != m:
+            raise ValueError("jue_tilde average needs m equal to spec.m")
+        if spec._real:
+            raise ValueError("jue_tilde closed form needs rational alpha and beta")
+        bt = spec.beta - spec.alpha - m
+        if bt < 0:
+            raise ValueError("jue_tilde average needs beta - alpha - m >= 0")
+        if top > bt:
+            raise ValueError("jue_tilde average: mu_1 > beta_t (zero dimension)")
+    elif not (spec.alpha_tilde - 2 * m - top > -1):
+        raise ValueError("lue_tilde average diverges: alpha_tilde too small")
 
 
 def _gue_step(m: int):
@@ -460,33 +486,37 @@ def _gue_step(m: int):
     return step
 
 
-def _row_step(m: int, kind: str, alpha=None, beta=None):
-    """The LUE, JUE, SW and integer-alpha qLUE `walk` step: lam - e_t, t the
-    multiplicity of r = lam_1.  With mu = lam', y = t + m - r and
-    l_k = mu_k + m - k, the Weyl dimension ratio of mu over mu - e_r
-    (Macdonald I.3 Ex. 1) times the kind's row factor f(y) is
+def _row_step(m: int, spec: EnsembleSpec):
+    """The `walk` step of every kind but GUE: lam - e_t, t the multiplicity
+    of r = lam_1.  With mu = lam', y = t + m - r = m + c for the content c
+    of the box taken, and l_k = mu_k + m - k, the Weyl dimension ratio of mu
+    over mu - e_r (Macdonald I.3 Ex. 1) times the kind's row factor f(y) is
         <s_mu> / <s_nu> = y/t prod_{k<r} (l_k - y)/(l_k - y + 1) f(y).
     The product telescopes over each run mu_k = c (lam_(c+1) < k <= lam_c)
     to prod_{c>=t} (d_c - lam_c)/(d_c - lam_(c+1)), d_c = c - t + r, with
     lam_t read as r - 1 (a factor 1 up) and lam_(l+1) = 0: O(l(lam))
     integer factors on lam's own rows, which read as q-numbers give the
     q-dimension ratio.  f(y) = u^(s0 + s1 y) (u0 + u1 y)/(v0 + v1 y) is
-    alpha + y (LUE) or (alpha + y)/(alpha + beta + m + y) (JUE), ints at
-    exact parameters and reals if either is real (Fraction / mpf is
-    undefined); u^-(2y + m) (SW); q^(-(m-1)/2) m_y/m_(y-1) =
-    u^-(m + alpha + y) [alpha + y]_q (qLUE)."""
+    alpha + y (LUE), (alpha + y)/(alpha + beta + m + y) (JUE),
+    (alpha + y)/(beta - alpha - y) (JUE-tilde) or 1/(alpha_tilde - m - y)
+    (LUE-tilde): ints at alpha = a/b, beta = c/d (alpha_tilde = a/b), and
+    reals at b = d = 1 if a parameter is real (Fraction / mpf is undefined);
+    u^-(2y + m) (SW); q^(-(m-1)/2) m_y/m_(y-1) = u^-(m + alpha + y)
+    [alpha + y]_q (qLUE)."""
+    kind = spec.kind
     (u0, u1), (v0, v1), (s0, s1) = (1, 0), (1, 0), (0, 0)
     if kind == "sw":
         s0, s1 = -m, -2
     elif kind == "qlue":
-        (u0, u1), (s0, s1) = (alpha, 1), (-m - alpha, -1)
-    elif isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
-        u0, u1 = to_mpf(alpha), 1
-        v0, v1 = (1, 0) if beta is None else (u0 + to_mpf(beta) + m, 1)
+        (u0, u1), (s0, s1) = (spec.alpha, 1), (-m - spec.alpha, -1)
     else:
-        (a, b), (c, d) = alpha.as_integer_ratio(), (beta or 0).as_integer_ratio()
-        u0, u1 = a * d, b * d
-        v0, v1 = (b, 0) if beta is None else (a * d + b * c + b * d * m, b * d)
+        al = spec.alpha_tilde if kind == "lue_tilde" else spec.alpha
+        (a, b), (c, d) = ((to_mpf(x), 1) if spec._real else x.as_integer_ratio()
+                          for x in (al, spec.beta or 0))
+        (u0, u1), (v0, v1) = {"lue": ((a * d, b * d), (b, 0)),
+                              "jue": ((a * d, b * d), (a * d + b * c + b * d * m, b * d)),
+                              "jue_tilde": ((a * d, b * d), (b * c - a * d, -b * d)),
+                              "lue_tilde": ((b, 0), (a - b * m, -b))}[kind]
 
     def step(lam):
         r, t, l = lam[0], lam.count(lam[0]), len(lam)
@@ -503,14 +533,14 @@ def _row_step(m: int, kind: str, alpha=None, beta=None):
 def schur_avg_gue(mu, m: int) -> Fraction:
     """GUE Schur average by the domino `walk` of `_gue_step`: 0 when |mu| is
     odd or the 2-core of mu is not empty."""
-    return _walk_average(mu, m, "gue")
+    return _walk_average(mu, m, EnsembleSpec("gue"))
 
 
 def schur_avg_lue(mu, m: int, alpha):
     """LUE: s_mu(1^m) prod_j Gamma(alpha+mu_j+m+1-j)/Gamma(alpha+m+1-j),
     by the one-box `walk` of `_row_step` (row step alpha+p): exact for any
     exact alpha and a high-precision real otherwise."""
-    return _walk_average(mu, m, "lue", alpha)
+    return _walk_average(mu, m, EnsembleSpec("lue", alpha=alpha))
 
 
 def schur_avg_jue(mu, m: int, alpha, beta):
@@ -519,57 +549,30 @@ def schur_avg_jue(mu, m: int, alpha, beta):
     (row step (a+p)/(a+b+m+p)).  At integer parameters it is the dimension
     ratio s_mu(1^m) s_mu(1^(a+m)) / s_mu(1^(a+b+2m)); it is exact at every
     rational a, b and a high-precision real otherwise."""
-    return _walk_average(mu, m, "jue", alpha, beta)
+    return _walk_average(mu, m, EnsembleSpec("jue", alpha=alpha, beta=beta))
 
 
-def schur_avg_jue_tilde(mu, m: int, alpha: int, beta: int):
-    """JUE-tilde: s_mu(1^m) s_mu(1^(alpha+m)) / s_mu'(1^beta_t),
-    beta_t = beta - alpha - m >= 0; needs mu_1 <= beta_t."""
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return Fraction(0)
-    if isinstance(alpha, mpmath.mpf) or isinstance(beta, mpmath.mpf):
-        raise ValueError("jue_tilde closed form needs rational alpha and beta")
-    bt = beta - alpha - m
-    if bt < 0:
-        raise ValueError("jue_tilde average needs beta - alpha - m >= 0")
-    if mu and mu[0] > bt:
-        raise ValueError("jue_tilde average: mu_1 > beta_t (zero dimension)")
-    return (schur_principal(mu, m) * schur_principal(mu, alpha + m)
-            / schur_principal(pt.conjugate(mu), bt))
+def schur_avg_jue_tilde(mu, m: int, alpha, beta):
+    """JUE-tilde: s_mu(1^m) s_mu(1^(alpha+m)) / s_mu'(1^beta_t), beta_t =
+    beta - alpha - m >= mu_1, at rational alpha and beta: by the one-box
+    `walk` of `_row_step`, row step (alpha+p)/(beta-alpha-p) (the contents of
+    mu' are those of mu negated, and its hooks are those of mu)."""
+    return _walk_average(mu, m, EnsembleSpec("jue_tilde", alpha=alpha, beta=beta, m=m))
 
 
-def schur_avg_lue_tilde(nu, m: int, alpha_tilde):
-    """Inverse-Laguerre (LUE-tilde) Schur average.
-
-    Mapping z -> 1/z sends the weight z^-at e^(-1/z) to an effective LUE
-    with alpha_base = at - 2m, and s_nu(1/z) = s_nu*(z) prod z^-nu_1 with
-    nu* the reversed complement in the m x nu_1 rectangle.  Absorbing the
-    extra power into the weight shifts alpha by nu_1 and leaves a
-    partition-function ratio:
-
-        <s_nu> = [prod_j Gamma(ab-nu_1+j)/Gamma(ab+j)] <s_nu*>_{LUE, ab-nu_1}
-
-    with ab = alpha_tilde - 2m.  (The bare reduction without the
-    partition-function ratio fails already at m = 1.)
-    """
-    nu = pt.canonical(nu)
-    if len(nu) > m:
-        return Fraction(0)
-    ell = nu[0] if nu else 0
-    abase = alpha_tilde - 2 * m
-    if not (abase - ell > -1):
-        raise ValueError("lue_tilde average diverges: alpha_tilde too small")
-    nustar = pt.rectangle_complement(nu, m, ell)
-    pref = math.prod((recip(poch(abase - ell + j, ell)) for j in range(1, m + 1)),
-                     start=Fraction(1))
-    return pref * schur_avg_lue(nustar, m, abase - ell)
+def schur_avg_lue_tilde(mu, m: int, alpha_tilde):
+    """Inverse-Laguerre (LUE-tilde): s_mu(1^m) prod 1/(alpha_tilde - 2m - c)
+    over the contents c of the boxes of mu, finite at alpha_tilde - 2m - mu_1
+    > -1: by the one-box `walk` of `_row_step`, row step
+    1/(alpha_tilde - m - p).  Exact at rational alpha_tilde, a real
+    otherwise."""
+    return _walk_average(mu, m, EnsembleSpec("lue_tilde", alpha_tilde=alpha_tilde))
 
 
 def schur_avg_sw(mu, m: int) -> QRat:
     """Stieltjes-Wigert: q^(-1/2 sum mu_j (mu_j + 3m + 1 - 2j)) dim_q mu, a
     Laurent polynomial in u, by the one-box q `walk` of `_row_step`."""
-    return _walk_average(mu, m, "sw")
+    return _walk_average(mu, m, EnsembleSpec("sw"))
 
 
 def schur_avg_qlue(mu, m: int, alpha, q=None):
@@ -580,7 +583,7 @@ def schur_avg_qlue(mu, m: int, alpha, q=None):
     `_row_step`; any other alpha needs the numeric q and gives a real, `qdim`
     times the ratios, on integers at a rational q but for one power q^-alpha."""
     if isinstance(alpha, int):
-        return _walk_average(mu, m, "qlue", alpha)
+        return _walk_average(mu, m, EnsembleSpec("qlue", alpha=alpha))
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
@@ -665,21 +668,15 @@ def schur_average(spec: EnsembleSpec, mu, m: int, method: str = "closed",
 
 
 def _schur_average(spec: EnsembleSpec, mu, m: int, method: str):
-    kind, a, b = spec.kind, spec.alpha, spec.beta
-    if kind == "ginibre":
+    if spec.kind == "ginibre":
         raise ValueError("ginibre has no single-Schur average (no moments)")
     if method == "oracle":
         return schur_avg_oracle(spec, mu, m)
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
-    if kind == "jue_tilde" and spec.m != m:
-        raise ValueError("jue_tilde average needs m equal to spec.m")
-    return {"gue": lambda: schur_avg_gue(mu, m), "lue": lambda: schur_avg_lue(mu, m, a),
-            "jue": lambda: schur_avg_jue(mu, m, a, b),
-            "jue_tilde": lambda: schur_avg_jue_tilde(mu, m, a, b),
-            "lue_tilde": lambda: schur_avg_lue_tilde(mu, m, spec.alpha_tilde),
-            "sw": lambda: schur_avg_sw(mu, m),
-            "qlue": lambda: schur_avg_qlue(mu, m, a, spec.q)}[kind]()
+    if spec.q is not None:  # real-alpha qLUE
+        return schur_avg_qlue(mu, m, spec.alpha, spec.q)
+    return _walk_average(mu, m, spec)
 
 
 def pair_average(spec: EnsembleSpec, lam, mu, m: int):

@@ -118,11 +118,13 @@ def expansion_table(spec: EnsembleSpec, n_rank: int, n_pairs: int,
 @spec_cache(128)
 def _table(spec: EnsembleSpec, rows: int, m: int, method: str) -> KernelExpansion:
     """<s_lam'>_w for all lam in Y_{rows, m}: one table per rectangle for every
-    sum that reads it; cached by `spec_cache`."""
+    sum that reads it; cached by `spec_cache`.  Every exact kind with a single
+    average takes one `walk` of the graded rectangle, each lam one step from
+    its parent; the oracle, real-alpha qLUE and Ginibre (whose error it
+    raises) go through `schur_average` per lam."""
     parts = _branching(rows, m)[0]
-    if method == "closed" and spec.kind in ("gue", "lue", "jue", "sw", "qlue") and spec.q is None:
-        # the graded rectangle: each lam takes one step from its parent
-        coeffs = walk(parts, m, spec.kind, spec.alpha, spec.beta)
+    if method == "closed" and spec.q is None and spec.kind != "ginibre":
+        coeffs = walk(parts, m, spec)
     else:
         coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method) for lam in parts}
     return KernelExpansion(rows, m, MappingProxyType(coeffs), int_form(list(coeffs.values())))

@@ -78,12 +78,10 @@ def _branching(rows: int, cols: int):
 
 
 def schur_principal(lam, m: int) -> Fraction:
-    """s_lam(1^m) by the hook-content product; 0 when l(lam) > m."""
-    lam = pt.canonical(lam)
-    if len(lam) > m:
-        return Fraction(0)
+    """s_lam(1^m) by the hook-content product, a polynomial in m: 0 at an
+    integer m < l(lam), where the box (m + 1, 1) has content -m."""
     num = den = 1
-    for (_, hook, content) in pt.hook_content_data(lam):
+    for (_, hook, content) in pt.hook_content_data(pt.canonical(lam)):
         num *= m + content
         den *= hook
     return Fraction(num, den)

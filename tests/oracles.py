@@ -24,11 +24,15 @@ against.  Each is independent of the code it checks:
                          dimension form and the alpha-shift identity, the
                          references for `schur_avg_lue`;
 * `schur_avg_row_products`, `schur_avg_gue_blocks`,
-  `schur_avg_sw_hook_content`, `schur_avg_qlue_hook_content` -- the
+  `schur_avg_sw_hook_content`, `schur_avg_qlue_hook_content`,
+  `schur_avg_jue_tilde_principal`, `schur_avg_lue_tilde_complement` -- the
                          per-partition product forms of the LUE/JUE, GUE,
-                         SW and integer-alpha qLUE averages (the q ones one
-                         hook-content `qratio` each), the references for
-                         the walks of `ensembles.walk`;
+                         SW, integer-alpha qLUE, JUE-tilde and LUE-tilde
+                         averages (the q ones one hook-content `qratio`
+                         each, JUE-tilde a ratio of principal
+                         specializations, LUE-tilde a shifted LUE average of
+                         the rectangle complement), the references for the
+                         walks of `ensembles.walk`;
 * `kernel_cd_formula` -- the two-term Christoffel-Darboux formula, the
                          reference for the sum `kernel_cd`;
 * `chebyshev_u_all`   -- U_0..U_k by their recurrence, the reference for the
@@ -345,6 +349,43 @@ def schur_avg_row_products(mu, m: int, alpha, beta=None):
     rows = [p for j in range(1, m + 1) for p in range(m - j + 1, pt.part(mu, j) + m - j + 1)]
     den = 1 if beta is None else math.prod(alpha + beta + m + p for p in rows)
     return schur_principal(mu, m) * math.prod(alpha + p for p in rows) / den
+
+
+def schur_avg_jue_tilde_principal(mu, m: int, alpha, beta):
+    """JUE-tilde <s_mu> = s_mu(1^m) s_mu(1^(alpha+m)) / s_mu'(1^beta_t),
+    beta_t = beta - alpha - m >= mu_1, per partition by hook-content
+    products; 0 when l(mu) > m."""
+    mu = pt.canonical(mu)
+    if len(mu) > m:
+        return Fraction(0)
+    return (schur_principal(mu, m) * schur_principal(mu, alpha + m)
+            / schur_principal(pt.conjugate(mu), beta - alpha - m))
+
+
+def schur_avg_lue_tilde_complement(nu, m: int, alpha_tilde):
+    """Inverse-Laguerre (LUE-tilde) <s_nu>, alpha_tilde - 2m - nu_1 > -1.
+
+    Mapping z -> 1/z sends the weight z^-at e^(-1/z) to an effective LUE
+    with alpha_base = at - 2m, and s_nu(1/z) = s_nu*(z) prod z^-nu_1 with
+    nu* the reversed complement in the m x nu_1 rectangle.  Absorbing the
+    extra power into the weight shifts alpha by nu_1 and leaves a
+    partition-function ratio:
+
+        <s_nu> = [prod_j Gamma(ab-nu_1+j)/Gamma(ab+j)] <s_nu*>_{LUE, ab-nu_1}
+
+    with ab = alpha_tilde - 2m, the LUE average by `schur_avg_row_products`.
+    (The bare reduction without the partition-function ratio fails already
+    at m = 1.)  0 when l(nu) > m.
+    """
+    nu = pt.canonical(nu)
+    if len(nu) > m:
+        return Fraction(0)
+    ell = nu[0] if nu else 0
+    abase = alpha_tilde - 2 * m
+    nustar = pt.rectangle_complement(nu, m, ell)
+    pref = math.prod((recip(poch(abase - ell + j, ell)) for j in range(1, m + 1)),
+                     start=Fraction(1))
+    return pref * schur_avg_row_products(nustar, m, abase - ell)
 
 
 def schur_avg_gue_blocks(mu, m: int) -> Fraction:

@@ -219,6 +219,36 @@ class TestKernelCommands:
         assert r.exit_code == 1
         assert r.output.splitlines() == ["Error: lue_tilde moment diverges at p = 19"]
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["lue-tilde", "jue-tilde"])
+    def test_tilde_routes_at_the_moment_boundary(self, runner, kind, n):
+        """At N = 12, alpha_tilde = 2N and beta = alpha + M + 2n are the edge
+        of both domains: cd and double read m_0..m_22, and the largest mu_1
+        of the 2n x M table is 2n; the three routes print the same bytes.
+        One step below, each route prints its own one-line error."""
+        nr, m = 12, 12 - n
+        def args(edge):
+            ens = ([f"--alpha-tilde={2 * nr + edge}"] if kind == "lue-tilde"
+                   else ["--alpha=1", f"--beta={1 + m + 2 * n + edge}"])
+            return ["--ensemble", kind, *ens, "--N", str(nr), "--n", str(n)]
+        x, y = PINNED_POINTS[n]
+        outs = {method: invoke(runner, ["kernel", "eval", *args(0), "--x", x, "--y", y,
+                                        "--method", method])
+                for method in ("schur", "cd", "double")}
+        assert all(r.exit_code == 0 for r in outs.values())
+        assert len({r.output for r in outs.values()}) == 1
+        schur_error = ("Error: lue_tilde average diverges: alpha_tilde too small"
+                       if kind == "lue-tilde"
+                       else "Error: jue_tilde average: mu_1 > beta_t (zero dimension)")
+        moment_error = f"Error: {kind.replace('-', '_')} moment diverges at p = 22"
+        for method, error in (("schur", schur_error), ("cd", moment_error),
+                              ("double", moment_error)):
+            r = runner.invoke(main, ["kernel", "eval", *args(-1), "--x", x, "--y", y,
+                                     "--method", method])
+            assert r.exit_code == 1 and r.output.splitlines() == [error], method
+        r = runner.invoke(main, ["kernel", "expand", *args(-1)])
+        assert r.exit_code == 1 and r.output.splitlines() == [schur_error]
+
     def test_expand_deterministic(self, runner):
         args = ["kernel", "expand", "--ensemble", "lue", "--alpha", "1",
                 "--N", "4", "--n", "1"]

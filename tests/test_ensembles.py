@@ -12,7 +12,8 @@ import pytest
 
 from oracles import (chebyshev_algorithm, lue_alpha_shift_pair, monic_polys,
                      ortho_gram_schmidt, qnum_floor, schur_avg_bruteforce,
-                     schur_avg_gue_blocks, schur_avg_lue_int_form,
+                     schur_avg_gue_blocks, schur_avg_jue_tilde_principal,
+                     schur_avg_lue_int_form, schur_avg_lue_tilde_complement,
                      schur_avg_qlue_hook_content, schur_avg_row_products,
                      schur_avg_sw_hook_content, schur_pair_avg_bruteforce)
 from schurkernels import ensembles
@@ -109,6 +110,20 @@ class TestMoments:
                 "symfun._branching", "toeplitz_fh.toeplitz_det"} <= caches.keys()
         for cache in caches.values():
             assert cache.cache_parameters()["maxsize"] is not None
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_verify_all_keeps_its_moment_prefixes(self, seed):
+        """`_moment_prefix` holds every (spec, top) key that one pass of every
+        verify suite reads (about 150 from empty caches): a second pass in
+        the same process makes no miss."""
+        from schurkernels.verify import SUITES, run_suite
+        _clear_caches()
+        for name in SUITES:
+            run_suite(name, seed=seed)
+        misses = ensembles._moment_prefix.cache_info().misses
+        for name in SUITES:
+            run_suite(name, seed=seed)
+        assert ensembles._moment_prefix.cache_info().misses == misses
 
     def test_lue(self):
         assert moment(LUE0, 3) == 6
@@ -635,6 +650,12 @@ class TestClosedForms:
         EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2)),
         EnsembleSpec("lue_tilde", alpha_tilde=F(25, 2)),
         EnsembleSpec("jue_tilde", alpha=F(1, 2), beta=F(19, 2), m=3),
+        # the tilde domain's edges over Y(3,3) at M = 3, where the oracle's
+        # moments m_0..m_(mu_1 + 2M - 2) are still finite:
+        # alpha_tilde - 2M - 3 in {0, -1/3} and beta_t = 3
+        EnsembleSpec("lue_tilde", alpha_tilde=9), EnsembleSpec("lue_tilde", alpha_tilde=F(26, 3)),
+        EnsembleSpec("jue_tilde", alpha=2, beta=8, m=3),
+        EnsembleSpec("jue_tilde", alpha=F(-1, 3), beta=F(17, 3), m=3),
     ])
     def test_oracle_is_exact_at_rational_parameters(self, spec):
         for mu in pt.enumerate_bounded(3, 3):
@@ -665,6 +686,40 @@ class TestClosedForms:
     def test_lue_tilde_divergence(self):
         with pytest.raises(ValueError):
             schur_avg_lue_tilde((3, 3), 2, 6)
+
+    def test_tilde_walks_equal_the_product_forms(self):
+        """The inverse-kind single walks against their per-partition product
+        forms over Y(4,5) at M <= 5: integer and rational parameters, alpha
+        < 0 with alpha + M < l(mu) (where s_mu(1^(alpha+M)) is the
+        hook-content polynomial, not 0), and the domain's edges (beta_t = 5,
+        alpha_tilde - 2M - 5 in {0, -1/2, -1/3}); == and type Fraction."""
+        for m in range(1, 6):
+            jue = [(0, m + 5), (1, m + 6), (F(1, 2), F(1, 2) + m + 5),
+                   (F(-1, 3), F(-1, 3) + m + 5), (F(-2, 3), F(7, 2) + m + 2)]
+            lue = [2 * m + 5, 30, F(4 * m + 9, 2), F(6 * m + 14, 3)]
+            for mu in pt.enumerate_bounded(4, 5):
+                pairs = [(schur_avg_jue_tilde(mu, m, a, b),
+                          schur_avg_jue_tilde_principal(mu, m, a, b)) for a, b in jue]
+                pairs += [(schur_avg_lue_tilde(mu, m, at),
+                           schur_avg_lue_tilde_complement(mu, m, at)) for at in lue]
+                for v, ref in pairs:
+                    assert v == ref and type(v) is F, (mu, m)
+
+    def test_real_lue_tilde_average_keeps_every_digit(self):
+        """An mpf alpha_tilde walks on the reals under the guard digits of
+        `schur_average`: at 50 digits the average is within 1e-49 of the
+        product form at the mpf's own binary value and agrees with the
+        Andreief oracle."""
+        at = mpmath.mpf("20.3")
+        spec, exact_at = EnsembleSpec("lue_tilde", alpha_tilde=at), F(at.man) * F(2) ** at.exp
+        for m in (3, 5):
+            for mu in pt.enumerate_bounded(3, 4):
+                value = schur_average(spec, mu, m, dps=50)
+                ref = schur_avg_lue_tilde_complement(mu, m, exact_at)
+                with mpmath.workdps(200):
+                    value, ref = to_mpf(value), to_mpf(ref)
+                    assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -49, mu
+                assert hp_close(value, schur_avg_oracle(spec, mu, m))
 
     def test_sw_examples(self):
         assert schur_avg_sw((1,), 1) == QRat.u_power(-3)

@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 from oracles import (ginibre_khat_schur, kernel_cd_formula, monic_polys,
-                     schur_avg_gue_blocks, schur_avg_qlue_hook_content,
+                     schur_avg_gue_blocks, schur_avg_jue_tilde_principal,
+                     schur_avg_lue_tilde_complement, schur_avg_qlue_hook_content,
                      schur_avg_row_products, schur_avg_sw_hook_content)
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
@@ -78,7 +79,41 @@ def _product_form(spec, mu, m):
         return schur_avg_sw_hook_content(mu, m)
     if spec.kind == "qlue":
         return schur_avg_qlue_hook_content(mu, m, spec.alpha)
+    if spec.kind == "jue_tilde":
+        return schur_avg_jue_tilde_principal(mu, m, spec.alpha, spec.beta)
+    if spec.kind == "lue_tilde":
+        return schur_avg_lue_tilde_complement(mu, m, spec.alpha_tilde)
     return schur_avg_row_products(mu, m, spec.alpha, spec.beta)
+
+
+# the inverse kinds: (kind, parameters); jue_tilde takes m = N - n per table
+TILDE_PARAMS = [("lue_tilde", {"alpha_tilde": 60}), ("lue_tilde", {"alpha_tilde": F(121, 2)}),
+                ("jue_tilde", {"alpha": 1, "beta": 60}),
+                ("jue_tilde", {"alpha": F(-1, 3), "beta": F(119, 2)})]
+
+
+def _tilde(kind, params, m):
+    return EnsembleSpec(kind, **params, **({"m": m} if kind == "jue_tilde" else {}))
+
+
+def _tilde_id(v):
+    return v if isinstance(v, str) else "-".join(map(str, v.values()))
+
+
+def _walked_table_calls(monkeypatch, spec, rows, m):
+    """(size, calls): the size of the Y(rows, m) table that the uncached
+    builder makes, and its calls of `schur_average` (a table cached by an
+    earlier test would make none)."""
+    from schurkernels import ensembles, kernels
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return schur_average(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "schur_average", counted)
+    monkeypatch.setattr(kernels, "schur_average", counted)
+    return len(kernels._table.__wrapped__(spec, rows, m, "closed").coeffs), calls
 
 
 def _per_lam(spec, nr, n):
@@ -87,25 +122,45 @@ def _per_lam(spec, nr, n):
 
 
 class TestTableWalk:
-    """The LUE/JUE, SW and integer-alpha qLUE tables, built coefficient by
-    coefficient from the parent mu - e_r, and the GUE table, from the parent
-    mu minus a domino, equal the per-partition product forms of `oracles`
-    (hook-content dimension times row products; one hook-content `qratio`;
-    the GUE parity blocks)."""
+    """The LUE/JUE, JUE-tilde/LUE-tilde, SW and integer-alpha qLUE tables,
+    built coefficient by coefficient from the parent mu - e_r, and the GUE
+    table, from the parent mu minus a domino, equal the per-partition
+    product forms of `oracles` (hook-content dimension times row products;
+    the principal-specialization ratio and the rectangle complement of the
+    tilde kinds; one hook-content `qratio`; the GUE parity blocks)."""
 
     def test_gue_table_makes_no_per_partition_average(self, monkeypatch):
-        from schurkernels import ensembles, kernels
-        calls = []
+        assert _walked_table_calls(monkeypatch, GUE, 2, 23) == (300, [])
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return schur_average(*args, **kwargs)
+    @pytest.mark.parametrize("kind", ["jue_tilde", "lue_tilde"])
+    def test_tilde_table_makes_no_per_partition_average(self, monkeypatch, kind):
+        spec = _tilde(*TILDE_PARAMS[0 if kind == "lue_tilde" else 2], 22)
+        assert _walked_table_calls(monkeypatch, spec, 4, 22) == (14950, [])
 
-        monkeypatch.setattr(ensembles, "schur_average", counted)
-        monkeypatch.setattr(kernels, "schur_average", counted)
-        # the uncached builder: a table cached by an earlier test makes no call
-        table = kernels._table.__wrapped__(GUE, 2, 23, "closed")
-        assert len(table.coeffs) == 300 and calls == []
+    @pytest.mark.parametrize("kind,params", TILDE_PARAMS, ids=_tilde_id)
+    def test_tilde_tables_equal_the_product_forms(self, kind, params):
+        """The inverse-kind kernel tables at n <= 3, N <= n + 7: each lam's
+        walked coefficient against the per-partition product form, under ==
+        and in type."""
+        for n in (1, 2, 3):
+            for nr in range(n + 1, n + 8):
+                spec = _tilde(kind, params, nr - n)
+                for lam, c in expansion_table(spec, nr, n).coeffs.items():
+                    ref = _product_form(spec, pt.conjugate(lam), nr - n)
+                    assert c == ref and type(c) is F, (nr, n, lam)
+
+    @pytest.mark.parametrize("kind", ["jue_tilde", "lue_tilde"])
+    @pytest.mark.parametrize("rows,m", [(2, 11), (4, 6), (6, 4)])
+    def test_tilde_table_at_the_domain_edge_equals_the_andreief_oracle(self, kind, rows, m):
+        """At alpha_tilde = 2m + rows and at beta_t = rows (alpha = 1/2) the
+        largest mu_1 of the rectangle sits on the edge of the walk's domain,
+        and the moments m_0..m_(rows + 2m - 2) of the oracle are finite."""
+        spec = (EnsembleSpec("lue_tilde", alpha_tilde=2 * m + rows) if kind == "lue_tilde"
+                else EnsembleSpec("jue_tilde", alpha=F(1, 2), beta=F(1, 2) + m + rows, m=m))
+        coeffs = _table(spec, rows, m, "closed").coeffs
+        assert list(coeffs) == pt.enumerate_bounded(rows, m)
+        for lam, c in coeffs.items():
+            assert c == schur_avg_oracle(spec, pt.conjugate(lam), m) and type(c) is F, lam
 
     @pytest.mark.parametrize("rows,m", [(2, 11), (4, 6), (6, 4)])
     def test_gue_table_equals_the_andreief_oracle(self, rows, m):
