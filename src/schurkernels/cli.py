@@ -180,7 +180,7 @@ def kernel_expand(ensemble, alpha, beta, alpha_tilde, q, n_rank, n_pairs,
         "rectangle": {"rows": table.rows, "cols": table.cols},
         "coefficients": [
             {"partition": list(lam), "coefficient": serialize(c)}
-            for lam, c in sorted(table.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+            for lam, c in table.coeffs.items()
         ],
     }
     emit(payload, fmt)

@@ -48,12 +48,13 @@ PARAMS = {"gue": (), "lue": ("alpha",), "jue": ("alpha", "beta"),
 class EnsembleSpec:
     """Identifies an ensemble and its parameter values.
 
-    Parameters are ints (exact), Fractions (exact rational) or mpf (real).
-    `m` is required for jue_tilde, whose weight (1+z)^-(M+beta) depends on
-    the number of variables.  `q` is the numeric q of qLUE at non-integer
-    alpha; exact SW/qLUE work is symbolic in u = q^(1/2).  A parameter the
-    kind does not take is an error.  The hash and the realness flag of
-    `spec_cache`'s key are set once: a lookup hashes no parameter again.
+    Parameters are ints (exact), Fractions (exact rational) or mpf (real);
+    any other type, a float included, is an error.  `m` is required for
+    jue_tilde, whose weight (1+z)^-(M+beta) depends on the number of
+    variables.  `q` is the numeric q of qLUE at non-integer alpha; exact
+    SW/qLUE work is symbolic in u = q^(1/2).  A parameter the kind does not
+    take is an error.  The hash and the realness flag of `spec_cache`'s key
+    are set once: a lookup hashes no parameter again.
     """
 
     kind: str
@@ -66,8 +67,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in PARAMS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        for key in ("alpha", "beta", "alpha_tilde"):
+        for key in ("alpha", "beta", "alpha_tilde", "q"):
             v = getattr(self, key)
+            if not isinstance(v, (int, Fraction, mpmath.mpf, type(None))):
+                raise ValueError(f"{key} must be an int, Fraction or mpf, not {type(v).__name__}")
             if isinstance(v, Fraction) and v.denominator == 1:
                 # 4/2 is the integer 2: same exact path, same moment cache key
                 object.__setattr__(self, key, v.numerator)

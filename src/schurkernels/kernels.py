@@ -35,7 +35,7 @@ from .symfun import _branching, schur_table, schur_values
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Evaluation request: ensemble, kernel rank N, n pairs of points."""
+    """Evaluation request: ensemble, kernel rank N, n pairs of int, Fraction or mpf points."""
 
     spec: EnsembleSpec
     n_rank: int
@@ -48,6 +48,9 @@ class KernelQuery:
             raise ValueError("need N > n >= 1")
         if len(self.x) != self.n_pairs or len(self.y) != self.n_pairs:
             raise ValueError("need n x-points and n y-points")
+        for key in ("x", "y"):
+            if not all(isinstance(v, (int, Fraction, mpmath.mpf)) for v in getattr(self, key)):
+                raise ValueError(f"{key} points must be ints, Fractions or mpfs")
         if any(not v for v in self.x) or any(not v for v in self.y):
             raise ValueError("points must be nonzero (t-vector undefined)")
         if self.q_exact and any(isinstance(v, mpmath.mpf) for v in self.x + self.y):

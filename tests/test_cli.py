@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurkernels
+from schurkernels import partitions as pt
 from schurkernels.cli import main
 from schurkernels.ensembles import EnsembleSpec, schur_average
 from schurkernels.kernels import KernelQuery, khat_cd, khat_double, khat_schur
@@ -258,6 +259,16 @@ class TestKernelCommands:
         assert payload["rectangle"] == {"rows": 2, "cols": 3}
         assert payload["coefficients"][0] == {"partition": [],
                                               "coefficient": "1/1"}
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    @pytest.mark.parametrize("ensemble", [["lue", "--alpha", "1/2"], ["qlue", "--alpha", "1"]])
+    def test_expand_prints_the_bounded_order(self, runner, ensemble, method):
+        """The table's partitions print in `enumerate_bounded(2n, N - n)`
+        order, graded then lexicographic, with no sort of their own."""
+        r = invoke(runner, ["kernel", "expand", "--ensemble", *ensemble, "--N", "5",
+                            "--n", "2", "--method", method])
+        printed = [tuple(c["partition"]) for c in json.loads(r.output)["coefficients"]]
+        assert printed == pt.enumerate_bounded(4, 3)
 
     def test_expand_csv(self, runner):
         r = invoke(runner, ["kernel", "expand", "--ensemble", "gue", "--N",

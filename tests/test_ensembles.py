@@ -92,6 +92,17 @@ class TestSpec:
         with pytest.raises(ValueError, match="does not take"):
             EnsembleSpec(kind, **params)
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("lue", {"alpha": 0.5}, "alpha"), ("jue", {"alpha": 1, "beta": 0.5}, "beta"),
+        ("lue_tilde", {"alpha_tilde": 30.0}, "alpha_tilde"),
+        ("qlue", {"alpha": F(1, 2), "q": 0.5}, "q"), ("lue", {"alpha": "1/2"}, "alpha"),
+    ])
+    def test_non_numeric_types_rejected(self, kind, params, key):
+        """A float would reach each route as something different (a binary
+        ratio, a TypeError); only ints, Fractions and mpfs are taken."""
+        with pytest.raises(ValueError, match=f"^{key} must be an int, Fraction or mpf, not "):
+            EnsembleSpec(kind, **params)
+
     def test_qlue_takes_q_only_at_non_integer_alpha(self):
         with pytest.raises(ValueError, match="no q at integer alpha"):
             EnsembleSpec("qlue", alpha=1, q=F(1, 2))

@@ -41,6 +41,13 @@ class TestKernelQuery:
         with pytest.raises(ValueError):
             KernelQuery(GUE, 3, 2, (F(1),), (F(2), F(3)))
 
+    @pytest.mark.parametrize("x, y, key", [((0.5,), (F(1),), "x"),
+                                           ((F(1, 2),), (2.0,), "y"),
+                                           ((F(1), F(2)), (F(3), 4.0), "y")])
+    def test_float_points_rejected(self, x, y, key):
+        with pytest.raises(ValueError, match=f"^{key} points must be ints, Fractions or mpfs$"):
+            KernelQuery(GUE, 3, len(x), x, y)
+
     def test_t_vector(self):
         q = KernelQuery(GUE, 3, 1, (F(2),), (F(1, 3),))
         assert q.t == (F(-1, 2), F(-3))
