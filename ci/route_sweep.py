@@ -5,12 +5,15 @@ tier-1 tests cannot afford, `draws` seeded kinds, sizes, points, partitions
 and int, p/q and decimal parameters.  Real-alpha qLUE (its routes round
 different reals) and Ginibre (one route) are left out.  Calls run two at a
 time, each in a fresh interpreter; each group that does not match prints
-one line, then the sweep exits 1.  Run:  python ci/route_sweep.py
+one line, then the sweep exits 1.  After the summary line the sweep prints
+its ten slowest calls with their wall times, as a report, not a gate.
+Run:  python ci/route_sweep.py
 """
 
 import random
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
@@ -121,11 +124,27 @@ def check(groups, run, map=map) -> list:
     return bad
 
 
+def timed(run, times):
+    """run, each call appending (wall seconds, command line) to times."""
+    def call(argv):
+        start = time.perf_counter()
+        out = run(argv)
+        times.append((time.perf_counter() - start, " ".join(argv)))
+        return out
+    return call
+
+
+def slowest(times, k=10) -> list:
+    """The k slowest calls of times, slowest first, one line each."""
+    return [f"{t:8.2f} s  {line}" for t, line in sorted(times, reverse=True)[:k]]
+
+
 def main():
-    groups = FIXED + [g for seed in SEEDS for g in draws(seed)]
+    groups, times = FIXED + [g for seed in SEEDS for g in draws(seed)], []
     with ThreadPoolExecutor(2) as pool:
-        bad = check(groups, run, pool.map)
-    print("\n".join([*bad, f"route sweep: {len(groups) - len(bad)} of {len(groups)} match"]))
+        bad = check(groups, timed(run, times), pool.map)
+    print("\n".join([*bad, f"route sweep: {len(groups) - len(bad)} of {len(groups)} match",
+                     "slowest calls:", *slowest(times)]))
     sys.exit(1 if bad else 0)
 
 

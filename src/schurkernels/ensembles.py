@@ -1,7 +1,8 @@
 """Matrix-ensemble data: moments, Hankel determinants, orthogonal polynomials,
 the Andreief determinant-ratio oracle, and closed-form Schur averages for
 the Gaussian, Laguerre, Jacobi, inverse-Jacobi, inverse-Laguerre,
-Stieltjes-Wigert, q-Laguerre and Ginibre ensembles.
+Stieltjes-Wigert, q-Laguerre and Ginibre ensembles.  `schur_average(spec,
+mu, m)` is the one entry point for a single average, of every kind.
 
 The LUE, JUE, qLUE and Ginibre closed forms are products of Gamma (or
 Gamma_q) ratios, which telescope under Gamma(z+1) = z Gamma(z) and
@@ -533,60 +534,13 @@ def _row_step(m: int, spec: EnsembleSpec):
     return step
 
 
-def schur_avg_gue(mu, m: int) -> Fraction:
-    """GUE Schur average by the domino `walk` of `_gue_step`: 0 when |mu| is
-    odd or the 2-core of mu is not empty."""
-    return _walk_average(mu, m, EnsembleSpec("gue"))
-
-
-def schur_avg_lue(mu, m: int, alpha):
-    """LUE: s_mu(1^m) prod_j Gamma(alpha+mu_j+m+1-j)/Gamma(alpha+m+1-j),
-    by the one-box `walk` of `_row_step` (row step alpha+p): exact for any
-    exact alpha and a high-precision real otherwise."""
-    return _walk_average(mu, m, EnsembleSpec("lue", alpha=alpha))
-
-
-def schur_avg_jue(mu, m: int, alpha, beta):
-    """JUE: s_mu(1^m) prod_j G(mu_j-j+a+m+1) G(a+b+2m+1-j)
-    / (G(mu_j-j+a+b+2m+1) G(a+m+1-j)), by the one-box `walk` of `_row_step`
-    (row step (a+p)/(a+b+m+p)).  At integer parameters it is the dimension
-    ratio s_mu(1^m) s_mu(1^(a+m)) / s_mu(1^(a+b+2m)); it is exact at every
-    rational a, b and a high-precision real otherwise."""
-    return _walk_average(mu, m, EnsembleSpec("jue", alpha=alpha, beta=beta))
-
-
-def schur_avg_jue_tilde(mu, m: int, alpha, beta):
-    """JUE-tilde: s_mu(1^m) s_mu(1^(alpha+m)) / s_mu'(1^beta_t), beta_t =
-    beta - alpha - m >= mu_1, at rational alpha and beta: by the one-box
-    `walk` of `_row_step`, row step (alpha+p)/(beta-alpha-p) (the contents of
-    mu' are those of mu negated, and its hooks are those of mu)."""
-    return _walk_average(mu, m, EnsembleSpec("jue_tilde", alpha=alpha, beta=beta, m=m))
-
-
-def schur_avg_lue_tilde(mu, m: int, alpha_tilde):
-    """Inverse-Laguerre (LUE-tilde): s_mu(1^m) prod 1/(alpha_tilde - 2m - c)
-    over the contents c of the boxes of mu, finite at alpha_tilde - 2m - mu_1
-    > -1: by the one-box `walk` of `_row_step`, row step
-    1/(alpha_tilde - m - p).  Exact at rational alpha_tilde, a real
-    otherwise."""
-    return _walk_average(mu, m, EnsembleSpec("lue_tilde", alpha_tilde=alpha_tilde))
-
-
-def schur_avg_sw(mu, m: int) -> QRat:
-    """Stieltjes-Wigert: q^(-1/2 sum mu_j (mu_j + 3m + 1 - 2j)) dim_q mu, a
-    Laurent polynomial in u, by the one-box q `walk` of `_row_step`."""
-    return _walk_average(mu, m, EnsembleSpec("sw"))
-
-
 def schur_avg_qlue(mu, m: int, alpha, q=None):
-    """q-Laguerre: the Gamma/Gamma_q ratios of the closed form telescope into
-    q^(-(m-1)|mu|/2) dim_q(mu) prod_j m_{mu_j+m-j}/m_{m-j}, with no singular
-    factor, m_p/m_{p-1} = -|-(alpha+p)|_q = q^-(alpha+p) |alpha+p|_q.  At
-    integer alpha the average is exact in u, by the one-box q `walk` of
-    `_row_step`; any other alpha needs the numeric q and gives a real, `qdim`
-    times the ratios, on integers at a rational q but for one power q^-alpha."""
-    if isinstance(alpha, int):
-        return _walk_average(mu, m, EnsembleSpec("qlue", alpha=alpha))
+    """q-Laguerre at real alpha and the numeric q: the Gamma/Gamma_q ratios
+    of the closed form telescope into q^(-(m-1)|mu|/2) dim_q(mu)
+    prod_j m_{mu_j+m-j}/m_{m-j}, with no singular factor, m_p/m_{p-1} =
+    -|-(alpha+p)|_q = q^-(alpha+p) |alpha+p|_q: a real, `qdim` times the
+    ratios, on integers at a rational q but for one power q^-alpha.  Integer
+    alpha takes the exact q `walk` instead (`schur_average`)."""
     mu = pt.canonical(mu)
     if len(mu) > m:
         return Fraction(0)
@@ -621,7 +575,8 @@ def jack_avg_jacobi_coeff(nu, m: int, alpha, beta, gamma, n: int):
     """Kadell's Jack average in the Jacobi (2 gamma)-ensemble, as the triple
     Pochhammer product over the rows of nu = lam'.
 
-    At gamma = 1 it must coincide with schur_avg_jue(nu, m, alpha, beta).
+    At gamma = 1 it must coincide with the JUE average <s_nu> over m
+    variables (`schur_average`).
     """
     nu = pt.canonical(nu)
     if nu and nu[0] > 2 * n:
@@ -655,7 +610,7 @@ def askey_limit_check(mu, m: int, alpha, q):
     mu = pt.canonical(mu)
     qv, a = to_mpf(q), to_mpf(alpha)
     lhs = schur_avg_qlue(mu, m, a, qv)
-    sw = schur_avg_sw(mu, m).eval_u(mpmath.sqrt(qv))
+    sw = _walk_average(mu, m, EnsembleSpec("sw")).eval_u(mpmath.sqrt(qv))
     k = sum(mu)
     rhs = (1 - qv) ** (-k) * qv ** ((mpmath.mpf(1) / 2 - a) * k) * sw
     return lhs, rhs

@@ -1,5 +1,5 @@
 """Partition combinatorics: conjugation, bounded enumeration in a rectangle,
-rectangle complements, and hook/content data.
+and hook/content data.
 
 Partitions are canonical tuples of weakly decreasing positive integers;
 the empty partition is ().  Operations that need padded parts take the pad
@@ -59,22 +59,6 @@ def enumerate_bounded(rows: int, cols: int) -> list[Partition]:
     extend((), cols, rows)
     out.sort(key=lambda p: (sum(p), p))
     return out
-
-
-def in_rectangle(p: Partition, rows: int, cols: int) -> bool:
-    return len(p) <= rows and (not p or p[0] <= cols)
-
-
-def rectangle_complement(mu: Partition, rows: int, cols: int) -> Partition:
-    """Complement of mu in the rows x cols rectangle, rotated by 180 degrees.
-
-    lam_j = cols - mu_{rows+1-j}; an involution on the rectangle.
-    """
-    mu = canonical(mu)
-    if not in_rectangle(mu, rows, cols):
-        raise ValueError(f"{mu} does not fit in a {rows}x{cols} rectangle")
-    lam = tuple(cols - part(mu, rows + 1 - j) for j in range(1, rows + 1))
-    return canonical(lam)
 
 
 def cells(p: Partition):

@@ -301,21 +301,33 @@ def _zlcm(a: list, b: list) -> list:
 
 def _zcancel(a: list, b: list) -> tuple[list, list]:
     """a and b over their primitive gcd g, for nonzero a, b in Z[u].
-    Heuristic gcd (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989): at xi =
-    2^(8w) >= 2 max|a_i, b_i| + 2 of the primitive parts, the symmetric
-    xi-adic digits of gcd(a(xi), b(xi)) are g once their primitive part
-    divides both, and the two exact quotients are the answer; otherwise
-    primitive Euclid finds g."""
+    Heuristic gcd (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989): at xi >=
+    2 max|a_i, b_i| + 2 of the primitive parts, the symmetric xi-adic digits
+    of gcd(a(xi), b(xi)) are g once their primitive part divides both, and
+    the two exact quotients are the answer.  The first xi = 2^(8w) packs;
+    a power of two can share a factor with every value of u^j - 2^k, so up
+    to six more xi, each floor(xi 73794/27011) of the last, evaluate by
+    Horner; when all fail, primitive Euclid finds g."""
     if len(a) == 1 or len(b) == 1:
         return a, b
     pa, pb = _zprim(a), _zprim(b)
     w = max(map(abs, pa + pb)).bit_length() // 8 + 1
-    g = _zprim(_zunpack(math.gcd(_zpack(pa, w), _zpack(pb, w)), w))
-    if len(g) == 1:
-        return a, b
-    qa = _zexquo(a, g)
-    if qa and (qb := _zexquo(b, g)):
-        return qa, qb
+    xi = 1 << 8 * w
+    for k in range(7):
+        if k == 0:
+            g = _zunpack(math.gcd(_zpack(pa, w), _zpack(pb, w)), w)
+        else:
+            xi, g = xi * 73794 // 27011, []
+            h = math.gcd(*(functools.reduce(lambda v, c: v * xi + c, p[::-1], 0) for p in (pa, pb)))
+            while h:  # the symmetric digits, least first
+                h, d = divmod(h, xi)
+                h, d = (h + 1, d - xi) if 2 * d > xi else (h, d)
+                g.append(d)
+        g = _zprim(g)
+        if len(g) == 1:
+            return a, b
+        if (qa := _zexquo(a, g)) and (qb := _zexquo(b, g)):
+            return qa, qb
     while pb:  # each remainder over Q scaled to a primitive integer list
         r = _pdivmod([Fraction(x) for x in pa], pb)[1]
         lcd = math.lcm(*(x.denominator for x in r))

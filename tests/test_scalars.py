@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
 from oracles import (det_cofactor, det_leibniz, qfactorial_floor, qnum_floor,
-                     qnum_symmetric, zgcd)
-from schurkernels.scalars import (Poly, QRat, _zexquo, _zpack, _zprim,
+                     qnum_symmetric, zgcd, zgcd_euclid, zmul)
+from schurkernels import scalars
+from schurkernels.ensembles import EnsembleSpec
+from schurkernels.kernels import KernelQuery, khat_cd, khat_schur
+from schurkernels.scalars import (Poly, QRat, _zcancel, _zexquo, _zpack, _zprim,
                                   _zunpack, barnes_g_int, binom, det_exact,
                                   double_factorial, frac_str, gamma_real,
                                   hp_close, int_adjugate, int_form,
@@ -341,7 +344,7 @@ class TestIntegerLaurentCore:
         assert all(isinstance(c, int) for c in x.num + x.den)
         assert x.den[-1] > 0 and math.gcd(*x.num, *x.den) == 1
         if x:
-            assert x.num[0] and x.den[0] and zgcd(x.num, x.den) == [1]
+            assert x.num[0] and x.den[0] and zgcd_euclid(x.num, x.den) == [1]
 
     def test_fraction_and_integer_coefficients_agree(self):
         a = QRat(-2, [F(1, 2), F(0), F(-2, 3)], [F(3, 4), F(1, 6)])
@@ -354,7 +357,7 @@ class TestIntegerLaurentCore:
     def test_gcd_fallback(self):
         # a = 3 (1 + u^2)(-21 + 10u - 22u^2 ... ) and b = 6 (1 + u^2)(15u - 16);
         # at xi = 2^8 the integer gcd of a(xi), b(xi) reads back as
-        # (1 + u^2)(u - 17), which divides neither, so primitive Euclid decides
+        # (1 + u^2)(u - 17), which divides neither, so the next point decides
         a = [-63, -33, 39, -99, 102, -66]
         b = [-96, 90, -96, 90]
         pa, pb = _zprim(a), _zprim(b)
@@ -365,11 +368,40 @@ class TestIntegerLaurentCore:
 
     def test_cancel_fallback(self):
         # the pair of test_gcd_fallback: the product cancels (1 + u^2) found
-        # by primitive Euclid, then takes out the content 3 and the sign
+        # at the second point, then takes out the content 3 and the sign
         a = [-63, -33, 39, -99, 102, -66]
         b = [-96, 90, -96, 90]
         x = QRat(0, a, [1]) * QRat(0, [1], b)
         assert (x.offset, x.num, x.den) == (0, [-21, -11, 34, -22], [-32, 30])
+
+    @given(*[st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda c: c[-1])] * 2,
+           *[st.lists(st.tuples(st.integers(1, 6), st.integers(0, 24)),
+                      min_size=i, max_size=3) for i in (0, 0, 1)])
+    @settings(max_examples=100, deadline=None)
+    def test_cancel_takes_out_the_gcd_of_power_of_two_factors(self, a, b, fa, fb, fg):
+        """_zcancel(a g, b g), where a, b and g have factors u^j - 2^k, leaves
+        a g and b g over their primitive gcd by the primitive remainder
+        sequence.  The values of such factors at the first point, 2^(8w),
+        share powers of two, which there can read back as a false gcd."""
+        def times(c, factors):
+            for j, k in factors:
+                c = zmul(c, [-(2 ** k)] + [0] * (j - 1) + [1])
+            return c
+        ag, bg = times(times(a, fa), fg), times(times(b, fb), fg)
+        gcd = zgcd_euclid(ag, bg)
+        qa, qb = _zcancel(ag, bg)
+        assert zmul(qa, gcd) == ag and zmul(qb, gcd) == bg
+
+    def test_sw_cd_at_a_power_of_two_takes_no_euclid_step(self, monkeypatch):
+        """SW (14,1) at y = 1/4: the cd route cancels gcds whose factors have
+        powers of two as values at 2^(8w), and it gives the Schur route's
+        value with no remainder step of the Euclid fallback."""
+        steps = []
+        divmod_ = scalars._pdivmod
+        monkeypatch.setattr(scalars, "_pdivmod", lambda a, b: steps.append(1) or divmod_(a, b))
+        query = KernelQuery(EnsembleSpec("sw"), 14, 1, (F(3, 7),), (F(1, 4),))
+        assert khat_cd(query) == khat_schur(query)
+        assert steps == []
 
     @pytest.mark.parametrize("n", [5, 8, 12, 13])
     def test_det_commutes_with_evaluation(self, n):
