@@ -18,22 +18,16 @@ from schurkernels.kernels import (KernelQuery, expansion_table, k2_chebyshev,
 from schurkernels.scalars import DEFAULT_DPS, parse_number, rational_sqrt
 
 
-def number(s: str):
-    """An int, or the exact Fraction of a "p/q" or decimal string, as the CLI
-    parses it."""
-    return parse_number(s)
-
-
 def main():
     mpmath.mp.dps = DEFAULT_DPS
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ensemble", default="lue")
-    ap.add_argument("--alpha", type=number, default=None,
+    ap.add_argument("--alpha", type=parse_number, default=None,
                     help="default 1 for the kinds that take alpha")
-    ap.add_argument("--beta", type=number, default=None)
+    ap.add_argument("--beta", type=parse_number, default=None)
     ap.add_argument("--N", dest="n_rank", type=int, default=4)
-    ap.add_argument("--x", type=number, default=Fraction(3, 2))
-    ap.add_argument("--y", type=number, default=Fraction(2, 3))
+    ap.add_argument("--x", type=parse_number, default=Fraction(3, 2))
+    ap.add_argument("--y", type=parse_number, default=Fraction(2, 3))
     args = ap.parse_args()
 
     kind = args.ensemble.replace("-", "_")
@@ -50,7 +44,7 @@ def main():
     table = expansion_table(spec, args.n_rank, 1)
     print(f"expansion coefficients <s_lam'> for {spec.kind}, "
           f"N={args.n_rank}, n=1 (rectangle {table.rows} x {table.cols}):")
-    for lam, coeff in sorted(table.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+    for lam, coeff in table.coeffs.items():
         print(f"  {str(list(lam)):12s} -> {coeff}")
 
     print(f"\nKhat at x={args.x}, y={args.y}:")

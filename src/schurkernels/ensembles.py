@@ -8,12 +8,12 @@ The LUE, JUE, qLUE and Ginibre closed forms are products of Gamma (or
 Gamma_q) ratios, which telescope under Gamma(z+1) = z Gamma(z) and
 Gamma_q(z+1) = |z|_q Gamma_q(z), so no Gamma is evaluated: the value is
 exact at every rational parameter (for qLUE, at every integer alpha).  The
-averages of every kind but Ginibre and real-alpha qLUE, the inverse kinds
-included, take one `walk` down a chain of smaller partitions, a Weyl
-dimension ratio (of q-numbers for SW and qLUE) times a row factor per box
-(a domino for GUE); the kernel tables take the same walk over a whole
-rectangle.  Real-alpha qLUE takes its row factors on integers, times the
-one real power q^-alpha.
+averages of every kind but Ginibre, the inverse kinds included, take one
+`walk` down a chain of smaller partitions, a Weyl dimension ratio (of
+q-numbers for SW and qLUE) times a row factor per box (a domino for GUE);
+the kernel tables take the same walk over a whole rectangle.  Real-alpha
+qLUE takes each step on integers at a rational q, but for the one real
+power q^-alpha.
 
 The moments evaluate no Gamma either: each moment sequence is generated by
 the weight's own ratio m_p/m_{p-1} (`moment`), so the Andreief oracles, the
@@ -37,7 +37,7 @@ import mpmath
 from . import partitions as pt
 from .scalars import (QRat, _bareiss, binom, det_exact, double_factorial,
                       guarded, int_form, over, poch, qratio, recip, to_mpf)
-from .symfun import _branching, qdim
+from .symfun import _branching
 
 #: the ensemble kinds and the parameters each takes; all but q are required
 PARAMS = {"gue": (), "lue": ("alpha",), "jue": ("alpha", "beta"),
@@ -83,6 +83,8 @@ class EnsembleSpec:
                  if k not in takes and getattr(self, k) is not None]
         if stray:
             raise ValueError(f"{self.kind} does not take {' or '.join(stray)}")
+        if self.m is not None and (type(self.m) is not int or self.m < 0):
+            raise ValueError(f"m must be a nonnegative int, not {self.m!r}")
         if self.kind in ("lue", "qlue", "jue_tilde") and not (self.alpha > -1):
             raise ValueError(f"{self.kind} needs alpha > -1")
         if self.kind == "qlue" and not isinstance(self.alpha, int) and self.q is None:
@@ -244,7 +246,7 @@ def ortho_system(spec: EnsembleSpec, kmax: int) -> OrthoSystem:
     # coefficients stay int 0 and the leading one int 1
     norms, forms, pk, pprev = chain = _ortho_chain(spec)
     if len(norms) <= kmax:
-        a, b = _recurrence(spec, kmax, spec._real)
+        a, b = _recurrence(spec, kmax)
         for k in range(len(norms) - 1, kmax):
             nxt = [0] + pk
             for c, p in ((a[k], pk), (b[k], pprev)):
@@ -268,7 +270,7 @@ def _ortho_chain(spec: EnsembleSpec) -> list:
     return [[moment(spec, 0)], [int_form([1])], [1], []]
 
 
-def _recurrence(spec: EnsembleSpec, kmax: int, real: bool):
+def _recurrence(spec: EnsembleSpec, kmax: int):
     """(a_0..a_(K-1), b_0..b_K), b_0 = 0, in closed form (Koekoek, Lesky and
     Swarttouw 2010, sections 9.15, 9.12, 9.8, 14.21 and 14.27): ints on GUE
     and LUE at integer alpha, QRats on SW and exact qLUE (q = u^2).  JUE is
@@ -277,7 +279,7 @@ def _recurrence(spec: EnsembleSpec, kmax: int, real: bool):
     cancelled; jue_tilde is JUE at beta -> -(M + beta) reflected by z -> -z
     (a_k -> -a_k); lue_tilde is the Bessel family.  The tilde kinds read
     m_0..m_2K in order first, so a divergent moment raises as `moment` does."""
-    kind, al, num = spec.kind, spec.alpha, to_mpf if real else Fraction
+    kind, al, num = spec.kind, spec.alpha, to_mpf if spec._real else Fraction
     if kind.endswith("_tilde"):
         for p in range(2 * kmax + 1):
             moment(spec, p)
@@ -290,7 +292,7 @@ def _recurrence(spec: EnsembleSpec, kmax: int, real: bool):
         a = lambda k: u ** -(4 * k + 3) * (1 + u ** 2 - u ** (2 * k + 2))
         b = lambda k: u ** (-8 * k) * (1 - u ** (2 * k))
     elif kind == "qlue":
-        q = to_mpf(spec.q) if real else QRat.q_power(1)
+        q = to_mpf(spec.q) if spec._real else QRat.q_power(1)
         a = lambda k: (1 - q ** (k + al + 1) + q - q ** (k + 1)) / (q ** (2 * k + al + 1) * (1 - q))
         b = lambda k: (1 - q ** k) * (1 - q ** (k + al)) / (q ** (4 * k + 2 * al - 1) * (1 - q) ** 2)
     elif kind == "lue_tilde":
@@ -396,8 +398,8 @@ def char_poly_moment_oracle(spec: EnsembleSpec, m: int, n2: int, x):
 # ----------------------------------------------------------------------------
 
 def walk(lams, m: int, spec: EnsembleSpec) -> dict:
-    """<s_lam'> over m variables for each lam of lams, with {(): 1}, as a
-    dict, in every kind with a single average but real-alpha qLUE, the
+    """<s_lam'> over m variables for each lam of lams, with {(): 1} (the mpf 1
+    at real-alpha qLUE), as a dict, in every kind with a single average, the
     parameters read from spec.  A tilde kind checks its domain once, at the
     largest mu_1 = l(lam) of lams (a table's rows).  step(lam) is None when
     <s_lam'> is 0, else (nu, ups, downs, shift) for a smaller nu; each lam
@@ -406,12 +408,12 @@ def walk(lams, m: int, spec: EnsembleSpec) -> dict:
     one `qratio` on <s_nu'>'s list in q, each factor a read as the q-number
     [a]_q = u^(1-a) (1 - q^a)/(1 - q), times u^shift.  A graded list from ()
     takes one step per lam; a single lam walks down to ()."""
-    kind = spec.kind
+    kind, real = spec.kind, spec._real
     if kind.endswith("_tilde"):
         _tilde_domain(spec, m, max(map(len, lams), default=0))
     step = _gue_step(m) if kind == "gue" else _row_step(m, spec)
-    q = kind in ("sw", "qlue")
-    out = {(): QRat.const(1) if q else Fraction(1)}
+    q = kind in ("sw", "qlue") and not real
+    out = {(): QRat.const(1) if q else mpmath.mpf(1) if spec.q is not None else Fraction(1)}
     for lam in lams:
         nu, shift, (ups, downs) = lam, 0, ([], []) if q else (1, 1)
         while nu not in out:
@@ -426,9 +428,9 @@ def walk(lams, m: int, spec: EnsembleSpec) -> dict:
             p = out[nu]
             if q:
                 out[lam] = qratio(ups, downs, p.offset + shift + sum(downs) - sum(ups), p.num[::2])
-            elif isinstance(ups, int) and isinstance(downs, int):
+            elif not real:
                 out[lam] = Fraction(p.numerator * ups, p.denominator * downs)
-            else:  # on the reals, where p may be the Fraction 1 of ()
+            elif lam:  # on the reals, where p may be the Fraction 1 of (), which stays
                 out[lam] = to_mpf(p) * ups / downs
     return out
 
@@ -506,11 +508,20 @@ def _row_step(m: int, spec: EnsembleSpec):
     (LUE-tilde): ints at alpha = a/b, beta = c/d (alpha_tilde = a/b), and
     reals at b = d = 1 if a parameter is real (Fraction / mpf is undefined);
     u^-(2y + m) (SW); q^(-(m-1)/2) m_y/m_(y-1) = u^-(m + alpha + y)
-    [alpha + y]_q (qLUE)."""
-    kind = spec.kind
+    [alpha + y]_q (qLUE).  Real-alpha qLUE steps on integers at q = a/b (an
+    mpf q is a/1) and q^-alpha = n/d, d = 2^s, read at the working precision:
+    [e]_q/[f]_q = u^(f-e) (b^e - a^e) b^f / ((b^f - a^f) b^e), f(y) =
+    u^(1-m) (n b^y - d a^y) b / (d a^y (b - a)), and the u-powers sum to
+    2(r - m), so the factor is (n b^y - d a^y) b^r prod (b^e - a^e) over
+    d (b - a) a^(2m + t - 2r) prod (b^f - a^f)."""
+    kind, n = spec.kind, None
     (u0, u1), (v0, v1), (s0, s1) = (1, 0), (1, 0), (0, 0)
     if kind == "sw":
         s0, s1 = -m, -2
+    elif spec.q is not None:
+        (a,), b = int_form([spec.q])
+        n, s = (to_mpf(spec.q) ** -to_mpf(spec.alpha)).man_exp
+        n, d = n << max(s, 0), 1 << max(-s, 0)
     elif kind == "qlue":
         (u0, u1), (s0, s1) = (spec.alpha, 1), (-m - spec.alpha, -1)
     else:
@@ -530,35 +541,11 @@ def _row_step(m: int, spec: EnsembleSpec):
             e = i + k - lam[i]
             ups.append(e + 1)
             downs.append(e)
+        if n is not None:  # real-alpha qLUE: s0 = s1 = 0, f(y) = 1 in the lists
+            ups, downs = ([n * b ** y - d * a ** y, b ** r, *(b ** e - a ** e for e in ups)],
+                          [d * (b - a) * a ** (2 * (m - r) + t), *(b ** e - a ** e for e in downs)])
         return lam[:t - 1] + (r - 1,) + lam[t:] if r > 1 else lam[:-1], ups, downs, s0 + s1 * y
     return step
-
-
-def schur_avg_qlue(mu, m: int, alpha, q=None):
-    """q-Laguerre at real alpha and the numeric q: the Gamma/Gamma_q ratios
-    of the closed form telescope into q^(-(m-1)|mu|/2) dim_q(mu)
-    prod_j m_{mu_j+m-j}/m_{m-j}, with no singular factor, m_p/m_{p-1} =
-    -|-(alpha+p)|_q = q^-(alpha+p) |alpha+p|_q: a real, `qdim` times the
-    ratios, on integers at a rational q but for one power q^-alpha.  Integer
-    alpha takes the exact q `walk` instead (`schur_average`)."""
-    mu = pt.canonical(mu)
-    if len(mu) > m:
-        return Fraction(0)
-    if q is None:
-        raise ValueError("real-alpha qlue average needs a numeric q")
-    rows = [p for j in range(1, m + 1) for p in range(m - j + 1, pt.part(mu, j) + m - j + 1)]
-    # at q = a/b, dim_q mu = q^-k sum_i c_i q^i (k >= 0) is b^k h / (a^k b^K), h by Horner
-    # on ints; the one real power q^-alpha is exactly n / 2^s, so a row factor is
-    # (n b^p - 2^s a^p) b / (2^s a^p (b - a)) and the quotient is rounded once
-    d, (a,), b = qdim(mu, m, offset=-(m - 1) * sum(mu)), *int_form([q])
-    h, bk, k = 0, 1, -d.offset // 2
-    for c in reversed(d.num[::2]):
-        h, bk = h * a + c * bk, bk * b
-    man, exp = (to_mpf(q) ** -to_mpf(alpha)).man_exp
-    n, s = man << max(exp, 0), max(-exp, 0)
-    num = math.prod((n * b ** p - (1 << s) * a ** p for p in rows), start=h * b ** (k + len(rows)))
-    den = math.prod((a ** p * (b - a) for p in rows), start=a ** k * (bk // b))
-    return mpmath.ldexp(to_mpf(over(num, den)), -s * len(rows))
 
 
 def schur_pair_avg_ginibre(lam, mu, m: int):
@@ -608,8 +595,10 @@ def askey_limit_check(mu, m: int, alpha, q):
     with it the ratio of the pair tends to 1.
     """
     mu = pt.canonical(mu)
+    if len(mu) > m:
+        raise ValueError("askey_limit_check needs l(mu) <= m")
     qv, a = to_mpf(q), to_mpf(alpha)
-    lhs = schur_avg_qlue(mu, m, a, qv)
+    lhs = schur_average(EnsembleSpec("qlue", alpha=a, q=qv), mu, m)
     sw = _walk_average(mu, m, EnsembleSpec("sw")).eval_u(mpmath.sqrt(qv))
     k = sum(mu)
     rhs = (1 - qv) ** (-k) * qv ** ((mpmath.mpf(1) / 2 - a) * k) * sw
@@ -632,8 +621,6 @@ def _schur_average(spec: EnsembleSpec, mu, m: int, method: str):
         return schur_avg_oracle(spec, mu, m)
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
-    if spec.q is not None:  # real-alpha qLUE
-        return schur_avg_qlue(mu, m, spec.alpha, spec.q)
     return _walk_average(mu, m, spec)
 
 

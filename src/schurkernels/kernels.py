@@ -121,15 +121,19 @@ def expansion_table(spec: EnsembleSpec, n_rank: int, n_pairs: int,
 @spec_cache(128)
 def _table(spec: EnsembleSpec, rows: int, m: int, method: str) -> KernelExpansion:
     """<s_lam'>_w for all lam in Y_{rows, m}: one table per rectangle for every
-    sum that reads it; cached by `spec_cache`.  Every exact kind with a single
-    average takes one `walk` of the graded rectangle, each lam one step from
-    its parent; the oracle, real-alpha qLUE and Ginibre (whose error it
-    raises) go through `schur_average` per lam."""
+    sum that reads it; cached by `spec_cache`.  Every kind with a single
+    average takes one `walk` of the graded rectangle, real-alpha qLUE 2M + 5
+    digits higher and each value rounded once, as `schur_average` rounds one;
+    the oracle and Ginibre (whose error it raises) call that per lam."""
     parts = _branching(rows, m)[0]
-    if method == "closed" and spec.q is None and spec.kind != "ginibre":
+    if method != "closed" or spec.kind == "ginibre":
+        coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method) for lam in parts}
+    elif spec.q is None:
         coeffs = walk(parts, m, spec)
     else:
-        coeffs = {lam: schur_average(spec, pt.conjugate(lam), m, method) for lam in parts}
+        with mpmath.extradps(2 * m + 5):
+            coeffs = walk(parts, m, spec)
+        coeffs = {lam: +c for lam, c in coeffs.items()}
     return KernelExpansion(rows, m, MappingProxyType(coeffs), int_form(list(coeffs.values())))
 
 

@@ -87,19 +87,19 @@ def schur_principal(lam, m: int) -> Fraction:
     return Fraction(num, den)
 
 
-def qdim(mu, m: int, offset: int = 0) -> QRat:
-    """q-dimension of the U(m) representation mu (0 when l(mu) > m) times
-    u^offset, as one `qratio`: the hook-content product
-    prod_boxes [m + c]_q / [h]_q with [z]_q = u^(1-z) (1 - q^z)/(1 - q)
-    (Macdonald, I.3 Ex. 1).  It equals the Weyl product
-    prod_{j<k} [mu_j - j - mu_k + k]_q / [k - j]_q and tends to s_mu(1^m)
-    as q -> 1.  Real-alpha qLUE reads it; the exact q averages walk."""
+def qdim(mu, m: int) -> QRat:
+    """q-dimension of the U(m) representation mu (0 when l(mu) > m), as one
+    `qratio`: the hook-content product prod_boxes [m + c]_q / [h]_q with
+    [z]_q = u^(1-z) (1 - q^z)/(1 - q) (Macdonald, I.3 Ex. 1).  It equals
+    the Weyl product prod_{j<k} [mu_j - j - mu_k + k]_q / [k - j]_q and
+    tends to s_mu(1^m) as q -> 1.  The q averages walk its Weyl ratio box
+    by box (`ensembles._row_step`); tests and the benchmark read it."""
     mu = pt.canonical(mu)
     if len(mu) > m:
         return QRat.const(0)
     data = pt.hook_content_data(mu)
     up, down = [m + c for _, _, c in data], [h for _, h, _ in data]
-    return qratio(up, down, offset + sum(down) - sum(up))
+    return qratio(up, down, sum(down) - sum(up))
 
 
 def dual_cauchy_check(t: list, z: list):

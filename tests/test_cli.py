@@ -19,7 +19,7 @@ import schurkernels
 from schurkernels import partitions as pt
 from schurkernels.cli import main
 from schurkernels.ensembles import EnsembleSpec, schur_average
-from schurkernels.kernels import KernelQuery, khat_cd, khat_double, khat_schur
+from schurkernels.kernels import KernelQuery, expansion_table, khat_cd, khat_double, khat_schur
 from schurkernels.scalars import hpreal_json, to_mpf
 
 
@@ -124,6 +124,15 @@ REAL_PINNED_DIGEST = "84c6a79f8a5fbeeb33954c7ca6e7daa2f3f2956e48664db30d31f711d6
 # routes of a library caller.  Recorded when the CLI still parsed decimals to
 # mpfs and took these routes, so it is the CLI digest of that time.
 REAL_LIBRARY_PINNED_DIGEST = "84c6a79f8a5fbeeb33954c7ca6e7daa2f3f2956e48664db30d31f711d64455ec"
+# Real-alpha qLUE through the library at 50 digits: `schur_average` over
+# Y(3,3) at M = 3, 4, 6 and the (8,1), (12,2), (8,3) expansion tables, at
+# these (alpha, q) and at q = 1/3 as an mpf; the reprs carry each value's
+# type and every bit.  Recorded when each average was one closed form per
+# partition and each table coefficient its own `schur_average` call.
+REAL_QLUE_PAIRS = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), Fraction(9, 10)),
+                   (Fraction(9, 4), Fraction(7, 10)), (Fraction(-1, 2), Fraction(1, 2)),
+                   (Fraction(1, 2), None)]
+REAL_QLUE_PINNED_DIGEST = "6fa362c0ebdac2a3db2931828bf11f120d21bbe6dc7a886d5699f216d96ab71f"
 # The exact q kinds past the benchmark's sizes: (command, N, n, methods),
 # eval at PINNED_POINTS, on SW and integer-alpha qLUE.
 Q_PINNED_ENSEMBLES = ("--ensemble sw", "--ensemble qlue --alpha 0", "--ensemble qlue --alpha 1")
@@ -209,6 +218,20 @@ class TestKernelCommands:
                     digest.update(json.dumps(out, sort_keys=True, separators=(",", ":")).encode()
                                   + b"\n")
         assert digest.hexdigest() == REAL_LIBRARY_PINNED_DIGEST
+
+    def test_real_alpha_qlue_averages_are_pinned(self):
+        """Real-alpha qLUE averages and tables keep, at 50 digits, the values
+        and types they had when this digest was recorded."""
+        digest = hashlib.sha256()
+        with mpmath.workdps(50):
+            for alpha, q in REAL_QLUE_PAIRS:
+                spec = EnsembleSpec("qlue", alpha=alpha, q=q or mpmath.mpf(1) / 3)
+                for m in (3, 4, 6):
+                    for mu in pt.enumerate_bounded(3, 3):
+                        digest.update(repr(schur_average(spec, mu, m)).encode())
+                for nr, n in ((8, 1), (12, 2), (8, 3)):
+                    digest.update(repr(list(expansion_table(spec, nr, n).coeffs.items())).encode())
+        assert digest.hexdigest() == REAL_QLUE_PINNED_DIGEST
 
     def test_divergent_tilde_moment_is_named_in_order(self, runner):
         """The recurrence of a tilde kind reads m_0..m_2K in order before its

@@ -18,12 +18,11 @@ from oracles import (chebyshev_algorithm, lue_alpha_shift_pair, monic_polys,
                      schur_avg_sw_hook_content, schur_pair_avg_bruteforce)
 from schurkernels import ensembles
 from schurkernels import partitions as pt
-from schurkernels.ensembles import (EnsembleSpec, char_poly_moment_oracle,
-                                    hankel_det, jack_avg_jacobi_coeff,
-                                    moment, ortho_system, schur_average,
-                                    schur_avg_oracle, schur_avg_qlue,
-                                    schur_pair_avg_ginibre,
-                                    schur_pair_avg_oracle)
+from schurkernels.ensembles import (EnsembleSpec, askey_limit_check,
+                                    char_poly_moment_oracle, hankel_det,
+                                    jack_avg_jacobi_coeff, moment, ortho_system,
+                                    schur_average, schur_avg_oracle,
+                                    schur_pair_avg_ginibre, schur_pair_avg_oracle)
 from schurkernels.kernels import kernel_cd
 from schurkernels.scalars import (QRat, det_exact, gamma_real, hp_close,
                                   qgamma_real, to_mpf)
@@ -99,6 +98,13 @@ class TestSpec:
         ratio, a TypeError); only ints, Fractions and mpfs are taken."""
         with pytest.raises(ValueError, match=f"^{key} must be an int, Fraction or mpf, not "):
             EnsembleSpec(kind, **params)
+
+    @pytest.mark.parametrize("m", [2.0, -1, F(5, 2), True], ids=repr)
+    def test_m_must_be_a_nonnegative_int(self, m):
+        """jue_tilde's m is the number of variables: a float, a Fraction, a
+        bool or a negative int is one error, not a wrong average."""
+        with pytest.raises(ValueError, match="^m must be a nonnegative int, not "):
+            EnsembleSpec("jue_tilde", alpha=0, beta=5, m=m)
 
     def test_qlue_takes_q_only_at_non_integer_alpha(self):
         with pytest.raises(ValueError, match="no q at integer alpha"):
@@ -408,7 +414,7 @@ class TestHankelAndOrtho:
         kmax = {"gue": 95, "lue": 95, "jue": 95, "qlue": 11}.get(spec.kind, 23)
         closed = ortho_system(spec, kmax)
         fresh_ortho()
-        monkeypatch.setattr(ensembles, "_recurrence", lambda s, k, dps: chebyshev_algorithm(s, k))
+        monkeypatch.setattr(ensembles, "_recurrence", lambda s, k: chebyshev_algorithm(s, k))
         chebyshev = ortho_system(spec, kmax)
         assert closed == chebyshev and _types(closed) == _types(chebyshev)
 
@@ -424,7 +430,7 @@ class TestHankelAndOrtho:
         with mpmath.workdps(50):
             spec = EnsembleSpec(kind, **{k: v if k == "m" else to_mpf(F(v))
                                          for k, v in params.items()})
-            closed = ensembles._recurrence(spec, kmax, mpmath.mp.dps)
+            closed = ensembles._recurrence(spec, kmax)
             with mpmath.workdps(100):
                 reference = chebyshev_algorithm(spec, kmax)
         got, want = [*closed[0], *closed[1][1:]], [*reference[0], *reference[1][1:]]
@@ -517,7 +523,7 @@ class TestOracle:
         assert schur_pair_avg_ginibre((1, 1, 1), (1, 1, 1), 2) == 0
         assert schur_average(SW, (1, 1), 1) == 0
         assert schur_average(EnsembleSpec("qlue", alpha=1), (1, 1), 1) == 0
-        assert schur_avg_qlue((1, 1), 1, F(1, 2), F(1, 3)) == 0
+        assert schur_average(EnsembleSpec("qlue", alpha=F(1, 2), q=F(1, 3)), (1, 1), 1) == 0
 
     def test_matches_bruteforce(self):
         for spec in (GUE, LUE0, EnsembleSpec("jue", alpha=0, beta=1), SW,
@@ -788,7 +794,7 @@ class TestRealParameterPaths:
             a = mpmath.mpf("1.5")
             spec = EnsembleSpec("qlue", alpha=a, q=q)
             for mu in pt.enumerate_bounded(3, 3):
-                c = schur_avg_qlue(mu, 3, a, q)
+                c = schur_average(spec, mu, 3)
                 assert hp_close(c, schur_avg_oracle(spec, mu, 3))
 
     @pytest.mark.parametrize("alpha,q", [(F(1, 2), F(1, 3)), (F(1, 2), F(9, 10)),
@@ -813,6 +819,14 @@ class TestRealParameterPaths:
         spec = EnsembleSpec("jue_tilde", alpha=mpmath.mpf("0.5"), beta=7, m=2)
         with pytest.raises(ValueError, match="needs rational alpha and beta"):
             schur_average(spec, (1,), 2)
+
+    def test_askey_limit_check_needs_l_mu_at_most_m(self):
+        """s_mu of fewer than l(mu) variables is 0 on both sides, and the
+        ratio the check reads is undefined there: one ValueError."""
+        with pytest.raises(ValueError, match=r"needs l\(mu\) <= m"):
+            askey_limit_check((1, 1), 1, mpmath.mpf("10.5"), F(1, 2))
+        lhs, rhs = askey_limit_check((1, 1), 2, mpmath.mpf("10.5"), F(1, 2))
+        assert isinstance(lhs, mpmath.mpf) and abs(lhs / rhs - 1) < 1e-2
 
     def test_qlue_approaches_lue_as_q_to_1(self):
         """qLUE -> LUE: deviation shrinks as 1 - q does."""

@@ -218,6 +218,22 @@ class TestTableWalk:
                 for lam in list(coeffs)[1:]:
                     assert abs(coeffs[lam] - ref[lam]) <= abs(ref[lam]) * mpmath.mpf(10) ** -49
 
+    @pytest.mark.parametrize("alpha,q", [(F(1, 2), F(1, 3)), (F(-1, 2), F(1, 2)),
+                                         (F(9, 4), None)], ids=str)
+    def test_real_alpha_qlue_table_is_its_single_averages(self, alpha, q):
+        """A real-alpha qLUE table walks its rectangle 2M + 5 digits above the
+        working precision and rounds each value once, so it holds what
+        `schur_average` gives lam by lam, under == and in type (the mpf 1
+        at ()); q = None is q = 7/10 as an mpf."""
+        with mpmath.workdps(50):
+            spec = EnsembleSpec("qlue", alpha=alpha, q=q or mpmath.mpf("0.7"))
+            for nr, n in ((8, 1), (12, 2), (8, 3)):
+                table = expansion_table(spec, nr, n)
+                for lam, c in table.coeffs.items():
+                    ref = schur_average(spec, pt.conjugate(lam), table.cols)
+                    assert c == ref and type(c) is type(ref), (nr, n, lam)
+                assert type(table.coeffs[()]) is mpmath.mpf
+
     @pytest.mark.parametrize("spec", [
         *(EnsembleSpec("lue", alpha=a) for a in (0, 1, F(1, 2))),
         *(EnsembleSpec("jue", alpha=a, beta=b) for a, b in ((1, 1), (F(7, 10), F(13, 10)),

@@ -392,6 +392,22 @@ class TestIntegerLaurentCore:
         qa, qb = _zcancel(ag, bg)
         assert zmul(qa, gcd) == ag and zmul(qb, gcd) == bg
 
+    @pytest.mark.parametrize("a,b", [
+        ([-63, -33, 39, -99, 102, -66], [-96, 90, -96, 90]),
+        (zmul([-4, 0, 1], [3, -1, 2]), zmul([-4, 0, 1], [-16, 0, 0, 1])),
+        (zmul(zmul([-2, 1], [-2, 1]), [1, 1, 1]), zmul([-2, 1], [5, 0, -7]))], ids=str)
+    def test_cancel_by_euclid_when_every_point_fails(self, monkeypatch, a, b):
+        """The last resort of _zcancel: with every heuristic candidate refused
+        (no exact quotient until a remainder step has run), the primitive
+        Euclid over Fractions leaves a and b over their gcd."""
+        steps, exquo, divmod_ = [], scalars._zexquo, scalars._pdivmod
+        monkeypatch.setattr(scalars, "_pdivmod", lambda x, y: steps.append(1) or divmod_(x, y))
+        monkeypatch.setattr(scalars, "_zexquo", lambda x, y: exquo(x, y) if steps else None)
+        gcd = zgcd_euclid(a, b)
+        qa, qb = _zcancel(a, b)
+        assert steps and len(gcd) > 1
+        assert zmul(qa, gcd) == a and zmul(qb, gcd) == b
+
     def test_sw_cd_at_a_power_of_two_takes_no_euclid_step(self, monkeypatch):
         """SW (14,1) at y = 1/4: the cd route cancels gcds whose factors have
         powers of two as values at 2^(8w), and it gives the Schur route's
