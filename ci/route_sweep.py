@@ -5,8 +5,9 @@ tier-1 tests cannot afford, `draws` seeded kinds, sizes, points, partitions
 and int, p/q and decimal parameters.  Real-alpha qLUE (its routes round
 different reals) and Ginibre (one route) are left out.  Calls run two at a
 time, each in a fresh interpreter; each group that does not match prints
-one line, then the sweep exits 1.  After the summary line the sweep prints
-its ten slowest calls with their wall times, as a report, not a gate.
+one line, with the last stderr line of each failed call, then the sweep
+exits 1.  After the summary line the sweep prints its ten slowest calls
+with their wall times, as a report, not a gate.
 Run:  python ci/route_sweep.py
 """
 
@@ -104,23 +105,28 @@ def draws(seed) -> list:
 
 
 def run(argv):
-    """The stdout of `schurkernels argv` in a fresh interpreter, None if it fails."""
+    """(True, stdout) of `schurkernels argv` in a fresh interpreter, or
+    (False, the last line of its stderr) if it fails."""
     p = subprocess.run([sys.executable, "-m", "schurkernels.cli", *argv],
                        capture_output=True, text=True)
-    return p.stdout if p.returncode == 0 else None
+    if p.returncode == 0:
+        return True, p.stdout
+    return False, (p.stderr.strip().splitlines() or [f"exit status {p.returncode}"])[-1]
 
 
 def check(groups, run, map=map) -> list:
-    """One line per group whose calls, run by map(run, calls), differ or fail."""
+    """One line per group whose calls, run by map(run, calls), differ or fail;
+    a failed call's methods carry the last line of its stderr."""
     results = map(run, [f"{line} --method {m}".split() for line, ms in groups for m in ms])
     bad = []
     for line, methods in groups:
         outs = {}
         for method, out in zip(methods, results):
             outs.setdefault(out, []).append(method)
-        if None in outs or len(outs) > 1:
+        if len(outs) > 1 or not all(ok for ok, _ in outs):
             bad.append(f"{line} --method " + " != ".join(
-                "/".join(ms) + (" (failed)" if out is None else "") for out, ms in outs.items()))
+                "/".join(ms) + ("" if ok else f" (failed: {text})")
+                for (ok, text), ms in outs.items()))
     return bad
 
 

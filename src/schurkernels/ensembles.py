@@ -22,7 +22,9 @@ every rational parameter too.
 
 Every closed form is cross-validated against `schur_avg_oracle`, which
 reduces the M-fold average to a ratio of moment determinants: the pair
-oracle `schur_pair_avg_oracle` at mu = empty.
+oracle `schur_pair_avg_oracle` at mu = empty.  Its determinants run on
+integers: the integer form of rational moments, and exact q moments (SW,
+integer-alpha qLUE) packed once per width, in q = u^2 on qLUE.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from functools import lru_cache, wraps
 import mpmath
 
 from . import partitions as pt
-from .scalars import (QRat, _bareiss, binom, det_exact, double_factorial,
-                      guarded, int_form, over, poch, qratio, recip, to_mpf)
+from .scalars import (QRat, _bareiss, _zdet, _zdivide, _zpack, _zunpack, binom, det_exact,
+                      double_factorial, guarded, int_form, over, poch, qratio, recip, to_mpf)
 from .symfun import _branching
 
 #: the ensemble kinds and the parameters each takes; all but q are required
@@ -203,11 +205,49 @@ def hankel_det(spec: EnsembleSpec, m: int):
 
 
 def _moment_det(spec: EnsembleSpec, rows, cols):
-    """det[m_{a+b}] for a in rows (row order) and b in cols (column order); at
-    rational moments Bareiss on the `int_form` (z, d) of m_0..m_top: det[z_{a+b}] / d^M."""
+    """det[m_{a+b}] for a in rows (row order) and b in cols (column order): on
+    exact q moments `_qdet` read back as a QRat, at rational ones Bareiss on
+    the `int_form` (z, d) of m_0..m_top: det[z_{a+b}] / d^M."""
+    if spec.kind in ("sw", "qlue") and not spec._real:
+        g, k, d, w = _qdet(spec, rows, cols)
+        return _qrat(g, k, _zunpack(d, w))
     z, d = _moment_prefix(spec, max(rows) + max(cols))
     mat = [[z[a + b] for b in cols] for a in rows]
     return det_exact(mat) if d is None else over(_bareiss(mat, int.__floordiv__), d ** len(mat))
+
+
+@spec_cache(128)
+def _qprefix(spec: EnsembleSpec) -> list:
+    """[o_p/g, P_p in v = u^g, ||P_p||_1, {w: the P_p packed at w bytes}] of
+    the exact q moments m_p = u^(o_p) P_p(u), as far as `_qdet` extended them."""
+    return [[], [], [], {}]
+
+
+def _qdet(spec: EnsembleSpec, rows, cols, w: int = 1):
+    """(g, k, D, w): det[m_{a+b}] = v^k d(v), v = u^g (g = 2 on qLUE, whose
+    moments are in q = u^2, else 1), D = d(2^(8w)) at the least width from w
+    with 2^(8w-1) > prod_a sum_b ||P_{a+b}||_1 (`_det_qrat`'s bound), each
+    row and column shed of its least power of v; SW's P_p are monomials."""
+    g, (offs, polys, norms, packed) = 2 if spec.kind == "qlue" else 1, _qprefix(spec)
+    top = max(rows) + max(cols)
+    for p in range(len(offs), top + 1):
+        m = moment(spec, p)
+        offs.append(m.offset // g)
+        polys.append(m.num[::g])
+        norms.append(sum(map(abs, m.num)))
+    w = max(w, math.prod(sum(norms[a + b] for b in cols) for a in rows).bit_length() // 8 + 1)
+    z = packed.setdefault(w, [])
+    z += (_zpack(c, w) for c in polys[len(z):top + 1])
+    ks = [min(offs[a + b] for b in cols) for a in rows]
+    cs = [min(offs[a + b] - k for a, k in zip(rows, ks)) for b in cols]
+    mat = [[z[a + b] << 8 * w * (offs[a + b] - k - c) for b, c in zip(cols, cs)]
+           for a, k in zip(rows, ks)]
+    return g, sum(ks) + sum(cs), _zdet(mat, spec.kind == "sw"), w
+
+
+def _qrat(g: int, k: int, c: list) -> QRat:
+    """v^k c(v) as a QRat in u = v^(1/g), g = 1 or 2."""
+    return QRat._raw(g * k, [y for x in c for y in (x, 0)[:g]], [1], True)
 
 
 @spec_cache(256)
@@ -324,7 +364,9 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
     Delta^2 s_lam s_mu = det[z_k^(lam_j+M-j)] det[z_k^(mu_j+M-j)], so the
     average is det[m_{a_j + b_k}] over the shifted exponent sets, divided
     by the same determinant at lam = mu = empty (`hankel_det`).  It is 0
-    when l(lam) > M or l(mu) > M.
+    when l(lam) > M or l(mu) > M.  On exact q moments it is one exact
+    quotient (`_zdivide`: a Laurent polynomial, no gcd) of the packed `_qdet`
+    by the packed `hankel_det` at one width, or `QRat` division if refused.
     """
     lam, mu = pt.canonical(lam), pt.canonical(mu)
     if len(lam) > m or len(mu) > m:
@@ -332,7 +374,12 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
     if m == 0:
         return Fraction(1)
     a, b = ([pt.part(p, j) + m - j for j in range(1, m + 1)] for p in (lam, mu))
-    return _moment_det(spec, a, b) / hankel_det(spec, m)
+    h = hankel_det(spec, m)
+    if spec.kind not in ("sw", "qlue") or spec._real:
+        return _moment_det(spec, a, b) / h
+    g, k, d, w = _qdet(spec, a, b, max(map(abs, h.num)).bit_length() // 8 + 1)
+    c = _zdivide(d, h.num[::g], w)
+    return _qrat(g, k, _zunpack(d, w)) / h if c is None else _qrat(g, k - h.offset // g, c)
 
 
 @spec_cache(128)

@@ -287,6 +287,15 @@ def _zexquo(a: list, b: list):
     return q if q and _zmul(b, q) == a else None
 
 
+def _zdivide(a: int, b: list, w: int):
+    """c with c b = a in Z[u] for a packed at w bytes with its digits in
+    range, else None: one exact divmod by b packed at w, and no product, as
+    ||c||_1 max|b_i| < 2^(8w-1) puts c b's digits in range too."""
+    c, r = divmod(a, _zpack(b, w))
+    c = None if r else _zunpack(c, w)
+    return c if c is not None and sum(map(abs, c)) * max(map(abs, b)) < 1 << 8 * w - 1 else None
+
+
 def _zprim(c: list) -> list:
     """c over its content, with a positive leading coefficient."""
     g = math.gcd(*c) * (1 if c[-1] > 0 else -1)
@@ -731,10 +740,13 @@ def _det_qrat(matrix):
     w = bound.bit_length() // 8 + 1
     packed = {e: _zpack(e, w) for e in {e for z in rows for _, e in z}}
     m = [[packed[e] << 8 * w * s for s, e in z] for z in rows]
-    # monomial entries, as in every Stieltjes-Wigert moment matrix: Bareiss is faster
-    small = len(m) <= _LAPLACE_MAX_N and any(len(e) > 1 for e in packed)
-    d = _laplace(m) if small else _bareiss(m, operator.floordiv)
-    return QRat._raw(offset, _zunpack(d, w), den)
+    return QRat._raw(offset, _zunpack(_zdet(m, all(len(e) <= 1 for e in packed)), w), den)
+
+
+def _zdet(m, monomial: bool) -> int:
+    """det of a matrix of packed ints: `_laplace` up to _LAPLACE_MAX_N rows,
+    else Bareiss, which also takes packed monomials (as of SW) faster."""
+    return _bareiss(m, operator.floordiv) if monomial or len(m) > _LAPLACE_MAX_N else _laplace(m)
 
 
 def _laplace(m) -> int:

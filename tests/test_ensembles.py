@@ -120,24 +120,42 @@ class TestMoments:
 
     def test_cache_is_bounded(self):
         caches = _module_caches()
-        assert {"ensembles._moment_cached", "ensembles._moment_prefix", "kernels._table",
-                "symfun._branching", "toeplitz_fh.toeplitz_det"} <= caches.keys()
+        assert {"ensembles._moment_cached", "ensembles._moment_prefix", "ensembles._qprefix",
+                "kernels._table", "symfun._branching", "toeplitz_fh.toeplitz_det"} <= caches.keys()
         for cache in caches.values():
             assert cache.cache_parameters()["maxsize"] is not None
 
     @pytest.mark.parametrize("seed", [1, 11])
     def test_verify_all_keeps_its_moment_prefixes(self, seed):
         """`_moment_prefix` holds every (spec, top) key that one pass of every
-        verify suite reads (about 150 from empty caches): a second pass in
-        the same process makes no miss."""
+        verify suite reads (about 150 from empty caches), and `_qprefix`
+        every exact q spec: a second pass in the same process makes no miss."""
         from schurkernels.verify import SUITES, run_suite
         _clear_caches()
         for name in SUITES:
             run_suite(name, seed=seed)
-        misses = ensembles._moment_prefix.cache_info().misses
+        caches = (ensembles._moment_prefix, ensembles._qprefix)
+        misses = [cache.cache_info().misses for cache in caches]
+        assert misses[1] > 0
         for name in SUITES:
             run_suite(name, seed=seed)
-        assert ensembles._moment_prefix.cache_info().misses == misses
+        assert [cache.cache_info().misses for cache in caches] == misses
+
+    def test_packed_q_prefix_keeps_exact_and_real_specs_apart(self):
+        """`_qprefix` holds exact q specs alone: the oracle at real-alpha qLUE
+        (alpha = 1 as an mpf, q = 1/4) reads mpf moments and makes no entry,
+        and at exact qLUE alpha = 1 it makes one and gives a QRat, whose value
+        at u = 1/2 is the real one."""
+        _clear_caches()
+        with mpmath.workdps(40):
+            real = schur_avg_oracle(EnsembleSpec("qlue", alpha=mpmath.mpf(1), q=F(1, 4)),
+                                    (2, 1), 3)
+        assert isinstance(real, mpmath.mpf)
+        assert ensembles._qprefix.cache_info().currsize == 0
+        exact = schur_avg_oracle(EnsembleSpec("qlue", alpha=1), (2, 1), 3)
+        assert isinstance(exact, QRat)
+        assert ensembles._qprefix.cache_info().currsize == 1
+        assert hp_close(exact.eval_u(F(1, 2)), real, tol=F(1, 10**30))
 
     def test_lue(self):
         assert moment(LUE0, 3) == 6
@@ -326,16 +344,37 @@ class TestHankelAndOrtho:
         det_exact of the Fraction moment matrix, in the Hankel row order and
         at the oracle's exponent sets, for M <= 8."""
         for m in range(1, 9):
-            hankel = range(m - 1, -1, -1)
-            sets = [(hankel, hankel)] + [
-                ([pt.part(lam, j) + m - j for j in range(1, m + 1)],
-                 [pt.part(mu, j) + m - j for j in range(1, m + 1)])
-                for lam, mu in (((1,), ()), ((2, 1), (1, 1)), ((3, 2, 2), (2,)))
-                if len(lam) <= m and len(mu) <= m]
-            for rows, cols in sets:
+            for _, _, rows, cols in _exponent_sets(m):
                 got = ensembles._moment_det(spec, rows, cols)
                 want = det_exact([[moment(spec, a + b) for b in cols] for a in rows])
                 assert got == want and type(got) is F, (m, rows, cols)
+
+    @pytest.mark.parametrize("spec", [SW, *(EnsembleSpec("qlue", alpha=a) for a in (0, 1, 2))],
+                             ids=["sw", "qlue-0", "qlue-1", "qlue-2"])
+    def test_packed_q_moment_det_equals_det_exact_of_the_qrat_matrix(self, spec):
+        """On exact q moments the packed determinant (SW in u, qLUE in q) is
+        det_exact of the QRat moment matrix (`_det_qrat`), in the Hankel row
+        order and at the oracle's exponent sets, for M <= 8; and the oracle,
+        pairs included, is that determinant over `hankel_det` by `QRat`
+        division."""
+        for m in range(1, 9):
+            for lam, mu, rows, cols in _exponent_sets(m):
+                got = ensembles._moment_det(spec, rows, cols)
+                want = det_exact([[moment(spec, a + b) for b in cols] for a in rows])
+                assert got == want and type(got) is QRat, (m, rows, cols)
+                assert schur_pair_avg_oracle(spec, lam, mu, m) == want / hankel_det(spec, m)
+
+    def test_refused_quotient_takes_qrat_division(self, monkeypatch):
+        """With every exact quotient refused, the q oracle divides its
+        numerator by `hankel_det` as QRats, and returns the same QRats."""
+        cases = [(spec, lam, mu, m) for spec in (SW, EnsembleSpec("qlue", alpha=1))
+                 for m in (1, 3, 5) for lam, mu, _, _ in _exponent_sets(m)]
+        want = [schur_pair_avg_oracle(*case) for case in cases]
+        refused = []
+        monkeypatch.setattr(ensembles, "_zdivide", lambda *args: refused.append(args))  # None
+        got = [schur_pair_avg_oracle(*case) for case in cases]
+        assert len(refused) == len(cases) == 20
+        assert got == want and all(type(v) is QRat for v in got)
 
     def test_gue_ortho(self):
         osys = ortho_system(GUE, 2)
@@ -452,6 +491,15 @@ class TestHankelAndOrtho:
         ortho_system(spec, first)
         again = ortho_system(spec, then)
         assert again == fresh and _types(again) == _types(fresh)
+
+
+def _exponent_sets(m):
+    """(lam, mu, rows, cols) of the pair oracle over m variables for the pairs
+    () x () (the Hankel rows and columns M-1..0), (1) x (), (2,1) x (1,1) and
+    (3,2,2) x (2) that fit: rows lam_j + M - j and cols mu_j + M - j."""
+    for lam, mu in (((), ()), ((1,), ()), ((2, 1), (1, 1)), ((3, 2, 2), (2,))):
+        if len(lam) <= m and len(mu) <= m:
+            yield lam, mu, *([pt.part(p, j) + m - j for j in range(1, m + 1)] for p in (lam, mu))
 
 
 def _module_caches():

@@ -1,6 +1,6 @@
 """Tests of ci/route_sweep.py: its fixed groups keep every command line the
-hand-written CI `cmp` steps ran, `check` reports a route that is off, and
-the timing report names the slowest call."""
+hand-written CI `cmp` steps ran, `check` reports a route that is off and
+says why a call failed, and the timing report names the slowest call."""
 
 import importlib.util
 import time
@@ -81,7 +81,7 @@ def test_fixed_groups_hold_every_cmp_step_command_line():
 
 def in_process(argv):
     r = CliRunner().invoke(cli.main, list(argv))
-    return r.stdout if r.exit_code == 0 else None
+    return (True, r.stdout) if r.exit_code == 0 else (False, r.output.strip().splitlines()[-1])
 
 
 def test_check_reports_the_group_whose_route_is_one_unit_off(monkeypatch):
@@ -114,3 +114,28 @@ def test_report_names_the_slowest_call():
     assert len(report) == 5 and report[0].endswith(f"s  {slow}")
     seconds = [float(line.split()[0]) for line in report]
     assert seconds == sorted(seconds, reverse=True) and seconds[0] >= 0.5
+
+
+def test_check_prints_why_a_call_failed():
+    """A failed call's methods carry the last line of its stderr: a sweep
+    that cannot import the package says so on every group line, and one
+    failing route names its own error beside the routes that ran."""
+    kernel = f"{sweep.K} lue --alpha 1/2 --N 4 --n 1 --x 3/7 --y -5/11"
+    average = f"{sweep.A} lue --alpha 1/2 --m 3 --partition 2,1"
+    groups = [(kernel, sweep.ROUTES), (average, sweep.AVG)]
+    missing = "ModuleNotFoundError: No module named 'schurkernels'"
+    assert sweep.check(groups, lambda argv: (False, missing)) == [
+        f"{kernel} --method cd/double/schur (failed: {missing})",
+        f"{average} --method closed/oracle (failed: {missing})"]
+
+    def cd_fails(argv):
+        return (False, "Error: out of memory") if argv[-1] == "cd" else in_process(argv)
+    assert sweep.check(groups, cd_fails) == [
+        f"{kernel} --method cd (failed: Error: out of memory) != double/schur"]
+
+
+def test_run_returns_the_last_stderr_line_of_a_failed_call():
+    """`run` itself, in a fresh interpreter: a bad flag exits 2 and its
+    usage error is the reason it gives."""
+    ok, text = sweep.run(["schur-avg", "--ensemble", "gue", "--m", "-1", "--partition", "1"])
+    assert not ok and text.startswith("Error: ") and "-1" in text

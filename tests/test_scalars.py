@@ -15,8 +15,8 @@ from oracles import (det_cofactor, det_leibniz, qfactorial_floor, qnum_floor,
 from schurkernels import scalars
 from schurkernels.ensembles import EnsembleSpec
 from schurkernels.kernels import KernelQuery, khat_cd, khat_schur
-from schurkernels.scalars import (Poly, QRat, _zcancel, _zexquo, _zpack, _zprim,
-                                  _zunpack, barnes_g_int, binom, det_exact,
+from schurkernels.scalars import (Poly, QRat, _zcancel, _zdivide, _zexquo, _zpack,
+                                  _zprim, _zunpack, barnes_g_int, binom, det_exact,
                                   double_factorial, frac_str, gamma_real,
                                   hp_close, int_adjugate, int_form,
                                   mat_inverse_exact, over, parse_number,
@@ -451,6 +451,15 @@ class TestIntegerLaurentCore:
         m = [[u(-(i + j + 1) ** 2) * (1 + i * j % 3) for j in range(5)] for i in range(5)]
         assert det_exact(m).eval_u(F(2, 3)) == det_exact([[x.eval_u(F(2, 3)) for x in row]
                                                          for row in m])
+
+    def test_packed_exact_quotient(self):
+        """_zdivide returns c with c b = a only when that holds in Z[u]: at
+        one byte a digit u is the int 256, twice the int 128, but u / 2 is
+        not in Z[u], and 1 + u leaves a remainder."""
+        assert _zdivide(_zpack([2, -1, -3], 1), [1, 1], 1) == [2, -3]
+        assert _zdivide(_zpack([0, 1], 1), [2], 1) is None
+        assert _zdivide(_zpack([1, 1], 1), [2], 1) is None
+        assert _zdivide(0, [1, 1], 1) == []
 
     def test_exact_quotient(self):
         assert _zexquo([-1, 0, 1], [1, 1]) == [-1, 1]
