@@ -37,7 +37,7 @@ from functools import lru_cache, wraps
 import mpmath
 
 from . import partitions as pt
-from .scalars import (QRat, _bareiss, _zdet, _zdivide, _zpack, _zunpack, binom, det_exact,
+from .scalars import (QRat, _bareiss, _zdet, _zdivide, _zunpack, binom, det_exact,
                       double_factorial, guarded, int_form, over, poch, qratio, recip, to_mpf)
 from .symfun import _branching
 
@@ -223,26 +223,17 @@ def _qprefix(spec: EnsembleSpec) -> list:
     return [[], [], [], {}]
 
 
-def _qdet(spec: EnsembleSpec, rows, cols, w: int = 1):
-    """(g, k, D, w): det[m_{a+b}] = v^k d(v), v = u^g (g = 2 on qLUE, whose
-    moments are in q = u^2, else 1), D = d(2^(8w)) at the least width from w
-    with 2^(8w-1) > prod_a sum_b ||P_{a+b}||_1 (`_det_qrat`'s bound), each
-    row and column shed of its least power of v; SW's P_p are monomials."""
+def _qdet(spec: EnsembleSpec, rows, cols, hold: int = 0):
+    """(g, k, D, w): det[m_{a+b}] = v^k d(v), v = u^g (g = 2 on qLUE, whose moments
+    are in q = u^2, else 1), D = d(2^(8w)) from `_zdet`, its digits wide enough for hold."""
     g, (offs, polys, norms, packed) = 2 if spec.kind == "qlue" else 1, _qprefix(spec)
-    top = max(rows) + max(cols)
-    for p in range(len(offs), top + 1):
+    for p in range(len(offs), max(rows) + max(cols) + 1):
         m = moment(spec, p)
         offs.append(m.offset // g)
         polys.append(m.num[::g])
         norms.append(sum(map(abs, m.num)))
-    w = max(w, math.prod(sum(norms[a + b] for b in cols) for a in rows).bit_length() // 8 + 1)
-    z = packed.setdefault(w, [])
-    z += (_zpack(c, w) for c in polys[len(z):top + 1])
-    ks = [min(offs[a + b] for b in cols) for a in rows]
-    cs = [min(offs[a + b] - k for a, k in zip(rows, ks)) for b in cols]
-    mat = [[z[a + b] << 8 * w * (offs[a + b] - k - c) for b, c in zip(cols, cs)]
-           for a, k in zip(rows, ks)]
-    return g, sum(ks) + sum(cs), _zdet(mat, spec.kind == "sw"), w
+    ids = [[a + b for b in cols] for a in rows]
+    return g, *_zdet([[offs[e] for e in z] for z in ids], ids, polys, norms, packed, hold)
 
 
 def _qrat(g: int, k: int, c: list) -> QRat:
@@ -377,7 +368,7 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
     h = hankel_det(spec, m)
     if spec.kind not in ("sw", "qlue") or spec._real:
         return _moment_det(spec, a, b) / h
-    g, k, d, w = _qdet(spec, a, b, max(map(abs, h.num)).bit_length() // 8 + 1)
+    g, k, d, w = _qdet(spec, a, b, max(map(abs, h.num)))
     c = _zdivide(d, h.num[::g], w)
     return _qrat(g, k, _zunpack(d, w)) / h if c is None else _qrat(g, k - h.offset // g, c)
 

@@ -721,32 +721,41 @@ _LAPLACE_MAX_N = 12
 
 
 def _det_qrat(matrix):
-    """Row i times u^-k_i L_i (L_i the product of its denominators) is a row
-    of Z over Z[u]; det = u^(sum k_i) det Z / prod L_i, with det Z taken on
-    the integers at u = 2^(8w) (a ring map): each distinct entry packed once
-    and shifted by its power of u.  2^(8w-1) exceeds prod_i sum_j ||Z_ij||_1,
-    which bounds the coefficients of every minor."""
-    rows, offset, den, bound = [], 0, [1], 1
+    """Row i times L_i (the product of its denominators) is a row of Laurent
+    polynomials over Z: det = `_zdet` of those rows / prod L_i."""
+    offs, rows, den = [], [], [1]
     for row in matrix:
         row = [QRat._coerce(x) for x in row]
         if not any(row):
             return QRat.const(0)
         k = min(x.offset for x in row if x)
         lcd = functools.reduce(_zmul, {tuple(x.den) for x in row}, [1])
-        rows.append([(x.offset - k if x else 0, tuple(
-            _zmul(x.num, lcd if x.den == [1] else _zexquo(lcd, x.den)))) for x in row])
-        offset, den = offset + k, _zmul(den, lcd)
-        bound *= sum(sum(map(abs, e)) for _, e in rows[-1])
-    w = bound.bit_length() // 8 + 1
-    packed = {e: _zpack(e, w) for e in {e for z in rows for _, e in z}}
-    m = [[packed[e] << 8 * w * s for s, e in z] for z in rows]
-    return QRat._raw(offset, _zunpack(_zdet(m, all(len(e) <= 1 for e in packed)), w), den)
+        offs.append([x.offset if x else k for x in row])
+        rows.append([tuple(_zmul(x.num, lcd if x.den == [1] else _zexquo(lcd, x.den))) for x in row])
+        den = _zmul(den, lcd)
+    index = {e: i for i, e in enumerate(dict.fromkeys(e for z in rows for e in z))}
+    k, d, w = _zdet(offs, [[index[e] for e in z] for z in rows], list(index),
+                    [sum(map(abs, e)) for e in index], {})
+    return QRat._raw(k, _zunpack(d, w), den)
 
 
-def _zdet(m, monomial: bool) -> int:
-    """det of a matrix of packed ints: `_laplace` up to _LAPLACE_MAX_N rows,
-    else Bareiss, which also takes packed monomials (as of SW) faster."""
-    return _bareiss(m, operator.floordiv) if monomial or len(m) > _LAPLACE_MAX_N else _laplace(m)
+def _zdet(offs, ids, polys, norms, packed, hold: int = 0):
+    """(k, D, w): det[u^offs[i][j] P_ids[i][j]] = u^k d(u), D = d(2^(8w)) taken on
+    the integers (a ring map), for P_e = polys[e] in Z[u] of norm norms[e] =
+    ||P_e||_1, each row and then each column shed of its least power of u;
+    2^(8w-1) > max(hold, prod_i sum_j ||P_ij||_1), which bounds the coefficients
+    of every minor.  packed[w] lists the polys packed at w bytes, grown as far
+    as ids reach.  `_laplace` up to _LAPLACE_MAX_N rows, else Bareiss, which
+    also takes all-monomial entries (as of SW) faster."""
+    w = max(hold, math.prod(sum(norms[e] for e in z) for z in ids)).bit_length() // 8 + 1
+    z = packed.setdefault(w, [])
+    z += (_zpack(c, w) for c in polys[len(z):max(map(max, ids)) + 1])
+    ks = list(map(min, offs))
+    rs = [[o - k for o in oi] for oi, k in zip(offs, ks)]
+    cs = list(map(min, zip(*rs)))
+    m = [[z[e] << 8 * w * (s - c) for s, e, c in zip(ri, ei, cs)] for ri, ei in zip(rs, ids)]
+    small = len(m) <= _LAPLACE_MAX_N and any(len(polys[e]) > 1 for ei in ids for e in ei)
+    return sum(ks) + sum(cs), _laplace(m) if small else _bareiss(m, operator.floordiv), w
 
 
 def _laplace(m) -> int:

@@ -356,12 +356,17 @@ class TestHankelAndOrtho:
         det_exact of the QRat moment matrix (`_det_qrat`), in the Hankel row
         order and at the oracle's exponent sets, for M <= 8; and the oracle,
         pairs included, is that determinant over `hankel_det` by `QRat`
-        division."""
+        division.  Both determinants run on `scalars._zdet`, so up to M = 4
+        the value at u = 2/3 (a ring map) is also checked against Bareiss on
+        the moments' rational values, which shares no code with it."""
         for m in range(1, 9):
             for lam, mu, rows, cols in _exponent_sets(m):
                 got = ensembles._moment_det(spec, rows, cols)
                 want = det_exact([[moment(spec, a + b) for b in cols] for a in rows])
                 assert got == want and type(got) is QRat, (m, rows, cols)
+                if m <= 4:
+                    assert got.eval_u(F(2, 3)) == det_exact(
+                        [[moment(spec, a + b).eval_u(F(2, 3)) for b in cols] for a in rows])
                 assert schur_pair_avg_oracle(spec, lam, mu, m) == want / hankel_det(spec, m)
 
     def test_refused_quotient_takes_qrat_division(self, monkeypatch):

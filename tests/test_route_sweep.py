@@ -9,6 +9,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+import schurkernels
 from schurkernels import cli
 
 _path = Path(__file__).parents[1] / "ci" / "route_sweep.py"
@@ -134,8 +135,9 @@ def test_check_prints_why_a_call_failed():
         f"{kernel} --method cd (failed: Error: out of memory) != double/schur"]
 
 
-def test_run_returns_the_last_stderr_line_of_a_failed_call():
-    """`run` itself, in a fresh interpreter: a bad flag exits 2 and its
-    usage error is the reason it gives."""
+def test_run_returns_the_last_stderr_line_of_a_failed_call(monkeypatch):
+    """`run` itself, in a fresh interpreter that imports this checkout's
+    package: a bad flag exits 2 and its usage error is the reason it gives."""
+    monkeypatch.setenv("PYTHONPATH", str(Path(schurkernels.__file__).parents[1]))
     ok, text = sweep.run(["schur-avg", "--ensemble", "gue", "--m", "-1", "--partition", "1"])
     assert not ok and text.startswith("Error: ") and "-1" in text

@@ -15,7 +15,7 @@ from oracles import (det_cofactor, det_leibniz, qfactorial_floor, qnum_floor,
 from schurkernels import scalars
 from schurkernels.ensembles import EnsembleSpec
 from schurkernels.kernels import KernelQuery, khat_cd, khat_schur
-from schurkernels.scalars import (Poly, QRat, _zcancel, _zdivide, _zexquo, _zpack,
+from schurkernels.scalars import (Poly, QRat, _zcancel, _zdet, _zdivide, _zexquo, _zpack,
                                   _zprim, _zunpack, barnes_g_int, binom, det_exact,
                                   double_factorial, frac_str, gamma_real,
                                   hp_close, int_adjugate, int_form,
@@ -451,6 +451,22 @@ class TestIntegerLaurentCore:
         m = [[u(-(i + j + 1) ** 2) * (1 + i * j % 3) for j in range(5)] for i in range(5)]
         assert det_exact(m).eval_u(F(2, 3)) == det_exact([[x.eval_u(F(2, 3)) for x in row]
                                                          for row in m])
+
+    def test_packed_det_sheds_row_and_column_powers(self):
+        """_zdet takes det[u^offs P_ids] as u^k d(u), d packed at w bytes:
+        here rows shed u^3 and u^4, the second column u^2 more, so k = 9.
+        The packed polys are kept per width, and `hold` widens the digits."""
+        u = QRat.u_power
+        polys, offs, ids = [(1, 1), (2,), (1, 0, -1)], [[3, 5], [4, 9]], [[0, 1], [2, 0]]
+        norms, packed = [2, 2, 2], {}
+        k, d, w = _zdet(offs, ids, polys, norms, packed)
+        entries = [[u(o) * QRat._raw(0, list(polys[e]), [1]) for o, e in zip(oi, ei)]
+                   for oi, ei in zip(offs, ids)]
+        assert k == 9 and QRat._raw(k, _zunpack(d, w), [1]) == det_cofactor(entries)
+        assert packed == {w: [_zpack(c, w) for c in polys]}
+        k2, d2, w2 = _zdet(offs, ids, polys, norms, packed, hold=1 << 40)
+        assert w2 == 6 > w and k2 == k and _zunpack(d2, w2) == _zunpack(d, w)
+        assert set(packed) == {w, w2}
 
     def test_packed_exact_quotient(self):
         """_zdivide returns c with c b = a only when that holds in Z[u]: at
