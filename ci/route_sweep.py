@@ -43,6 +43,10 @@ FIXED = [
                      "--alpha 0.7 --beta 1.3")),
     *((f"{K} {ens} --n 1 --x 3/7 --y -5/11", ROUTES)
       for ens in ("sw --N 24", "qlue --alpha 0 --N 16", "qlue --alpha 1 --N 16")),
+    # the q scale past the draws, where cd divides polynomials of thousands
+    # of terms in Z[u]; double (a minute at SW N = 48) is left out for now
+    *((f"{K} {ens} --n 1 --x 3/7 --y -5/11", ("cd", "schur"))
+      for ens in ("sw --N 48", "qlue --alpha 1 --N 24")),
     *((f"{K} {ens} --N 96 --n 1 --x -7/5 --y 11/13", ROUTES) for ens in CLASSICAL),
     # xy = (14/15)^2: the exact Chebyshev form applies
     *((f"{K} {ens} --n 1 --x -7/5 --y -28/45", ("chebyshev", "schur"))

@@ -37,7 +37,7 @@ from functools import lru_cache, wraps
 import mpmath
 
 from . import partitions as pt
-from .scalars import (QRat, _bareiss, _zdet, _zdivide, _zunpack, binom, det_exact,
+from .scalars import (QRat, _bareiss, _zdet, _zexquo, _zunpack, binom, det_exact,
                       double_factorial, guarded, int_form, over, poch, qratio, recip, to_mpf)
 from .symfun import _branching
 
@@ -356,8 +356,8 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
     average is det[m_{a_j + b_k}] over the shifted exponent sets, divided
     by the same determinant at lam = mu = empty (`hankel_det`).  It is 0
     when l(lam) > M or l(mu) > M.  On exact q moments it is one exact
-    quotient (`_zdivide`: a Laurent polynomial, no gcd) of the packed `_qdet`
-    by the packed `hankel_det` at one width, or `QRat` division if refused.
+    quotient (`_zexquo`: a Laurent polynomial, no gcd) of the packed `_qdet`,
+    as packed, by `hankel_det` at that width, or `QRat` division if refused.
     """
     lam, mu = pt.canonical(lam), pt.canonical(mu)
     if len(lam) > m or len(mu) > m:
@@ -369,7 +369,7 @@ def schur_pair_avg_oracle(spec: EnsembleSpec, lam, mu, m: int):
     if spec.kind not in ("sw", "qlue") or spec._real:
         return _moment_det(spec, a, b) / h
     g, k, d, w = _qdet(spec, a, b, max(map(abs, h.num)))
-    c = _zdivide(d, h.num[::g], w)
+    c = _zexquo(d, h.num[::g], w)
     return _qrat(g, k, _zunpack(d, w)) / h if c is None else _qrat(g, k - h.offset // g, c)
 
 

@@ -15,11 +15,11 @@ group, ``verify.run_suite`` and the ``dps`` argument of the query functions
 Working in u = q^(1/2) (instead of q) keeps Stieltjes-Wigert moments
 q^(-(p+1)^2/2) and symmetric q-numbers exact Laurent objects.  ``QRat``
 keeps integer coefficient lists (the ``_z*`` helpers): a list c is read as
-the one integer c(2^(8w)) (Kronecker substitution), so a product, an exact
-quotient, a heuristic gcd or a whole determinant over Z[u] is big-integer
-arithmetic.  ``Poly`` over Fractions, QRats or mpfs uses the
-generic dense-list helpers (``_p*``).  ``parse_number`` is the one parser
-of numeric strings and ``to_mpf`` the one scalar-to-real conversion.
+the one integer c(2^(8w)) (Kronecker substitution): a product, a heuristic
+gcd, a determinant or an exact quotient (``_zexquo``, at the quotient's
+width) over Z[u] is big-integer arithmetic.  ``Poly`` over Fractions, QRats
+or mpfs uses the generic dense-list helpers (``_p*``).  ``parse_number`` is
+the one parser of numeric strings and ``to_mpf`` the one conversion to reals.
 """
 
 from __future__ import annotations
@@ -277,23 +277,22 @@ def _zmul(a, b) -> list:
     return _zunpack(_zpack(a, w) * _zpack(b, w), w)
 
 
-def _zexquo(a: list, b: list):
-    """a/b if b divides the nonzero a in Z[u], else None.  A factor of a has
-    coefficients at most 2^deg ||a||_1 (Mignotte), so the quotient's digits
-    read back; the product check makes the answer exact."""
-    w = max(sum(map(abs, a)) << max(len(a) - len(b), 0), *map(abs, b)).bit_length() // 8 + 1
-    q, r = divmod(_zpack(a, w), _zpack(b, w))
-    q = None if r else _zunpack(q, w)
-    return q if q and _zmul(b, q) == a else None
-
-
-def _zdivide(a: int, b: list, w: int):
-    """c with c b = a in Z[u] for a packed at w bytes with its digits in
-    range, else None: one exact divmod by b packed at w, and no product, as
-    ||c||_1 max|b_i| < 2^(8w-1) puts c b's digits in range too."""
-    c, r = divmod(a, _zpack(b, w))
-    c = None if r else _zunpack(c, w)
-    return c if c is not None and sum(map(abs, c)) * max(map(abs, b)) < 1 << 8 * w - 1 else None
+def _zexquo(a, b: list, w: int = 0):
+    """a/b if b divides a in Z[u], else None, for a list a or the int a(2^(8w))
+    with digits in range at w bytes.  b | a gives b(X) | a(X) at X = 2^(8w): a
+    remainder refuses.  ||c||_1 max|b_i| < 2^(8w-1) puts the digits of c b in
+    range, so c = a/b.  Else w doubles; past 2^deg ||a||_1 (Mignotte) c b decides."""
+    if not isinstance(a, int):
+        w = max(w, max(map(abs, a + b)).bit_length() // 8 + 1)
+    while True:
+        c, r = divmod(a if isinstance(a, int) else _zpack(a, w), _zpack(b, w))
+        c = None if r else _zunpack(c, w)
+        if c is None or sum(map(abs, c)) * max(map(abs, b)) < 1 << 8 * w - 1:
+            return c
+        a = _zunpack(a, w) if isinstance(a, int) else a
+        if sum(map(abs, a)) << max(len(a) - len(b), 0) < 1 << 8 * w - 1:
+            return c if _zmul(b, c) == a else None
+        w *= 2
 
 
 def _zprim(c: list) -> list:

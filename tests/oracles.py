@@ -48,7 +48,10 @@ against.  Each is independent of the code it checks:
 * `zgcd_euclid`, `zmul` -- the primitive gcd by the primitive remainder
                          sequence alone and the schoolbook product, the
                          references for the heuristic gcd of `_zcancel`
-                         and for the canonical form of `QRat`.
+                         and for the canonical form of `QRat`;
+* `zquotient`         -- the quotient in Z[u] by long division over
+                         Fractions, the reference for the packed exact
+                         quotient `scalars._zexquo`.
 """
 
 import math
@@ -520,6 +523,21 @@ def zmul(a: list, b: list) -> list:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def zquotient(a: list, b: list):
+    """a/b in Z[u] for a trimmed coefficient list a (lowest degree first) and
+    a nonzero trimmed b, by long division over Fractions: the integer list
+    if the remainder is 0 and every quotient coefficient is an integer, else
+    None.  [] / b is []."""
+    r, q = [Fraction(x) for x in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(q))):
+        q[i] = r[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            r[i + j] -= q[i] * y
+    if any(r) or any(x.denominator != 1 for x in q):
+        return None
+    return [int(x) for x in q]
 
 
 def zgcd_euclid(a: list, b: list) -> list:

@@ -15,7 +15,7 @@ from oracles import (chebyshev_algorithm, lue_alpha_shift_pair, monic_polys,
                      schur_avg_gue_blocks, schur_avg_jue_tilde_principal,
                      schur_avg_lue_int_form, schur_avg_lue_tilde_complement,
                      schur_avg_qlue_hook_content, schur_avg_row_products,
-                     schur_avg_sw_hook_content, schur_pair_avg_bruteforce)
+                     schur_avg_sw_hook_content, schur_pair_avg_bruteforce, zmul)
 from schurkernels import ensembles
 from schurkernels import partitions as pt
 from schurkernels.ensembles import (EnsembleSpec, askey_limit_check,
@@ -24,8 +24,8 @@ from schurkernels.ensembles import (EnsembleSpec, askey_limit_check,
                                     schur_average, schur_avg_oracle,
                                     schur_pair_avg_ginibre, schur_pair_avg_oracle)
 from schurkernels.kernels import kernel_cd
-from schurkernels.scalars import (QRat, det_exact, gamma_real, hp_close,
-                                  qgamma_real, to_mpf)
+from schurkernels.scalars import (QRat, _zexquo, _zprim, det_exact, gamma_real,
+                                  hp_close, qgamma_real, to_mpf)
 from schurkernels.symfun import schur_principal
 
 F = Fraction
@@ -46,6 +46,9 @@ JUE_LONG = EnsembleSpec("jue", alpha=F("0.123456789012345678901234567891"),
 JUE_7_13 = ORTHO_SPECS[4]
 JUE_HALF = EnsembleSpec("jue", alpha=F(-1, 2), beta=F(-1, 2))
 JUE_MIXED = EnsembleSpec("jue", alpha=F(-1, 2), beta=F(1, 2))
+# the exact q kinds: Stieltjes-Wigert and integer-alpha q-Laguerre
+Q_EXACT = [SW, *(EnsembleSpec("qlue", alpha=a) for a in range(4))]
+Q_EXACT_IDS = ["sw", *(f"qlue-{a}" for a in range(4))]
 
 
 class TestSpec:
@@ -376,10 +379,47 @@ class TestHankelAndOrtho:
                  for m in (1, 3, 5) for lam, mu, _, _ in _exponent_sets(m)]
         want = [schur_pair_avg_oracle(*case) for case in cases]
         refused = []
-        monkeypatch.setattr(ensembles, "_zdivide", lambda *args: refused.append(args))  # None
+        monkeypatch.setattr(ensembles, "_zexquo", lambda *args: refused.append(args))  # None
         got = [schur_pair_avg_oracle(*case) for case in cases]
         assert len(refused) == len(cases) == 20
         assert got == want and all(type(v) is QRat for v in got)
+
+    @pytest.mark.parametrize("spec", Q_EXACT, ids=Q_EXACT_IDS)
+    def test_q_oracle_never_refuses_its_exact_quotient(self, monkeypatch, spec):
+        """The packed numerator of the q oracle is always an exact multiple of
+        `hankel_det` in Z[u], so `_zexquo` never returns None and the QRat
+        division fallback is never taken: every mu in Y(3,3) and every pair
+        over Y(2,2), M <= 6."""
+        seen, exquo = [], ensembles._zexquo
+
+        def recorded(*args):
+            seen.append(exquo(*args))
+            return seen[-1]
+        monkeypatch.setattr(ensembles, "_zexquo", recorded)
+        for m in range(1, 7):
+            for mu in pt.enumerate_bounded(3, 3):
+                schur_avg_oracle(spec, mu, m)
+            for lam in pt.enumerate_bounded(2, 2):
+                for mu in pt.enumerate_bounded(2, 2):
+                    schur_pair_avg_oracle(spec, lam, mu, m)
+        assert len(seen) > 200 and None not in seen
+
+    @pytest.mark.parametrize("spec", Q_EXACT, ids=Q_EXACT_IDS)
+    def test_q_norms_divide_in_turn(self, spec):
+        """On SW and integer-alpha qLUE every h_j is a Laurent polynomial and
+        h_j divides h_(j+1) in Z[u] (h_(j+1) = b_(j+1) h_j, b_(j+1) Laurent),
+        so the lcm W of the weights 1/h_j up to K is h_K over its content
+        (the int 1 while every h_j is a monomial), K <= 16."""
+        h = ortho_system(spec, 16).norms
+        assert all(x.den == [1] for x in h)
+        for j in range(16):
+            c = _zexquo(h[j + 1].num, h[j].num)
+            assert c is not None and zmul(c, h[j].num) == h[j + 1].num
+            w = ortho_system(spec, j + 1).ints[2]
+            if all(len(x.num) == 1 for x in h[:j + 2]):
+                assert w == 1
+            else:
+                assert (w.offset, w.num, w.den) == (0, _zprim(h[j + 1].num), [1])
 
     def test_gue_ortho(self):
         osys = ortho_system(GUE, 2)

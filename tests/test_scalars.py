@@ -1,5 +1,6 @@
 """Unit tests for scalars: QRat arithmetic, determinants, special functions."""
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
 from oracles import (det_cofactor, det_leibniz, qfactorial_floor, qnum_floor,
-                     qnum_symmetric, zgcd, zgcd_euclid, zmul)
+                     qnum_symmetric, zgcd, zgcd_euclid, zmul, zquotient)
 from schurkernels import scalars
 from schurkernels.ensembles import EnsembleSpec
 from schurkernels.kernels import KernelQuery, khat_cd, khat_schur
-from schurkernels.scalars import (Poly, QRat, _zcancel, _zdet, _zdivide, _zexquo, _zpack,
+from schurkernels.scalars import (Poly, QRat, _zcancel, _zdet, _zexquo, _zpack,
                                   _zprim, _zunpack, barnes_g_int, binom, det_exact,
                                   double_factorial, frac_str, gamma_real,
                                   hp_close, int_adjugate, int_form,
@@ -24,6 +25,11 @@ from schurkernels.scalars import (Poly, QRat, _zcancel, _zdet, _zdivide, _zexquo
                                   to_mpf)
 
 F = Fraction
+
+
+def zpow(c: list, k: int) -> list:
+    """c^k by schoolbook products."""
+    return functools.reduce(zmul, [c] * k, [1])
 
 
 class TestToMpf:
@@ -469,18 +475,60 @@ class TestIntegerLaurentCore:
         assert set(packed) == {w, w2}
 
     def test_packed_exact_quotient(self):
-        """_zdivide returns c with c b = a only when that holds in Z[u]: at
-        one byte a digit u is the int 256, twice the int 128, but u / 2 is
-        not in Z[u], and 1 + u leaves a remainder."""
-        assert _zdivide(_zpack([2, -1, -3], 1), [1, 1], 1) == [2, -3]
-        assert _zdivide(_zpack([0, 1], 1), [2], 1) is None
-        assert _zdivide(_zpack([1, 1], 1), [2], 1) is None
-        assert _zdivide(0, [1, 1], 1) == []
+        """_zexquo on a dividend packed at w bytes returns c with c b = a only
+        when that holds in Z[u]: at one byte a digit u is the int 256, twice
+        the int 128, but u / 2 is not in Z[u], and 1 + u leaves a remainder."""
+        assert _zexquo(_zpack([2, -1, -3], 1), [1, 1], 1) == [2, -3]
+        assert _zexquo(_zpack([0, 1], 1), [2], 1) is None
+        assert _zexquo(_zpack([1, 1], 1), [2], 1) is None
+        assert _zexquo(0, [1, 1], 1) == []
 
     def test_exact_quotient(self):
         assert _zexquo([-1, 0, 1], [1, 1]) == [-1, 1]
         assert _zexquo([1, 1, 1], [1, 1]) is None
         assert _zexquo([2, 2], [4, 4]) is None  # 1/2 is not in Z[u]
+        assert _zexquo([], [1, 1]) == []
+
+    @pytest.mark.parametrize("a,b,divides", [
+        # (1 - u^10)^8 / (1 - u)^8: a's digits are at most 70, the quotient's
+        # reach 4.8 million and ||c||_1 max|b_i| = 7 10^9, so w doubles 1 -> 8
+        (zpow([1] + [0] * 9 + [-1], 8), zpow([1, -1], 8), True),
+        (zpow([1, 1], 40), zpow([1, 1], 17), True),
+        (zmul(zpow([3, -2, 0, 5], 6), [7, 0, 1]), zpow([3, -2, 0, 5], 6), True),
+        # a(256) = 164223 = 257 * 639 = b(256) * 639, but u + 1 does not
+        # divide 127 - 127u + 3u^2 (its value at u = -1 is 257)
+        ([127, -127, 3], [1, 1], False),
+        ([0, 1], [2], False),
+        (zpow([1] + [0] * 9 + [-1], 8), zpow([1, -1], 9), False)], ids=str)
+    def test_exact_quotient_at_the_quotient_width(self, a, b, divides):
+        """_zexquo agrees with long division over Fractions where the quotient
+        is far wider than the dividend and where b(X) divides a(X) at the
+        first width X = 2^8 but b does not divide a in Z[u]."""
+        want = zquotient(a, b)
+        assert (want is not None) == divides
+        assert _zexquo(a, b) == want
+        w = max(map(abs, a + b)).bit_length() // 8 + 1
+        assert _zexquo(_zpack(a, w), b, w) == want
+
+    @given(st.lists(st.integers(-300, 300), min_size=1, max_size=6).filter(lambda c: c[-1]),
+           st.lists(st.integers(-300, 300), max_size=6),
+           st.lists(st.integers(-3, 3), max_size=8), st.integers(1, 5), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_quotient_equals_long_division(self, b, c, d, power, extra):
+        """_zexquo(a, b^i) is the quotient of long division over Fractions, or
+        None where that leaves a remainder or a non-integer coefficient, for
+        a = b^power c + d and i = 1..power: on the list, and on a packed at
+        any width that holds the digits of a and b^i."""
+        a = zmul(zpow(b, power), c) if c else []
+        a = [x + y for x, y in zip(a + [0] * len(d), d + [0] * len(a))]
+        while a and not a[-1]:
+            a.pop()
+        for i in range(1, power + 1):
+            bi = zpow(b, i)
+            want = zquotient(a, bi)
+            assert _zexquo(a, bi) == want
+            w = max(map(abs, a + bi)).bit_length() // 8 + 1 + extra
+            assert _zexquo(_zpack(a, w), bi, w) == want
 
     def test_det_clears_row_denominators(self):
         u = QRat.u_power
